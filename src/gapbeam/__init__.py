@@ -20,28 +20,26 @@ from .model import (
 )
 from .discretize import Mesh, SemiDiscreteSystem, assemble, build_mesh, recover_stress
 from .timestep import (
+    EnergyReport,
     Laws,
     NewtonDivergence,
     SchemeConfig,
     State,
     Trajectory,
-    energy_balance_residual,
+    energy,
     initial_state,
     simulate,
     state_norm,
-    step,
     total_energy,
 )
 from .diagnostics import (
     AbsorbingReport,
     ComplementarityReport,
     DecayFit,
-    EnergyReport,
     ObservabilityReport,
     absorbing_probe,
     complementarity_report,
     constraint_violation,
-    energy,
     energy_series,
     fit_decay,
     observability,

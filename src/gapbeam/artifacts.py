@@ -36,12 +36,14 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, schema: str, header: tuple[str, ...], rows) -> None:
+def write_table_csv(path: str | Path, schema: str, header: tuple[str, ...],
+                    rows) -> None:
+    """Schema line, header, then one row per line; floats via fmt."""
     lines = [f"# schema={schema}", ",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else fmt(cell)
                               for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_trajectory_csv(path: str | Path, system: SemiDiscreteSystem,
@@ -56,17 +58,12 @@ def write_trajectory_csv(path: str | Path, system: SemiDiscreteSystem,
                      rep.potential_bend, rep.N_p, rep.tip_energy, rep.Fhat_int,
                      rep.Ghat_int, state.v, state.v_t, s_ell,
                      rep.dissipation_rate, bal))
-    _write_csv(Path(path), TRAJECTORY_SCHEMA, TRAJECTORY_COLUMNS, rows)
+    write_table_csv(path, TRAJECTORY_SCHEMA, TRAJECTORY_COLUMNS, rows)
 
 
 def write_spectrum_csv(path: str | Path, eigenvalues: np.ndarray) -> None:
     rows = [(lam.real, lam.imag) for lam in eigenvalues]
-    _write_csv(Path(path), SPECTRUM_SCHEMA, ("re", "im"), rows)
-
-
-def write_table_csv(path: str | Path, schema: str, header: tuple[str, ...],
-                    rows) -> None:
-    _write_csv(Path(path), schema, header, rows)
+    write_table_csv(path, SPECTRUM_SCHEMA, ("re", "im"), rows)
 
 
 def write_summary(path: str | Path, entries: dict) -> None:

@@ -14,8 +14,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .artifacts import (
     EPS_SCHEMA,
     OBSERVABILITY_SCHEMA,
@@ -67,6 +65,22 @@ def make_initial(cfg: ExperimentConfig, system: SemiDiscreteSystem):
     )
 
 
+def _run(cfg: ExperimentConfig):
+    """Build the system and initial state of cfg and march to run.t_final.
+
+    Returns (system, laws, trajectory); a NewtonDivergence propagates.
+    """
+    system = build_system(cfg)
+    laws = cfg.laws()
+    try:
+        state0 = make_initial(cfg, system)
+    except ValueError as exc:
+        raise ConfigError(f"init: {exc}") from exc
+    traj = simulate(system, state0, laws, cfg.scheme, cfg.t_final,
+                    sample_stride=cfg.stride)
+    return system, laws, traj
+
+
 def _multiplier(cfg: ExperimentConfig) -> MultiplierSpec:
     if cfg.multiplier_n:
         return MultiplierSpec(n=cfg.multiplier_n, ell=cfg.beam.ell)
@@ -85,19 +99,8 @@ def _fit_entries(times, energies) -> dict:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    system = build_system(cfg)
-    laws = cfg.laws()
-    state0 = make_initial(cfg, system)
+    system, laws, traj = _run(cfg)
     summary: dict = {"schema": "gapbeam-summary-v1", "command": "simulate"}
-    try:
-        traj = simulate(system, state0, laws, cfg.scheme, cfg.t_final,
-                        sample_stride=cfg.stride)
-    except NewtonDivergence as exc:
-        summary.update(status="newton_divergence", t_fail=exc.t,
-                       last_residual=exc.residual)
-        write_summary(out / "summary", summary)
-        return EXIT_SOLVER
-
     write_trajectory_csv(out / "trajectory.csv", system, traj, laws)
     reports = energy_series(system, traj, laws)
     energies = [r.E_total for r in reports]
@@ -136,12 +139,8 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     row: dict = {"eps_pen": eps_pen}
-    system = build_system(row_cfg)
-    laws = row_cfg.laws()
-    state0 = make_initial(row_cfg, system)
     try:
-        traj = simulate(system, state0, laws, row_cfg.scheme, row_cfg.t_final,
-                        sample_stride=row_cfg.stride)
+        system, laws, traj = _run(row_cfg)
     except NewtonDivergence as exc:
         row.update(status="diverged", t_fail=exc.t, violation=math.nan,
                    sup_S_ell=math.nan, gamma_state=math.nan,
@@ -266,16 +265,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_observability(cfg: ExperimentConfig, out: Path) -> int:
-    system = build_system(cfg)
-    laws = cfg.laws()
-    state0 = make_initial(cfg, system)
-    try:
-        traj = simulate(system, state0, laws, cfg.scheme, cfg.t_final,
-                        sample_stride=cfg.stride)
-    except NewtonDivergence as exc:
-        write_summary(out / "summary", {"status": "newton_divergence",
-                                        "t_fail": exc.t})
-        return EXIT_SOLVER
+    system, laws, traj = _run(cfg)
     rep = observability(system, traj, _multiplier(cfg), laws)
     rows = zip(rep.times, rep.I_ell, rep.I_0, rep.L_series, rep.L0_series)
     write_table_csv(out / "observability.csv", OBSERVABILITY_SCHEMA,
@@ -335,6 +325,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NewtonDivergence as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        write_summary(out / "summary", {
+            "schema": "gapbeam-summary-v1", "command": args.command,
+            "status": "newton_divergence", "t_fail": exc.t,
+            "last_residual": exc.residual,
+        })
         return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ as an exact fraction (`beam.xi_num`, `beam.xi_den`) or as a real override
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -110,6 +111,13 @@ def parse_mapping(text: str) -> dict[str, str]:
     return out
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 class _Fields:
     def __init__(self, mapping: dict[str, str]):
         self.mapping = mapping
@@ -124,9 +132,9 @@ class _Fields:
                 raise ConfigError(f"missing required field {key}")
             return default
         try:
-            return float(raw)
+            return _finite_float(raw)
         except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+            raise ConfigError(f"{key}: {exc}") from exc
 
     def get_int(self, key, default=None):
         raw = self._raw(key)
@@ -273,8 +281,8 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         radius=f.get_float("init.radius", 1.0),
     )
     sweep = SweepSpec(
-        eps_pen=f.get_list("sweep.eps_pen", float),
-        epsilon=f.get_list("sweep.epsilon", float),
+        eps_pen=f.get_list("sweep.eps_pen", _finite_float),
+        epsilon=f.get_list("sweep.epsilon", _finite_float),
         xi=f.get_list("sweep.xi", _parse_fraction),
         ne=f.get_list("sweep.ne", int),
         tie_tip=f.get_bool("sweep.tie_tip", True),

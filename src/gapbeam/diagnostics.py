@@ -7,72 +7,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import SemiDiscreteSystem, recover_stress
-from .model import (
-    MultiplierSpec,
-    NoContact,
-    contact_potential,
-    multiplier_q,
-    multiplier_q0,
-)
+from .discretize import SemiDiscreteSystem, element_strains, recover_stress
+from .model import MultiplierSpec, NoContact, multiplier_q, multiplier_q0
 from .timestep import (
+    EnergyReport,
     Laws,
     SchemeConfig,
-    State,
     Trajectory,
-    _gauss_eval,
+    energy,
     initial_state,
-    integrate_primitive,
     simulate,
     state_norm,
     total_energy,
 )
-
-
-@dataclass
-class EnergyReport:
-    """Itemized Lyapunov functional; E_total is the sum of the parts."""
-
-    E_total: float
-    kinetic: float
-    potential_shear: float
-    potential_bend: float
-    N_p: float
-    tip_energy: float
-    Fhat_int: float
-    Ghat_int: float
-    dissipation_rate: float = 0.0
-    dissipated_cum: float = 0.0
-
-
-def energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> EnergyReport:
-    """Evaluate the energy functional of one state, itemized."""
-    u, w = state.pack(system)
-    ix = np.ix_(system.free, system.free)
-    kin_total = 0.5 * float(w @ system.M @ w)
-    shear = 0.5 * float(u @ system.K_shear_full[ix] @ u)
-    bend = 0.5 * float(u @ system.K_bend_full[ix] @ u)
-    tip = system.tip
-    tip_e = 0.0
-    if tip.enabled:
-        tip_e = 0.5 * tip.epsilon * (state.v**2 + state.v_t**2)
-        kin_total -= 0.5 * tip.epsilon * state.v_t**2
-    n_p = contact_potential(state.v, laws.contact)
-    fhat = integrate_primitive(system.mesh, state.phi, laws.force_f)
-    ghat = integrate_primitive(system.mesh, state.psi, laws.force_g)
-    rate = float(w @ system.D @ w)
-    total = kin_total + shear + bend + tip_e + n_p + fhat + ghat
-    return EnergyReport(
-        E_total=total,
-        kinetic=kin_total,
-        potential_shear=shear,
-        potential_bend=bend,
-        N_p=n_p,
-        tip_energy=tip_e,
-        Fhat_int=fhat,
-        Ghat_int=ghat,
-        dissipation_rate=rate,
-    )
 
 
 def energy_series(system: SemiDiscreteSystem, traj: Trajectory,
@@ -157,16 +104,12 @@ def _interior_functionals(system, state, spec):
     """(L with q, L with q0, unweighted integral of the intensity)."""
     mesh = system.mesh
     beam = system.beam
-    nodes = mesh.nodes
-    h = mesh.widths
-    phi_x = np.diff(state.phi) / h
-    psi_mid = 0.5 * (state.psi[:-1] + state.psi[1:])
-    S_el = beam.k * (phi_x + psi_mid)
-    M_el = beam.b * np.diff(state.psi) / h
-    phit_g, weights = _gauss_eval(mesh, state.phi_t)
-    psit_g, _ = _gauss_eval(mesh, state.psi_t)
-    xg = np.outer(nodes[:-1], (1 - np.array([-1, 1]) / math.sqrt(3)) / 2) \
-        + np.outer(nodes[1:], (1 + np.array([-1, 1]) / math.sqrt(3)) / 2)
+    gamma, kappa = element_strains(mesh, state.phi, state.psi)
+    S_el = beam.k * gamma
+    M_el = beam.b * kappa
+    phit_g = mesh.at_gauss(state.phi_t)
+    psit_g = mesh.at_gauss(state.psi_t)
+    xg, weights = mesh.gauss_points, mesh.gauss_weights
     intensity = (beam.rho2 * beam.b * psit_g**2 + M_el[:, None] ** 2
                  + beam.rho1 * beam.k * phit_g**2 + S_el[:, None] ** 2)
     cross = (beam.rho1 * beam.k * phit_g * psit_g

@@ -5,16 +5,24 @@ shear term, the standard cure for shear locking at small thickness.  The
 pointwise dampers become single diagonal entries at the interface node, which
 is exactly the weak form of the force-jump conditions there.  The tip body is
 coupled by identifying the end deflection dof with the tip coordinate and
-adding epsilon to mass, damping and stiffness at that slot.
+adding epsilon to mass, damping and stiffness at that slot.  Only the reduced
+operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .model import BeamParams, TipParams
+
+# linear shape functions at the two Gauss nodes of the reference element
+_GAUSS_REF = np.array([-1.0, 1.0]) / math.sqrt(3.0)
+N_LEFT = (1.0 - _GAUSS_REF) / 2.0
+N_RIGHT = (1.0 + _GAUSS_REF) / 2.0
 
 
 class AssemblyError(RuntimeError):
@@ -44,9 +52,23 @@ class Mesh:
     def xi(self) -> float:
         return float(self.nodes[self.xi_index])
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
         return np.diff(self.nodes)
+
+    def at_gauss(self, nodal: np.ndarray) -> np.ndarray:
+        """Values of a nodal field at the 2-point Gauss nodes, shape (ne, 2)."""
+        return np.outer(nodal[:-1], N_LEFT) + np.outer(nodal[1:], N_RIGHT)
+
+    @cached_property
+    def gauss_points(self) -> np.ndarray:
+        """Positions of the 2-point Gauss nodes, shape (ne, 2)."""
+        return self.at_gauss(self.nodes)
+
+    @cached_property
+    def gauss_weights(self) -> np.ndarray:
+        """Quadrature weights h/2 belonging to gauss_points."""
+        return np.outer(self.widths, np.full(2, 0.5))
 
 
 def build_mesh(ell: float, xi: float, ne: int) -> Mesh:
@@ -77,28 +99,22 @@ def build_mesh(ell: float, xi: float, ne: int) -> Mesh:
 class SemiDiscreteSystem:
     """Assembled operators plus dof bookkeeping.
 
-    Full operators act on the stacked nodal vector [phi_0..phi_N, psi_0..psi_N];
-    the reduced ones have the essential dofs phi(0) and psi(ell) eliminated.
-    K splits into shear / bending (+ tip) parts so energy reports can itemize.
-    The quadratic form u.K.u equals the potential part of the phase-space norm;
-    w.M.w the kinetic part.
+    M, K, D act on the reduced vector: the stacked nodal vector
+    [phi_0..phi_N, psi_0..psi_N] without its first and last entries, the
+    essential dofs phi(0) and psi(ell).  The quadratic form u.K.u equals the
+    potential part of the phase-space norm; w.M.w the kinetic part.
     """
 
     mesh: Mesh
     beam: BeamParams
     tip: TipParams
-    M_full: np.ndarray
-    K_full: np.ndarray
-    D_full: np.ndarray
-    K_shear_full: np.ndarray
-    K_bend_full: np.ndarray
     free: np.ndarray            # free dof indices into the full vector
     tip_slot: int               # position of phi(ell) in the reduced numbering
     xi_phi_slot: int            # position of phi(xi) in the reduced numbering
     xi_psi_slot: int            # position of psi(xi) in the reduced numbering
-    M: np.ndarray = field(repr=False, default=None)
-    K: np.ndarray = field(repr=False, default=None)
-    D: np.ndarray = field(repr=False, default=None)
+    M: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)
+    D: np.ndarray = field(repr=False)
 
     @property
     def n_free(self) -> int:
@@ -119,7 +135,7 @@ class SemiDiscreteSystem:
 
 
 def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem:
-    """Galerkin assembly of the mass/stiffness/damping operators.
+    """Galerkin assembly of the reduced mass/stiffness/damping operators.
 
     Shear uses the one-point midpoint rule, bending and mass are exact.
     Dampers are lumped diagonal entries at the xi node.  With the tip enabled,
@@ -129,12 +145,11 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     if np.any(mesh.widths <= 0.0):
         raise AssemblyError("mesh has empty or inverted elements")
     nn = mesh.nn
+    if not 0 < mesh.xi_index < nn - 1:
+        raise AssemblyError("damper node collides with an essential dof")
     nd = 2 * nn
     M = np.zeros((nd, nd))
-    K_sh = np.zeros((nd, nd))
-    K_bd = np.zeros((nd, nd))
-    D = np.zeros((nd, nd))
-
+    K = np.zeros((nd, nd))
     for e in range(nn - 1):
         h = mesh.nodes[e + 1] - mesh.nodes[e]
         m_e = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -142,44 +157,30 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
         ipsi = [nn + e, nn + e + 1]
         M[np.ix_(iphi, iphi)] += beam.rho1 * m_e
         M[np.ix_(ipsi, ipsi)] += beam.rho2 * m_e
-        K_bd[np.ix_(ipsi, ipsi)] += beam.b / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        K[np.ix_(ipsi, ipsi)] += beam.b / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
         # midpoint shear strain phi_x + psi_mid as a single constraint row
         g = np.array([-1.0 / h, 1.0 / h, 0.5, 0.5])
-        K_sh[np.ix_(iphi + ipsi, iphi + ipsi)] += beam.k * h * np.outer(g, g)
+        K[np.ix_(iphi + ipsi, iphi + ipsi)] += beam.k * h * np.outer(g, g)
 
-    D[mesh.xi_index, mesh.xi_index] += beam.gamma1
-    D[nn + mesh.xi_index, nn + mesh.xi_index] += beam.gamma2
-
-    K = K_sh + K_bd
-    tip_full = nn - 1
+    # phi(0) and psi(ell) are the first and last entries of the full vector
+    free = np.arange(1, nd - 1)
+    M = M[1:-1, 1:-1].copy()
+    K = K[1:-1, 1:-1].copy()
+    D = np.zeros_like(M)
+    tip_slot = nn - 2
+    xi_phi_slot = mesh.xi_index - 1
+    xi_psi_slot = nn + mesh.xi_index - 1
+    D[xi_phi_slot, xi_phi_slot] = beam.gamma1
+    D[xi_psi_slot, xi_psi_slot] = beam.gamma2
     if tip.enabled:
-        M[tip_full, tip_full] += tip.epsilon
-        K[tip_full, tip_full] += tip.epsilon
+        M[tip_slot, tip_slot] += tip.epsilon
+        K[tip_slot, tip_slot] += tip.epsilon
         if tip.damping_on:
-            D[tip_full, tip_full] += tip.epsilon
+            D[tip_slot, tip_slot] += tip.epsilon
 
-    essential = (0, nd - 1)  # phi(0) and psi(ell)
-    free = np.array([i for i in range(nd) if i not in essential], dtype=int)
-    if mesh.xi_index in essential or nn + mesh.xi_index == nd - 1:
-        raise AssemblyError("damper node collides with an essential dof")
-
-    free_pos = {dof: i for i, dof in enumerate(free)}
     sys = SemiDiscreteSystem(
-        mesh=mesh,
-        beam=beam,
-        tip=tip,
-        M_full=M,
-        K_full=K,
-        D_full=D,
-        K_shear_full=K_sh,
-        K_bend_full=K_bd,
-        free=free,
-        tip_slot=free_pos[tip_full],
-        xi_phi_slot=free_pos[mesh.xi_index],
-        xi_psi_slot=free_pos[nn + mesh.xi_index],
-        M=M[np.ix_(free, free)],
-        K=K[np.ix_(free, free)],
-        D=D[np.ix_(free, free)],
+        mesh=mesh, beam=beam, tip=tip, free=free, tip_slot=tip_slot,
+        xi_phi_slot=xi_phi_slot, xi_psi_slot=xi_psi_slot, M=M, K=K, D=D,
     )
     try:
         np.linalg.cholesky(sys.M)
@@ -206,6 +207,19 @@ def _element_for(mesh: Mesh, x: float, side: str) -> int:
     return int(np.searchsorted(nodes, x) - 1)
 
 
+def element_strains(mesh: Mesh, phi: np.ndarray,
+                    psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shear strain phi_x + psi_mid and curvature psi_x of every element.
+
+    Both are constant per element: the shear term is sampled at the midpoint
+    (the reduced integration of the stiffness), and psi is linear.
+    """
+    h = mesh.widths
+    gamma = np.diff(phi) / h + 0.5 * (psi[:-1] + psi[1:])
+    kappa = np.diff(psi) / h
+    return gamma, kappa
+
+
 def recover_stress(system: SemiDiscreteSystem, state, x: float,
                    side: str = "auto") -> tuple[float, float]:
     """Element-wise shear force and bending moment at x.
@@ -216,12 +230,6 @@ def recover_stress(system: SemiDiscreteSystem, state, x: float,
     the force jump across the damper node.  `state` is anything carrying full
     nodal `phi` and `psi` arrays.
     """
-    phi, psi = state.phi, state.psi
     e = _element_for(system.mesh, x, side)
-    nodes = system.mesh.nodes
-    h = nodes[e + 1] - nodes[e]
-    phi_x = (phi[e + 1] - phi[e]) / h
-    psi_mid = 0.5 * (psi[e] + psi[e + 1])
-    S = system.beam.k * (phi_x + psi_mid)
-    M_bend = system.beam.b * (psi[e + 1] - psi[e]) / h
-    return float(S), float(M_bend)
+    gamma, kappa = element_strains(system.mesh, state.phi, state.psi)
+    return float(system.beam.k * gamma[e]), float(system.beam.b * kappa[e])

@@ -105,7 +105,11 @@ class NormalCompliance:
 
 @dataclass(frozen=True)
 class SignoriniPenalty:
-    """Stiff linear penalisation of the stops with parameter eps_pen."""
+    """Stiff linear penalisation of the stops with parameter eps_pen.
+
+    This is the p=1 compliance law with both stiffnesses 1/eps_pen, so it
+    reads as a NormalCompliance everywhere the laws are evaluated.
+    """
 
     eps_pen: float
     g_lo: float
@@ -115,6 +119,18 @@ class SignoriniPenalty:
         if self.eps_pen <= 0.0:
             raise ValueError("eps_pen must be positive")
         _check_gap(self.g_lo, self.g_hi)
+
+    @property
+    def d1(self) -> float:
+        return 1.0 / self.eps_pen
+
+    @property
+    def d2(self) -> float:
+        return 1.0 / self.eps_pen
+
+    @property
+    def p(self) -> int:
+        return 1
 
 
 ContactLaw = NoContact | NormalCompliance | SignoriniPenalty
@@ -148,10 +164,6 @@ class ForceLaw:
             raise ValueError("cutoff_R must be positive when given")
 
 
-def _pos(x):
-    return np.maximum(x, 0.0)
-
-
 def contact_traction(v: float, law: ContactLaw) -> float:
     """Traction added to the force balance of the end deflection v.
 
@@ -160,15 +172,9 @@ def contact_traction(v: float, law: ContactLaw) -> float:
     """
     if isinstance(law, NoContact):
         return 0.0
-    if isinstance(law, NormalCompliance):
-        up = max(v - law.g_hi, 0.0)
-        lo = max(law.g_lo - v, 0.0)
-        return -law.d2 * up**law.p + law.d1 * lo**law.p
-    if isinstance(law, SignoriniPenalty):
-        up = max(v - law.g_hi, 0.0)
-        lo = max(law.g_lo - v, 0.0)
-        return (-up + lo) / law.eps_pen
-    raise TypeError(f"unknown contact law {law!r}")
+    up = max(v - law.g_hi, 0.0)
+    lo = max(law.g_lo - v, 0.0)
+    return -law.d2 * up**law.p + law.d1 * lo**law.p
 
 
 def contact_stiffness(v: float, law: ContactLaw) -> float:
@@ -180,16 +186,12 @@ def contact_stiffness(v: float, law: ContactLaw) -> float:
     """
     if isinstance(law, NoContact):
         return 0.0
-    if isinstance(law, NormalCompliance):
-        s = 0.0
-        if v > law.g_hi:
-            s -= law.d2 * law.p * (v - law.g_hi) ** (law.p - 1)
-        if v < law.g_lo:
-            s -= law.d1 * law.p * (law.g_lo - v) ** (law.p - 1)
-        return s
-    if isinstance(law, SignoriniPenalty):
-        return -(float(v > law.g_hi) + float(v < law.g_lo)) / law.eps_pen
-    raise TypeError(f"unknown contact law {law!r}")
+    s = 0.0
+    if v > law.g_hi:
+        s -= law.d2 * law.p * (v - law.g_hi) ** (law.p - 1)
+    if v < law.g_lo:
+        s -= law.d1 * law.p * (law.g_lo - v) ** (law.p - 1)
+    return s
 
 
 def contact_potential(v: float, law: ContactLaw) -> float:
@@ -199,16 +201,10 @@ def contact_potential(v: float, law: ContactLaw) -> float:
     """
     if isinstance(law, NoContact):
         return 0.0
-    if isinstance(law, NormalCompliance):
-        up = max(v - law.g_hi, 0.0)
-        lo = max(law.g_lo - v, 0.0)
-        q = law.p + 1
-        return law.d2 / q * up**q + law.d1 / q * lo**q
-    if isinstance(law, SignoriniPenalty):
-        up = max(v - law.g_hi, 0.0)
-        lo = max(law.g_lo - v, 0.0)
-        return (up**2 + lo**2) / (2.0 * law.eps_pen)
-    raise TypeError(f"unknown contact law {law!r}")
+    up = max(v - law.g_hi, 0.0)
+    lo = max(law.g_lo - v, 0.0)
+    q = law.p + 1
+    return law.d2 / q * up**q + law.d1 / q * lo**q
 
 
 def body_force(s, law: ForceLaw):

@@ -5,7 +5,8 @@ the quadratic energy of the conservative linear system exactly and is
 unconditionally stable for any positive semidefinite damping.  Nonlinear
 contact and body forces are evaluated at the midpoint displacement; the
 Newton corrector uses the analytic body-force tangent and the semismooth
-slope of the contact law.
+slope of the contact law.  The itemized energy functional, whose balance
+simulate() records per sample, is defined here as well.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .discretize import Mesh, SemiDiscreteSystem
+from .discretize import N_LEFT, N_RIGHT, Mesh, SemiDiscreteSystem, element_strains
 from .model import (
     ContactLaw,
     ForceLaw,
@@ -28,10 +29,6 @@ from .model import (
     contact_stiffness,
     contact_traction,
 )
-
-_GAUSS_REF = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-_N_LEFT = (1.0 - _GAUSS_REF) / 2.0
-_N_RIGHT = (1.0 + _GAUSS_REF) / 2.0
 
 
 class NewtonDivergence(RuntimeError):
@@ -67,7 +64,6 @@ class SchemeConfig:
     dt: float
     newton_tol: float = 1e-10
     newton_max: int = 25
-    scheme: str = "implicit-midpoint"
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -76,8 +72,6 @@ class SchemeConfig:
             raise ValueError("newton_tol must be positive")
         if self.newton_max < 1:
             raise ValueError("newton_max must be at least 1")
-        if self.scheme != "implicit-midpoint":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -98,10 +92,6 @@ class State:
     def v_t(self) -> float:
         return float(self.phi_t[-1])
 
-    def copy(self) -> "State":
-        return State(self.phi.copy(), self.psi.copy(),
-                     self.phi_t.copy(), self.psi_t.copy(), self.t)
-
     @classmethod
     def zeros(cls, mesh: Mesh, t: float = 0.0) -> "State":
         nn = mesh.nn
@@ -120,59 +110,72 @@ class State:
         return u, w
 
 
-def _gauss_eval(mesh: Mesh, nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Field values and weights at the 2-point Gauss nodes of every element."""
-    h = mesh.widths
-    vals = np.outer(nodal[:-1], _N_LEFT) + np.outer(nodal[1:], _N_RIGHT)
-    weights = np.outer(h, np.full(2, 0.5))
-    return vals, weights
-
-
 def integrate_primitive(mesh: Mesh, nodal: np.ndarray, law: ForceLaw) -> float:
     """Quadrature of the body-force antiderivative along the beam."""
     if law.mu == 0.0:
         return 0.0
-    vals, weights = _gauss_eval(mesh, nodal)
-    return float(np.sum(weights * body_force_primitive(vals, law)))
+    return float(np.sum(mesh.gauss_weights
+                        * body_force_primitive(mesh.at_gauss(nodal), law)))
+
+
+@dataclass
+class EnergyReport:
+    """Itemized Lyapunov functional; E_total is the sum of the parts."""
+
+    E_total: float
+    kinetic: float
+    potential_shear: float
+    potential_bend: float
+    N_p: float
+    tip_energy: float
+    Fhat_int: float
+    Ghat_int: float
+    dissipation_rate: float = 0.0
+    dissipated_cum: float = 0.0
+
+
+def energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> EnergyReport:
+    """Evaluate the energy functional of one state, itemized.
+
+    Shear and bending are 1/2 sum k h gamma_e^2 and 1/2 sum b h kappa_e^2 over
+    the element strains; the tip body's share of the mass and stiffness is
+    reported as tip_energy, not as kinetic or potential energy of the beam.
+    """
+    _, w = state.pack(system)
+    mesh, beam, tip = system.mesh, system.beam, system.tip
+    gamma, kappa = element_strains(mesh, state.phi, state.psi)
+    shear = 0.5 * beam.k * float(mesh.widths @ gamma**2)
+    bend = 0.5 * beam.b * float(mesh.widths @ kappa**2)
+    kinetic = 0.5 * float(w @ system.M @ w)
+    tip_e = 0.0
+    if tip.enabled:
+        tip_e = 0.5 * tip.epsilon * (state.v**2 + state.v_t**2)
+        kinetic -= 0.5 * tip.epsilon * state.v_t**2
+    n_p = contact_potential(state.v, laws.contact)
+    fhat = integrate_primitive(mesh, state.phi, laws.force_f)
+    ghat = integrate_primitive(mesh, state.psi, laws.force_g)
+    return EnergyReport(
+        E_total=kinetic + shear + bend + tip_e + n_p + fhat + ghat,
+        kinetic=kinetic,
+        potential_shear=shear,
+        potential_bend=bend,
+        N_p=n_p,
+        tip_energy=tip_e,
+        Fhat_int=fhat,
+        Ghat_int=ghat,
+        dissipation_rate=float(w @ system.D @ w),
+    )
 
 
 def total_energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> float:
-    """Discrete Lyapunov functional: quadratic energy plus stored potentials."""
-    u, w = state.pack(system)
-    e = 0.5 * (w @ system.M @ w + u @ system.K @ u)
-    e += contact_potential(state.v, laws.contact)
-    e += integrate_primitive(system.mesh, state.phi, laws.force_f)
-    e += integrate_primitive(system.mesh, state.psi, laws.force_g)
-    return float(e)
+    """Discrete Lyapunov functional: the sum of the energy items."""
+    return energy(system, state, laws).E_total
 
 
 def state_norm(system: SemiDiscreteSystem, state: State) -> float:
     """Phase-space norm (the quadratic part only, without stored potentials)."""
     u, w = state.pack(system)
     return float(math.sqrt(w @ system.M @ w + u @ system.K @ u))
-
-
-def dissipation_rate(system: SemiDiscreteSystem, state: State) -> float:
-    """Instantaneous dissipation: the damping quadratic form of the velocities."""
-    _, w = state.pack(system)
-    return float(w @ system.D @ w)
-
-
-def energy_balance_residual(system: SemiDiscreteSystem, state_k: State,
-                            state_k1: State, laws: Laws, dt: float) -> float:
-    """Defect of the discrete energy identity over one step.
-
-    Returns E_{k+1} - E_k + dt * (midpoint dissipation).  Exactly zero for the
-    linear system up to roundoff and the Newton tolerance; with midpoint-
-    evaluated nonlinear forces a drift of cubic order in dt is accepted.
-    """
-    _, w0 = state_k.pack(system)
-    _, w1 = state_k1.pack(system)
-    if w0.shape != w1.shape:
-        raise ValueError("states have inconsistent dimensions")
-    wm = 0.5 * (w0 + w1)
-    diss = dt * float(wm @ system.D @ wm)
-    return total_energy(system, state_k1, laws) - total_energy(system, state_k, laws) + diss
 
 
 @dataclass
@@ -184,7 +187,6 @@ class Trajectory:
     balance_residuals: list[float] = field(default_factory=list)
     dissipated_cum: list[float] = field(default_factory=list)
     dt: float = 0.0
-    sample_stride: int = 1
 
     def __len__(self) -> int:
         return len(self.states)
@@ -248,30 +250,32 @@ class MidpointStepper:
                                    (nn, psi, self.laws.force_g)):
             if law.mu == 0.0:
                 continue
-            vals, weights = _gauss_eval(self.mesh, nodal)
-            contrib = weights * body_force(vals, law)
-            out[offset:offset + nn - 1] += contrib @ _N_LEFT
-            out[offset + 1:offset + nn] += contrib @ _N_RIGHT
+            contrib = self.mesh.gauss_weights * body_force(
+                self.mesh.at_gauss(nodal), law)
+            out[offset:offset + nn - 1] += contrib @ N_LEFT
+            out[offset + 1:offset + nn] += contrib @ N_RIGHT
         return self.system.reduce(out)
 
-    def _body_tangent_full(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    def _body_tangent(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """Reduced Jacobian of the body-force load, tridiagonal per field."""
         nn = self.mesh.nn
         T = np.zeros((2 * nn, 2 * nn))
         for offset, nodal, law in ((0, phi, self.laws.force_f),
                                    (nn, psi, self.laws.force_g)):
             if law.mu == 0.0:
                 continue
-            vals, weights = _gauss_eval(self.mesh, nodal)
-            wd = weights * body_force_derivative(vals, law)
-            d_ll = wd @ (_N_LEFT * _N_LEFT)
-            d_rr = wd @ (_N_RIGHT * _N_RIGHT)
-            d_lr = wd @ (_N_LEFT * _N_RIGHT)
+            wd = self.mesh.gauss_weights * body_force_derivative(
+                self.mesh.at_gauss(nodal), law)
+            d_ll = wd @ (N_LEFT * N_LEFT)
+            d_rr = wd @ (N_RIGHT * N_RIGHT)
+            d_lr = wd @ (N_LEFT * N_RIGHT)
             idx = np.arange(nn - 1) + offset
             T[idx, idx] += d_ll
             T[idx + 1, idx + 1] += d_rr
             T[idx, idx + 1] += d_lr
             T[idx + 1, idx] += d_lr
-        return T
+        free = self.system.free
+        return T[np.ix_(free, free)]
 
     # -- core solve --------------------------------------------------------
 
@@ -301,8 +305,7 @@ class MidpointStepper:
             um = 0.5 * (u + up)
             if self._nl_body:
                 phi_m, psi_m = sysm.expand(um)
-                T = self._body_tangent_full(phi_m, psi_m)
-                J = J_base + 0.5 * T[np.ix_(sysm.free, sysm.free)]
+                J = J_base + 0.5 * self._body_tangent(phi_m, psi_m)
                 if self._nl_contact:
                     J[sysm.tip_slot, sysm.tip_slot] -= 0.5 * contact_stiffness(
                         um[sysm.tip_slot], self.laws.contact)
@@ -332,21 +335,9 @@ class MidpointStepper:
                 return up, wp
             raise
 
-    def step(self, state: State) -> State:
-        u, w = state.pack(self.system)
-        up, wp = self.step_reduced(u, w, state.t)
-        return State.from_reduced(self.system, up, wp, state.t + self.cfg.dt)
-
-
-def step(system: SemiDiscreteSystem, state: State, laws: Laws,
-         cfg: SchemeConfig) -> State:
-    """Single implicit-midpoint step (convenience wrapper around the stepper)."""
-    return MidpointStepper(system, laws, cfg).step(state)
-
 
 def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
-             cfg: SchemeConfig, t_final: float, sample_stride: int = 1,
-             observers: tuple = ()) -> Trajectory:
+             cfg: SchemeConfig, t_final: float, sample_stride: int = 1) -> Trajectory:
     """March to t_final, sampling every sample_stride steps (plus the endpoints).
 
     Per-sample balance residuals telescope the energy identity between
@@ -357,7 +348,7 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     stepper = MidpointStepper(system, laws, cfg)
-    traj = Trajectory(dt=cfg.dt, sample_stride=sample_stride)
+    traj = Trajectory(dt=cfg.dt)
     n_steps = int(round(t_final / cfg.dt))
 
     u, w = state0.pack(system)
@@ -383,8 +374,6 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
         diss_since_sample += d_step
         u, w = up, wp
         state = State.from_reduced(system, u, w, state0.t + k * cfg.dt)
-        for obs in observers:
-            obs(k, state)
         if k % sample_stride == 0 or k == n_steps:
             energy_now = total_energy(system, state, laws)
             traj.times.append(state.t)

@@ -120,6 +120,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "beam.rho1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"beam.k": "nan"}, "beam.k"),
+        ({"contact.kind": "normal_compliance", "contact.d1": "nan",
+          "contact.d2": "1", "contact.g_lo": "-0.1", "contact.g_hi": "0.1"},
+         "contact.d1"),
+        ({"scheme.dt": "nan"}, "scheme.dt"),
+        ({"scheme.dt": "inf"}, "scheme.dt"),
+        ({"run.t_final": "nan"}, "run.t_final"),
+        ({"sweep.eps_pen": "1e-2, nan"}, "sweep.eps_pen"),
+        ({"init.kind": "bogus"}, "init: unknown initial-data kind 'bogus'"),
+        ({"init.kind": "mode", "init.mode": "0"}, "init: mode"),
+    ])
+    def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
+                                            named):
+        text = "".join(f"{k} = {v}\n" for k, v in {**BASE_MAP, **overrides}.items())
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
     def test_missing_config_file_exit_io(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -143,11 +162,15 @@ class TestSimulateCommand:
             contact__kind="signorini_penalty", contact__eps_pen="1e-10",
             contact__g_lo="-0.01", contact__g_hi="0.01",
             init__kind="mode_velocity", init__amplitude="50.0"))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
-        summary = read_summary(out)
-        assert summary["status"] == "newton_divergence"
-        assert float(summary["t_fail"]) > 0.0
+        for command in ("simulate", "observability"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 3
+            summary = read_summary(out)
+            assert summary["schema"] == "gapbeam-summary-v1"
+            assert summary["command"] == command
+            assert summary["status"] == "newton_divergence"
+            assert float(summary["t_fail"]) > 0.0
+            assert float(summary["last_residual"]) > 0.0
 
     def test_snapshot_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "run.snapshot = true\n"

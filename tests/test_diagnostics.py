@@ -21,7 +21,6 @@ from gapbeam import (
     initial_state,
     observability,
     simulate,
-    total_energy,
 )
 from gapbeam.diagnostics import forcing_norm
 from gapbeam.model import NoContact, default_multiplier
@@ -61,7 +60,6 @@ class TestEnergy:
         parts = (rep.kinetic + rep.potential_shear + rep.potential_bend
                  + rep.N_p + rep.tip_energy + rep.Fhat_int + rep.Ghat_int)
         assert rep.E_total == pytest.approx(parts, rel=1e-14)
-        assert rep.E_total == pytest.approx(total_energy(system, s, laws), rel=1e-12)
 
     def test_single_mode_matches_closed_form(self):
         # phi = A sin(a x), zero velocity: 2E = (aA)^2 * int cos^2 = (aA)^2/2

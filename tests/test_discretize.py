@@ -13,11 +13,12 @@ from gapbeam import (
     TipParams,
     assemble,
     build_mesh,
+    energy,
     initial_state,
     recover_stress,
     simulate,
 )
-from gapbeam.discretize import AssemblyError
+from gapbeam.discretize import AssemblyError, element_strains
 
 
 class TestBuildMesh:
@@ -49,12 +50,12 @@ class TestBuildMesh:
 
 class TestAssemble:
     def test_no_damping_gives_zero_d(self, conservative_system):
-        assert np.count_nonzero(conservative_system.D_full) == 0
+        assert np.count_nonzero(conservative_system.D) == 0
 
     def test_damping_rank_at_most_three(self):
         system = desk_system(ne=12, gamma1=1.0, gamma2=2.0,
                              tip=TipParams(enabled=True, epsilon=0.5))
-        assert np.linalg.matrix_rank(system.D_full) == 3
+        assert np.linalg.matrix_rank(system.D) == 3
         assert system.D[system.xi_phi_slot, system.xi_phi_slot] == 1.0
         assert system.D[system.xi_psi_slot, system.xi_psi_slot] == 2.0
         assert system.D[system.tip_slot, system.tip_slot] == 0.5
@@ -62,33 +63,35 @@ class TestAssemble:
     def test_tip_damping_can_be_zeroed(self):
         system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=0.5,
                                                  damping_on=False))
-        assert np.count_nonzero(system.D_full) == 0
+        assert np.count_nonzero(system.D) == 0
         assert system.M[system.tip_slot, system.tip_slot] > 0.5
 
     def test_mass_of_uniform_velocity(self):
+        # the eliminated phi(0) and psi(ell) each take 2h/3 of their field's
+        # mass rho*l out of the reduced sum (row h/2 twice, diagonal h/3 back)
         beam = desk_beam()
         mesh = build_mesh(1.0, 0.5, 10)
+        h = 0.1
+        reduced = beam.rho1 * (beam.ell - 2 * h / 3) + beam.rho2 * (beam.ell - 2 * h / 3)
         system = assemble(mesh, beam, TipParams())
-        ones = np.ones(2 * mesh.nn)
-        assert ones @ system.M_full @ ones == pytest.approx(2.0)  # rho1*l + rho2*l
+        ones = np.ones(system.n_free)
+        assert ones @ system.M @ ones == pytest.approx(reduced)
         system_tip = assemble(mesh, beam, TipParams(enabled=True, epsilon=0.25))
-        assert ones @ system_tip.M_full @ ones == pytest.approx(2.25)
+        assert ones @ system_tip.M @ ones == pytest.approx(reduced + 0.25)
 
     def test_shear_kernel_contains_pure_bending_state(self):
-        # phi = x, psi = -1 has zero shear strain; the reduced-integration
-        # shear energy must vanish for its interpolant at any resolution
+        # phi = x, psi = -1 has zero shear strain; the midpoint strain of its
+        # interpolant must vanish too, at any resolution
         for ne in (4, 16, 64):
             mesh = build_mesh(1.0, 0.5, ne)
-            system = assemble(mesh, desk_beam(), TipParams())
-            u = np.concatenate([mesh.nodes, -np.ones(mesh.nn)])
-            assert abs(u @ system.K_shear_full @ u) < 1e-14
+            gamma, _ = element_strains(mesh, mesh.nodes, -np.ones(mesh.nn))
+            assert np.max(np.abs(gamma)) < 1e-14
 
     def test_patch_constant_rotation(self):
         mesh = build_mesh(1.0, 0.5, 8)
-        system = assemble(mesh, desk_beam(), TipParams())
         c = 0.7
-        u = np.concatenate([-c * mesh.nodes, c * np.ones(mesh.nn)])
-        assert abs(u @ system.K_shear_full @ u) < 1e-14
+        gamma, _ = element_strains(mesh, -c * mesh.nodes, c * np.ones(mesh.nn))
+        assert np.max(np.abs(gamma)) < 1e-14
 
     def test_stiffness_quadratic_form_is_energy(self):
         # manufactured half-wave: closed-form shear+bending integrals
@@ -99,11 +102,24 @@ class TestAssemble:
         for ne in (32, 64):
             mesh = build_mesh(1.0, 0.5, ne)
             system = assemble(mesh, desk_beam(), TipParams())
-            u = np.concatenate([amp_phi * np.sin(a * mesh.nodes),
-                                amp_psi * np.cos(a * mesh.nodes)])
-            errs.append(abs(0.5 * u @ system.K_full @ u - closed) / closed)
+            u = system.reduce(np.concatenate([amp_phi * np.sin(a * mesh.nodes),
+                                              amp_psi * np.cos(a * mesh.nodes)]))
+            errs.append(abs(0.5 * u @ system.K @ u - closed) / closed)
         assert errs[0] < 0.01
         assert errs[0] / errs[1] > 3.0  # second-order quadrature error
+
+    def test_stiffness_form_is_sum_of_element_energies(self):
+        # u.K.u against the strain helper, on a nonuniform mesh with the tip
+        eps = 0.4
+        system = desk_system(ne=12, xi=Fraction(2, 5),
+                             tip=TipParams(enabled=True, epsilon=eps))
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            u = rng.standard_normal(system.n_free)
+            state = State.from_reduced(system, u, np.zeros_like(u))
+            rep = energy(system, state, Laws())
+            parts = rep.potential_shear + rep.potential_bend + 0.5 * eps * state.v**2
+            assert 0.5 * u @ system.K @ u == pytest.approx(parts, rel=1e-12)
 
     def test_undamped_generator_is_skew(self, conservative_system):
         system = conservative_system

@@ -30,6 +30,13 @@ from gapbeam.model import (
 
 NC = NormalCompliance(d1=1.0, d2=1.0, p=2, g_lo=-1.0, g_hi=1.0)
 PEN = SignoriniPenalty(eps_pen=0.5, g_lo=-1.0, g_hi=1.0)
+LAWS = [
+    NC,
+    NormalCompliance(d1=3.0, d2=0.7, p=1, g_lo=-0.5, g_hi=0.25),
+    NormalCompliance(d1=1.5, d2=2.0, p=3, g_lo=-1.0, g_hi=0.5),
+    PEN,
+    SignoriniPenalty(eps_pen=1e-2, g_lo=-0.3, g_hi=0.3),
+]
 
 
 class TestContactTraction:
@@ -70,13 +77,7 @@ class TestContactPotential:
             for v in np.linspace(-4, 4, 101):
                 assert contact_potential(v, law) >= 0.0
 
-    @pytest.mark.parametrize("law", [
-        NC,
-        NormalCompliance(d1=3.0, d2=0.7, p=1, g_lo=-0.5, g_hi=0.25),
-        NormalCompliance(d1=1.5, d2=2.0, p=3, g_lo=-1.0, g_hi=0.5),
-        PEN,
-        SignoriniPenalty(eps_pen=1e-2, g_lo=-0.3, g_hi=0.3),
-    ])
+    @pytest.mark.parametrize("law", LAWS)
     def test_traction_is_negative_gradient(self, law):
         # central differences at 20 points; the two kink points are skipped
         # for p=1 (and the penalty law) where the traction is only C^0
@@ -94,6 +95,17 @@ class TestContactPotential:
         for h in (1e-3, 1e-4, 1e-5, 1e-6):
             fd = -(contact_potential(3 + h, NC) - contact_potential(3 - h, NC)) / (2 * h)
             assert fd == pytest.approx(-4.0, abs=10 * h**2 + 1e-9)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_stiffness_is_traction_derivative(self, law):
+        # central differences away from the kinks; the penalty law is p=1
+        for v in np.linspace(-2.5, 2.5, 20):
+            if law.p == 1 and (abs(v - law.g_hi) < 0.3 or abs(v - law.g_lo) < 0.3):
+                continue
+            h = 1e-5
+            fd = (contact_traction(v + h, law) - contact_traction(v - h, law)) / (2 * h)
+            slope = contact_stiffness(v, law)
+            assert abs(fd - slope) <= 1e-6 * max(1.0, abs(slope))
 
     def test_semismooth_slope_zero_at_kink(self):
         law = NormalCompliance(d1=1.0, d2=1.0, p=1, g_lo=-1.0, g_hi=1.0)

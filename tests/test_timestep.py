@@ -12,11 +12,9 @@ from gapbeam import (
     SignoriniPenalty,
     State,
     TipParams,
-    energy_balance_residual,
     initial_state,
     simulate,
     state_norm,
-    step,
     total_energy,
 )
 
@@ -26,7 +24,8 @@ LINEAR = Laws()
 class TestStep:
     def test_zero_state_is_fixed_point(self, damped_system):
         s0 = State.zeros(damped_system.mesh)
-        s1 = step(damped_system, s0, LINEAR, SchemeConfig(dt=1e-2))
+        cfg = SchemeConfig(dt=1e-2)
+        s1 = simulate(damped_system, s0, LINEAR, cfg, cfg.dt).states[-1]
         for arr in (s1.phi, s1.psi, s1.phi_t, s1.psi_t):
             assert np.all(arr == 0.0)
         assert s1.t == pytest.approx(1e-2)
@@ -36,7 +35,7 @@ class TestStep:
         s0 = initial_state(conservative_system, "mode", amplitude=1.0,
                            amplitude_psi=0.3, mode=2)
         e0 = total_energy(conservative_system, s0, LINEAR)
-        s1 = step(conservative_system, s0, LINEAR, cfg)
+        s1 = simulate(conservative_system, s0, LINEAR, cfg, cfg.dt).states[-1]
         e1 = total_energy(conservative_system, s1, LINEAR)
         assert abs(e1 - e0) <= 10 * cfg.newton_tol * max(1.0, e0)
 
@@ -45,7 +44,7 @@ class TestStep:
         s = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
         e_prev = total_energy(damped_system, s, LINEAR)
         for _ in range(20):
-            s = step(damped_system, s, LINEAR, cfg)
+            s = simulate(damped_system, s, LINEAR, cfg, cfg.dt).states[-1]
             e = total_energy(damped_system, s, LINEAR)
             assert e <= e_prev + 1e-12
             e_prev = e
@@ -53,27 +52,32 @@ class TestStep:
     def test_balance_residual_tracks_dissipation(self, damped_system):
         cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12)
         s = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
-        for _ in range(1000):
-            s_next = step(damped_system, s, LINEAR, cfg)
-            res = energy_balance_residual(damped_system, s, s_next, LINEAR, cfg.dt)
+        traj = simulate(damped_system, s, LINEAR, cfg, 1000 * cfg.dt,
+                        sample_stride=1)
+        assert len(traj.balance_residuals) == 1001
+        for res in traj.balance_residuals:
             assert abs(res) <= 10 * cfg.newton_tol
-            s = s_next
 
     def test_balance_residual_zero_states(self, damped_system):
+        cfg = SchemeConfig(dt=1e-3)
         z = State.zeros(damped_system.mesh)
-        assert energy_balance_residual(damped_system, z, z, LINEAR, 1e-3) == 0.0
+        traj = simulate(damped_system, z, LINEAR, cfg, 1000 * cfg.dt,
+                        sample_stride=1)
+        assert all(res == 0.0 for res in traj.balance_residuals)
 
     def test_unconditional_stability_large_dt(self, damped_system):
         s = initial_state(damped_system, "mode", amplitude=1.0)
         e0 = total_energy(damped_system, s, LINEAR)
         for dt in (0.1, 1.0, 10.0):
-            s1 = step(damped_system, s, LINEAR, SchemeConfig(dt=dt))
+            cfg = SchemeConfig(dt=dt)
+            s1 = simulate(damped_system, s, LINEAR, cfg, cfg.dt).states[-1]
             assert total_energy(damped_system, s1, LINEAR) <= e0 + 1e-12
 
     def test_tip_identification(self):
         system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=0.5))
         s = initial_state(system, "mode", amplitude=0.2, mode=1)
-        s1 = step(system, s, LINEAR, SchemeConfig(dt=1e-2))
+        cfg = SchemeConfig(dt=1e-2)
+        s1 = simulate(system, s, LINEAR, cfg, cfg.dt).states[-1]
         assert s1.v == s1.phi[-1]
         assert s1.v_t == s1.phi_t[-1]
 
@@ -122,13 +126,6 @@ class TestSimulate:
                         sample_stride=20)
         es = [total_energy(damped_system, s, LINEAR) for s in traj.states]
         assert all(b <= a + 1e-10 for a, b in zip(es, es[1:]))
-
-    def test_observers_called_every_step(self, conservative_system):
-        seen = []
-        s0 = initial_state(conservative_system, "mode", amplitude=0.1)
-        simulate(conservative_system, s0, LINEAR, SchemeConfig(dt=1e-2), 0.1,
-                 sample_stride=5, observers=(lambda k, s: seen.append(k),))
-        assert seen == list(range(1, 11))
 
     def test_divergence_reports_failing_time(self):
         system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=1e-6))
@@ -211,5 +208,3 @@ class TestSchemeConfig:
             SchemeConfig(dt=0.0)
         with pytest.raises(ValueError):
             SchemeConfig(dt=1e-3, newton_max=0)
-        with pytest.raises(ValueError):
-            SchemeConfig(dt=1e-3, scheme="newmark")
