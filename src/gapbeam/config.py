@@ -9,6 +9,7 @@ as an exact fraction (`beam.xi_num`, `beam.xi_den`) or as a real override
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -178,6 +179,17 @@ class _Fields:
         return self.get_float(key)
 
 
+@contextmanager
+def _section(name: str):
+    """Prefix a plain ValueError with the section; a ConfigError passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _parse_fraction(text: str) -> Fraction:
     if "/" not in text:
         raise ValueError(f"expected num/den fraction, got {text!r}")
@@ -209,7 +221,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"beam.xi_num/beam.xi_den: {exc}") from exc
 
-    try:
+    with _section("beam"):
         beam = BeamParams(
             rho1=f.get_float("beam.rho1"), rho2=f.get_float("beam.rho2"),
             k=f.get_float("beam.k"), b=f.get_float("beam.b"),
@@ -217,20 +229,16 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
             gamma1=f.get_float("beam.gamma1"), gamma2=f.get_float("beam.gamma2"),
             xi_fraction=xi_fraction, xi_real=xi_real,
         )
-    except ValueError as exc:
-        raise ConfigError(f"beam: {exc}") from exc
 
-    try:
+    with _section("tip"):
         tip = TipParams(
             enabled=f.get_bool("tip.enabled", False),
             epsilon=f.get_float("tip.epsilon", 0.0),
             damping_on=f.get_bool("tip.damping_on", True),
         )
-    except ValueError as exc:
-        raise ConfigError(f"tip: {exc}") from exc
 
     kind = f.get_str("contact.kind", "none").lower()
-    try:
+    with _section("contact"):
         if kind in ("none", "no_contact"):
             contact = NoContact()
         elif kind in ("normal_compliance", "nc"):
@@ -246,30 +254,22 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
             )
         else:
             raise ConfigError(f"contact.kind: unknown kind {kind!r}")
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"contact: {exc}") from exc
 
     def force(prefix):
-        try:
+        with _section(prefix):
             return ForceLaw(
                 mu=f.get_float(f"{prefix}.mu", 0.0),
                 alpha=f.get_float(f"{prefix}.alpha", 0.0),
                 cutoff_R=f.get_optional_float(f"{prefix}.cutoff_r"),
                 f0=f.get_float(f"{prefix}.f0", 0.0),
             )
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}: {exc}") from exc
 
-    try:
+    with _section("scheme"):
         scheme = SchemeConfig(
             dt=f.get_float("scheme.dt"),
             newton_tol=f.get_float("scheme.newton_tol", 1e-10),
             newton_max=f.get_int("scheme.newton_max", 25),
         )
-    except ValueError as exc:
-        raise ConfigError(f"scheme: {exc}") from exc
 
     init = InitSpec(
         kind=f.get_str("init.kind", "zero"),

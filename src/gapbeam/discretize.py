@@ -6,7 +6,8 @@ pointwise dampers become single diagonal entries at the interface node, which
 is exactly the weak form of the force-jump conditions there.  The tip body is
 coupled by identifying the end deflection dof with the tip coordinate and
 adding epsilon to mass, damping and stiffness at that slot.  Only the reduced
-operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept.
+operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept,
+as sparse CSR arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .model import BeamParams, TipParams
 
@@ -58,7 +61,7 @@ class Mesh:
 
     def at_gauss(self, nodal: np.ndarray) -> np.ndarray:
         """Values of a nodal field at the 2-point Gauss nodes, shape (ne, 2)."""
-        return np.outer(nodal[:-1], N_LEFT) + np.outer(nodal[1:], N_RIGHT)
+        return nodal[:-1, None] * N_LEFT + nodal[1:, None] * N_RIGHT
 
     @cached_property
     def gauss_points(self) -> np.ndarray:
@@ -99,8 +102,8 @@ def build_mesh(ell: float, xi: float, ne: int) -> Mesh:
 class SemiDiscreteSystem:
     """Assembled operators plus dof bookkeeping.
 
-    M, K, D act on the reduced vector: the stacked nodal vector
-    [phi_0..phi_N, psi_0..psi_N] without its first and last entries, the
+    M, K, D are CSR arrays acting on the reduced vector: the stacked nodal
+    vector [phi_0..phi_N, psi_0..psi_N] without its first and last entries, the
     essential dofs phi(0) and psi(ell).  The quadratic form u.K.u equals the
     potential part of the phase-space norm; w.M.w the kinetic part.
     """
@@ -112,9 +115,9 @@ class SemiDiscreteSystem:
     tip_slot: int               # position of phi(ell) in the reduced numbering
     xi_phi_slot: int            # position of phi(xi) in the reduced numbering
     xi_psi_slot: int            # position of psi(xi) in the reduced numbering
-    M: np.ndarray = field(repr=False)
-    K: np.ndarray = field(repr=False)
-    D: np.ndarray = field(repr=False)
+    M: sp.csr_array = field(repr=False)
+    K: sp.csr_array = field(repr=False)
+    D: sp.csr_array = field(repr=False)
 
     @property
     def n_free(self) -> int:
@@ -140,53 +143,62 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     Shear uses the one-point midpoint rule, bending and mass are exact.
     Dampers are lumped diagonal entries at the xi node.  With the tip enabled,
     epsilon is added to M, D, K at the phi(ell) slot; disabled, the end is
-    traction free by the natural boundary condition.
+    traction free by the natural boundary condition.  All element blocks go
+    into one coordinate list per operator, summed into CSR.
     """
     if np.any(mesh.widths <= 0.0):
         raise AssemblyError("mesh has empty or inverted elements")
     nn = mesh.nn
     if not 0 < mesh.xi_index < nn - 1:
         raise AssemblyError("damper node collides with an essential dof")
-    nd = 2 * nn
-    M = np.zeros((nd, nd))
-    K = np.zeros((nd, nd))
-    for e in range(nn - 1):
-        h = mesh.nodes[e + 1] - mesh.nodes[e]
-        m_e = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-        iphi = [e, e + 1]
-        ipsi = [nn + e, nn + e + 1]
-        M[np.ix_(iphi, iphi)] += beam.rho1 * m_e
-        M[np.ix_(ipsi, ipsi)] += beam.rho2 * m_e
-        K[np.ix_(ipsi, ipsi)] += beam.b / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        # midpoint shear strain phi_x + psi_mid as a single constraint row
-        g = np.array([-1.0 / h, 1.0 / h, 0.5, 0.5])
-        K[np.ix_(iphi + ipsi, iphi + ipsi)] += beam.k * h * np.outer(g, g)
+    n = 2 * nn - 2
+    h = mesh.widths[:, None, None]
+    e = np.arange(nn - 1)
+    # element dofs (phi_e, phi_e+1, psi_e, psi_e+1); eliminating phi(0) shifts
+    # every full index down by one, so phi(0) lands on -1 and psi(ell) on n
+    dofs = np.stack([e, e + 1, nn + e, nn + e + 1], axis=1) - 1
+    rows = np.broadcast_to(dofs[:, :, None], (nn - 1, 4, 4)).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], (nn - 1, 4, 4)).ravel()
 
-    # phi(0) and psi(ell) are the first and last entries of the full vector
-    free = np.arange(1, nd - 1)
-    M = M[1:-1, 1:-1].copy()
-    K = K[1:-1, 1:-1].copy()
-    D = np.zeros_like(M)
+    pair = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    m_e = np.zeros((nn - 1, 4, 4))
+    m_e[:, :2, :2] = beam.rho1 * h * pair
+    m_e[:, 2:, 2:] = beam.rho2 * h * pair
+    # midpoint shear strain phi_x + psi_mid as a single constraint row
+    g = np.array([-1.0, 1.0, 0.0, 0.0]) / h[:, 0] + np.array([0.0, 0.0, 0.5, 0.5])
+    k_e = beam.k * h * (g[:, :, None] * g[:, None, :])
+    k_e[:, 2:, 2:] += beam.b / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+
     tip_slot = nn - 2
     xi_phi_slot = mesh.xi_index - 1
     xi_psi_slot = nn + mesh.xi_index - 1
-    D[xi_phi_slot, xi_phi_slot] = beam.gamma1
-    D[xi_psi_slot, xi_psi_slot] = beam.gamma2
-    if tip.enabled:
-        M[tip_slot, tip_slot] += tip.epsilon
-        K[tip_slot, tip_slot] += tip.epsilon
-        if tip.damping_on:
-            D[tip_slot, tip_slot] += tip.epsilon
+    eps = tip.epsilon if tip.enabled else 0.0
 
-    sys = SemiDiscreteSystem(
-        mesh=mesh, beam=beam, tip=tip, free=free, tip_slot=tip_slot,
-        xi_phi_slot=xi_phi_slot, xi_psi_slot=xi_psi_slot, M=M, K=K, D=D,
-    )
+    def csr(r, c, v):
+        # entries on the eliminated dofs (-1 and n) and zeros are not stored
+        stored = (r >= 0) & (r < n) & (c >= 0) & (c < n) & (v != 0.0)
+        return sp.coo_array((v[stored], (r[stored], c[stored])), shape=(n, n)).tocsr()
+
+    # element blocks first, then the point entries, as a sequential assembly
+    # would add them
+    M = csr(np.append(rows, tip_slot), np.append(cols, tip_slot),
+            np.append(m_e.ravel(), eps))
+    K = csr(np.append(rows, tip_slot), np.append(cols, tip_slot),
+            np.append(k_e.ravel(), eps))
+    points = np.array([xi_phi_slot, xi_psi_slot, tip_slot])
+    D = csr(points, points,
+            np.array([beam.gamma1, beam.gamma2, eps if tip.damping_on else 0.0]))
+    # M couples no phi with a psi dof, so in this numbering it is tridiagonal
     try:
-        np.linalg.cholesky(sys.M)
+        sla.cholesky_banded(np.stack([np.insert(M.diagonal(1), 0, 0.0),
+                                      M.diagonal()]))
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("reduced mass operator is not positive definite") from exc
-    return sys
+    return SemiDiscreteSystem(
+        mesh=mesh, beam=beam, tip=tip, free=np.arange(1, 2 * nn - 1),
+        tip_slot=tip_slot, xi_phi_slot=xi_phi_slot, xi_psi_slot=xi_psi_slot,
+        M=M, K=K, D=D,
+    )
 
 
 def _element_for(mesh: Mesh, x: float, side: str) -> int:

@@ -43,13 +43,14 @@ def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
 
     The hybrid variant carries the tip-body entries inside M, D, K at the end
     deflection slot (the tip coordinate is identified with that dof); with the
-    tip disabled the traction-free end condition holds naturally.
+    tip disabled the traction-free end condition holds naturally.  This is the
+    one place the sparse operators are densified, for the dense QZ solve.
     """
     n = system.n_free
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    A = np.block([[zero, eye], [-system.K, -system.D]])
-    M = np.block([[eye, zero], [zero, system.M]])
+    A = np.block([[zero, eye], [-system.K.toarray(), -system.D.toarray()]])
+    M = np.block([[eye, zero], [zero, system.M.toarray()]])
     tip = system.tip
     return GeneratorPencil(
         A_block=A, M_block=M,

@@ -5,8 +5,10 @@ the quadratic energy of the conservative linear system exactly and is
 unconditionally stable for any positive semidefinite damping.  Nonlinear
 contact and body forces are evaluated at the midpoint displacement; the
 Newton corrector uses the analytic body-force tangent and the semismooth
-slope of the contact law.  The itemized energy functional, whose balance
-simulate() records per sample, is defined here as well.
+slope of the contact law.  Linear and contact steps solve with one sparse LU
+factor per step size, the contact slope entering as a rank-one update.  The
+itemized energy functional, whose balance simulate() records per sample, is
+defined here as well.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .discretize import N_LEFT, N_RIGHT, Mesh, SemiDiscreteSystem, element_strains
 from .model import (
@@ -110,6 +112,11 @@ class State:
         return u, w
 
 
+def _quadratic_form(A, x: np.ndarray) -> float:
+    """x.A.x with the product taken as A @ x; x @ A transposes a sparse A."""
+    return float(x @ (A @ x))
+
+
 def integrate_primitive(mesh: Mesh, nodal: np.ndarray, law: ForceLaw) -> float:
     """Quadrature of the body-force antiderivative along the beam."""
     if law.mu == 0.0:
@@ -146,7 +153,7 @@ def energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> EnergyReport
     gamma, kappa = element_strains(mesh, state.phi, state.psi)
     shear = 0.5 * beam.k * float(mesh.widths @ gamma**2)
     bend = 0.5 * beam.b * float(mesh.widths @ kappa**2)
-    kinetic = 0.5 * float(w @ system.M @ w)
+    kinetic = 0.5 * _quadratic_form(system.M, w)
     tip_e = 0.0
     if tip.enabled:
         tip_e = 0.5 * tip.epsilon * (state.v**2 + state.v_t**2)
@@ -163,7 +170,7 @@ def energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> EnergyReport
         tip_energy=tip_e,
         Fhat_int=fhat,
         Ghat_int=ghat,
-        dissipation_rate=float(w @ system.D @ w),
+        dissipation_rate=_quadratic_form(system.D, w),
     )
 
 
@@ -175,7 +182,7 @@ def total_energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> float:
 def state_norm(system: SemiDiscreteSystem, state: State) -> float:
     """Phase-space norm (the quadratic part only, without stored potentials)."""
     u, w = state.pack(system)
-    return float(math.sqrt(w @ system.M @ w + u @ system.K @ u))
+    return math.sqrt(_quadratic_form(system.M, w) + _quadratic_form(system.K, u))
 
 
 @dataclass
@@ -196,16 +203,19 @@ class Trajectory:
 
 
 class MidpointStepper:
-    """One-step solver bound to a system, its laws and a step size."""
+    """One-step solver bound to a system, its laws and a step size.
+
+    With delta = u+ - u the midpoint equations read J delta + r0 = loads of
+    the midpoint, where J = 2/dt^2 M + D/dt + K/2 is factored once per dt and
+    r0 = K u - 2/dt M w - load once per step; a Newton iteration then costs
+    one product with J.
+    """
 
     def __init__(self, system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig):
         self.system = system
         self.laws = laws
         self.cfg = cfg
         self.mesh = system.mesh
-        nn = self.mesh.nn
-        self._phi_free = slice(0, nn - 1)          # phi_1..phi_N in reduced layout
-        self._psi_free = slice(nn - 1, 2 * nn - 2)  # psi_0..psi_{N-1}
         self._load = self._constant_load()
         self._nl_body = laws.force_f.mu > 0.0 or laws.force_g.mu > 0.0
         self._nl_contact = not isinstance(laws.contact, NoContact)
@@ -224,21 +234,26 @@ class MidpointStepper:
         return self.system.reduce(load)
 
     def _base_operators(self, dt: float):
-        """Cached (J_base LU, force scale, z = J_base^{-1} e_tip) for this dt."""
+        """Cached (J, SuperLU factor of J, force scale, z = J^{-1} e_tip) for dt."""
         hit = self._cache.get(dt)
         if hit is not None:
             return hit
         sysm = self.system
-        J = 2.0 / dt**2 * sysm.M + sysm.D / dt + 0.5 * sysm.K
-        lu = sla.lu_factor(J)
+        J = (2.0 / dt**2 * sysm.M + sysm.D / dt + 0.5 * sysm.K).tocsc()
+        # J is symmetric positive definite: symmetric ordering, no pivoting
+        lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
         fscale = (
-            2.0 / dt**2 * np.abs(sysm.M).sum(axis=1).max()
-            + np.abs(sysm.D).sum(axis=1).max() / dt
-            + 0.5 * np.abs(sysm.K).sum(axis=1).max()
+            2.0 / dt**2 * abs(sysm.M).sum(axis=1).max()
+            + abs(sysm.D).sum(axis=1).max() / dt
+            + 0.5 * abs(sysm.K).sum(axis=1).max()
         )
         e_tip = np.zeros(sysm.n_free)
         e_tip[sysm.tip_slot] = 1.0
-        z_tip = sla.lu_solve(lu, e_tip)
+        z_tip = lu.solve(e_tip)
+        if self._nl_body:
+            # the body-force tangent is solved densely, so J is kept dense too
+            J = J.toarray()
         hit = (J, lu, fscale, z_tip)
         self._cache[dt] = hit
         return hit
@@ -274,16 +289,15 @@ class MidpointStepper:
             T[idx + 1, idx + 1] += d_rr
             T[idx, idx + 1] += d_lr
             T[idx + 1, idx] += d_lr
-        free = self.system.free
-        return T[np.ix_(free, free)]
+        # the free dofs are all but the first and last of the full vector
+        return T[1:-1, 1:-1]
 
     # -- core solve --------------------------------------------------------
 
-    def _residual(self, u, w, up, dt):
+    def _residual(self, J, r0, u, delta):
         sysm = self.system
-        um = 0.5 * (u + up)
-        R = (2.0 / dt**2) * (sysm.M @ (up - u)) - (2.0 / dt) * (sysm.M @ w) \
-            + sysm.K @ um + sysm.D @ ((up - u) / dt) - self._load
+        R = J @ delta + r0
+        um = u + 0.5 * delta
         if self._nl_body:
             phi_m, psi_m = sysm.expand(um)
             R += self._body_force_reduced(phi_m, psi_m)
@@ -293,33 +307,35 @@ class MidpointStepper:
 
     def _solve_step(self, u, w, dt, t_next):
         sysm = self.system
-        J_base, lu, fscale, z_tip = self._base_operators(dt)
-        up = u + dt * w
+        J, lu, fscale, z_tip = self._base_operators(dt)
+        r0 = sysm.K @ u - (2.0 / dt) * (sysm.M @ w) - self._load
+        delta = dt * w
         res = math.inf
         for it in range(self.cfg.newton_max):
-            R = self._residual(u, w, up, dt)
+            R = self._residual(J, r0, u, delta)
+            up = u + delta
             res = np.linalg.norm(R) / (fscale * max(1.0, np.linalg.norm(up)))
             if res <= self.cfg.newton_tol:
-                wp = 2.0 * (up - u) / dt - w
+                wp = 2.0 * delta / dt - w
                 return up, wp, it, res
-            um = 0.5 * (u + up)
+            um = u + 0.5 * delta
             if self._nl_body:
                 phi_m, psi_m = sysm.expand(um)
-                J = J_base + 0.5 * self._body_tangent(phi_m, psi_m)
+                T = J + 0.5 * self._body_tangent(phi_m, psi_m)
                 if self._nl_contact:
-                    J[sysm.tip_slot, sysm.tip_slot] -= 0.5 * contact_stiffness(
+                    T[sysm.tip_slot, sysm.tip_slot] -= 0.5 * contact_stiffness(
                         um[sysm.tip_slot], self.laws.contact)
-                delta = np.linalg.solve(J, -R)
+                step = np.linalg.solve(T, -R)
             elif self._nl_contact:
                 # rank-one contact tangent: Sherman-Morrison on the cached factor
                 c = -0.5 * contact_stiffness(um[sysm.tip_slot], self.laws.contact)
-                y = sla.lu_solve(lu, -R)
+                step = lu.solve(-R)
                 if c != 0.0:
-                    y -= (c * y[sysm.tip_slot] / (1.0 + c * z_tip[sysm.tip_slot])) * z_tip
-                delta = y
+                    step -= (c * step[sysm.tip_slot]
+                             / (1.0 + c * z_tip[sysm.tip_slot])) * z_tip
             else:
-                delta = sla.lu_solve(lu, -R)
-            up = up + delta
+                step = lu.solve(-R)
+            delta = delta + step
         raise NewtonDivergence(t_next, res, self.cfg.newton_max)
 
     def step_reduced(self, u, w, t):
@@ -369,7 +385,7 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
             exc.t = state.t + cfg.dt
             raise
         wm = (up - u) / cfg.dt
-        d_step = cfg.dt * float(wm @ system.D @ wm)
+        d_step = cfg.dt * _quadratic_form(system.D, wm)
         dissipated += d_step
         diss_since_sample += d_step
         u, w = up, wp
@@ -426,7 +442,7 @@ def initial_state(system: SemiDiscreteSystem, kind: str, *, amplitude: float = 1
         n = system.n_free
         z = rng.standard_normal(2 * n)
         u, w = z[:n], z[n:]
-        nrm = math.sqrt(u @ system.K @ u + w @ system.M @ w)
+        nrm = math.sqrt(_quadratic_form(system.K, u) + _quadratic_form(system.M, w))
         target = radius * rng.uniform() ** (1.0 / (2 * n))
         scal = target / nrm
         return State.from_reduced(system, scal * u, scal * w)

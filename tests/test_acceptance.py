@@ -82,8 +82,10 @@ def test_c04_decay_matches_abscissa():
     # seed the slowest mode: the integrator is a rational map of the same
     # generator, so the eigenspace is invariant and the fit sees one rate
     n = system.n_free
-    A = np.block([[np.zeros((n, n)), np.eye(n)], [-system.K, -system.D]])
-    B = np.block([[np.eye(n), np.zeros((n, n))], [np.zeros((n, n)), system.M]])
+    A = np.block([[np.zeros((n, n)), np.eye(n)],
+                  [-system.K.toarray(), -system.D.toarray()]])
+    B = np.block([[np.eye(n), np.zeros((n, n))],
+                  [np.zeros((n, n)), system.M.toarray()]])
     lam, vecs = sla.eig(A, B)
     vec = vecs[:, int(np.argmax(lam.real))]
     u, w = np.real(vec[:n]), np.real(vec[n:])

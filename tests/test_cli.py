@@ -137,7 +137,10 @@ class TestSimulateCommand:
         text = "".join(f"{k} = {v}\n" for k, v in {**BASE_MAP, **overrides}.items())
         cfg = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert named in capsys.readouterr().err
+        msg = capsys.readouterr().err.removeprefix("config error: ")
+        assert msg.startswith(named)
+        # the field key is the only prefix: no section name in front of it
+        assert msg.count(named.split(":")[0] + ":") == 1
 
     def test_missing_config_file_exit_io(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),

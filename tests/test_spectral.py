@@ -17,8 +17,8 @@ class TestGenerator:
         assert pen.n == 2 * n
         np.testing.assert_array_equal(pen.A_block[:n, :n], np.zeros((n, n)))
         np.testing.assert_array_equal(pen.A_block[:n, n:], np.eye(n))
-        np.testing.assert_array_equal(pen.A_block[n:, :n], -damped_system.K)
-        np.testing.assert_array_equal(pen.M_block[n:, n:], damped_system.M)
+        np.testing.assert_array_equal(pen.A_block[n:, :n], -damped_system.K.toarray())
+        np.testing.assert_array_equal(pen.M_block[n:, n:], damped_system.M.toarray())
         assert pen.model == "non-hybrid"
         assert pen.epsilon is None
 

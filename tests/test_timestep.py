@@ -17,6 +17,8 @@ from gapbeam import (
     state_norm,
     total_energy,
 )
+from gapbeam.model import contact_stiffness, contact_traction
+from gapbeam.timestep import MidpointStepper
 
 LINEAR = Laws()
 
@@ -89,7 +91,7 @@ class TestOrderOfAccuracy:
         s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.4)
         u0, w0 = s0.pack(system)
         n = system.n_free
-        m_inv = np.linalg.inv(system.M)
+        m_inv = np.linalg.inv(system.M.toarray())
         a_std = np.block([[np.zeros((n, n)), np.eye(n)],
                           [-m_inv @ system.K, -m_inv @ system.D]])
         z_ref = sla.expm(a_std) @ np.concatenate([u0, w0])
@@ -167,6 +169,68 @@ class TestContactStepping:
         cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12, newton_max=8)
         traj = simulate(system, s0, laws, cfg, 0.05)
         assert len(traj) == 51
+
+
+def dense_midpoint_step(system, laws, u, w, dt):
+    """Reference step: Newton on the midpoint equations, dense tangent solves.
+
+    R(u+) = 2/dt^2 M (u+ - u) - 2/dt M w + K um + D (u+ - u)/dt - load
+            + body(um) - traction(v_m) e_tip,  um = (u + u+)/2
+    """
+    M, K, D = (A.toarray() for A in (system.M, system.K, system.D))
+    laws_eval = MidpointStepper(system, laws, SchemeConfig(dt=dt))
+    h = system.mesh.widths
+    nodal_load = (np.append(h, 0.0) + np.insert(h, 0, 0.0)) / 2.0
+    load = system.reduce(np.concatenate([laws.force_f.f0 * nodal_load,
+                                         laws.force_g.f0 * nodal_load]))
+    tip = system.tip_slot
+    up = u + dt * w
+    for _ in range(50):
+        um = 0.5 * (u + up)
+        phi_m, psi_m = system.expand(um)
+        R = (2.0 / dt**2) * M @ (up - u) - (2.0 / dt) * M @ w + K @ um \
+            + D @ (up - u) / dt - load + laws_eval._body_force_reduced(phi_m, psi_m)
+        R[tip] -= contact_traction(um[tip], laws.contact)
+        T = 2.0 / dt**2 * M + D / dt + 0.5 * K \
+            + 0.5 * laws_eval._body_tangent(phi_m, psi_m)
+        T[tip, tip] -= 0.5 * contact_stiffness(um[tip], laws.contact)
+        delta = np.linalg.solve(T, -R)
+        up = up + delta
+        if np.linalg.norm(delta) <= 1e-15 * np.linalg.norm(up):
+            break
+    return up, 2.0 * (up - u) / dt - w
+
+
+class TestSparseStepAgainstDense:
+    # the tip starts at v = 0.1, beyond g_hi: the compliance law is active
+    COMPLIANCE = NormalCompliance(d1=100.0, d2=50.0, p=2, g_lo=-0.05, g_hi=0.05)
+
+    @pytest.mark.parametrize("mu", [0.0, 2.0], ids=["contact", "body+contact"])
+    def test_one_step_matches_dense_newton(self, mu):
+        system = desk_system(ne=12, gamma1=1.0, gamma2=0.5,
+                             tip=TipParams(enabled=True, epsilon=0.3))
+        laws = Laws(contact=self.COMPLIANCE,
+                    force_f=ForceLaw(mu=mu, alpha=1.0, f0=0.25),
+                    force_g=ForceLaw(mu=mu, alpha=1.0, f0=-0.1))
+        s0 = initial_state(system, "mode", amplitude=0.1, amplitude_psi=0.05)
+        s0.phi_t = 0.3 * s0.phi
+        assert s0.v > self.COMPLIANCE.g_hi
+        dt = 1e-2
+        cfg = SchemeConfig(dt=dt, newton_tol=1e-14)
+        u1, w1 = simulate(system, s0, laws, cfg, dt).states[-1].pack(system)
+        u0, w0 = s0.pack(system)
+        u_ref, w_ref = dense_midpoint_step(system, laws, u0, w0, dt)
+        v_mid = 0.5 * (u0 + u_ref)[system.tip_slot]
+        assert contact_stiffness(v_mid, self.COMPLIANCE) != 0.0
+        np.testing.assert_allclose(u1, u_ref, rtol=0,
+                                   atol=1e-12 * np.abs(u_ref).max())
+        np.testing.assert_allclose(w1, w_ref, rtol=0,
+                                   atol=1e-12 * np.abs(w_ref).max())
+        # with the exact tangent, the rank-one contact update included, Newton
+        # needs two corrections here; a wrong slope costs more
+        _, _, iterations, _ = MidpointStepper(system, laws, cfg)._solve_step(
+            u0, w0, dt, dt)
+        assert iterations == 2
 
 
 class TestInitialData:
