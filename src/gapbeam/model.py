@@ -7,7 +7,7 @@ parameter record; instances can be shared freely across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +15,18 @@ import numpy as np
 STABILIZING = "stabilizing"
 EXCLUDED = "excluded"
 IRRATIONAL = "irrational-input"
+
+
+def require_finite(record) -> None:
+    """Raise a ValueError naming the first nan or inf float field of a record.
+
+    Every parameter record calls this first in __post_init__: nan passes any
+    `<= 0` comparison, so the range checks alone would let it through.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +51,7 @@ class BeamParams:
     xi_real: float | None = None
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("rho1", "rho2", "k", "b", "ell"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -72,6 +85,7 @@ class TipParams:
     damping_on: bool = True
 
     def __post_init__(self):
+        require_finite(self)
         if self.enabled and self.epsilon <= 0.0:
             raise ValueError("epsilon must be > 0 when the tip body is enabled")
 
@@ -96,6 +110,7 @@ class NormalCompliance:
     g_hi: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.d1 <= 0.0 or self.d2 <= 0.0:
             raise ValueError("contact stiffness coefficients must be positive")
         if self.p not in (1, 2, 3):
@@ -116,6 +131,7 @@ class SignoriniPenalty:
     g_hi: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.eps_pen <= 0.0:
             raise ValueError("eps_pen must be positive")
         _check_gap(self.g_lo, self.g_hi)
@@ -158,6 +174,7 @@ class ForceLaw:
     f0: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.mu < 0.0 or self.alpha < 0.0:
             raise ValueError("mu and alpha must be nonnegative")
         if self.cutoff_R is not None and self.cutoff_R <= 0.0:
@@ -258,6 +275,7 @@ class MultiplierSpec:
     ell: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.n < 1:
             raise ValueError("multiplier parameter n must be a positive integer")
         if self.ell <= 0.0:

@@ -1,20 +1,36 @@
-"""First-order generator pencils, spectra and the damper-location study."""
+"""First-order generator pencils, spectra and the damper-location study.
+
+The second-order system M.u'' + D.u' + K.u = 0 is the first-order pencil
+lam * blockdiag(I, M) x = [[0, I], [-K, -D]] x.  Its complete spectrum is taken
+in energy coordinates x = (R.u, L^T.u') with M = L.L^T and K = R^T.R, where
+|x|^2 / 2 is the discrete energy and the generator is the real matrix
+
+    A = [[0, B], [-B^T, -G]],   B = R.L^-T,   G = L^-1.D.L^-T,
+
+similar to the pencil, exactly skew without damping and dissipative (its
+symmetric part is -G) with it; see Tisseur & Meerbergen, "The quadratic
+eigenvalue problem", SIAM Rev. 43 (2001), for linearizations.
+"""
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as sla
 
-from .discretize import SemiDiscreteSystem, assemble, build_mesh
+from .discretize import AssemblyError, SemiDiscreteSystem, assemble, build_mesh
 from .model import BeamParams, TipParams, is_stabilizing_xi
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class DimensionCapExceeded(RuntimeError):
-    """Pencil too large for the dense eigensolver."""
+    """Pencil too large for the dense eigensolver; raised before any dense work."""
 
     def __init__(self, n: int, cap: int):
         super().__init__(
@@ -25,39 +41,81 @@ class DimensionCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class GeneratorPencil:
-    """Companion pencil lam * M_block x = A_block x of the first-order system."""
+    """Pencil lam * blockdiag(I, M) x = [[0, I], [-K, -D]] x of the system.
 
-    A_block: np.ndarray
-    M_block: np.ndarray
+    Holds the system's sparse reduced operators; n is the pencil dimension,
+    twice the number of free dofs.
+    """
+
+    K: sp.csr_array = field(repr=False)
+    D: sp.csr_array = field(repr=False)
+    M: sp.csr_array = field(repr=False)
     model: str                 # 'hybrid' or 'non-hybrid'
     epsilon: float | None
     ne: int
 
     @property
     def n(self) -> int:
-        return self.A_block.shape[0]
+        return 2 * self.K.shape[0]
 
 
 def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
-    """Assemble [[0, I], [-K, -D]] against blockdiag(I, M).
+    """The generator pencil of an assembled system; no dense work is done here.
 
     The hybrid variant carries the tip-body entries inside M, D, K at the end
     deflection slot (the tip coordinate is identified with that dof); with the
-    tip disabled the traction-free end condition holds naturally.  This is the
-    one place the sparse operators are densified, for the dense QZ solve.
+    tip disabled the traction-free end condition holds naturally.
     """
-    n = system.n_free
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    A = np.block([[zero, eye], [-system.K.toarray(), -system.D.toarray()]])
-    M = np.block([[eye, zero], [zero, system.M.toarray()]])
     tip = system.tip
     return GeneratorPencil(
-        A_block=A, M_block=M,
+        K=system.K, D=system.D, M=system.M,
         model="hybrid" if tip.enabled else "non-hybrid",
         epsilon=tip.epsilon if tip.enabled else None,
         ne=system.mesh.ne,
     )
+
+
+def energy_form(pencil: GeneratorPencil) -> np.ndarray:
+    """The dense real generator A = [[0, B], [-B^T, -G]] of the module docstring.
+
+    M is tridiagonal in the reduced numbering, so L is a bidiagonal band
+    factor and every solve with it is a banded triangular solve; K is not
+    banded and gets a dense Cholesky.  D has a few nonzeros on slots S, so
+    G = C.D_SS.C^T with C the columns S of L^-1.
+    """
+    n = pencil.n // 2
+    M = pencil.M
+    L = sla.cholesky_banded(
+        np.stack([M.diagonal(), np.append(M.diagonal(-1), 0.0)]), lower=True)
+    try:
+        # the lower factor R^T of K = R^T.R, computed in place: K is
+        # symmetric, so the transpose of its dense copy is K in Fortran order
+        Rt = sla.cholesky(pencil.K.toarray().T, lower=True, overwrite_a=True,
+                          check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(
+            "reduced stiffness operator is not positive definite") from exc
+    # Fortran order, so the eigensolver can overwrite A instead of copying it
+    A = np.zeros((2 * n, 2 * n), order="F")
+    Bt = _lower_solve(L, Rt)    # B^T = L^-1.R^T, in place of R^T
+    A[:n, n:] = Bt.T
+    np.negative(Bt, out=A[n:, :n])
+    S = np.unique(np.concatenate(pencil.D.nonzero()))
+    if S.size:
+        unit = np.zeros((n, S.size), order="F")
+        unit[S, np.arange(S.size)] = 1.0
+        C = _lower_solve(L, unit)
+        A[n:, n:] = C @ (pencil.D[S][:, S].toarray() @ -C.T)
+    return A
+
+
+def _lower_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1.rhs for a lower band Cholesky factor, overwriting a Fortran rhs.
+
+    The factor's diagonal is positive, so the triangular solve cannot fail.
+    """
+    x, _ = sla.lapack.dtbtrs(L, rhs, uplo="L", overwrite_b=1)
+    return x
 
 
 @dataclass(frozen=True)
@@ -97,30 +155,30 @@ def spectrum(pencil: GeneratorPencil, dense_cap: int = 4000,
              k_per_shift: int = 24) -> SpectralReport:
     """Eigenvalues of the pencil.
 
-    Dense generalized solve by default (the configured cap bounds the cost);
-    above the cap a shift_invert pass targets points on the imaginary axis and
-    returns the reduced set found near them.
+    By default the complete spectrum, as the eigenvalues of the dense energy
+    form A (general nonsymmetric solver, also without damping) up to pencil
+    dimension dense_cap, which is checked first.  With shift_invert, sparse
+    LU factors of A - sigma * blockdiag(I, M) at points on the imaginary axis
+    return the reduced set found near them.
     """
     if not shift_invert:
         if pencil.n > dense_cap:
             raise DimensionCapExceeded(pencil.n, dense_cap)
-        lam = sla.eig(pencil.A_block, pencil.M_block, right=False)
+        lam = sla.eigvals(energy_form(pencil), overwrite_a=True, check_finite=False)
         return _make_report(lam, pencil, complete=True)
 
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    n2 = pencil.n // 2
     if shifts is None:
         # top frequency estimate from the stiffness/mass pencil
-        K = -pencil.A_block[n2:, :n2]
-        M = pencil.M_block[n2:, n2:]
-        w2 = spla.eigsh(sp.csc_matrix(K), k=1, M=sp.csc_matrix(M),
-                        which="LM", return_eigenvectors=False)
+        w2 = spla.eigsh(pencil.K.tocsc(), k=1, M=pencil.M.tocsc(), which="LM",
+                        return_eigenvectors=False)
         omega_max = float(np.sqrt(abs(w2[0])))
         shifts = 1j * np.linspace(0.0, omega_max, 7)
-    A = sp.csc_matrix(pencil.A_block, dtype=complex)
-    M = sp.csc_matrix(pencil.M_block, dtype=complex)
+    eye = sp.identity(pencil.n // 2, format="csc")
+    A = sp.bmat([[None, eye], [-pencil.K, -pencil.D]], format="csc")
+    M = sp.block_diag((eye, pencil.M), format="csc")
     k = min(k_per_shift, pencil.n - 2)
     found = []
     for sigma in shifts:

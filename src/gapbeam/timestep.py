@@ -30,6 +30,7 @@ from .model import (
     contact_potential,
     contact_stiffness,
     contact_traction,
+    require_finite,
 )
 
 
@@ -68,6 +69,7 @@ class SchemeConfig:
     newton_max: int = 25
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.newton_tol <= 0.0:

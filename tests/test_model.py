@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from gapbeam.model import (
     multiplier_q,
     multiplier_q0,
 )
+from gapbeam.timestep import SchemeConfig
 
 NC = NormalCompliance(d1=1.0, d2=1.0, p=2, g_lo=-1.0, g_hi=1.0)
 PEN = SignoriniPenalty(eps_pen=0.5, g_lo=-1.0, g_hi=1.0)
@@ -254,3 +256,34 @@ class TestValidation:
             ForceLaw(mu=-1.0)
         with pytest.raises(ValueError):
             ForceLaw(mu=1.0, cutoff_R=0.0)
+
+
+# one valid instance of every parameter record, each float field set
+VALID_RECORDS = {
+    BeamParams: dict(rho1=1.0, rho2=1.0, k=1.0, b=1.0, ell=1.0, gamma1=0.5,
+                     gamma2=0.5, xi_real=0.5),
+    TipParams: dict(enabled=True, epsilon=0.1),
+    NormalCompliance: dict(d1=1.0, d2=1.0, p=2, g_lo=-0.1, g_hi=0.1),
+    SignoriniPenalty: dict(eps_pen=1e-2, g_lo=-0.1, g_hi=0.1),
+    ForceLaw: dict(mu=1.0, alpha=1.0, cutoff_R=2.0, f0=0.5),
+    MultiplierSpec: dict(n=8, ell=1.0),
+    SchemeConfig: dict(dt=1e-3, newton_tol=1e-10),
+}
+FLOAT_FIELDS = [(cls, name) for cls, kw in VALID_RECORDS.items()
+                for name, value in kw.items() if isinstance(value, float)]
+
+
+class TestFiniteParameters:
+    def test_every_float_field_is_listed(self):
+        for cls, kw in VALID_RECORDS.items():
+            declared = {f.name for f in fields(cls) if f.type.startswith("float")}
+            assert declared == {n for n, v in kw.items() if isinstance(v, float)}
+            cls(**kw)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+    def test_non_finite_field_is_named(self, cls, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            cls(**{**VALID_RECORDS[cls], name: bad})

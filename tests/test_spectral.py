@@ -1,24 +1,38 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
+from scipy.optimize import linear_sum_assignment
 
 from conftest import desk_beam, desk_system
 from gapbeam import TipParams, generator, spectrum, trend_toward_zero, xi_study
+from gapbeam.discretize import AssemblyError
 from gapbeam.model import EXCLUDED, STABILIZING
-from gapbeam.spectral import DimensionCapExceeded, XiStudyRow
+from gapbeam.spectral import DimensionCapExceeded, XiStudyRow, energy_form
+
+
+def generalized_qz_eigenvalues(system):
+    """Eigenvalues of [[0, I], [-K, -D]] against blockdiag(I, M) by dense QZ."""
+    n = system.n_free
+    A = np.block([[np.zeros((n, n)), np.eye(n)],
+                  [-system.K.toarray(), -system.D.toarray()]])
+    B = np.block([[np.eye(n), np.zeros((n, n))],
+                  [np.zeros((n, n)), system.M.toarray()]])
+    return sla.eig(A, B, right=False)
 
 
 class TestGenerator:
     def test_pencil_shape_and_blocks(self, damped_system):
+        # the pencil carries the system's sparse operators, nothing densified
         pen = generator(damped_system)
-        n = damped_system.n_free
-        assert pen.A_block.shape == (2 * n, 2 * n)
-        assert pen.n == 2 * n
-        np.testing.assert_array_equal(pen.A_block[:n, :n], np.zeros((n, n)))
-        np.testing.assert_array_equal(pen.A_block[:n, n:], np.eye(n))
-        np.testing.assert_array_equal(pen.A_block[n:, :n], -damped_system.K.toarray())
-        np.testing.assert_array_equal(pen.M_block[n:, n:], damped_system.M.toarray())
+        assert pen.K is damped_system.K
+        assert pen.D is damped_system.D
+        assert pen.M is damped_system.M
+        assert pen.n == 2 * damped_system.n_free
         assert pen.model == "non-hybrid"
         assert pen.epsilon is None
 
@@ -61,6 +75,69 @@ class TestSpectrum:
         reduced = spectrum(pen, dense_cap=10, shift_invert=True)
         assert not reduced.complete
         assert reduced.abscissa == pytest.approx(dense.abscissa, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("gamma2, xi, tip", [
+        (1.0, Fraction(1, 2), TipParams()),
+        (1.0, Fraction(1, 2), TipParams(enabled=True, epsilon=1e-1)),
+        (1.0, Fraction(1, 2), TipParams(enabled=True, epsilon=1e-4)),
+        (0.0, Fraction(2, 3), TipParams()),
+    ], ids=["damped", "hybrid-1e-1", "hybrid-1e-4", "xi-2/3-gamma2-0"])
+    def test_matches_generalized_qz(self, gamma2, xi, tip):
+        system = desk_system(ne=16, gamma1=1.0, gamma2=gamma2, xi=xi, tip=tip)
+        lam = spectrum(generator(system)).eigenvalues
+        ref = generalized_qz_eigenvalues(system)
+        assert lam.shape == ref.shape
+        # pair the two sets one to one by distance before comparing
+        i, j = linear_sum_assignment(np.abs(lam[:, None] - ref[None, :]))
+        np.testing.assert_allclose(lam[i], ref[j], rtol=1e-8, atol=0.0)
+
+    def test_abscissa_matches_refined_eigenpair(self):
+        # independent reference: inverse iteration on the quadratic pencil at
+        # the computed eigenvalue, then Re lam = -x*Dx / (2 x*Mx), a ratio of
+        # two positive energies; a dense generalized QZ misses it by rel 5.6e-7
+        system = desk_system(ne=128, gamma1=1.0)
+        rep = spectrum(generator(system))
+        lam = rep.eigenvalues[0]
+        K, D, M = (op.tocsc() for op in (system.K, system.D, system.M))
+        x = np.ones(system.n_free, dtype=complex)
+        for _ in range(3):
+            x = spla.spsolve((lam**2 * M + lam * D + K).tocsc(),
+                             (2 * lam * M + D) @ x)
+            x /= np.linalg.norm(x)
+        ref = -np.vdot(x, D @ x).real / (2 * np.vdot(x, M @ x).real)
+        assert rep.abscissa == pytest.approx(ref, rel=1e-7)
+
+    def test_undamped_energy_form_is_skew(self, conservative_system):
+        A = energy_form(generator(conservative_system))
+        assert np.array_equal(A.T, -A)
+        # a conservative tip body keeps it skew; its damping makes the
+        # symmetric part -G, negative semidefinite with one nonzero direction
+        tip = TipParams(enabled=True, epsilon=1e-2, damping_on=False)
+        A = energy_form(generator(desk_system(ne=16, tip=tip)))
+        assert np.array_equal(A.T, -A)
+        tip = dataclasses.replace(tip, damping_on=True)
+        A = energy_form(generator(desk_system(ne=16, tip=tip)))
+        sym = np.linalg.eigvalsh(A + A.T)
+        assert sym.min() < -1e-3 and sym.max() <= 1e-14
+        assert np.sum(np.abs(sym) > 1e-12) == 1
+
+    def test_cap_is_checked_before_dense_work(self):
+        system = desk_system(ne=1024)
+        tracemalloc.start()
+        try:
+            pen = generator(system)
+            assert pen.n == 4096
+            with pytest.raises(DimensionCapExceeded):
+                spectrum(pen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_indefinite_stiffness_is_an_assembly_error(self, damped_system):
+        system = dataclasses.replace(damped_system, K=-damped_system.K)
+        with pytest.raises(AssemblyError, match="stiffness operator is not positive"):
+            spectrum(generator(system))
 
     def test_hybrid_same_mesh_same_dimension(self):
         # the tip coordinate is identified with the end-deflection dof, so the
