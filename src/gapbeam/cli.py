@@ -42,7 +42,8 @@ from .model import (
     default_multiplier,
     MultiplierSpec,
 )
-from .spectral import generator, spectrum, trend_toward_zero, xi_study
+from .spectral import (DimensionCapExceeded, generator, spectrum,
+                       trend_toward_zero, xi_study)
 from .timestep import NewtonDivergence, initial_state, simulate
 
 EXIT_OK = 0
@@ -176,15 +177,14 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
     return row
 
 
-def cmd_sweep_eps(cfg: ExperimentConfig, out: Path, workers: int | None = None) -> int:
+def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.sweep.eps_pen:
         raise ConfigError("sweep.eps_pen: empty axis for sweep-eps")
     if not isinstance(cfg.contact, SignoriniPenalty):
         raise ConfigError("contact.kind: sweep-eps needs a signorini_penalty law")
-    workers = workers or cfg.sweep.workers
     jobs = [(cfg, eps, str(out / f"eps_{eps:g}")) for eps in cfg.sweep.eps_pen]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.sweep.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.sweep.workers) as pool:
             rows = list(pool.map(_sweep_eps_row, *zip(*jobs)))
     else:
         rows = [_sweep_eps_row(*job) for job in jobs]
@@ -219,8 +219,12 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path, workers: int | None = None) 
 def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.sweep.xi:
         raise ConfigError("sweep.xi: empty axis for sweep-xi")
-    ne_values = cfg.sweep.ne or (cfg.ne,)
-    rows = xi_study(cfg.beam, cfg.tip, cfg.sweep.xi, ne_values)
+    key, ne_values = (("sweep.ne", cfg.sweep.ne) if cfg.sweep.ne
+                      else ("mesh.ne", (cfg.ne,)))
+    try:
+        rows = xi_study(cfg.beam, cfg.tip, cfg.sweep.xi, ne_values)
+    except DimensionCapExceeded as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
     header = ("xi_num", "xi_den", "ne", "abscissa", "verdict")
     table = [(str(r.xi_fraction.numerator), str(r.xi_fraction.denominator),
               str(r.ne), r.abscissa, r.verdict) for r in rows]
@@ -237,7 +241,10 @@ def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
     system = build_system(cfg)
-    report = spectrum(generator(system))
+    try:
+        report = spectrum(generator(system))
+    except DimensionCapExceeded as exc:
+        raise ConfigError(f"mesh.ne: {exc}") from exc
     write_spectrum_csv(out / "spectrum.csv", report.eigenvalues)
     summary = {
         "schema": "gapbeam-summary-v1", "command": "spectrum", "status": "ok",
@@ -300,9 +307,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        if name == "sweep-eps":
-            p.add_argument("--workers", type=int, default=None,
-                           help="worker pool size (default: sweep.workers)")
     args = parser.parse_args(argv)
 
     try:
@@ -317,8 +321,6 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "sweep-eps":
-            return _COMMANDS[args.command](cfg, out, args.workers)
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

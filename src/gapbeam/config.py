@@ -22,7 +22,7 @@ from .model import (
     SignoriniPenalty,
     TipParams,
 )
-from .timestep import Laws, SchemeConfig
+from .timestep import Laws, SchemeConfig, step_count
 
 
 class ConfigError(ValueError):
@@ -190,6 +190,11 @@ def _section(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _require(ok: bool, key: str, what: str) -> None:
+    if not ok:
+        raise ConfigError(f"{key}: {what}")
+
+
 def _parse_fraction(text: str) -> Fraction:
     if "/" not in text:
         raise ValueError(f"expected num/den fraction, got {text!r}")
@@ -288,22 +293,34 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         tie_tip=f.get_bool("sweep.tie_tip", True),
         workers=f.get_int("sweep.workers", 1),
     )
+    _require(init.width is None or init.width > 0.0, "init.width",
+             "must be positive")
+    _require(all(n >= 2 for n in sweep.ne), "sweep.ne",
+             "need at least 2 elements")
+    _require(all(0 < x < 1 for x in sweep.xi), "sweep.xi",
+             "must lie strictly inside (0, 1)")
+    for key, values in (("sweep.eps_pen", sweep.eps_pen),
+                        ("sweep.epsilon", sweep.epsilon)):
+        _require(all(v > 0.0 for v in values), key, "must be positive")
+    _require(sweep.workers >= 1, "sweep.workers", "must be >= 1")
+    multiplier_n = f.get_int("multiplier.n", 0)
+    _require(multiplier_n >= 0, "multiplier.n", "must be >= 0 (0: default)")
     ne = f.get_int("mesh.ne")
-    if ne < 2:
-        raise ConfigError("mesh.ne: need at least 2 elements")
+    _require(ne >= 2, "mesh.ne", "need at least 2 elements")
     t_final = f.get_float("run.t_final")
-    if t_final < 0.0:
-        raise ConfigError("run.t_final: must be nonnegative")
+    try:
+        step_count(t_final, scheme.dt)
+    except ValueError as exc:
+        raise ConfigError(f"run.t_final: {exc}") from exc
     stride = f.get_int("run.stride", 1)
-    if stride < 1:
-        raise ConfigError("run.stride: must be >= 1")
+    _require(stride >= 1, "run.stride", "must be >= 1")
 
     return ExperimentConfig(
         beam=beam, tip=tip, contact=contact,
         force_f=force("force_f"), force_g=force("force_g"),
         ne=ne, scheme=scheme, t_final=t_final, stride=stride,
         seed=f.get_int("run.seed", 0), init=init,
-        multiplier_n=f.get_int("multiplier.n", 0) or None,
+        multiplier_n=multiplier_n or None,
         sweep=sweep, snapshot=f.get_bool("run.snapshot", False),
     )
 

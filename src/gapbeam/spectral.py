@@ -29,13 +29,17 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-class DimensionCapExceeded(RuntimeError):
-    """Pencil too large for the dense eigensolver; raised before any dense work."""
+# largest pencil dimension of the dense eigensolver; ne elements give 4 * ne
+DENSE_CAP = 4000
 
-    def __init__(self, n: int, cap: int):
+
+class DimensionCapExceeded(RuntimeError):
+    """Pencil larger than DENSE_CAP; raised before any dense work."""
+
+    def __init__(self, n: int):
         super().__init__(
-            f"pencil dimension {n} exceeds the dense cap {cap}; rerun with "
-            f"shift_invert=True to extract the reduced set near Re = 0"
+            f"pencil dimension {n} exceeds DENSE_CAP = {DENSE_CAP} of the dense "
+            f"eigensolver; the largest admissible mesh has ne = {DENSE_CAP // 4}"
         )
 
 
@@ -120,11 +124,10 @@ def _lower_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Spectrum of a generator pencil, ordered by real part (descending).
+    """Complete spectrum of a generator pencil, ordered by real part (descending).
 
     abscissa is the largest real part; min_damping_gap the distance of the
-    spectrum to the imaginary axis.  complete=False marks a shift-invert
-    extraction that only covers a neighborhood of the axis.
+    spectrum to the imaginary axis.
     """
 
     eigenvalues: np.ndarray
@@ -133,12 +136,19 @@ class SpectralReport:
     ne: int
     model: str
     epsilon: float | None = None
-    complete: bool = True
 
 
-def _make_report(lam: np.ndarray, pencil: GeneratorPencil, complete: bool) -> SpectralReport:
-    order = np.lexsort((lam.imag, -lam.real))
-    lam = lam[order]
+def spectrum(pencil: GeneratorPencil) -> SpectralReport:
+    """The complete spectrum of the pencil.
+
+    The pencil dimension is checked against DENSE_CAP first; the eigenvalues
+    are those of the dense energy form A, taken by the general nonsymmetric
+    solver also without damping.
+    """
+    if pencil.n > DENSE_CAP:
+        raise DimensionCapExceeded(pencil.n)
+    lam = sla.eigvals(energy_form(pencil), overwrite_a=True, check_finite=False)
+    lam = lam[np.lexsort((lam.imag, -lam.real))]
     return SpectralReport(
         eigenvalues=lam,
         abscissa=float(lam.real.max()),
@@ -146,55 +156,7 @@ def _make_report(lam: np.ndarray, pencil: GeneratorPencil, complete: bool) -> Sp
         ne=pencil.ne,
         model=pencil.model,
         epsilon=pencil.epsilon,
-        complete=complete,
     )
-
-
-def spectrum(pencil: GeneratorPencil, dense_cap: int = 4000,
-             shift_invert: bool = False, shifts=None,
-             k_per_shift: int = 24) -> SpectralReport:
-    """Eigenvalues of the pencil.
-
-    By default the complete spectrum, as the eigenvalues of the dense energy
-    form A (general nonsymmetric solver, also without damping) up to pencil
-    dimension dense_cap, which is checked first.  With shift_invert, sparse
-    LU factors of A - sigma * blockdiag(I, M) at points on the imaginary axis
-    return the reduced set found near them.
-    """
-    if not shift_invert:
-        if pencil.n > dense_cap:
-            raise DimensionCapExceeded(pencil.n, dense_cap)
-        lam = sla.eigvals(energy_form(pencil), overwrite_a=True, check_finite=False)
-        return _make_report(lam, pencil, complete=True)
-
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    if shifts is None:
-        # top frequency estimate from the stiffness/mass pencil
-        w2 = spla.eigsh(pencil.K.tocsc(), k=1, M=pencil.M.tocsc(), which="LM",
-                        return_eigenvectors=False)
-        omega_max = float(np.sqrt(abs(w2[0])))
-        shifts = 1j * np.linspace(0.0, omega_max, 7)
-    eye = sp.identity(pencil.n // 2, format="csc")
-    A = sp.bmat([[None, eye], [-pencil.K, -pencil.D]], format="csc")
-    M = sp.block_diag((eye, pencil.M), format="csc")
-    k = min(k_per_shift, pencil.n - 2)
-    found = []
-    for sigma in shifts:
-        # explicit shift-invert: Ritz values of (A - sigma M)^{-1} M
-        lu = spla.splu((A - sigma * M).tocsc())
-        op = spla.LinearOperator((pencil.n, pencil.n), dtype=complex,
-                                 matvec=lambda x, lu=lu: lu.solve(M @ x))
-        theta = spla.eigs(op, k=k, which="LM", return_eigenvectors=False)
-        theta = theta[np.abs(theta) > 1e-12]
-        found.append(sigma + 1.0 / theta)
-    lam = np.concatenate(found)
-    lam = lam[np.isfinite(lam)]
-    # real pencil: close under conjugation, then drop duplicates across shifts
-    lam = np.concatenate([lam, lam.conj()])
-    _, keep = np.unique(np.round(lam, 9), return_index=True)
-    return _make_report(lam[np.sort(keep)], pencil, complete=False)
 
 
 @dataclass(frozen=True)
@@ -205,13 +167,17 @@ class XiStudyRow:
     verdict: str
 
 
-def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
-             dense_cap: int = 4000) -> list[XiStudyRow]:
+def xi_study(beam: BeamParams, tip: TipParams, xi_fractions,
+             ne_values) -> list[XiStudyRow]:
     """Abscissa table over damper locations and mesh refinements.
 
     Locations are exact fractions of the length so the verdict of
     is_stabilizing_xi applies and the mesh places the damper on a node.
+    Every ne is checked against DENSE_CAP before the first solve.
     """
+    ne_max = max(ne_values, default=0)
+    if 4 * ne_max > DENSE_CAP:
+        raise DimensionCapExceeded(4 * ne_max)
     rows = []
     for frac in xi_fractions:
         frac = Fraction(frac)
@@ -220,7 +186,7 @@ def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
         for ne in ne_values:
             mesh = build_mesh(beam_row.ell, beam_row.xi, ne)
             system = assemble(mesh, beam_row, tip)
-            rep = spectrum(generator(system), dense_cap=dense_cap)
+            rep = spectrum(generator(system))
             rows.append(XiStudyRow(xi_fraction=frac, ne=ne,
                                    abscissa=rep.abscissa, verdict=verdict))
     return rows

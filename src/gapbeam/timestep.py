@@ -354,6 +354,19 @@ class MidpointStepper:
             raise
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """The number of dt steps in t_final; ValueError unless it is whole.
+
+    A relative slack of 1e-9 absorbs the rounding of t_final / dt.
+    """
+    if t_final < 0.0:
+        raise ValueError("must be nonnegative")
+    n_steps = round(t_final / dt)
+    if abs(t_final / dt - n_steps) > 1e-9 * max(n_steps, 1):
+        raise ValueError(f"{t_final!r} is not a whole number of dt = {dt!r} steps")
+    return n_steps
+
+
 def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
              cfg: SchemeConfig, t_final: float, sample_stride: int = 1) -> Trajectory:
     """March to t_final, sampling every sample_stride steps (plus the endpoints).
@@ -361,13 +374,11 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
     Per-sample balance residuals telescope the energy identity between
     consecutive samples.  Deterministic for identical inputs.
     """
-    if t_final < 0.0:
-        raise ValueError("t_final must be nonnegative")
+    n_steps = step_count(t_final, cfg.dt)
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     stepper = MidpointStepper(system, laws, cfg)
     traj = Trajectory(dt=cfg.dt)
-    n_steps = int(round(t_final / cfg.dt))
 
     u, w = state0.pack(system)
     state = State.from_reduced(system, u, w, state0.t)

@@ -131,6 +131,14 @@ class TestSimulateCommand:
         ({"sweep.eps_pen": "1e-2, nan"}, "sweep.eps_pen"),
         ({"init.kind": "bogus"}, "init: unknown initial-data kind 'bogus'"),
         ({"init.kind": "mode", "init.mode": "0"}, "init: mode"),
+        ({"init.kind": "gaussian", "init.width": "0"}, "init.width"),
+        ({"sweep.ne": "8, 1"}, "sweep.ne"),
+        ({"sweep.xi": "1/2, 1/1"}, "sweep.xi"),
+        ({"sweep.eps_pen": "1e-2, 0"}, "sweep.eps_pen"),
+        ({"sweep.epsilon": "-1e-2"}, "sweep.epsilon"),
+        ({"sweep.workers": "-3"}, "sweep.workers"),
+        ({"multiplier.n": "-1"}, "multiplier.n"),
+        ({"run.t_final": "0.0205"}, "run.t_final"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -247,6 +255,22 @@ class TestSpectrumCommand:
         assert all(float(r[1]) < 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("command, extra, named", [
+    ("spectrum", {"mesh.ne": "1200"}, "mesh.ne"),
+    ("sweep-xi", {"mesh.ne": "1200", "sweep.xi": "1/2"}, "mesh.ne"),
+    ("sweep-xi", {"sweep.xi": "1/2", "sweep.ne": "8, 1001"}, "sweep.ne"),
+])
+def test_eigensolver_cap_exit_two_names_field(tmp_path, capsys, command, extra, named):
+    text = "".join(f"{k} = {v}\n" for k, v in {**BASE_MAP, **extra}.items())
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 2
+    msg = capsys.readouterr().err.removeprefix("config error: ")
+    assert msg.startswith(named + ": pencil dimension")
+    assert "ne = 1000" in msg
+    assert not any(out.iterdir())
+
+
 class TestSweepXiCommand:
     def test_verdict_table(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "sweep.xi = 1/2, 2/3\nsweep.ne = 8,16\n")
@@ -288,9 +312,10 @@ class TestSweepEpsCommand:
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = write_cfg(tmp_path, cfg_text(**self.CONTACT))
         out1, out2 = tmp_path / "serial", tmp_path / "pool"
+        pool = write_cfg(tmp_path, cfg_text(sweep__workers="2", **self.CONTACT),
+                         name="pool.cfg")
         assert main(["sweep-eps", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["sweep-eps", "--config", cfg, "--out", str(out2),
-                     "--workers", "2"]) == 0
+        assert main(["sweep-eps", "--config", pool, "--out", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
     def test_needs_penalty_law(self, tmp_path):

@@ -65,16 +65,18 @@ class TestSpectrum:
         lam = spectrum(generator(damped_system)).eigenvalues
         assert np.all(np.diff(lam.real) <= 1e-14)
 
-    def test_dense_cap_error_mentions_shift_invert(self, damped_system):
-        with pytest.raises(DimensionCapExceeded, match="shift_invert"):
-            spectrum(generator(damped_system), dense_cap=10)
-
-    def test_shift_invert_matches_dense_near_axis(self, damped_system):
+    def test_dense_cap_error_mentions_shift_invert(self, damped_system,
+                                                   monkeypatch):
+        # the way out the cap error names is the largest admissible mesh;
+        # the shift_invert option it once pointed to is gone
+        monkeypatch.setattr("gapbeam.spectral.DENSE_CAP", 10)
         pen = generator(damped_system)
-        dense = spectrum(pen)
-        reduced = spectrum(pen, dense_cap=10, shift_invert=True)
-        assert not reduced.complete
-        assert reduced.abscissa == pytest.approx(dense.abscissa, rel=1e-6, abs=1e-9)
+        with pytest.raises(DimensionCapExceeded,
+                           match=rf"dimension {pen.n} exceeds DENSE_CAP = 10") as err:
+            spectrum(pen)
+        msg = str(err.value)
+        assert "largest admissible mesh has ne = 2" in msg
+        assert "shift_invert" not in msg
 
     @pytest.mark.parametrize("gamma2, xi, tip", [
         (1.0, Fraction(1, 2), TipParams()),
@@ -127,12 +129,15 @@ class TestSpectrum:
         try:
             pen = generator(system)
             assert pen.n == 4096
-            with pytest.raises(DimensionCapExceeded):
+            with pytest.raises(DimensionCapExceeded) as err:
                 spectrum(pen)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+        msg = str(err.value)
+        assert "4096" in msg and "DENSE_CAP" in msg
+        assert "shift" not in msg  # no pointer to a removed option
 
     def test_indefinite_stiffness_is_an_assembly_error(self, damped_system):
         system = dataclasses.replace(damped_system, K=-damped_system.K)
@@ -172,6 +177,12 @@ class TestXiStudy:
             by_xi.setdefault(row.xi_fraction, []).append(row)
         assert all(r.verdict == STABILIZING for r in by_xi[Fraction(1, 2)])
         assert all(r.verdict == EXCLUDED for r in by_xi[Fraction(2, 3)])
+
+    def test_cap_is_checked_before_the_first_solve(self, monkeypatch):
+        # a too fine last mesh fails before the coarse rows are solved
+        monkeypatch.setattr("gapbeam.spectral.assemble", None)
+        with pytest.raises(DimensionCapExceeded, match="4004"):
+            xi_study(desk_beam(), TipParams(), [Fraction(1, 2)], [8, 1001])
 
     def test_undamped_rows_sit_on_axis(self):
         beam = desk_beam(gamma1=0.0, gamma2=0.0)

@@ -112,6 +112,17 @@ class TestSimulate:
         assert len(traj) == 1
         assert traj.times == [0.0]
 
+    def test_horizon_must_be_whole_steps(self, conservative_system):
+        # 0.0105 / 1e-3 = 10.5 steps: no silent stop at 0.010
+        s0 = initial_state(conservative_system, "mode", amplitude=0.5)
+        cfg = SchemeConfig(dt=1e-3)
+        with pytest.raises(ValueError, match="not a whole number of dt"):
+            simulate(conservative_system, s0, LINEAR, cfg, 0.0105)
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate(conservative_system, s0, LINEAR, cfg, -1e-3)
+        traj = simulate(conservative_system, s0, LINEAR, cfg, 0.3)
+        assert len(traj) == 301
+
     def test_deterministic(self, damped_system):
         cfg = SchemeConfig(dt=1e-3)
         s0 = initial_state(damped_system, "random_ball", radius=1.0, seed=42)
