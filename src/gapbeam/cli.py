@@ -26,7 +26,7 @@ from .artifacts import (
     write_table_csv,
     write_trajectory_csv,
 )
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, eps_row_dir, load_config
 from .diagnostics import (
     complementarity_report,
     constraint_violation,
@@ -182,7 +182,7 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError("sweep.eps_pen: empty axis for sweep-eps")
     if not isinstance(cfg.contact, SignoriniPenalty):
         raise ConfigError("contact.kind: sweep-eps needs a signorini_penalty law")
-    jobs = [(cfg, eps, str(out / f"eps_{eps:g}")) for eps in cfg.sweep.eps_pen]
+    jobs = [(cfg, eps, str(out / eps_row_dir(eps))) for eps in cfg.sweep.eps_pen]
     if cfg.sweep.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.sweep.workers) as pool:
             rows = list(pool.map(_sweep_eps_row, *zip(*jobs)))

@@ -202,6 +202,11 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def eps_row_dir(eps_pen: float) -> str:
+    """Directory of one sweep-eps row; build_config keeps these distinct."""
+    return f"eps_{eps_pen:g}"
+
+
 def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     unknown = sorted(set(mapping) - _KNOWN)
     if unknown:
@@ -295,6 +300,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     )
     _require(init.width is None or init.width > 0.0, "init.width",
              "must be positive")
+    _require(init.radius > 0.0, "init.radius", "must be positive")
     _require(all(n >= 2 for n in sweep.ne), "sweep.ne",
              "need at least 2 elements")
     _require(all(0 < x < 1 for x in sweep.xi), "sweep.xi",
@@ -302,6 +308,10 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     for key, values in (("sweep.eps_pen", sweep.eps_pen),
                         ("sweep.epsilon", sweep.epsilon)):
         _require(all(v > 0.0 for v in values), key, "must be positive")
+    dirs = [eps_row_dir(v) for v in sweep.eps_pen]
+    for i, j in enumerate(map(dirs.index, dirs)):
+        _require(i == j, "sweep.eps_pen", f"{sweep.eps_pen[j]!r} and "
+                 f"{sweep.eps_pen[i]!r} share the row directory {dirs[i]}")
     _require(sweep.workers >= 1, "sweep.workers", "must be >= 1")
     multiplier_n = f.get_int("multiplier.n", 0)
     _require(multiplier_n >= 0, "multiplier.n", "must be >= 0 (0: default)")

@@ -237,22 +237,6 @@ def body_force(s, law: ForceLaw):
     return float(out) if out.ndim == 0 else out
 
 
-def body_force_derivative(s, law: ForceLaw):
-    """d(body_force)/ds; the inner branch mu*(alpha+1)*|s|**alpha up to the cutoff."""
-    s = np.asarray(s, dtype=float)
-    a = np.abs(s)
-    if law.cutoff_R is None:
-        out = law.mu * (law.alpha + 1.0) * a**law.alpha
-    else:
-        inner = a <= law.cutoff_R
-        out = np.where(
-            inner,
-            law.mu * (law.alpha + 1.0) * np.minimum(a, law.cutoff_R) ** law.alpha,
-            law.mu * law.cutoff_R**law.alpha,
-        )
-    return float(out) if out.ndim == 0 else out
-
-
 def body_force_primitive(s, law: ForceLaw):
     """Antiderivative of body_force vanishing at 0 (an even, nonnegative function)."""
     s = np.asarray(s, dtype=float)

@@ -1,14 +1,14 @@
-"""Implicit-midpoint time integration with a Newton corrector.
+"""Implicit-midpoint time integration with a chord-Newton corrector.
 
 The midpoint rule is a Cayley map of the semi-discrete generator: it conserves
 the quadratic energy of the conservative linear system exactly and is
 unconditionally stable for any positive semidefinite damping.  Nonlinear
-contact and body forces are evaluated at the midpoint displacement; the
-Newton corrector uses the analytic body-force tangent and the semismooth
-slope of the contact law.  Linear and contact steps solve with one sparse LU
-factor per step size, the contact slope entering as a rank-one update.  The
-itemized energy functional, whose balance simulate() records per sample, is
-defined here as well.
+contact and body forces are evaluated at the midpoint displacement.  Every
+correction solves with the one sparse LU factor per step size, the semismooth
+contact slope entering as a rank-one update; the body force stays out of the
+tangent, a chord iteration that contracts while dt resolves its frequency.
+The itemized energy functional, whose balance simulate() records per sample,
+is defined here as well.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import (
     ForceLaw,
     NoContact,
     body_force,
-    body_force_derivative,
     body_force_primitive,
     contact_potential,
     contact_stiffness,
@@ -62,6 +61,7 @@ class SchemeConfig:
 
     newton_tol applies to the step residual normalized by the implicit-system
     force scale (2/dt^2 * ||M|| + ...) so it is meaningful uniformly in dt.
+    It bounds that residual, not the error of the accepted iterate.
     """
 
     dt: float
@@ -209,8 +209,9 @@ class MidpointStepper:
 
     With delta = u+ - u the midpoint equations read J delta + r0 = loads of
     the midpoint, where J = 2/dt^2 M + D/dt + K/2 is factored once per dt and
-    r0 = K u - 2/dt M w - load once per step; a Newton iteration then costs
-    one product with J.
+    r0 = K u - 2/dt M w - load once per step.  A correction costs one product
+    with J and one solve with its factor: Newton on linear and contact steps,
+    chord Newton once a body law is on (its slope is left out of the tangent).
     """
 
     def __init__(self, system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig):
@@ -253,9 +254,6 @@ class MidpointStepper:
         e_tip = np.zeros(sysm.n_free)
         e_tip[sysm.tip_slot] = 1.0
         z_tip = lu.solve(e_tip)
-        if self._nl_body:
-            # the body-force tangent is solved densely, so J is kept dense too
-            J = J.toarray()
         hit = (J, lu, fscale, z_tip)
         self._cache[dt] = hit
         return hit
@@ -273,27 +271,6 @@ class MidpointStepper:
             out[offset + 1:offset + nn] += contrib @ N_RIGHT
         return self.system.reduce(out)
 
-    def _body_tangent(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Reduced Jacobian of the body-force load, tridiagonal per field."""
-        nn = self.mesh.nn
-        T = np.zeros((2 * nn, 2 * nn))
-        for offset, nodal, law in ((0, phi, self.laws.force_f),
-                                   (nn, psi, self.laws.force_g)):
-            if law.mu == 0.0:
-                continue
-            wd = self.mesh.gauss_weights * body_force_derivative(
-                self.mesh.at_gauss(nodal), law)
-            d_ll = wd @ (N_LEFT * N_LEFT)
-            d_rr = wd @ (N_RIGHT * N_RIGHT)
-            d_lr = wd @ (N_LEFT * N_RIGHT)
-            idx = np.arange(nn - 1) + offset
-            T[idx, idx] += d_ll
-            T[idx + 1, idx + 1] += d_rr
-            T[idx, idx + 1] += d_lr
-            T[idx + 1, idx] += d_lr
-        # the free dofs are all but the first and last of the full vector
-        return T[1:-1, 1:-1]
-
     # -- core solve --------------------------------------------------------
 
     def _residual(self, J, r0, u, delta):
@@ -310,6 +287,7 @@ class MidpointStepper:
     def _solve_step(self, u, w, dt, t_next):
         sysm = self.system
         J, lu, fscale, z_tip = self._base_operators(dt)
+        tip = sysm.tip_slot
         r0 = sysm.K @ u - (2.0 / dt) * (sysm.M @ w) - self._load
         delta = dt * w
         res = math.inf
@@ -320,23 +298,11 @@ class MidpointStepper:
             if res <= self.cfg.newton_tol:
                 wp = 2.0 * delta / dt - w
                 return up, wp, it, res
-            um = u + 0.5 * delta
-            if self._nl_body:
-                phi_m, psi_m = sysm.expand(um)
-                T = J + 0.5 * self._body_tangent(phi_m, psi_m)
-                if self._nl_contact:
-                    T[sysm.tip_slot, sysm.tip_slot] -= 0.5 * contact_stiffness(
-                        um[sysm.tip_slot], self.laws.contact)
-                step = np.linalg.solve(T, -R)
-            elif self._nl_contact:
-                # rank-one contact tangent: Sherman-Morrison on the cached factor
-                c = -0.5 * contact_stiffness(um[sysm.tip_slot], self.laws.contact)
-                step = lu.solve(-R)
-                if c != 0.0:
-                    step -= (c * step[sysm.tip_slot]
-                             / (1.0 + c * z_tip[sysm.tip_slot])) * z_tip
-            else:
-                step = lu.solve(-R)
+            # chord step: body slope left out, contact slope by Sherman-Morrison
+            step = lu.solve(-R)
+            c = -0.5 * contact_stiffness(u[tip] + 0.5 * delta[tip], self.laws.contact)
+            if c != 0.0:
+                step -= (c * step[tip] / (1.0 + c * z_tip[tip])) * z_tip
             delta = delta + step
         raise NewtonDivergence(t_next, res, self.cfg.newton_max)
 

@@ -1,8 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from gapbeam import BeamParams, TipParams, assemble, build_mesh
+from gapbeam import BeamParams, ForceLaw, TipParams, assemble, build_mesh
+
+# property tests draw the same examples on every run and stay within seconds
+settings.register_profile("gapbeam", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("gapbeam")
 
 
 def desk_beam(gamma1=0.0, gamma2=0.0, xi=Fraction(1, 2)):
@@ -16,6 +23,14 @@ def desk_system(ne=16, gamma1=0.0, gamma2=0.0, xi=Fraction(1, 2),
     beam = desk_beam(gamma1, gamma2, xi)
     mesh = build_mesh(beam.ell, beam.xi, ne)
     return assemble(mesh, beam, tip)
+
+
+def force_laws(mu_max=10.0, alpha_max=3.0):
+    """Hypothesis strategy: a body-force law, with or without a cutoff."""
+    return st.builds(ForceLaw, mu=st.floats(0.0, mu_max),
+                     alpha=st.floats(0.0, alpha_max),
+                     cutoff_R=st.none() | st.floats(0.1, 2.0),
+                     f0=st.floats(-1.0, 1.0))
 
 
 @pytest.fixture

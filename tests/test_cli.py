@@ -139,6 +139,9 @@ class TestSimulateCommand:
         ({"sweep.workers": "-3"}, "sweep.workers"),
         ({"multiplier.n": "-1"}, "multiplier.n"),
         ({"run.t_final": "0.0205"}, "run.t_final"),
+        ({"init.kind": "random_ball", "init.radius": "-1"}, "init.radius"),
+        ({"sweep.eps_pen": "1e-2, 1.0000000001e-2"},
+         "sweep.eps_pen: 0.01 and 0.010000000001 share"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import force_laws
 from gapbeam.model import (
     EXCLUDED,
     IRRATIONAL,
@@ -18,7 +21,6 @@ from gapbeam.model import (
     SignoriniPenalty,
     TipParams,
     body_force,
-    body_force_derivative,
     body_force_primitive,
     contact_potential,
     contact_stiffness,
@@ -149,12 +151,20 @@ class TestBodyForce:
         quot = np.abs(np.diff(body_force(s, law))) / np.diff(s)
         assert quot.max() <= bound + 1e-12
 
-    def test_derivative_matches_difference_quotients(self):
-        law = ForceLaw(mu=1.3, alpha=2.0, cutoff_R=1.0)
-        for s in (-2.0, -0.5, 0.3, 0.9, 2.5):
-            h = 1e-6
-            fd = (body_force(s + h, law) - body_force(s - h, law)) / (2 * h)
-            assert body_force_derivative(s, law) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+    @given(law=force_laws(), k=st.floats(0.0, 3.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_primitive_derivative_is_body_force(self, law, k, sign):
+        # s = sign k R: draws of k near 1 straddle the cutoff
+        s = sign * k * (law.cutoff_R or 1.0)
+        h = 1e-5 * max(1.0, abs(s))
+        lo = body_force_primitive(s - h, law)
+        hi = body_force_primitive(s + h, law)
+        # body_force is Lipschitz on [s-h, s+h] with the slope bound lip, so
+        # the central quotient of its primitive is within lip h/2 of it
+        a = abs(s) + h if law.cutoff_R is None else min(abs(s) + h, law.cutoff_R)
+        lip = law.mu * (law.alpha + 1.0) * a**law.alpha
+        tol = lip * h / 2.0 + 1e-14 * (abs(lo) + abs(hi)) / h
+        assert abs((hi - lo) / (2.0 * h) - body_force(s, law)) <= tol
 
 
 class TestMultiplier:
