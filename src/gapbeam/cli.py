@@ -3,15 +3,19 @@
 Subcommands: simulate, sweep-eps, sweep-xi, spectrum, observability.  Each
 takes --config <key=value file> and --out <directory>.  Exit codes: 0 success,
 2 configuration error, 3 solver failure, 4 I/O failure.
+
+The rows of a sweep (sweep-eps, sweep-xi and the epsilon study of spectrum)
+run on up to sweep.workers processes, by default as many as the CPUs this
+process may use; the artifacts do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .artifacts import (
@@ -42,9 +46,14 @@ from .model import (
     default_multiplier,
     MultiplierSpec,
 )
-from .spectral import (DimensionCapExceeded, generator, spectrum,
-                       trend_toward_zero, xi_study)
+from .rows import map_rows
+from .spectral import (DimensionCapExceeded, mesh_spectrum, trend_toward_zero,
+                       xi_study)
 from .timestep import NewtonDivergence, initial_state, simulate
+
+# everything imported so far lives as long as the process: keep it out of the
+# collector's scans and off the pages that forked sweep workers would copy
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -183,11 +192,7 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> int:
     if not isinstance(cfg.contact, SignoriniPenalty):
         raise ConfigError("contact.kind: sweep-eps needs a signorini_penalty law")
     jobs = [(cfg, eps, str(out / eps_row_dir(eps))) for eps in cfg.sweep.eps_pen]
-    if cfg.sweep.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.sweep.workers) as pool:
-            rows = list(pool.map(_sweep_eps_row, *zip(*jobs)))
-    else:
-        rows = [_sweep_eps_row(*job) for job in jobs]
+    rows = map_rows(_sweep_eps_row, jobs, workers=cfg.sweep.workers)
 
     header = ("eps_pen", "status", "violation", "sup_S_ell", "gamma_state",
               "compl_interior", "compl_upper", "compl_lower",
@@ -222,7 +227,8 @@ def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> int:
     key, ne_values = (("sweep.ne", cfg.sweep.ne) if cfg.sweep.ne
                       else ("mesh.ne", (cfg.ne,)))
     try:
-        rows = xi_study(cfg.beam, cfg.tip, cfg.sweep.xi, ne_values)
+        rows = xi_study(cfg.beam, cfg.tip, cfg.sweep.xi, ne_values,
+                        cfg.sweep.workers)
     except DimensionCapExceeded as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     header = ("xi_num", "xi_den", "ne", "abscissa", "verdict")
@@ -240,9 +246,16 @@ def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
-    system = build_system(cfg)
+    tips = [cfg.tip]
+    if cfg.sweep.epsilon:
+        # tip-coefficient study: compare against the plain traction-free model
+        tips += [TipParams()] + [
+            TipParams(enabled=True, epsilon=eps, damping_on=cfg.tip.damping_on)
+            for eps in cfg.sweep.epsilon]
     try:
-        report = spectrum(generator(system))
+        report, *study = map_rows(
+            mesh_spectrum, [(cfg.beam, tip, cfg.ne) for tip in tips],
+            workers=cfg.sweep.workers)
     except DimensionCapExceeded as exc:
         raise ConfigError(f"mesh.ne: {exc}") from exc
     write_spectrum_csv(out / "spectrum.csv", report.eigenvalues)
@@ -254,16 +267,11 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
         "min_damping_gap": report.min_damping_gap,
         "n_eigenvalues": len(report.eigenvalues),
     }
-    if cfg.sweep.epsilon:
-        # tip-coefficient study: compare against the plain traction-free model
-        mesh = build_mesh(cfg.beam.ell, cfg.beam.xi, cfg.ne)
-        plain = spectrum(generator(assemble(mesh, cfg.beam, TipParams())))
+    if study:
+        plain, *hybrid = study
         rows = [("non-hybrid", plain.abscissa, plain.min_damping_gap)]
-        for eps in cfg.sweep.epsilon:
-            tip = TipParams(enabled=True, epsilon=eps,
-                            damping_on=cfg.tip.damping_on)
-            rep = spectrum(generator(assemble(mesh, cfg.beam, tip)))
-            rows.append((fmt(eps), rep.abscissa, rep.min_damping_gap))
+        rows += [(fmt(eps), rep.abscissa, rep.min_damping_gap)
+                 for eps, rep in zip(cfg.sweep.epsilon, hybrid)]
         write_table_csv(out / "eps_study.csv", EPS_SCHEMA,
                         ("epsilon", "abscissa", "min_damping_gap"), rows)
         summary["non_hybrid_abscissa"] = plain.abscissa

@@ -9,6 +9,7 @@ as an exact fraction (`beam.xi_num`, `beam.xi_den`) or as a real override
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +30,11 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending field path."""
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: the default sweep.workers."""
+    return len(os.sched_getaffinity(0))
+
+
 @dataclass(frozen=True)
 class InitSpec:
     kind: str = "zero"
@@ -47,7 +53,10 @@ class SweepSpec:
     xi: tuple[Fraction, ...] = ()
     ne: tuple[int, ...] = ()
     tie_tip: bool = True
-    workers: int = 1
+    # the rows of a sweep run on up to this many processes (never more than
+    # there are rows), by default the usable CPUs; the artifacts do not
+    # depend on it
+    workers: int = field(default_factory=usable_cpus)
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         xi=f.get_list("sweep.xi", _parse_fraction),
         ne=f.get_list("sweep.ne", int),
         tie_tip=f.get_bool("sweep.tie_tip", True),
-        workers=f.get_int("sweep.workers", 1),
+        workers=f.get_int("sweep.workers", usable_cpus()),
     )
     _require(init.width is None or init.width > 0.0, "init.width",
              "must be positive")
@@ -305,6 +314,9 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
              "need at least 2 elements")
     _require(all(0 < x < 1 for x in sweep.xi), "sweep.xi",
              "must lie strictly inside (0, 1)")
+    for key, values in (("sweep.xi", sweep.xi), ("sweep.ne", sweep.ne)):
+        for i, value in enumerate(values):
+            _require(value not in values[:i], key, f"{value} is repeated")
     for key, values in (("sweep.eps_pen", sweep.eps_pen),
                         ("sweep.epsilon", sweep.epsilon)):
         _require(all(v > 0.0 for v in values), key, "must be positive")

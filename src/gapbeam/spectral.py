@@ -24,6 +24,7 @@ import scipy.linalg as sla
 
 from .discretize import AssemblyError, SemiDiscreteSystem, assemble, build_mesh
 from .model import BeamParams, TipParams, is_stabilizing_xi
+from .rows import map_rows
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -37,10 +38,14 @@ class DimensionCapExceeded(RuntimeError):
     """Pencil larger than DENSE_CAP; raised before any dense work."""
 
     def __init__(self, n: int):
+        self.n = n
         super().__init__(
             f"pencil dimension {n} exceeds DENSE_CAP = {DENSE_CAP} of the dense "
             f"eigensolver; the largest admissible mesh has ne = {DENSE_CAP // 4}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.n,)
 
 
 @dataclass(frozen=True)
@@ -167,29 +172,33 @@ class XiStudyRow:
     verdict: str
 
 
-def xi_study(beam: BeamParams, tip: TipParams, xi_fractions,
-             ne_values) -> list[XiStudyRow]:
+def mesh_spectrum(beam: BeamParams, tip: TipParams, ne: int) -> SpectralReport:
+    """The spectrum of the beam on a uniform mesh of ne elements; one study row."""
+    mesh = build_mesh(beam.ell, beam.xi, ne)
+    return spectrum(generator(assemble(mesh, beam, tip)))
+
+
+def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
+             workers: int = 1) -> list[XiStudyRow]:
     """Abscissa table over damper locations and mesh refinements.
 
     Locations are exact fractions of the length so the verdict of
     is_stabilizing_xi applies and the mesh places the damper on a node.
-    Every ne is checked against DENSE_CAP before the first solve.
+    Every ne is checked against DENSE_CAP before the first solve.  The rows
+    run on up to `workers` processes (rows.map_rows), weighted by ne**3, the
+    cost of the dense eigen-solve.
     """
     ne_max = max(ne_values, default=0)
     if 4 * ne_max > DENSE_CAP:
         raise DimensionCapExceeded(4 * ne_max)
-    rows = []
-    for frac in xi_fractions:
-        frac = Fraction(frac)
-        verdict = is_stabilizing_xi(frac)
-        beam_row = dataclasses.replace(beam, xi_fraction=frac, xi_real=None)
-        for ne in ne_values:
-            mesh = build_mesh(beam_row.ell, beam_row.xi, ne)
-            system = assemble(mesh, beam_row, tip)
-            rep = spectrum(generator(system))
-            rows.append(XiStudyRow(xi_fraction=frac, ne=ne,
-                                   abscissa=rep.abscissa, verdict=verdict))
-    return rows
+    keys = [(Fraction(frac), ne) for frac in xi_fractions for ne in ne_values]
+    jobs = [(dataclasses.replace(beam, xi_fraction=frac, xi_real=None), tip, ne)
+            for frac, ne in keys]
+    reports = map_rows(mesh_spectrum, jobs, [ne ** 3 for _, ne in keys],
+                       workers)
+    return [XiStudyRow(xi_fraction=frac, ne=ne, abscissa=rep.abscissa,
+                       verdict=is_stabilizing_xi(frac))
+            for (frac, ne), rep in zip(keys, reports)]
 
 
 def trend_toward_zero(rows: list[XiStudyRow], tol_bad: float = 1e-6) -> bool:

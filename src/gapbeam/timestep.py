@@ -45,6 +45,9 @@ class NewtonDivergence(RuntimeError):
             f"after {iterations} iterations (reduce dt or soften the contact)"
         )
 
+    def __reduce__(self):
+        return type(self), (self.t, self.residual, self.iterations)
+
 
 @dataclass(frozen=True)
 class Laws:
@@ -327,8 +330,11 @@ def step_count(t_final: float, dt: float) -> int:
     """
     if t_final < 0.0:
         raise ValueError("must be nonnegative")
-    n_steps = round(t_final / dt)
-    if abs(t_final / dt - n_steps) > 1e-9 * max(n_steps, 1):
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"{t_final!r} overflows in steps of dt = {dt!r}")
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-9 * max(n_steps, 1):
         raise ValueError(f"{t_final!r} is not a whole number of dt = {dt!r} steps")
     return n_steps
 

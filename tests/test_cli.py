@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gapbeam.artifacts import load_snapshot, save_snapshot
 from gapbeam.cli import main
-from gapbeam.config import ConfigError, build_config, load_config, parse_mapping
+from gapbeam.config import (_KNOWN, ConfigError, build_config, load_config,
+                            parse_mapping)
 from gapbeam.model import NormalCompliance, SignoriniPenalty
 from gapbeam.timestep import State
 
@@ -15,6 +18,22 @@ BASE_MAP = {
 }
 
 BASE = "".join(f"{k} = {v}\n" for k, v in BASE_MAP.items())
+
+
+# config values: numbers of every size and sign, non-finite ones, fractions,
+# lists with repeats, booleans and text
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e-300", "1e300", "1e999", "-0.0", "nan", "inf", "-inf",
+                     "1/2", "2/4", "1/0", "0/1", "-1/3", "3/2"]))
+CONFIG_VALUES = st.one_of(
+    _NUMBERS,
+    st.lists(_NUMBERS, min_size=1, max_size=4).map(", ".join),
+    st.sampled_from(["", "none", "true", "off", "penalty", "nc", "mode",
+                     "random_ball", "signorini_penalty", "normal_compliance"]),
+    st.text(max_size=8),
+)
 
 
 def cfg_text(drop=(), **overrides):
@@ -97,6 +116,18 @@ class TestConfigParsing:
         assert [str(f) for f in cfg.sweep.xi] == ["1/2", "2/3"]
         assert cfg.sweep.ne == (16, 32)
 
+    @given(overrides=st.dictionaries(
+        st.sampled_from(sorted(_KNOWN) + ["beam.rho3"]), CONFIG_VALUES,
+        max_size=6),
+        drop=st.sets(st.sampled_from(sorted(BASE_MAP)), max_size=2))
+    def test_fuzzed_mapping_raises_only_config_error(self, overrides, drop):
+        mapping = {k: v for k, v in BASE_MAP.items() if k not in drop}
+        mapping.update(overrides)
+        try:
+            build_config(mapping)
+        except ConfigError:
+            pass
+
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "# header\n\n" + BASE + "  # tail\n"))
         assert cfg.t_final == 0.02
@@ -142,6 +173,9 @@ class TestSimulateCommand:
         ({"init.kind": "random_ball", "init.radius": "-1"}, "init.radius"),
         ({"sweep.eps_pen": "1e-2, 1.0000000001e-2"},
          "sweep.eps_pen: 0.01 and 0.010000000001 share"),
+        ({"sweep.xi": "1/2, 2/4"}, "sweep.xi: 1/2 is repeated"),
+        ({"sweep.ne": "8, 16, 8"}, "sweep.ne: 8 is repeated"),
+        ({"run.t_final": "1e300", "scheme.dt": "1e-300"}, "run.t_final"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -274,6 +308,28 @@ def test_eigensolver_cap_exit_two_names_field(tmp_path, capsys, command, extra, 
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, extra, artifacts", [
+    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16, 24"},
+     ("xi_study.csv", "summary")),
+    ("spectrum", {"sweep.epsilon": "1e-1, 1e-2, 1e-3"},
+     ("spectrum.csv", "eps_study.csv", "summary")),
+])
+def test_sweep_rows_do_not_depend_on_workers(tmp_path, command, extra,
+                                             artifacts):
+    outputs = []
+    for workers in ("1", "2", "3", None):
+        entries = {**BASE_MAP, **extra}
+        if workers is not None:
+            entries["sweep.workers"] = workers
+        text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+        out = tmp_path / f"out{workers}"
+        assert main([command, "--config",
+                     write_cfg(tmp_path, text, name=f"{workers}.cfg"),
+                     "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in artifacts])
+    assert all(o == outputs[0] for o in outputs[1:])
+
+
 class TestSweepXiCommand:
     def test_verdict_table(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "sweep.xi = 1/2, 2/3\nsweep.ne = 8,16\n")
@@ -313,7 +369,7 @@ class TestSweepEpsCommand:
         assert (out / "eps_0.01" / "trajectory.csv").exists()
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        cfg = write_cfg(tmp_path, cfg_text(**self.CONTACT))
+        cfg = write_cfg(tmp_path, cfg_text(sweep__workers="1", **self.CONTACT))
         out1, out2 = tmp_path / "serial", tmp_path / "pool"
         pool = write_cfg(tmp_path, cfg_text(sweep__workers="2", **self.CONTACT),
                          name="pool.cfg")
