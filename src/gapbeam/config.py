@@ -20,6 +20,7 @@ from .model import (
     ForceLaw,
     NoContact,
     NormalCompliance,
+    ParamError,
     SignoriniPenalty,
     TipParams,
 )
@@ -189,14 +190,17 @@ class _Fields:
 
 
 @contextmanager
-def _section(name: str):
-    """Prefix a plain ValueError with the section; a ConfigError passes unchanged."""
+def _section(name: str, keys: dict[str, str] | None = None):
+    """Re-raise a record's ParamError as a ConfigError naming the config key.
+
+    The key of a field is keys[field] when given, else name.field in lower
+    case (force_f.cutoff_R is read from force_f.cutoff_r).
+    """
     try:
         yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    except ParamError as exc:
+        key = (keys or {}).get(exc.name, f"{name}.{exc.name.lower()}")
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _require(ok: bool, key: str, what: str) -> None:
@@ -240,7 +244,8 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"beam.xi_num/beam.xi_den: {exc}") from exc
 
-    with _section("beam"):
+    xi_key = "beam.xi" if xi_fraction is None else "beam.xi_num/beam.xi_den"
+    with _section("beam", {"xi": xi_key}):
         beam = BeamParams(
             rho1=f.get_float("beam.rho1"), rho2=f.get_float("beam.rho2"),
             k=f.get_float("beam.k"), b=f.get_float("beam.b"),

@@ -7,7 +7,9 @@ is exactly the weak form of the force-jump conditions there.  The tip body is
 coupled by identifying the end deflection dof with the tip coordinate and
 adding epsilon to mass, damping and stiffness at that slot.  Only the reduced
 operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept,
-as sparse CSR arrays.
+as the coordinate lists assembly builds.  Everything here is numpy: the
+sparse CSR form that time stepping needs is built from those lists on first
+use, and only then is scipy imported, so a spectral run never loads it.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .model import BeamParams, TipParams
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # linear shape functions at the two Gauss nodes of the reference element
 _GAUSS_REF = np.array([-1.0, 1.0]) / math.sqrt(3.0)
@@ -30,6 +34,58 @@ N_RIGHT = (1.0 + _GAUSS_REF) / 2.0
 
 class AssemblyError(RuntimeError):
     """Inconsistent dof bookkeeping or a singular assembled operator."""
+
+
+@dataclass(frozen=True, eq=False)
+class CooMatrix:
+    """An n x n operator as a coordinate list; entries at one (row, col) add.
+
+    Only nonzero entries inside the matrix are stored, in the order assembly
+    added them.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    n: int
+
+    def tocsr(self) -> sp.csr_array:
+        import scipy.sparse as sp
+
+        return sp.coo_array((self.vals, (self.rows, self.cols)),
+                            shape=(self.n, self.n)).tocsr()
+
+    def toarray(self) -> np.ndarray:
+        flat = np.bincount(self.rows * self.n + self.cols, weights=self.vals,
+                           minlength=self.n * self.n)
+        return flat.reshape(self.n, self.n)
+
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        """The entries (i, i + k), as scipy's diagonal(k) returns them."""
+        on = self.cols - self.rows == k
+        return np.bincount(np.minimum(self.rows, self.cols)[on],
+                           weights=self.vals[on], minlength=self.n - abs(k))
+
+
+def tridiagonal_cholesky(diag: np.ndarray,
+                         sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bidiagonal factor L of a symmetric tridiagonal T = L.L^T.
+
+    Returns L's diagonal and subdiagonal, computed by the recurrence of
+    LAPACK's band Cholesky dpbtf2; np.linalg.LinAlgError when T is not
+    positive definite.
+    """
+    d, e = diag.tolist(), sub.tolist()
+    lower, below = [0.0] * len(d), [0.0] * len(e)
+    for i, pivot in enumerate(d):
+        if i:
+            below[i - 1] = e[i - 1] * (1.0 / lower[i - 1])
+            pivot -= below[i - 1] * below[i - 1]
+        if not pivot > 0.0:
+            raise np.linalg.LinAlgError(
+                f"leading minor of order {i + 1} is not positive definite")
+        lower[i] = math.sqrt(pivot)
+    return np.array(lower), np.array(below)
 
 
 @dataclass(frozen=True)
@@ -102,10 +158,12 @@ def build_mesh(ell: float, xi: float, ne: int) -> Mesh:
 class SemiDiscreteSystem:
     """Assembled operators plus dof bookkeeping.
 
-    M, K, D are CSR arrays acting on the reduced vector: the stacked nodal
-    vector [phi_0..phi_N, psi_0..psi_N] without its first and last entries, the
-    essential dofs phi(0) and psi(ell).  The quadratic form u.K.u equals the
-    potential part of the phase-space norm; w.M.w the kinetic part.
+    M_coo, K_coo, D_coo are the coordinate lists of the operators acting on
+    the reduced vector: the stacked nodal vector [phi_0..phi_N, psi_0..psi_N]
+    without its first and last entries, the essential dofs phi(0) and
+    psi(ell).  M, K, D are the same operators as CSR arrays, built on first
+    use.  The quadratic form u.K.u equals the potential part of the
+    phase-space norm; w.M.w the kinetic part.
     """
 
     mesh: Mesh
@@ -115,9 +173,21 @@ class SemiDiscreteSystem:
     tip_slot: int               # position of phi(ell) in the reduced numbering
     xi_phi_slot: int            # position of phi(xi) in the reduced numbering
     xi_psi_slot: int            # position of psi(xi) in the reduced numbering
-    M: sp.csr_array = field(repr=False)
-    K: sp.csr_array = field(repr=False)
-    D: sp.csr_array = field(repr=False)
+    M_coo: CooMatrix = field(repr=False)
+    K_coo: CooMatrix = field(repr=False)
+    D_coo: CooMatrix = field(repr=False)
+
+    @cached_property
+    def M(self) -> sp.csr_array:
+        return self.M_coo.tocsr()
+
+    @cached_property
+    def K(self) -> sp.csr_array:
+        return self.K_coo.tocsr()
+
+    @cached_property
+    def D(self) -> sp.csr_array:
+        return self.D_coo.tocsr()
 
     @property
     def n_free(self) -> int:
@@ -144,7 +214,8 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     Dampers are lumped diagonal entries at the xi node.  With the tip enabled,
     epsilon is added to M, D, K at the phi(ell) slot; disabled, the end is
     traction free by the natural boundary condition.  All element blocks go
-    into one coordinate list per operator, summed into CSR.
+    into one coordinate list per operator.  M must be positive definite; it
+    is tridiagonal and is checked by the Cholesky factor the spectrum uses.
     """
     if np.any(mesh.widths <= 0.0):
         raise AssemblyError("mesh has empty or inverted elements")
@@ -174,30 +245,29 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     xi_psi_slot = nn + mesh.xi_index - 1
     eps = tip.epsilon if tip.enabled else 0.0
 
-    def csr(r, c, v):
+    def coo(r, c, v):
         # entries on the eliminated dofs (-1 and n) and zeros are not stored
         stored = (r >= 0) & (r < n) & (c >= 0) & (c < n) & (v != 0.0)
-        return sp.coo_array((v[stored], (r[stored], c[stored])), shape=(n, n)).tocsr()
+        return CooMatrix(r[stored], c[stored], v[stored], n)
 
     # element blocks first, then the point entries, as a sequential assembly
     # would add them
-    M = csr(np.append(rows, tip_slot), np.append(cols, tip_slot),
+    M = coo(np.append(rows, tip_slot), np.append(cols, tip_slot),
             np.append(m_e.ravel(), eps))
-    K = csr(np.append(rows, tip_slot), np.append(cols, tip_slot),
+    K = coo(np.append(rows, tip_slot), np.append(cols, tip_slot),
             np.append(k_e.ravel(), eps))
     points = np.array([xi_phi_slot, xi_psi_slot, tip_slot])
-    D = csr(points, points,
+    D = coo(points, points,
             np.array([beam.gamma1, beam.gamma2, eps if tip.damping_on else 0.0]))
     # M couples no phi with a psi dof, so in this numbering it is tridiagonal
     try:
-        sla.cholesky_banded(np.stack([np.insert(M.diagonal(1), 0, 0.0),
-                                      M.diagonal()]))
+        tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("reduced mass operator is not positive definite") from exc
     return SemiDiscreteSystem(
         mesh=mesh, beam=beam, tip=tip, free=np.arange(1, 2 * nn - 1),
         tip_slot=tip_slot, xi_phi_slot=xi_phi_slot, xi_psi_slot=xi_psi_slot,
-        M=M, K=K, D=D,
+        M_coo=M, K_coo=K, D_coo=D,
     )
 
 

@@ -17,8 +17,20 @@ EXCLUDED = "excluded"
 IRRATIONAL = "irrational-input"
 
 
+class ParamError(ValueError):
+    """A bad value of one field of a parameter record; `name` is the field.
+
+    Every check in a record's __post_init__ raises this, so that a config
+    loader can name the key the field was read from.
+    """
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
+
+
 def require_finite(record) -> None:
-    """Raise a ValueError naming the first nan or inf float field of a record.
+    """Raise a ParamError naming the first nan or inf float field of a record.
 
     Every parameter record calls this first in __post_init__: nan passes any
     `<= 0` comparison, so the range checks alone would let it through.
@@ -26,7 +38,7 @@ def require_finite(record) -> None:
     for f in fields(record):
         value = getattr(record, f.name)
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ParamError(f.name, f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,13 +66,15 @@ class BeamParams:
         require_finite(self)
         for name in ("rho1", "rho2", "k", "b", "ell"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.gamma1 < 0.0 or self.gamma2 < 0.0:
-            raise ValueError("damping coefficients must be nonnegative")
+                raise ParamError(name, f"{name} must be strictly positive")
+        for name in ("gamma1", "gamma2"):
+            if getattr(self, name) < 0.0:
+                raise ParamError(name, f"{name} must be nonnegative")
         if (self.xi_fraction is None) == (self.xi_real is None):
-            raise ValueError("specify exactly one of xi_fraction, xi_real")
+            raise ParamError("xi", "specify exactly one of xi_fraction, xi_real")
         if not 0.0 < self.xi < self.ell:
-            raise ValueError(f"xi={self.xi} must lie strictly inside (0, {self.ell})")
+            raise ParamError(
+                "xi", f"xi={self.xi} must lie strictly inside (0, {self.ell})")
 
     @property
     def xi(self) -> float:
@@ -87,7 +101,8 @@ class TipParams:
     def __post_init__(self):
         require_finite(self)
         if self.enabled and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0 when the tip body is enabled")
+            raise ParamError("epsilon",
+                             "epsilon must be > 0 when the tip body is enabled")
 
 
 @dataclass(frozen=True)
@@ -111,10 +126,11 @@ class NormalCompliance:
 
     def __post_init__(self):
         require_finite(self)
-        if self.d1 <= 0.0 or self.d2 <= 0.0:
-            raise ValueError("contact stiffness coefficients must be positive")
+        for name in ("d1", "d2"):
+            if getattr(self, name) <= 0.0:
+                raise ParamError(name, f"contact stiffness {name} must be positive")
         if self.p not in (1, 2, 3):
-            raise ValueError("compliance exponent p must be 1, 2 or 3")
+            raise ParamError("p", "compliance exponent p must be 1, 2 or 3")
         _check_gap(self.g_lo, self.g_hi)
 
 
@@ -133,7 +149,7 @@ class SignoriniPenalty:
     def __post_init__(self):
         require_finite(self)
         if self.eps_pen <= 0.0:
-            raise ValueError("eps_pen must be positive")
+            raise ParamError("eps_pen", "eps_pen must be positive")
         _check_gap(self.g_lo, self.g_hi)
 
     @property
@@ -155,7 +171,8 @@ ContactLaw = NoContact | NormalCompliance | SignoriniPenalty
 def _check_gap(g_lo, g_hi):
     # rest position v=0 must be admissible, so the stops straddle zero
     if not g_lo < 0.0 < g_hi:
-        raise ValueError(f"stops must satisfy g_lo < 0 < g_hi, got [{g_lo}, {g_hi}]")
+        raise ParamError("g_hi" if g_lo < 0.0 else "g_lo",
+                         f"stops must satisfy g_lo < 0 < g_hi, got [{g_lo}, {g_hi}]")
 
 
 @dataclass(frozen=True)
@@ -175,10 +192,11 @@ class ForceLaw:
 
     def __post_init__(self):
         require_finite(self)
-        if self.mu < 0.0 or self.alpha < 0.0:
-            raise ValueError("mu and alpha must be nonnegative")
+        for name in ("mu", "alpha"):
+            if getattr(self, name) < 0.0:
+                raise ParamError(name, f"{name} must be nonnegative")
         if self.cutoff_R is not None and self.cutoff_R <= 0.0:
-            raise ValueError("cutoff_R must be positive when given")
+            raise ParamError("cutoff_R", "cutoff_R must be positive when given")
 
 
 def contact_traction(v: float, law: ContactLaw) -> float:
@@ -261,9 +279,9 @@ class MultiplierSpec:
     def __post_init__(self):
         require_finite(self)
         if self.n < 1:
-            raise ValueError("multiplier parameter n must be a positive integer")
+            raise ParamError("n", "multiplier parameter n must be a positive integer")
         if self.ell <= 0.0:
-            raise ValueError("ell must be positive")
+            raise ParamError("ell", "ell must be positive")
 
 
 def default_multiplier(ell: float) -> MultiplierSpec:

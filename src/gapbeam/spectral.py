@@ -9,7 +9,9 @@ in energy coordinates x = (R.u, L^T.u') with M = L.L^T and K = R^T.R, where
 
 similar to the pencil, exactly skew without damping and dissipative (its
 symmetric part is -G) with it; see Tisseur & Meerbergen, "The quadratic
-eigenvalue problem", SIAM Rev. 43 (2001), for linearizations.
+eigenvalue problem", SIAM Rev. 43 (2001), for linearizations.  The module is
+numpy only: A is formed from the assembled coordinate lists and its
+eigenvalues come from np.linalg.eigvals.
 """
 
 from __future__ import annotations
@@ -17,17 +19,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
 
-from .discretize import AssemblyError, SemiDiscreteSystem, assemble, build_mesh
+from .discretize import (AssemblyError, CooMatrix, SemiDiscreteSystem, assemble,
+                         build_mesh, tridiagonal_cholesky)
 from .model import BeamParams, TipParams, is_stabilizing_xi
 from .rows import map_rows
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 # largest pencil dimension of the dense eigensolver; ne elements give 4 * ne
@@ -52,20 +50,20 @@ class DimensionCapExceeded(RuntimeError):
 class GeneratorPencil:
     """Pencil lam * blockdiag(I, M) x = [[0, I], [-K, -D]] x of the system.
 
-    Holds the system's sparse reduced operators; n is the pencil dimension,
-    twice the number of free dofs.
+    Holds the coordinate lists of the system's reduced operators; n is the
+    pencil dimension, twice the number of free dofs.
     """
 
-    K: sp.csr_array = field(repr=False)
-    D: sp.csr_array = field(repr=False)
-    M: sp.csr_array = field(repr=False)
+    K: CooMatrix = field(repr=False)
+    D: CooMatrix = field(repr=False)
+    M: CooMatrix = field(repr=False)
     model: str                 # 'hybrid' or 'non-hybrid'
     epsilon: float | None
     ne: int
 
     @property
     def n(self) -> int:
-        return 2 * self.K.shape[0]
+        return 2 * self.K.n
 
 
 def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
@@ -77,7 +75,7 @@ def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
     """
     tip = system.tip
     return GeneratorPencil(
-        K=system.K, D=system.D, M=system.M,
+        K=system.K_coo, D=system.D_coo, M=system.M_coo,
         model="hybrid" if tip.enabled else "non-hybrid",
         epsilon=tip.epsilon if tip.enabled else None,
         ne=system.mesh.ne,
@@ -87,44 +85,46 @@ def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
 def energy_form(pencil: GeneratorPencil) -> np.ndarray:
     """The dense real generator A = [[0, B], [-B^T, -G]] of the module docstring.
 
-    M is tridiagonal in the reduced numbering, so L is a bidiagonal band
-    factor and every solve with it is a banded triangular solve; K is not
-    banded and gets a dense Cholesky.  D has a few nonzeros on slots S, so
+    M is tridiagonal in the reduced numbering, so L is bidiagonal and every
+    solve with it is a row recurrence, O(n) per column; K is not banded and
+    gets a dense Cholesky.  D has a few nonzeros on slots S, so
     G = C.D_SS.C^T with C the columns S of L^-1.
     """
     n = pencil.n // 2
-    M = pencil.M
-    L = sla.cholesky_banded(
-        np.stack([M.diagonal(), np.append(M.diagonal(-1), 0.0)]), lower=True)
+    M, D = pencil.M, pencil.D
+    L = tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
     try:
-        # the lower factor R^T of K = R^T.R, computed in place: K is
-        # symmetric, so the transpose of its dense copy is K in Fortran order
-        Rt = sla.cholesky(pencil.K.toarray().T, lower=True, overwrite_a=True,
-                          check_finite=False)
+        Rt = np.linalg.cholesky(pencil.K.toarray())  # K = R^T.R, R^T lower
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(
             "reduced stiffness operator is not positive definite") from exc
-    # Fortran order, so the eigensolver can overwrite A instead of copying it
-    A = np.zeros((2 * n, 2 * n), order="F")
-    Bt = _lower_solve(L, Rt)    # B^T = L^-1.R^T, in place of R^T
+    A = np.zeros((2 * n, 2 * n))
+    Bt = lower_solve(L, Rt)     # B^T = L^-1.R^T, in place of R^T
     A[:n, n:] = Bt.T
     np.negative(Bt, out=A[n:, :n])
-    S = np.unique(np.concatenate(pencil.D.nonzero()))
+    S = np.unique(np.concatenate([D.rows, D.cols]))
     if S.size:
-        unit = np.zeros((n, S.size), order="F")
+        unit = np.zeros((n, S.size))
         unit[S, np.arange(S.size)] = 1.0
-        C = _lower_solve(L, unit)
-        A[n:, n:] = C @ (pencil.D[S][:, S].toarray() @ -C.T)
+        C = lower_solve(L, unit)
+        D_SS = CooMatrix(np.searchsorted(S, D.rows), np.searchsorted(S, D.cols),
+                         D.vals, S.size).toarray()
+        A[n:, n:] = C @ (D_SS @ -C.T)
     return A
 
 
-def _lower_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^-1.rhs for a lower band Cholesky factor, overwriting a Fortran rhs.
+def lower_solve(L: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """L^-1.rhs for the bidiagonal factor of tridiagonal_cholesky, in place.
 
-    The factor's diagonal is positive, so the triangular solve cannot fail.
+    Row i of the result is (rhs_i - below_{i-1} * x_{i-1}) / lower_i, the
+    arithmetic of LAPACK's banded triangular solve dtbtrs.
     """
-    x, _ = sla.lapack.dtbtrs(L, rhs, uplo="L", overwrite_b=1)
-    return x
+    lower, below = L
+    rhs[0] /= lower[0]
+    for i in range(1, len(lower)):
+        rhs[i] -= below[i - 1] * rhs[i - 1]
+        rhs[i] /= lower[i]
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def spectrum(pencil: GeneratorPencil) -> SpectralReport:
     """
     if pencil.n > DENSE_CAP:
         raise DimensionCapExceeded(pencil.n)
-    lam = sla.eigvals(energy_form(pencil), overwrite_a=True, check_finite=False)
+    lam = np.linalg.eigvals(energy_form(pencil))
     lam = lam[np.lexsort((lam.imag, -lam.real))]
     return SpectralReport(
         eigenvalues=lam,

@@ -17,13 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .discretize import N_LEFT, N_RIGHT, Mesh, SemiDiscreteSystem, element_strains
 from .model import (
     ContactLaw,
     ForceLaw,
     NoContact,
+    ParamError,
     body_force,
     body_force_primitive,
     contact_potential,
@@ -74,11 +74,11 @@ class SchemeConfig:
     def __post_init__(self):
         require_finite(self)
         if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+            raise ParamError("dt", "dt must be positive")
         if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+            raise ParamError("newton_tol", "newton_tol must be positive")
         if self.newton_max < 1:
-            raise ValueError("newton_max must be at least 1")
+            raise ParamError("newton_max", "newton_max must be at least 1")
 
 
 @dataclass
@@ -244,6 +244,8 @@ class MidpointStepper:
         hit = self._cache.get(dt)
         if hit is not None:
             return hit
+        import scipy.sparse.linalg as spla
+
         sysm = self.system
         J = (2.0 / dt**2 * sysm.M + sysm.D / dt + 0.5 * sysm.K).tocsc()
         # J is symmetric positive definite: symmetric ordering, no pivoting

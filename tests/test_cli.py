@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gapbeam
 from gapbeam.artifacts import load_snapshot, save_snapshot
 from gapbeam.cli import main
 from gapbeam.config import (_KNOWN, ConfigError, build_config, load_config,
@@ -176,6 +182,18 @@ class TestSimulateCommand:
         ({"sweep.xi": "1/2, 2/4"}, "sweep.xi: 1/2 is repeated"),
         ({"sweep.ne": "8, 16, 8"}, "sweep.ne: 8 is repeated"),
         ({"run.t_final": "1e300", "scheme.dt": "1e-300"}, "run.t_final"),
+        ({"beam.xi_num": "3"},
+         "beam.xi_num/beam.xi_den: xi=1.5 must lie strictly inside"),
+        ({"contact.kind": "normal_compliance", "contact.d1": "1",
+          "contact.d2": "1", "contact.p": "0", "contact.g_lo": "-0.1",
+          "contact.g_hi": "0.1"}, "contact.p"),
+        ({"beam.rho1": "-1"}, "beam.rho1"),
+        ({"scheme.newton_max": "0"}, "scheme.newton_max"),
+        ({"beam.gamma2": "-1"}, "beam.gamma2"),
+        ({"tip.enabled": "true", "tip.epsilon": "0"}, "tip.epsilon"),
+        ({"contact.kind": "penalty", "contact.eps_pen": "1e-2",
+          "contact.g_lo": "-0.1", "contact.g_hi": "-0.05"}, "contact.g_hi"),
+        ({"force_f.mu": "1", "force_f.cutoff_r": "-1"}, "force_f.cutoff_r"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -328,6 +346,27 @@ def test_sweep_rows_do_not_depend_on_workers(tmp_path, command, extra,
                      "--out", str(out)]) == 0
         outputs.append([(out / name).read_bytes() for name in artifacts])
     assert all(o == outputs[0] for o in outputs[1:])
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16"}),
+    ("spectrum", {"sweep.epsilon": "1e-1, 1e-2"}),
+])
+def test_spectral_commands_load_no_scipy_subpackage(tmp_path, command, extra):
+    # the spectrum path is numpy only: scipy is first imported where a time
+    # step factors its matrix, which these commands never do
+    text = "".join(f"{k} = {v}\n" for k, v in {**BASE_MAP, **extra}.items())
+    argv = [command, "--config", write_cfg(tmp_path, text), "--out",
+            str(tmp_path / "o")]
+    code = ("import sys\n"
+            "from gapbeam.cli import main\n"
+            f"status = main({argv!r})\n"
+            "print(status, sorted(m for m in sys.modules\n"
+            "                     if m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gapbeam.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "0 []"
 
 
 class TestSweepXiCommand:

@@ -247,6 +247,13 @@ class TestGuards:
         system = assemble(mesh, desk_beam(), TipParams())
         np.linalg.cholesky(system.M.toarray())  # does not raise
 
+    def test_indefinite_mass_is_an_assembly_error(self):
+        # the records reject rho1 <= 0; bypass them to reach the guard
+        beam = desk_beam()
+        object.__setattr__(beam, "rho1", -1.0)
+        with pytest.raises(AssemblyError, match="mass operator is not positive"):
+            assemble(build_mesh(1.0, 0.5, 6), beam, TipParams())
+
     def test_degenerate_mesh_rejected(self):
         from gapbeam.discretize import Mesh
         bad = Mesh(nodes=np.array([0.0, 0.5, 0.5, 1.0]), xi_index=1)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -41,6 +41,21 @@ LAWS = [
     PEN,
     SignoriniPenalty(eps_pen=1e-2, g_lo=-0.3, g_hi=0.3),
 ]
+
+_STOPS = dict(g_lo=st.floats(-1.0, -1e-3), g_hi=st.floats(1e-3, 1.0))
+CONTACT_LAWS = st.one_of(
+    st.just(NoContact()),
+    st.builds(NormalCompliance, d1=st.floats(1e-2, 1e3),
+              d2=st.floats(1e-2, 1e3), p=st.sampled_from([1, 2, 3]), **_STOPS),
+    st.builds(SignoriniPenalty, eps_pen=st.floats(1e-4, 1.0), **_STOPS),
+)
+
+
+def central_quotient(f, v, h):
+    """(f(v+h) - f(v-h)) / step and a bound on its rounding error."""
+    lo_v, hi_v = v - h, v + h
+    lo, hi = f(lo_v), f(hi_v)
+    return (hi - lo) / (hi_v - lo_v), 1e-14 * (abs(lo) + abs(hi)) / h
 
 
 class TestContactTraction:
@@ -110,6 +125,26 @@ class TestContactPotential:
             fd = (contact_traction(v + h, law) - contact_traction(v - h, law)) / (2 * h)
             slope = contact_stiffness(v, law)
             assert abs(fd - slope) <= 1e-6 * max(1.0, abs(slope))
+
+    @given(law=CONTACT_LAWS, v=st.floats(-3.0, 3.0))
+    def test_potential_and_stiffness_are_traction_derivatives(self, law, v):
+        # -dN/dv = traction and d(traction)/dv = stiffness, by central
+        # quotients on intervals that hold no kink; away from the kinks the
+        # traction is d * penetration**p, so the quotients' truncation errors
+        # are h^2/6 times the third derivatives of N and of the traction
+        h = 1e-5 * max(1.0, abs(v))
+        if isinstance(law, NoContact):
+            d, p, pen = 0.0, 1, 0.0
+        else:
+            assume(abs(v - law.g_lo) > 2 * h and abs(v - law.g_hi) > 2 * h)
+            d, p = max(law.d1, law.d2), law.p
+            pen = max(v - law.g_hi, law.g_lo - v, 0.0) + h
+        dN, round_N = central_quotient(lambda x: contact_potential(x, law), v, h)
+        trunc_N = h**2 / 6 * d * p * (p - 1) * pen ** max(p - 2, 0)
+        assert abs(-dN - contact_traction(v, law)) <= trunc_N + round_N
+        dT, round_T = central_quotient(lambda x: contact_traction(x, law), v, h)
+        trunc_T = h**2 / 6 * d * p * (p - 1) * (p - 2)
+        assert abs(dT - contact_stiffness(v, law)) <= trunc_T + round_T
 
     def test_semismooth_slope_zero_at_kink(self):
         law = NormalCompliance(d1=1.0, d2=1.0, p=1, g_lo=-1.0, g_hi=1.0)

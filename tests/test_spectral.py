@@ -10,9 +10,10 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import desk_beam, desk_system
 from gapbeam import TipParams, generator, spectrum, trend_toward_zero, xi_study
-from gapbeam.discretize import AssemblyError
+from gapbeam.discretize import AssemblyError, tridiagonal_cholesky
 from gapbeam.model import EXCLUDED, STABILIZING
-from gapbeam.spectral import DimensionCapExceeded, XiStudyRow, energy_form
+from gapbeam.spectral import (DimensionCapExceeded, XiStudyRow, energy_form,
+                              lower_solve)
 
 
 def generalized_qz_eigenvalues(system):
@@ -27,11 +28,13 @@ def generalized_qz_eigenvalues(system):
 
 class TestGenerator:
     def test_pencil_shape_and_blocks(self, damped_system):
-        # the pencil carries the system's sparse operators, nothing densified
+        # the pencil carries the system's coordinate lists, nothing densified
+        # and no CSR built
         pen = generator(damped_system)
-        assert pen.K is damped_system.K
-        assert pen.D is damped_system.D
-        assert pen.M is damped_system.M
+        assert pen.K is damped_system.K_coo
+        assert pen.D is damped_system.D_coo
+        assert pen.M is damped_system.M_coo
+        assert not {"M", "K", "D"} & set(vars(damped_system))
         assert pen.n == 2 * damped_system.n_free
         assert pen.model == "non-hybrid"
         assert pen.epsilon is None
@@ -140,7 +143,9 @@ class TestSpectrum:
         assert "shift" not in msg  # no pointer to a removed option
 
     def test_indefinite_stiffness_is_an_assembly_error(self, damped_system):
-        system = dataclasses.replace(damped_system, K=-damped_system.K)
+        K = damped_system.K_coo
+        system = dataclasses.replace(
+            damped_system, K_coo=dataclasses.replace(K, vals=-K.vals))
         with pytest.raises(AssemblyError, match="stiffness operator is not positive"):
             spectrum(generator(system))
 
@@ -150,6 +155,78 @@ class TestSpectrum:
         plain = desk_system(ne=8)
         hybrid = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=1e-2))
         assert generator(plain).n == generator(hybrid).n
+
+
+class TestMassFactor:
+    """The numpy bidiagonal factor of M and its solve against LAPACK's."""
+
+    def random_tridiagonal(self, n, seed):
+        rng = np.random.default_rng(seed)
+        sub = rng.uniform(-1.0, 1.0, n - 1)
+        diag = 2.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant: SPD
+        return diag, sub
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_factor_matches_cholesky_banded(self, seed):
+        diag, sub = self.random_tridiagonal(50, seed)
+        lower, below = tridiagonal_cholesky(diag, sub)
+        ref = sla.cholesky_banded(np.stack([diag, np.append(sub, 0.0)]),
+                                  lower=True)
+        np.testing.assert_allclose(lower, ref[0], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(below, ref[1, :-1], rtol=1e-14, atol=0.0)
+
+    def test_mass_factor_reproduces_mass(self):
+        system = desk_system(ne=16, tip=TipParams(enabled=True, epsilon=1e-4))
+        M = system.M_coo
+        lower, below = tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
+        L = np.diag(lower) + np.diag(below, -1)
+        np.testing.assert_allclose(L @ L.T, system.M.toarray(), rtol=0.0,
+                                   atol=1e-15 * np.abs(M.vals).max())
+
+    def test_solve_matches_dtbtrs(self):
+        diag, sub = self.random_tridiagonal(60, 2)
+        L = tridiagonal_cholesky(diag, sub)
+        rhs = np.random.default_rng(3).standard_normal((60, 4))
+        ref, info = sla.lapack.dtbtrs(np.stack([L[0], np.append(L[1], 0.0)]),
+                                      rhs, uplo="L")
+        assert info == 0
+        got = lower_solve(L, rhs.copy())
+        np.testing.assert_allclose(got, ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("diag, sub", [
+        ([1.0, 1.0, 1.0], [0.5, 2.0]),     # second pivot 0.75, third < 0
+        ([1.0, -1.0], [0.0]),
+        ([0.0, 1.0], [0.0]),
+        ([1.0, np.nan], [0.0]),
+    ])
+    def test_indefinite_or_nan_is_a_linalg_error(self, diag, sub):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            tridiagonal_cholesky(np.array(diag), np.array(sub))
+
+
+class TestStopHeldTip:
+    """C07's last row: with the tip held by the stop the beam barely decays.
+
+    The penalty row eps_pen = 1e-4 ties the tip body at epsilon = 1e-4.  With
+    the tip on the stop, the linearization adds 1/eps_pen to K at the tip
+    slot; a damper at l/2 then leaves a mode with a time constant of
+    thousands of seconds, against 1/0.011 s with the tip free.
+    """
+
+    @pytest.mark.parametrize("ne", [32, 64])
+    def test_held_abscissa_hundredfold_closer_to_zero(self, ne):
+        system = desk_system(ne=ne, gamma1=1.0, gamma2=1.0,
+                             tip=TipParams(enabled=True, epsilon=1e-4))
+        K, tip = system.K_coo, system.tip_slot
+        held_K = dataclasses.replace(K, rows=np.append(K.rows, tip),
+                                     cols=np.append(K.cols, tip),
+                                     vals=np.append(K.vals, 1.0 / 1e-4))
+        held = dataclasses.replace(system, K_coo=held_K)
+        free_abscissa = spectrum(generator(system)).abscissa
+        held_abscissa = spectrum(generator(held)).abscissa
+        assert free_abscissa < 0.0 and held_abscissa < 0.0
+        assert 100.0 * abs(held_abscissa) <= abs(free_abscissa)
 
 
 class TestEpsilonSweep:
