@@ -75,25 +75,11 @@ def make_initial(cfg: ExperimentConfig, system: SemiDiscreteSystem):
     )
 
 
-def _load_solver() -> None:
-    """Import the scipy that time stepping uses, and freeze it like the above.
-
-    The stepping commands load it here rather than at their first step: frozen
-    with the imports above, neither a run's collections nor the one at exit
-    scan it, and a sweep's forked workers inherit it instead of each importing
-    it again.  The spectral commands never load it.
-    """
-    import scipy.sparse.linalg  # noqa: F401
-
-    gc.freeze()
-
-
 def _run(cfg: ExperimentConfig):
     """Build the system and initial state of cfg and march to run.t_final.
 
     Returns (system, laws, trajectory); a NewtonDivergence propagates.
     """
-    _load_solver()
     system = build_system(cfg)
     laws = cfg.laws()
     try:
@@ -206,7 +192,6 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> int:
     if not isinstance(cfg.contact, SignoriniPenalty):
         raise ConfigError("contact.kind: sweep-eps needs a signorini_penalty law")
     jobs = [(cfg, eps, str(out / eps_row_dir(eps))) for eps in cfg.sweep.eps_pen]
-    _load_solver()  # before the pool forks: the workers inherit it
     rows = map_rows(_sweep_eps_row, jobs, workers=cfg.sweep.workers)
 
     header = ("eps_pen", "status", "violation", "sup_S_ell", "gamma_state",

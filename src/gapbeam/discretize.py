@@ -7,9 +7,8 @@ is exactly the weak form of the force-jump conditions there.  The tip body is
 coupled by identifying the end deflection dof with the tip coordinate and
 adding epsilon to mass, damping and stiffness at that slot.  Only the reduced
 operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept,
-as the coordinate lists assembly builds.  Everything here is numpy: the
-sparse CSR form that time stepping needs is built from those lists on first
-use, and only then is scipy imported, so a spectral run never loads it.
+as the coordinate lists assembly builds; their products run on fixed-width
+row arrays built from those lists on first use.  Everything here is numpy.
 """
 
 from __future__ import annotations
@@ -17,14 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import BeamParams, TipParams
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # linear shape functions at the two Gauss nodes of the reference element
 _GAUSS_REF = np.array([-1.0, 1.0]) / math.sqrt(3.0)
@@ -41,7 +36,8 @@ class CooMatrix:
     """An n x n operator as a coordinate list; entries at one (row, col) add.
 
     Only nonzero entries inside the matrix are stored, in the order assembly
-    added them.
+    added them.  A @ x (x a vector) and x @ A (x one or more rows) run on
+    fixed-width (ELL) arrays of the merged entries, built on first use.
     """
 
     rows: np.ndarray
@@ -49,11 +45,41 @@ class CooMatrix:
     vals: np.ndarray
     n: int
 
-    def tocsr(self) -> sp.csr_array:
-        import scipy.sparse as sp
+    __array_ufunc__ = None  # ndarray @ A defers to __rmatmul__
 
-        return sp.coo_array((self.vals, (self.rows, self.cols)),
-                            shape=(self.n, self.n)).tocsr()
+    def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) sorted by row, then column, one per slot."""
+        keys, slot = np.unique(self.rows * self.n + self.cols,
+                               return_inverse=True)
+        return keys // self.n, keys % self.n, np.bincount(slot, weights=self.vals)
+
+    @cached_property
+    def _by_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """(data, idx), (width, n): row i's merged entries, zero-padded."""
+        rows, cols, vals = self.merged()
+        count = np.bincount(rows, minlength=self.n)
+        slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+        data = np.zeros((max(count.max(initial=0), 1), self.n))
+        idx = np.broadcast_to(np.arange(self.n), data.shape).copy()
+        data[slot, rows] = vals
+        idx[slot, rows] = cols
+        return data, idx
+
+    @cached_property
+    def _by_col(self) -> tuple[np.ndarray, np.ndarray]:
+        return CooMatrix(self.cols, self.rows, self.vals, self.n)._by_row
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        data, idx = self._by_row
+        return np.einsum("ji,ji->i", data, x[idx])
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        data, idx = self._by_col
+        return np.einsum("ji,...ji->...i", data, x[..., idx])
+
+    def abs_row_sums(self) -> np.ndarray:
+        """Sum of |a_ij| over each row's merged entries, in column order."""
+        return np.abs(self._by_row[0]).cumsum(axis=0)[-1]
 
     def toarray(self) -> np.ndarray:
         flat = np.bincount(self.rows * self.n + self.cols, weights=self.vals,
@@ -61,7 +87,7 @@ class CooMatrix:
         return flat.reshape(self.n, self.n)
 
     def diagonal(self, k: int = 0) -> np.ndarray:
-        """The entries (i, i + k), as scipy's diagonal(k) returns them."""
+        """The entries (i, i + k), as np.diagonal(A, k) returns them."""
         on = self.cols - self.rows == k
         return np.bincount(np.minimum(self.rows, self.cols)[on],
                            weights=self.vals[on], minlength=self.n - abs(k))
@@ -158,12 +184,11 @@ def build_mesh(ell: float, xi: float, ne: int) -> Mesh:
 class SemiDiscreteSystem:
     """Assembled operators plus dof bookkeeping.
 
-    M_coo, K_coo, D_coo are the coordinate lists of the operators acting on
-    the reduced vector: the stacked nodal vector [phi_0..phi_N, psi_0..psi_N]
-    without its first and last entries, the essential dofs phi(0) and
-    psi(ell).  M, K, D are the same operators as CSR arrays, built on first
-    use.  The quadratic form u.K.u equals the potential part of the
-    phase-space norm; w.M.w the kinetic part.
+    M, K, D act on the reduced vector: the stacked nodal vector
+    [phi_0..phi_N, psi_0..psi_N] without its first and last entries, the
+    essential dofs phi(0) and psi(ell), so the free dofs are the contiguous
+    range 1 .. 2N and reduce() is a slice (a view).  The quadratic form u.K.u
+    equals the potential part of the phase-space norm; w.M.w the kinetic part.
     """
 
     mesh: Mesh
@@ -173,38 +198,30 @@ class SemiDiscreteSystem:
     tip_slot: int               # position of phi(ell) in the reduced numbering
     xi_phi_slot: int            # position of phi(xi) in the reduced numbering
     xi_psi_slot: int            # position of psi(xi) in the reduced numbering
-    M_coo: CooMatrix = field(repr=False)
-    K_coo: CooMatrix = field(repr=False)
-    D_coo: CooMatrix = field(repr=False)
-
-    @cached_property
-    def M(self) -> sp.csr_array:
-        return self.M_coo.tocsr()
-
-    @cached_property
-    def K(self) -> sp.csr_array:
-        return self.K_coo.tocsr()
-
-    @cached_property
-    def D(self) -> sp.csr_array:
-        return self.D_coo.tocsr()
+    M: CooMatrix = field(repr=False)
+    K: CooMatrix = field(repr=False)
+    D: CooMatrix = field(repr=False)
 
     @property
     def n_free(self) -> int:
         return len(self.free)
 
+    @property
+    def node_rank(self) -> np.ndarray:
+        """Position of each reduced slot in the node order psi_0, phi_1,
+        psi_1, ..., phi_N, in which every operator has half-bandwidth 3."""
+        node = np.arange(self.mesh.nn - 1)
+        return np.concatenate([2 * node + 1, 2 * node])
+
     def reduce(self, full_vec: np.ndarray) -> np.ndarray:
-        return full_vec[self.free]
+        return full_vec[1:-1]
 
     def expand(self, reduced_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Reduced vector -> (phi, psi) full nodal arrays with essential zeros."""
         nn = self.mesh.nn
         full = np.zeros(2 * nn)
-        full[self.free] = reduced_vec
+        full[1:-1] = reduced_vec
         return full[:nn], full[nn:]
-
-    def stack(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return np.concatenate([phi, psi])
 
 
 def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem:
@@ -267,7 +284,7 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     return SemiDiscreteSystem(
         mesh=mesh, beam=beam, tip=tip, free=np.arange(1, 2 * nn - 1),
         tip_slot=tip_slot, xi_phi_slot=xi_phi_slot, xi_psi_slot=xi_psi_slot,
-        M_coo=M, K_coo=K, D_coo=D,
+        M=M, K=K, D=D,
     )
 
 

@@ -28,8 +28,8 @@ def map_rows(fn: Callable, jobs: Sequence[tuple],
     from concurrent.futures import ProcessPoolExecutor
 
     bins = _deal(weights or [1] * len(jobs), n_bins)
-    # fork, not spawn: a worker inherits the imported package and numpy (and
-    # scipy, which a stepping sweep loads first) instead of importing them again
+    # fork, not spawn: a worker inherits the imported package and numpy
+    # instead of importing them again
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(n_bins - 1, mp_context=fork) as pool:
         futures = [pool.submit(_run_bin, fn, [jobs[i] for i in b])

@@ -75,7 +75,7 @@ def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
     """
     tip = system.tip
     return GeneratorPencil(
-        K=system.K_coo, D=system.D_coo, M=system.M_coo,
+        K=system.K, D=system.D, M=system.M,
         model="hybrid" if tip.enabled else "non-hybrid",
         epsilon=tip.epsilon if tip.enabled else None,
         ne=system.mesh.ne,

@@ -4,9 +4,10 @@ The midpoint rule is a Cayley map of the semi-discrete generator: it conserves
 the quadratic energy of the conservative linear system exactly and is
 unconditionally stable for any positive semidefinite damping.  Nonlinear
 contact and body forces are evaluated at the midpoint displacement.  Every
-correction solves with the one sparse LU factor per step size, the semismooth
-contact slope entering as a rank-one update; the body force stays out of the
-tangent, a chord iteration that contracts while dt resolves its frequency.
+correction solves with the one factor of the step matrix per step size, a
+banded nested dissection in numpy, the semismooth contact slope entering as a
+rank-one update; the body force stays out of the tangent, a chord iteration
+that contracts while dt resolves its frequency.
 The itemized energy functional, whose balance simulate() records per sample,
 is defined here as well.
 """
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import N_LEFT, N_RIGHT, Mesh, SemiDiscreteSystem, element_strains
+from .discretize import (N_LEFT, N_RIGHT, AssemblyError, CooMatrix, Mesh,
+                         SemiDiscreteSystem, element_strains)
 from .model import (
     ContactLaw,
     ForceLaw,
@@ -112,14 +114,87 @@ class State:
         return cls(phi, psi, phi_t, psi_t, t)
 
     def pack(self, system: SemiDiscreteSystem) -> tuple[np.ndarray, np.ndarray]:
-        u = system.reduce(system.stack(self.phi, self.psi))
-        w = system.reduce(system.stack(self.phi_t, self.psi_t))
+        u = system.reduce(np.concatenate([self.phi, self.psi]))
+        w = system.reduce(np.concatenate([self.phi_t, self.psi_t]))
         return u, w
 
 
-def _quadratic_form(A, x: np.ndarray) -> float:
-    """x.A.x with the product taken as A @ x; x @ A transposes a sparse A."""
+def _quadratic_form(A: CooMatrix, x: np.ndarray) -> float:
+    """x.A.x with the product taken as A @ x."""
     return float(x @ (A @ x))
+
+
+# largest interior block of the dissection, in dofs
+BLOCK = 32
+
+
+class BandFactor:
+    """Solver for a symmetric positive definite A whose half-bandwidth is 3
+    once dof i moves to position rank[i].
+
+    One-level nested dissection (George, SIAM J. Numer. Anal. 10, 1973): in
+    that order the dofs form g groups of w = b + 3, an interior block of
+    b <= BLOCK dofs and a 3-dof separator, which decouples the blocks on its
+    two sides.  The blocks are inverted in one batched call; the separators
+    solve with the inverse of the dense Schur complement S = C - B^T.A_I^-1.B
+    of A = [[A_I, B], [B^T, C]], blocks first.  A solve is a fixed number of
+    batched numpy calls for any n; dofs past n pad the last group as identity.
+    """
+
+    def __init__(self, A: CooMatrix, rank: np.ndarray):
+        rows, cols, vals = A.merged()
+        if not np.all(np.isfinite(vals)):
+            raise AssemblyError("step matrix holds a non-finite entry")
+        if np.any(np.abs(rank[rows] - rank[cols]) > 3):
+            raise AssemblyError("step matrix is not banded in node order")
+        g = -(-A.n // (BLOCK + 3))
+        w = max(-(-A.n // g), 3)
+        b = w - 3
+        pad = np.arange(A.n, g * w)
+        rows, cols = (np.concatenate([rank[i], pad]) for i in (rows, cols))
+        # entry (r, c) goes to the window of group k = max(r, c) // w: the
+        # separator before that group (its first 3 rows), then its w dofs
+        k = np.maximum(rows, cols) // w
+        E = np.zeros((g, w + 3, w + 3))
+        E[k, rows - k * w + 3, cols - k * w + 3] = np.append(vals, np.ones(pad.size))
+        sep = np.r_[0:3, w:w + 3]    # separators k - 1 and k of block k
+        blocks = E[:, 3:w, 3:w]
+        coupling = np.ascontiguousarray(E[:, 3:w][:, :, sep])
+        # separators k - 1 and k are rows 3k .. 3k + 6 of a Schur complement
+        # that starts with an unused separator -1
+        window = 3 * np.arange(g)[:, None, None] + np.arange(6)[:, None]
+        at = (window, window.transpose(0, 2, 1))
+        try:
+            np.linalg.cholesky(blocks)
+            inv = np.linalg.inv(blocks)
+            W = inv @ coupling
+            C, BW = np.zeros((2, 3 * g + 3, 3 * g + 3))
+            np.add.at(C, at, E[:, sep][:, :, sep])
+            np.add.at(BW, at, coupling.transpose(0, 2, 1) @ W)
+            S = C[3:, 3:] - BW[3:, 3:]
+            np.linalg.cholesky(S)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError("step matrix is not positive definite") from exc
+        self._inv_S = np.linalg.inv(S)
+        # one product gives A_I^-1.f_I and the coupling's share W^T.f_I
+        self._forward = np.concatenate([inv, W.transpose(0, 2, 1)], axis=1)
+        self._W, self._window = W, window
+        self._rank, self._g, self._b = rank, g, b
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """A^-1.f for one vector f."""
+        g, b = self._g, self._b
+        F = np.zeros((g, b + 3, 1))
+        F.ravel()[self._rank] = f
+        yt = np.zeros((g + 1, b + 6, 1))  # an empty group after the last
+        np.matmul(self._forward, F[:, :b], out=yt[:g])
+        # separator k takes the coupling shares of blocks k and k + 1
+        rS = F[:, b:] - yt[:g, b + 3:] - yt[1:, b:b + 3]
+        xS = np.zeros(3 * g + 3)
+        np.matmul(self._inv_S, rS.ravel(), out=xS[3:])
+        xI = yt[:g, :b] - self._W @ xS[self._window]
+        X = np.concatenate([xI, xS[3:].reshape(g, 3, 1)], axis=1)
+        return X.ravel()[self._rank]
 
 
 def integrate_primitive(mesh: Mesh, nodal: np.ndarray, law: ForceLaw) -> float:
@@ -211,10 +286,10 @@ class MidpointStepper:
     """One-step solver bound to a system, its laws and a step size.
 
     With delta = u+ - u the midpoint equations read J delta + r0 = loads of
-    the midpoint, where J = 2/dt^2 M + D/dt + K/2 is factored once per dt and
-    r0 = K u - 2/dt M w - load once per step.  A correction costs one product
-    with J and one solve with its factor: Newton on linear and contact steps,
-    chord Newton once a body law is on (its slope is left out of the tangent).
+    the midpoint, where J = 2/dt^2 M + D/dt + K/2 gets a BandFactor once per
+    dt and r0 = K u - 2/dt M w - load once per step.  A correction costs one
+    product with J and one solve with its factor: Newton on linear and contact
+    steps, chord Newton once a body law is on (its slope is left out).
     """
 
     def __init__(self, system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig):
@@ -240,41 +315,44 @@ class MidpointStepper:
         return self.system.reduce(load)
 
     def _base_operators(self, dt: float):
-        """Cached (J, SuperLU factor of J, force scale, z = J^{-1} e_tip) for dt."""
+        """Cached (J, factor of J, force scale, z = J^{-1} e_tip) for dt."""
         hit = self._cache.get(dt)
         if hit is not None:
             return hit
-        import scipy.sparse.linalg as spla
-
         sysm = self.system
-        J = (2.0 / dt**2 * sysm.M + sysm.D / dt + 0.5 * sysm.K).tocsc()
-        # J is symmetric positive definite: symmetric ordering, no pivoting
-        lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        M, D, K = sysm.M, sysm.D, sysm.K
+        # each entry is (2/dt^2 m + d/dt) + k/2 of the merged operators
+        (mr, mc, mv), (dr, dc, dv), (kr, kc, kv) = M.merged(), D.merged(), K.merged()
+        J = CooMatrix(np.concatenate([mr, dr, kr]), np.concatenate([mc, dc, kc]),
+                      np.concatenate([2.0 / dt**2 * mv, dv / dt, 0.5 * kv]),
+                      sysm.n_free)
+        factor = BandFactor(J, sysm.node_rank)
         fscale = (
-            2.0 / dt**2 * abs(sysm.M).sum(axis=1).max()
-            + abs(sysm.D).sum(axis=1).max() / dt
-            + 0.5 * abs(sysm.K).sum(axis=1).max()
+            2.0 / dt**2 * M.abs_row_sums().max()
+            + D.abs_row_sums().max() / dt
+            + 0.5 * K.abs_row_sums().max()
         )
         e_tip = np.zeros(sysm.n_free)
         e_tip[sysm.tip_slot] = 1.0
-        z_tip = lu.solve(e_tip)
-        hit = (J, lu, fscale, z_tip)
+        z_tip = factor.solve(e_tip)
+        hit = (J, factor, fscale, z_tip)
         self._cache[dt] = hit
         return hit
 
     def _body_force_reduced(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """Body-force load on the reduced dofs, left Gauss shares first."""
         nn = self.mesh.nn
-        out = np.zeros(2 * nn)
-        for offset, nodal, law in ((0, phi, self.laws.force_f),
-                                   (nn, psi, self.laws.force_g)):
-            if law.mu == 0.0:
-                continue
-            contrib = self.mesh.gauss_weights * body_force(
-                self.mesh.at_gauss(nodal), law)
-            out[offset:offset + nn - 1] += contrib @ N_LEFT
-            out[offset + 1:offset + nn] += contrib @ N_RIGHT
-        return self.system.reduce(out)
+        out = np.zeros(self.system.n_free)
+        mesh, law_f, law_g = self.mesh, self.laws.force_f, self.laws.force_g
+        if law_f.mu != 0.0:
+            contrib = mesh.gauss_weights * body_force(mesh.at_gauss(phi), law_f)
+            out[:nn - 2] += (contrib @ N_LEFT)[1:]
+            out[:nn - 1] += contrib @ N_RIGHT
+        if law_g.mu != 0.0:
+            contrib = mesh.gauss_weights * body_force(mesh.at_gauss(psi), law_g)
+            out[nn - 1:] += contrib @ N_LEFT
+            out[nn:] += (contrib @ N_RIGHT)[:-1]
+        return out
 
     # -- core solve --------------------------------------------------------
 
@@ -291,7 +369,7 @@ class MidpointStepper:
 
     def _solve_step(self, u, w, dt, t_next):
         sysm = self.system
-        J, lu, fscale, z_tip = self._base_operators(dt)
+        J, factor, fscale, z_tip = self._base_operators(dt)
         tip = sysm.tip_slot
         r0 = sysm.K @ u - (2.0 / dt) * (sysm.M @ w) - self._load
         delta = dt * w
@@ -304,7 +382,7 @@ class MidpointStepper:
                 wp = 2.0 * delta / dt - w
                 return up, wp, it, res
             # chord step: body slope left out, contact slope by Sherman-Morrison
-            step = lu.solve(-R)
+            step = factor.solve(-R)
             c = -0.5 * contact_stiffness(u[tip] + 0.5 * delta[tip], self.laws.contact)
             if c != 0.0:
                 step -= (c * step[tip] / (1.0 + c * z_tip[tip])) * z_tip

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from conftest import desk_beam, desk_system
 from gapbeam import (
@@ -18,7 +19,7 @@ from gapbeam import (
     recover_stress,
     simulate,
 )
-from gapbeam.discretize import AssemblyError, element_strains
+from gapbeam.discretize import AssemblyError, CooMatrix, element_strains
 
 
 class TestBuildMesh:
@@ -50,21 +51,21 @@ class TestBuildMesh:
 
 class TestAssemble:
     def test_no_damping_gives_zero_d(self, conservative_system):
-        assert conservative_system.D.count_nonzero() == 0
+        assert np.count_nonzero(conservative_system.D.toarray()) == 0
 
     def test_damping_rank_at_most_three(self):
         system = desk_system(ne=12, gamma1=1.0, gamma2=2.0,
                              tip=TipParams(enabled=True, epsilon=0.5))
         assert np.linalg.matrix_rank(system.D.toarray()) == 3
-        assert system.D[system.xi_phi_slot, system.xi_phi_slot] == 1.0
-        assert system.D[system.xi_psi_slot, system.xi_psi_slot] == 2.0
-        assert system.D[system.tip_slot, system.tip_slot] == 0.5
+        assert system.D.toarray()[system.xi_phi_slot, system.xi_phi_slot] == 1.0
+        assert system.D.toarray()[system.xi_psi_slot, system.xi_psi_slot] == 2.0
+        assert system.D.toarray()[system.tip_slot, system.tip_slot] == 0.5
 
     def test_tip_damping_can_be_zeroed(self):
         system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=0.5,
                                                  damping_on=False))
-        assert system.D.count_nonzero() == 0
-        assert system.M[system.tip_slot, system.tip_slot] > 0.5
+        assert np.count_nonzero(system.D.toarray()) == 0
+        assert system.M.toarray()[system.tip_slot, system.tip_slot] > 0.5
 
     def test_mass_of_uniform_velocity(self):
         # the eliminated phi(0) and psi(ell) each take 2h/3 of their field's
@@ -142,6 +143,47 @@ class TestAssemble:
                       [np.zeros((n, n)), system.M.toarray()]])
         lam = sla.eig(A, B, right=False)
         assert np.max(np.abs(lam.real)) < 1e-10
+
+
+class TestProducts:
+    """A @ x and x @ A on the fixed-width arrays against the dense matrix."""
+
+    @staticmethod
+    def assert_products(A, seed):
+        dense = A.toarray()
+        rng = np.random.default_rng(seed)
+        x, X = rng.standard_normal(A.n), rng.standard_normal((3, A.n))
+        atol = 1e-14 * np.abs(dense).sum(axis=1).max() * np.abs(X).max()
+        np.testing.assert_allclose(A @ x, dense @ x, rtol=0, atol=atol)
+        np.testing.assert_allclose(x @ A, x @ dense, rtol=0, atol=atol)
+        np.testing.assert_allclose(X @ A, X @ dense, rtol=0, atol=atol)
+        np.testing.assert_allclose(A.abs_row_sums(), np.abs(dense).sum(axis=1),
+                                   rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["M", "K", "D"])
+    def test_operators(self, name):
+        system = desk_system(ne=12, gamma1=1.0, gamma2=2.0, xi=Fraction(2, 5),
+                             tip=TipParams(enabled=True, epsilon=0.4))
+        self.assert_products(getattr(system, name), seed=len(name))
+
+    def test_unsymmetric_list_with_repeats_and_empty_rows(self):
+        # a transposed product or a lost repeat would show here, where the
+        # symmetric operators cannot tell x @ A from A @ x
+        rng = np.random.default_rng(4)
+        n, nnz = 9, 40
+        A = CooMatrix(rng.integers(0, n - 2, nnz), rng.integers(0, n, nnz),
+                      rng.standard_normal(nnz), n)
+        assert np.any(A.toarray() != A.toarray().T)
+        self.assert_products(A, seed=5)
+
+    def test_row_sums_add_in_column_order_as_csr(self):
+        # the step's force scale reads these sums; they equal scipy's CSR
+        # row sums bit for bit
+        system = desk_system(ne=64, gamma1=1.0, gamma2=1.0,
+                             tip=TipParams(enabled=True, epsilon=1e-2))
+        for A in (system.M, system.K, system.D):
+            csr = sp.csr_array((A.vals, (A.rows, A.cols)), shape=(A.n, A.n))
+            assert np.array_equal(A.abs_row_sums(), abs(csr).sum(axis=1))
 
 
 def dense_reference_operators(mesh, beam, tip):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
@@ -29,12 +30,13 @@ def generalized_qz_eigenvalues(system):
 class TestGenerator:
     def test_pencil_shape_and_blocks(self, damped_system):
         # the pencil carries the system's coordinate lists, nothing densified
-        # and no CSR built
+        # and no product arrays built
         pen = generator(damped_system)
-        assert pen.K is damped_system.K_coo
-        assert pen.D is damped_system.D_coo
-        assert pen.M is damped_system.M_coo
-        assert not {"M", "K", "D"} & set(vars(damped_system))
+        assert pen.K is damped_system.K
+        assert pen.D is damped_system.D
+        assert pen.M is damped_system.M
+        for op in (pen.K, pen.D, pen.M):
+            assert not {"_by_row", "_by_col"} & set(vars(op))
         assert pen.n == 2 * damped_system.n_free
         assert pen.model == "non-hybrid"
         assert pen.epsilon is None
@@ -103,7 +105,8 @@ class TestSpectrum:
         system = desk_system(ne=128, gamma1=1.0)
         rep = spectrum(generator(system))
         lam = rep.eigenvalues[0]
-        K, D, M = (op.tocsc() for op in (system.K, system.D, system.M))
+        K, D, M = (sp.csc_array((op.vals, (op.rows, op.cols)), shape=(op.n, op.n))
+                   for op in (system.K, system.D, system.M))
         x = np.ones(system.n_free, dtype=complex)
         for _ in range(3):
             x = spla.spsolve((lam**2 * M + lam * D + K).tocsc(),
@@ -143,9 +146,9 @@ class TestSpectrum:
         assert "shift" not in msg  # no pointer to a removed option
 
     def test_indefinite_stiffness_is_an_assembly_error(self, damped_system):
-        K = damped_system.K_coo
+        K = damped_system.K
         system = dataclasses.replace(
-            damped_system, K_coo=dataclasses.replace(K, vals=-K.vals))
+            damped_system, K=dataclasses.replace(K, vals=-K.vals))
         with pytest.raises(AssemblyError, match="stiffness operator is not positive"):
             spectrum(generator(system))
 
@@ -177,7 +180,7 @@ class TestMassFactor:
 
     def test_mass_factor_reproduces_mass(self):
         system = desk_system(ne=16, tip=TipParams(enabled=True, epsilon=1e-4))
-        M = system.M_coo
+        M = system.M
         lower, below = tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
         L = np.diag(lower) + np.diag(below, -1)
         np.testing.assert_allclose(L @ L.T, system.M.toarray(), rtol=0.0,
@@ -218,11 +221,11 @@ class TestStopHeldTip:
     def test_held_abscissa_hundredfold_closer_to_zero(self, ne):
         system = desk_system(ne=ne, gamma1=1.0, gamma2=1.0,
                              tip=TipParams(enabled=True, epsilon=1e-4))
-        K, tip = system.K_coo, system.tip_slot
+        K, tip = system.K, system.tip_slot
         held_K = dataclasses.replace(K, rows=np.append(K.rows, tip),
                                      cols=np.append(K.cols, tip),
                                      vals=np.append(K.vals, 1.0 / 1e-4))
-        held = dataclasses.replace(system, K_coo=held_K)
+        held = dataclasses.replace(system, K=held_K)
         free_abscissa = spectrum(generator(system)).abscissa
         held_abscissa = spectrum(generator(held)).abscissa
         assert free_abscissa < 0.0 and held_abscissa < 0.0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -20,9 +22,9 @@ from gapbeam import (
     state_norm,
     total_energy,
 )
-from gapbeam.discretize import N_LEFT, N_RIGHT
+from gapbeam.discretize import N_LEFT, N_RIGHT, AssemblyError, CooMatrix
 from gapbeam.model import body_force, contact_stiffness, contact_traction
-from gapbeam.timestep import MidpointStepper
+from gapbeam.timestep import BLOCK, BandFactor, MidpointStepper
 
 LINEAR = Laws()
 
@@ -301,6 +303,90 @@ class TestSparseStepAgainstDense:
         assert iterations == 2
 
 
+def banded_spd(n, seed):
+    """A random diagonally dominant SPD matrix of half-bandwidth 3, with its
+    dofs shuffled: returned as (coordinate list, dense, rank), where dof i
+    sits at position rank[i] of the banded order."""
+    rng = np.random.default_rng(seed)
+    B = np.zeros((n, n))
+    for k in range(1, min(n, 4)):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        B += np.diag(off, k) + np.diag(off, -k)
+    B += np.diag(np.abs(B).sum(axis=1) + rng.uniform(0.5, 1.5, n))
+    rank = rng.permutation(n)
+    A = B[np.ix_(rank, rank)]
+    rows, cols = np.nonzero(A)
+    return CooMatrix(rows, cols, A[rows, cols], n), A, rank
+
+
+def assert_solves(factor, dense, seed=0):
+    """factor.solve agrees with np.linalg.solve to 1e-13 relative."""
+    rng = np.random.default_rng(seed)
+    for f in (rng.standard_normal(len(dense)), np.eye(len(dense))[-1]):
+        ref = np.linalg.solve(dense, f)
+        np.testing.assert_allclose(factor.solve(f), ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+class TestBandFactor:
+    @pytest.mark.parametrize("n", [1, 4, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 3,
+                                   BLOCK + 4, 2 * (BLOCK + 3) + 1, 12 * BLOCK + 5])
+    def test_solve_matches_dense_solve(self, n):
+        A, dense, rank = banded_spd(n, seed=n)
+        assert_solves(BandFactor(A, rank), dense, seed=n)
+
+    # n = 2 ne dofs: below BLOCK, equal to it, above it, many times it
+    @pytest.mark.parametrize("ne", [4, BLOCK // 2, BLOCK // 2 + 1, 6 * BLOCK])
+    @pytest.mark.parametrize("tip", [TipParams(),
+                                     TipParams(enabled=True, epsilon=0.3)],
+                             ids=["free_end", "damped_tip"])
+    def test_step_matrix_solve_matches_dense_solve(self, ne, tip):
+        system = desk_system(ne=ne, gamma1=1.0, gamma2=0.5, xi=Fraction(2, 5),
+                             tip=tip)
+        for dt in (1e-3, 1e-2):
+            stepper = MidpointStepper(system, LINEAR, SchemeConfig(dt=dt))
+            J, factor, _, z_tip = stepper._base_operators(dt)
+            dense = J.toarray()
+            np.testing.assert_allclose(
+                dense, 2.0 / dt**2 * system.M.toarray()
+                + system.D.toarray() / dt + 0.5 * system.K.toarray(),
+                rtol=1e-15, atol=0.0)
+            assert_solves(factor, dense, seed=ne)
+            e_tip = np.eye(system.n_free)[system.tip_slot]
+            np.testing.assert_allclose(z_tip, np.linalg.solve(dense, e_tip),
+                                       rtol=0, atol=1e-13 * np.abs(z_tip).max())
+            x = np.random.default_rng(ne).standard_normal(J.n)
+            scale = np.abs(dense).max() * np.abs(x).max()
+            np.testing.assert_allclose(J @ x, dense @ x, rtol=0,
+                                       atol=1e-14 * scale)
+            np.testing.assert_allclose(x @ J, x @ dense, rtol=0,
+                                       atol=1e-14 * scale)
+
+    def test_any_negative_pivot_is_an_assembly_error(self):
+        # one negative diagonal entry makes A indefinite, whether it falls in
+        # an interior block or in a separator
+        n = 2 * (BLOCK + 3) + 5
+        A, _, rank = banded_spd(n, seed=1)
+        for i in range(n):
+            vals = np.where((A.rows == i) & (A.cols == i), -1.0, A.vals)
+            with pytest.raises(AssemblyError, match="not positive definite"):
+                BandFactor(CooMatrix(A.rows, A.cols, vals, n), rank)
+
+    def test_nan_is_an_assembly_error(self):
+        A, _, rank = banded_spd(BLOCK + 8, seed=2)
+        vals = A.vals.copy()
+        vals[len(vals) // 2] = np.nan
+        with pytest.raises(AssemblyError, match="non-finite"):
+            BandFactor(CooMatrix(A.rows, A.cols, vals, A.n), rank)
+
+    def test_entry_outside_the_band_is_an_assembly_error(self):
+        A, _, rank = banded_spd(20, seed=3)
+        far = np.argsort(rank)[[0, 10]]   # positions 0 and 10 of the band
+        with pytest.raises(AssemblyError, match="not banded"):
+            BandFactor(CooMatrix(np.append(A.rows, far), np.append(A.cols, far[::-1]),
+                                 np.append(A.vals, [0.1, 0.1]), A.n), rank)
+
+
 def contact_laws():
     """Hypothesis strategy: each of the three contact laws."""
     gaps = {"g_lo": st.floats(-0.05, -0.001), "g_hi": st.floats(0.001, 0.05)}
@@ -341,6 +427,50 @@ class TestStepContract:
         scale = np.abs(u).max() + np.abs(up).max() + dt * np.abs(w).max()
         np.testing.assert_allclose(wp, 2.0 * (up - u) / dt - w, rtol=0,
                                    atol=1e-14 * scale / dt)
+
+
+class TestEnergyIdentity:
+    @given(force_f=force_laws(), force_g=force_laws(), contact=contact_laws(),
+           tip_eps=st.none() | st.floats(0.05, 1.0),
+           gamma1=st.floats(0.0, 2.0), gamma2=st.floats(0.0, 2.0),
+           radius=st.floats(0.1, 2.0), seed=st.integers(0, 2**16),
+           dt=st.floats(1e-4, 1e-2))
+    def test_one_step_energy_identity(self, force_f, force_g, contact, tip_eps,
+                                      gamma1, gamma2, radius, seed, dt):
+        # dotting the midpoint equations with delta = u+ - u gives
+        #   E(u+, w+) - E(u, w) + dt wm.D.wm = delta.F(um),
+        # E = w.M.w/2 + u.K.u/2 and F the constant load, minus the body
+        # force, plus the contact traction at um; the accepted step leaves a
+        # residual R of at most newton_tol * fscale * max(1, |u+|), so the
+        # defect delta.R stays within that scale times |delta|
+        tip = TipParams() if tip_eps is None else TipParams(enabled=True,
+                                                            epsilon=tip_eps)
+        system = desk_system(ne=8, gamma1=gamma1, gamma2=gamma2, tip=tip)
+        laws = Laws(contact=contact, force_f=force_f, force_g=force_g)
+        cfg = SchemeConfig(dt=dt)
+        u, w = initial_state(system, "random_ball", radius=radius,
+                             seed=seed).pack(system)
+        up, wp, _, _ = MidpointStepper(system, laws, cfg)._solve_step(u, w, dt, dt)
+        M, K, D = (A.toarray() for A in (system.M, system.K, system.D))
+        delta, um = up - u, 0.5 * (u + up)
+        wm = delta / dt
+        h = system.mesh.widths
+        nodal_load = (np.append(h, 0.0) + np.insert(h, 0, 0.0)) / 2.0
+        load = system.reduce(np.concatenate([force_f.f0 * nodal_load,
+                                             force_g.f0 * nodal_load]))
+        body, _ = dense_body_terms(system, laws, um)
+        F = load - body
+        F[system.tip_slot] += contact_traction(um[system.tip_slot], contact)
+
+        def quadratic_energy(u, w):
+            return 0.5 * w @ M @ w + 0.5 * u @ K @ u
+
+        defect = (quadratic_energy(up, wp) - quadratic_energy(u, w)
+                  + dt * wm @ D @ wm - delta @ F)
+        m, d, k = (np.abs(A).sum(axis=1).max() for A in (M, D, K))
+        fscale = 2.0 / dt**2 * m + d / dt + 0.5 * k
+        tol = cfg.newton_tol * fscale * max(1.0, np.linalg.norm(up))
+        assert abs(defect) <= 2.0 * tol * np.linalg.norm(delta) + 1e-13
 
 
 class TestInitialData:
