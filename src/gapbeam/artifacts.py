@@ -77,33 +77,24 @@ def write_summary(path: str | Path, entries: dict) -> None:
 
 def save_snapshot(path: str | Path, state: State) -> None:
     """Binary state dump: magic, version, node count, time, four raw arrays."""
+    fields = (state.phi, state.psi, state.phi_t, state.psi_t)
     nn = len(state.phi)
-    parts = [_SNAP_MAGIC, struct.pack("<II", _SNAP_VERSION, nn),
-             struct.pack("<d", state.t)]
-    for arr in (state.phi, state.psi, state.phi_t, state.psi_t):
-        a = np.ascontiguousarray(arr, dtype="<f8")
-        if len(a) != nn:
-            raise ValueError("state arrays have inconsistent lengths")
-        parts.append(a.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    if any(len(a) != nn for a in fields):
+        raise ValueError("state arrays have inconsistent lengths")
+    head = _SNAP_MAGIC + struct.pack("<IId", _SNAP_VERSION, nn, state.t)
+    Path(path).write_bytes(head + np.asarray(fields, dtype="<f8").tobytes())
 
 
 def load_snapshot(path: str | Path) -> State:
     blob = Path(path).read_bytes()
-    if not blob.startswith(_SNAP_MAGIC):
-        raise ValueError(f"{path}: not a snapshot file")
-    off = len(_SNAP_MAGIC)
-    version, nn = struct.unpack_from("<II", blob, off)
+    head = len(_SNAP_MAGIC) + 16
+    if not blob.startswith(_SNAP_MAGIC) or len(blob) < head:
+        raise ValueError(f"{path}: not a snapshot file, or its header is cut")
+    version, nn, t = struct.unpack_from("<IId", blob, len(_SNAP_MAGIC))
     if version != _SNAP_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
-    off += 8
-    (t,) = struct.unpack_from("<d", blob, off)
-    off += 8
-    arrays = []
-    for _ in range(4):
-        arr = np.frombuffer(blob, dtype="<f8", count=nn, offset=off).copy()
-        arrays.append(arr)
-        off += 8 * nn
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in snapshot")
-    return State(arrays[0], arrays[1], arrays[2], arrays[3], t)
+    if len(blob) != head + 32 * nn:
+        raise ValueError(f"{path}: {len(blob)} bytes, where a snapshot of {nn} "
+                         f"nodes takes {head + 32 * nn}")
+    fields = np.frombuffer(blob, dtype="<f8", offset=head).reshape(4, nn)
+    return State(*fields.copy(), t)

@@ -5,8 +5,8 @@ takes --config <key=value file> and --out <directory>.  Exit codes: 0 success,
 2 configuration error, 3 solver failure, 4 I/O failure.
 
 The rows of a sweep (sweep-eps, sweep-xi and the epsilon study of spectrum)
-run on up to sweep.workers processes, by default as many as the CPUs this
-process may use; the artifacts do not depend on the number of workers.
+run here and in forked children that pipe their rows back, up to sweep.workers
+processes (default: the usable CPUs); artifacts do not depend on their number.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
-    """One penalty-sweep row; returns plain scalars so rows cross process pools."""
+    """One penalty-sweep row; returns plain scalars so rows cross processes."""
     base = cfg.contact
     contact = SignoriniPenalty(eps_pen=eps_pen, g_lo=base.g_lo, g_hi=base.g_hi)
     tip = cfg.tip

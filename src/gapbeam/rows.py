@@ -2,12 +2,19 @@
 
 Every row of a sweep is a pure function of its inputs, so rows can run in any
 process and in any order; map_rows hands the results back in input order, and
-the artifacts built from them do not depend on the number of workers.
+the artifacts built from them do not depend on the number of workers.  A
+worker is a bare os.fork child that pickles its rows into its own pipe.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from collections.abc import Callable, Sequence
+
+
+class RowWorkerError(RuntimeError):
+    """A forked worker ended without handing back its rows."""
 
 
 def map_rows(fn: Callable, jobs: Sequence[tuple],
@@ -17,27 +24,31 @@ def map_rows(fn: Callable, jobs: Sequence[tuple],
     The jobs are dealt longest-first by weight (equal weights when None), each
     to the bin with the least weight so far, into min(workers, len(jobs))
     bins.  Bin 0 runs in the calling process, so its share of the work stays
-    visible to in-process profilers; every other bin is one task of a forked
-    process pool.  An exception raised by any bin reaches the caller.  fn must
-    be a module-level function, and jobs and results must pickle.
+    visible to in-process profilers; every other bin runs in a forked child.
+    Every child is reaped before an exception reaches the caller: bin 0's
+    first, then the children's in bin order.  Results must pickle.
     """
     n_bins = min(workers, len(jobs))
     if n_bins <= 1:
         return [fn(*job) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     bins = _deal(weights or [1] * len(jobs), n_bins)
-    # fork, not spawn: a worker inherits the imported package and numpy
-    # instead of importing them again
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(n_bins - 1, mp_context=fork) as pool:
-        futures = [pool.submit(_run_bin, fn, [jobs[i] for i in b])
-                   for b in bins[1:]]
-        parts = [_run_bin(fn, [jobs[i] for i in bins[0]])]
-        parts += [future.result() for future in futures]
+    children, outcomes = [], []
+    try:
+        for b in bins[1:]:
+            children.append(_fork_bin(fn, [jobs[i] for i in b]))
+        outcomes.append((True, [fn(*jobs[i]) for i in bins[0]]))
+    finally:
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            outcomes.append(pickle.loads(data) if status == 0 and data else (
+                False, RowWorkerError(f"row worker {pid} ended with exit "
+                                      f"status {status} and no result")))
     results = [None] * len(jobs)
-    for b, part in zip(bins, parts):
+    for b, (ok, part) in zip(bins, outcomes):
+        if not ok:
+            raise part
         for i, result in zip(b, part):
             results[i] = result
     return results
@@ -58,5 +69,21 @@ def _deal(weights: Sequence[float], n_bins: int) -> list[list[int]]:
     return bins
 
 
-def _run_bin(fn: Callable, jobs: list[tuple]) -> list:
-    return [fn(*job) for job in jobs]
+def _fork_bin(fn: Callable, jobs: list[tuple]) -> tuple[int, int]:
+    """Fork a child that pickles (ok, its rows or exception) into a pipe."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1  # os._exit: the cleanup and buffers are the parent's
+        try:
+            try:
+                outcome = (True, [fn(*job) for job in jobs])
+            except Exception as exc:
+                outcome = (False, exc)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)  # before the next fork: EOF means this child is gone
+    return pid, read_end

@@ -102,7 +102,8 @@ def energy_form(pencil: GeneratorPencil) -> np.ndarray:
     Bt = lower_solve(L, Rt)     # B^T = L^-1.R^T, in place of R^T
     A[:n, n:] = Bt.T
     np.negative(Bt, out=A[n:, :n])
-    S = np.unique(np.concatenate([D.rows, D.cols]))
+    # the sorted slots of np.unique, without its import of numpy.ma
+    S = np.flatnonzero(np.bincount(np.concatenate([D.rows, D.cols])))
     if S.size:
         unit = np.zeros((n, S.size))
         unit[S, np.arange(S.size)] = 1.0

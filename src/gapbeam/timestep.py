@@ -444,18 +444,19 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
     traj.dissipated_cum.append(0.0)
 
     for k in range(1, n_steps + 1):
+        t = state0.t + (k - 1) * cfg.dt
         try:
-            up, wp = stepper.step_reduced(u, w, state.t)
+            up, wp = stepper.step_reduced(u, w, t)
         except NewtonDivergence as exc:
-            exc.t = state.t + cfg.dt
+            exc.t = t + cfg.dt
             raise
         wm = (up - u) / cfg.dt
         d_step = cfg.dt * _quadratic_form(system.D, wm)
         dissipated += d_step
         diss_since_sample += d_step
         u, w = up, wp
-        state = State.from_reduced(system, u, w, state0.t + k * cfg.dt)
         if k % sample_stride == 0 or k == n_steps:
+            state = State.from_reduced(system, u, w, state0.t + k * cfg.dt)
             energy_now = total_energy(system, state, laws)
             traj.times.append(state.t)
             traj.states.append(state)

@@ -353,18 +353,21 @@ def test_sweep_rows_do_not_depend_on_workers(tmp_path, command, extra,
     ("sweep-eps", {"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
                    "contact.g_lo": "-0.05", "contact.g_hi": "0.05",
                    "sweep.eps_pen": "1e-1, 1e-2", "sweep.workers": "2"}),
-    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16"}),
-    ("spectrum", {"sweep.epsilon": "1e-1, 1e-2"}),
+    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16",
+                  "sweep.workers": "2"}),
+    ("spectrum", {"sweep.epsilon": "1e-1, 1e-2", "sweep.workers": "2"}),
     ("observability", {"run.stride": "5"}),
 ], ids=["simulate", "sweep-eps", "sweep-xi", "spectrum", "observability"])
 def test_commands_run_with_scipy_blocked(tmp_path, command, extra):
-    # the package is numpy only: every command runs in an interpreter where
-    # importing scipy fails
+    # every command runs, sweeps on two processes included, in an interpreter
+    # where importing scipy, numpy.ma or a process-pool module fails
     text = "".join(f"{k} = {v}\n" for k, v in {**BASE_MAP, **extra}.items())
     argv = [command, "--config", write_cfg(tmp_path, text), "--out",
             str(tmp_path / "o")]
     code = ("import sys\n"
-            "sys.modules['scipy'] = None\n"
+            "for name in ('scipy', 'numpy.ma', 'multiprocessing',\n"
+            "             'concurrent.futures'):\n"
+            "    sys.modules[name] = None\n"
             "from gapbeam.cli import main\n"
             f"print(main({argv!r}))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(gapbeam.__file__).parents[1]))

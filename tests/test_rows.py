@@ -1,13 +1,16 @@
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gapbeam
-from gapbeam.rows import map_rows
+from gapbeam.rows import RowWorkerError, map_rows
 from gapbeam.spectral import DimensionCapExceeded
 from gapbeam.timestep import NewtonDivergence
 
@@ -50,16 +53,71 @@ def test_worker_exception_reaches_caller():
         (0.5, 2e-3, 25)
 
 
+def exiting_row(i):
+    if i == 3:
+        os._exit(3)
+    return i
+
+
+def slow_failing_row(i):
+    if i == 1:
+        raise ValueError("bin 0 failed")
+    time.sleep(0.2)
+    return i
+
+
+def megabyte_row(i):
+    return i, np.full(1 << 17, float(i))
+
+
+@pytest.fixture
+def deadline():
+    """Turn a map_rows that hangs on its pipes into a failure after 30 s."""
+    def expire(signum, frame):
+        raise TimeoutError("map_rows did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_worker_that_exits_without_a_result_is_named(deadline):
+    with pytest.raises(RowWorkerError, match="exit status 3"):
+        map_rows(exiting_row, [(i,) for i in range(5)], WEIGHTS, workers=2)
+
+
+def test_bin_zero_error_waits_for_every_child(deadline):
+    # job 1 is the heaviest, so it runs in the caller and fails at once while
+    # the two workers are still asleep
+    with pytest.raises(ValueError, match="bin 0 failed"):
+        map_rows(slow_failing_row, [(i,) for i in range(5)], WEIGHTS,
+                 workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_intact(deadline):
+    out = map_rows(megabyte_row, [(i,) for i in range(6)], workers=3)
+    assert [i for i, _ in out] == list(range(6))
+    for i, arr in out:
+        assert arr.nbytes == 1 << 20 and (arr == float(i)).all()
+
+
 def test_no_pool_module_without_a_second_bin():
+    # with one bin or two: a second bin is a bare fork, not a pool
     code = ("import sys, gapbeam.cli\n"
             "from gapbeam.rows import map_rows\n"
             "map_rows(abs, [(-1,), (-2,)], workers=1)\n"
             "map_rows(abs, [(-1,)], workers=4)\n"
-            "print('concurrent.futures.process' in sys.modules)\n")
+            "assert map_rows(abs, [(-1,), (-2,)], workers=2) == [1, 2]\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures')\n"
+            "       if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(gapbeam.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("exc, fields", [
