@@ -38,7 +38,8 @@ from .diagnostics import (
     fit_decay,
     observability,
 )
-from .discretize import SemiDiscreteSystem, assemble, build_mesh, recover_stress
+from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
+                         recover_stress)
 from .model import (
     NoContact,
     SignoriniPenalty,
@@ -67,12 +68,7 @@ def build_system(cfg: ExperimentConfig) -> SemiDiscreteSystem:
 
 
 def make_initial(cfg: ExperimentConfig, system: SemiDiscreteSystem):
-    init = cfg.init
-    return initial_state(
-        system, init.kind, amplitude=init.amplitude,
-        amplitude_psi=init.amplitude_psi, mode=init.mode, center=init.center,
-        width=init.width, radius=init.radius, seed=cfg.seed,
-    )
+    return initial_state(system, **vars(cfg.init), seed=cfg.seed)
 
 
 def _run(cfg: ExperimentConfig):
@@ -330,7 +326,8 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, AssemblyError) as exc:
+        # an AssemblyError is a finite config whose operators are unusable
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NewtonDivergence as exc:

@@ -4,14 +4,17 @@ The format is line oriented: one `dotted.path=value` per line, `#` comments,
 blank lines ignored.  Lists are comma separated; the damper location is given
 as an exact fraction (`beam.xi_num`, `beam.xi_den`) or as a real override
 (`beam.xi`), in which case location verdicts report irrational input.
+
+The parameter records are the schema: key `section.field` sets that field,
+parsed by its annotation, and an absent key keeps the record's default.  A
+record's __post_init__ checks its fields; its ParamError names the key.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,9 +34,9 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending field path."""
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on: the default sweep.workers."""
-    return len(os.sched_getaffinity(0))
+def eps_row_dir(eps_pen: float) -> str:
+    """Directory of one sweep-eps row; SweepSpec keeps these distinct."""
+    return f"eps_{eps_pen:g}"
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,12 @@ class InitSpec:
     width: float | None = None
     radius: float = 1.0
 
+    def __post_init__(self):
+        if self.width is not None and self.width <= 0.0:
+            raise ParamError("width", "must be positive")
+        if self.radius <= 0.0:
+            raise ParamError("radius", "must be positive")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -57,7 +66,29 @@ class SweepSpec:
     # the rows of a sweep run on up to this many processes (never more than
     # there are rows), by default the usable CPUs; the artifacts do not
     # depend on it
-    workers: int = field(default_factory=usable_cpus)
+    workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
+
+    def __post_init__(self):
+        if not all(n >= 2 for n in self.ne):
+            raise ParamError("ne", "need at least 2 elements")
+        if not all(0 < x < 1 for x in self.xi):
+            raise ParamError("xi", "must lie strictly inside (0, 1)")
+        for name in ("xi", "ne"):
+            values = getattr(self, name)
+            for i, j in enumerate(map(values.index, values)):
+                if i != j:
+                    raise ParamError(name, f"{values[i]} is repeated")
+        for name in ("eps_pen", "epsilon"):
+            if not all(v > 0.0 for v in getattr(self, name)):
+                raise ParamError(name, "must be positive")
+        dirs = [eps_row_dir(v) for v in self.eps_pen]
+        for i, j in enumerate(map(dirs.index, dirs)):
+            if i != j:
+                raise ParamError("eps_pen", f"{self.eps_pen[j]!r} and "
+                                 f"{self.eps_pen[i]!r} share the row directory "
+                                 f"{dirs[i]}")
+        if self.workers < 1:
+            raise ParamError("workers", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,29 +108,44 @@ class ExperimentConfig:
     sweep: SweepSpec = field(default_factory=SweepSpec)
     snapshot: bool = False
 
+    def __post_init__(self):
+        if (self.multiplier_n or 0) < 0:
+            raise ParamError("multiplier_n", "must be >= 0 (0: default)")
+        if self.ne < 2:
+            raise ParamError("ne", "need at least 2 elements")
+        if self.stride < 1:
+            raise ParamError("stride", "must be >= 1")
+
     def laws(self) -> Laws:
         return Laws(contact=self.contact, force_f=self.force_f, force_g=self.force_g)
 
 
-_REQUIRED = (
-    "beam.rho1", "beam.rho2", "beam.k", "beam.b", "beam.ell",
-    "beam.gamma1", "beam.gamma2", "mesh.ne", "scheme.dt", "run.t_final",
-)
+# the records whose fields are the keys of each section
+_SECTIONS = {
+    "beam": (BeamParams,), "tip": (TipParams,),
+    "contact": (NormalCompliance, SignoriniPenalty),
+    "force_f": (ForceLaw,), "force_g": (ForceLaw,), "scheme": (SchemeConfig,),
+    "init": (InitSpec,), "sweep": (SweepSpec,),
+}
+# keys that a record field would leave at its default, yet every config
+# states: the damping of the beam
+_REQUIRED = ("beam.gamma1", "beam.gamma2")
 
-_KNOWN = set(_REQUIRED) | {
-    "beam.xi_num", "beam.xi_den", "beam.xi",
-    "tip.enabled", "tip.epsilon", "tip.damping_on",
-    "contact.kind", "contact.d1", "contact.d2", "contact.p",
-    "contact.g_lo", "contact.g_hi", "contact.eps_pen",
-    "force_f.mu", "force_f.alpha", "force_f.cutoff_r", "force_f.f0",
-    "force_g.mu", "force_g.alpha", "force_g.cutoff_r", "force_g.f0",
-    "scheme.newton_tol", "scheme.newton_max",
-    "run.stride", "run.seed", "run.snapshot",
-    "init.kind", "init.amplitude", "init.amplitude_psi", "init.mode",
-    "init.center", "init.width", "init.radius",
-    "multiplier.n",
-    "sweep.eps_pen", "sweep.epsilon", "sweep.xi", "sweep.ne",
-    "sweep.tie_tip", "sweep.workers",
+
+def _key(section: str, name: str) -> str:
+    # force_f.cutoff_R is read from force_f.cutoff_r
+    return f"{section}.{name.lower()}"
+
+
+# beam.xi_num/xi_den or beam.xi set BeamParams' xi_fraction or xi_real; the
+# literal keys are those outside _SECTIONS
+_KNOWN = {
+    _key(section, f.name)
+    for section, records in _SECTIONS.items() for record in records
+    for f in fields(record) if f.name not in ("xi_fraction", "xi_real")
+} | {
+    "beam.xi_num", "beam.xi_den", "beam.xi", "contact.kind", "mesh.ne",
+    "run.t_final", "run.stride", "run.seed", "run.snapshot", "multiplier.n",
 }
 
 
@@ -129,83 +175,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
-class _Fields:
-    def __init__(self, mapping: dict[str, str]):
-        self.mapping = mapping
-
-    def _raw(self, key):
-        return self.mapping.get(key)
-
-    def get_float(self, key, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required field {key}")
-            return default
-        try:
-            return _finite_float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-
-    def get_int(self, key, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required field {key}")
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {raw!r}") from exc
-
-    def get_bool(self, key, default):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: not a boolean: {raw!r}")
-
-    def get_str(self, key, default):
-        raw = self._raw(key)
-        return default if raw is None else raw
-
-    def get_list(self, key, conv):
-        raw = self._raw(key)
-        if raw is None or not raw.strip():
-            return ()
-        try:
-            return tuple(conv(part.strip()) for part in raw.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{key}: bad list entry: {exc}") from exc
-
-    def get_optional_float(self, key):
-        raw = self._raw(key)
-        if raw is None or raw.lower() in ("", "none", "off"):
-            return None
-        return self.get_float(key)
-
-
-@contextmanager
-def _section(name: str, keys: dict[str, str] | None = None):
-    """Re-raise a record's ParamError as a ConfigError naming the config key.
-
-    The key of a field is keys[field] when given, else name.field in lower
-    case (force_f.cutoff_R is read from force_f.cutoff_r).
-    """
+def _int(text: str) -> int:
     try:
-        yield
-    except ParamError as exc:
-        key = (keys or {}).get(exc.name, f"{name}.{exc.name.lower()}")
-        raise ConfigError(f"{key}: {exc}") from exc
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _require(ok: bool, key: str, what: str) -> None:
-    if not ok:
-        raise ConfigError(f"{key}: {what}")
+def _bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _optional_float(text: str) -> float | None:
+    return None if text.lower() in ("", "none", "off") else _finite_float(text)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -215,22 +202,65 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def eps_row_dir(eps_pen: float) -> str:
-    """Directory of one sweep-eps row; build_config keeps these distinct."""
-    return f"eps_{eps_pen:g}"
+def _list(conv):
+    def parse(text: str) -> tuple:
+        if not text.strip():
+            return ()
+        try:
+            return tuple(conv(part.strip()) for part in text.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad list entry: {exc}") from exc
+    return parse
+
+
+# the parser of a value, by the annotation of the field it sets
+_PARSERS = {
+    "float": _finite_float, "int": _int, "bool": _bool, "str": str,
+    "float | None": _optional_float,
+    # multiplier.n = 0 asks for the default multiplier, which is None
+    "int | None": lambda text: _int(text) or None,
+    "tuple[float, ...]": _list(_finite_float), "tuple[int, ...]": _list(int),
+    "tuple[Fraction, ...]": _list(_parse_fraction),
+}
+
+
+def _get(mapping: dict[str, str], key: str, parse, default=MISSING):
+    """The parsed value of key, default when it is absent (required if none)."""
+    raw = mapping.get(key)
+    if raw is None:
+        if default is MISSING:
+            raise ConfigError(f"missing required field {key}")
+        return default
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _record(cls, section: str, mapping: dict[str, str], keys=None, **given):
+    """A cls whose fields not given are read from their keys: keys[field], else
+    section.field.  A ParamError of cls becomes a ConfigError naming the key."""
+    def key(name):
+        return (keys or {}).get(name, _key(section, name))
+
+    for f in fields(cls):
+        if f.name not in given and (
+                key(f.name) in mapping or key(f.name) in _REQUIRED
+                or f.default is MISSING and f.default_factory is MISSING):
+            given[f.name] = _get(mapping, key(f.name), _PARSERS[f.type])
+    try:
+        return cls(**given)
+    except ParamError as exc:
+        raise ConfigError(f"{key(exc.name)}: {exc}") from exc
 
 
 def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     unknown = sorted(set(mapping) - _KNOWN)
     if unknown:
         raise ConfigError(f"unknown field {unknown[0]}")
-    for key in _REQUIRED:
-        if key not in mapping:
-            raise ConfigError(f"missing required field {key}")
-    f = _Fields(mapping)
 
-    xi_num, xi_den = f._raw("beam.xi_num"), f._raw("beam.xi_den")
-    xi_real = f.get_optional_float("beam.xi")
+    xi_num, xi_den = mapping.get("beam.xi_num"), mapping.get("beam.xi_den")
+    xi_real = _get(mapping, "beam.xi", _optional_float, None)
     if (xi_num is None) != (xi_den is None):
         raise ConfigError("beam.xi_num and beam.xi_den must be given together")
     if xi_num is not None and xi_real is not None:
@@ -243,112 +273,39 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
             xi_fraction = Fraction(int(xi_num), int(xi_den))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"beam.xi_num/beam.xi_den: {exc}") from exc
-
     xi_key = "beam.xi" if xi_fraction is None else "beam.xi_num/beam.xi_den"
-    with _section("beam", {"xi": xi_key}):
-        beam = BeamParams(
-            rho1=f.get_float("beam.rho1"), rho2=f.get_float("beam.rho2"),
-            k=f.get_float("beam.k"), b=f.get_float("beam.b"),
-            ell=f.get_float("beam.ell"),
-            gamma1=f.get_float("beam.gamma1"), gamma2=f.get_float("beam.gamma2"),
-            xi_fraction=xi_fraction, xi_real=xi_real,
-        )
+    beam = _record(BeamParams, "beam", mapping, {"xi": xi_key},
+                   xi_fraction=xi_fraction, xi_real=xi_real)
 
-    with _section("tip"):
-        tip = TipParams(
-            enabled=f.get_bool("tip.enabled", False),
-            epsilon=f.get_float("tip.epsilon", 0.0),
-            damping_on=f.get_bool("tip.damping_on", True),
-        )
+    kind = mapping.get("contact.kind", "none").lower()
+    if kind in ("none", "no_contact"):
+        contact = NoContact()
+    elif kind in ("normal_compliance", "nc"):
+        contact = _record(NormalCompliance, "contact", mapping,
+                          p=_get(mapping, "contact.p", _int, 1))
+    elif kind in ("signorini_penalty", "penalty"):
+        contact = _record(SignoriniPenalty, "contact", mapping)
+    else:
+        raise ConfigError(f"contact.kind: unknown kind {kind!r}")
 
-    kind = f.get_str("contact.kind", "none").lower()
-    with _section("contact"):
-        if kind in ("none", "no_contact"):
-            contact = NoContact()
-        elif kind in ("normal_compliance", "nc"):
-            contact = NormalCompliance(
-                d1=f.get_float("contact.d1"), d2=f.get_float("contact.d2"),
-                p=f.get_int("contact.p", 1),
-                g_lo=f.get_float("contact.g_lo"), g_hi=f.get_float("contact.g_hi"),
-            )
-        elif kind in ("signorini_penalty", "penalty"):
-            contact = SignoriniPenalty(
-                eps_pen=f.get_float("contact.eps_pen"),
-                g_lo=f.get_float("contact.g_lo"), g_hi=f.get_float("contact.g_hi"),
-            )
-        else:
-            raise ConfigError(f"contact.kind: unknown kind {kind!r}")
-
-    def force(prefix):
-        with _section(prefix):
-            return ForceLaw(
-                mu=f.get_float(f"{prefix}.mu", 0.0),
-                alpha=f.get_float(f"{prefix}.alpha", 0.0),
-                cutoff_R=f.get_optional_float(f"{prefix}.cutoff_r"),
-                f0=f.get_float(f"{prefix}.f0", 0.0),
-            )
-
-    with _section("scheme"):
-        scheme = SchemeConfig(
-            dt=f.get_float("scheme.dt"),
-            newton_tol=f.get_float("scheme.newton_tol", 1e-10),
-            newton_max=f.get_int("scheme.newton_max", 25),
-        )
-
-    init = InitSpec(
-        kind=f.get_str("init.kind", "zero"),
-        amplitude=f.get_float("init.amplitude", 1.0),
-        amplitude_psi=f.get_float("init.amplitude_psi", 0.0),
-        mode=f.get_int("init.mode", 1),
-        center=f.get_optional_float("init.center"),
-        width=f.get_optional_float("init.width"),
-        radius=f.get_float("init.radius", 1.0),
-    )
-    sweep = SweepSpec(
-        eps_pen=f.get_list("sweep.eps_pen", _finite_float),
-        epsilon=f.get_list("sweep.epsilon", _finite_float),
-        xi=f.get_list("sweep.xi", _parse_fraction),
-        ne=f.get_list("sweep.ne", int),
-        tie_tip=f.get_bool("sweep.tie_tip", True),
-        workers=f.get_int("sweep.workers", usable_cpus()),
-    )
-    _require(init.width is None or init.width > 0.0, "init.width",
-             "must be positive")
-    _require(init.radius > 0.0, "init.radius", "must be positive")
-    _require(all(n >= 2 for n in sweep.ne), "sweep.ne",
-             "need at least 2 elements")
-    _require(all(0 < x < 1 for x in sweep.xi), "sweep.xi",
-             "must lie strictly inside (0, 1)")
-    for key, values in (("sweep.xi", sweep.xi), ("sweep.ne", sweep.ne)):
-        for i, value in enumerate(values):
-            _require(value not in values[:i], key, f"{value} is repeated")
-    for key, values in (("sweep.eps_pen", sweep.eps_pen),
-                        ("sweep.epsilon", sweep.epsilon)):
-        _require(all(v > 0.0 for v in values), key, "must be positive")
-    dirs = [eps_row_dir(v) for v in sweep.eps_pen]
-    for i, j in enumerate(map(dirs.index, dirs)):
-        _require(i == j, "sweep.eps_pen", f"{sweep.eps_pen[j]!r} and "
-                 f"{sweep.eps_pen[i]!r} share the row directory {dirs[i]}")
-    _require(sweep.workers >= 1, "sweep.workers", "must be >= 1")
-    multiplier_n = f.get_int("multiplier.n", 0)
-    _require(multiplier_n >= 0, "multiplier.n", "must be >= 0 (0: default)")
-    ne = f.get_int("mesh.ne")
-    _require(ne >= 2, "mesh.ne", "need at least 2 elements")
-    t_final = f.get_float("run.t_final")
-    try:
-        step_count(t_final, scheme.dt)
-    except ValueError as exc:
-        raise ConfigError(f"run.t_final: {exc}") from exc
-    stride = f.get_int("run.stride", 1)
-    _require(stride >= 1, "run.stride", "must be >= 1")
-
-    return ExperimentConfig(
-        beam=beam, tip=tip, contact=contact,
-        force_f=force("force_f"), force_g=force("force_g"),
-        ne=ne, scheme=scheme, t_final=t_final, stride=stride,
-        seed=f.get_int("run.seed", 0), init=init,
-        multiplier_n=multiplier_n or None,
-        sweep=sweep, snapshot=f.get_bool("run.snapshot", False),
+    # the horizon against a positive dt, before SchemeConfig's check of dt:
+    # a horizon that overflows in steps is named first
+    t_final = _get(mapping, "run.t_final", _finite_float)
+    dt = _get(mapping, "scheme.dt", _finite_float)
+    if dt > 0.0:
+        try:
+            step_count(t_final, dt)
+        except ValueError as exc:
+            raise ConfigError(f"run.t_final: {exc}") from exc
+    return _record(
+        ExperimentConfig, "run", mapping,
+        {"ne": "mesh.ne", "multiplier_n": "multiplier.n"}, t_final=t_final,
+        beam=beam, tip=_record(TipParams, "tip", mapping), contact=contact,
+        force_f=_record(ForceLaw, "force_f", mapping),
+        force_g=_record(ForceLaw, "force_g", mapping),
+        scheme=_record(SchemeConfig, "scheme", mapping),
+        init=_record(InitSpec, "init", mapping),
+        sweep=_record(SweepSpec, "sweep", mapping),
     )
 
 

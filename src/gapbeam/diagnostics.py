@@ -224,18 +224,13 @@ def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
         v = state.v
         S, _ = recover_stress(system, state, beam.ell, side="left")
         if law.g_lo + tol_g < v < law.g_hi - tol_g:
-            ok = abs(S) <= tol_S
+            side, ok = "interior", abs(S) <= tol_S
         elif v >= law.g_hi - tol_g:
-            ok = S <= tol_S
+            side, ok = "upper", S <= tol_S
         else:
-            ok = S >= -tol_S
+            side, ok = "lower", S >= -tol_S
         if ok:
-            if law.g_lo + tol_g < v < law.g_hi - tol_g:
-                counts["interior"] += 1
-            elif v >= law.g_hi - tol_g:
-                counts["upper"] += 1
-            else:
-                counts["lower"] += 1
+            counts[side] += 1
         else:
             counts["violation"] += 1
             if abs(S) > worst_mag:

@@ -77,6 +77,12 @@ class SchemeConfig:
         require_finite(self)
         if self.dt <= 0.0:
             raise ParamError("dt", "dt must be positive")
+        try:  # the step matrix scales as 2/dt**2
+            scale_ok = math.isfinite(2.0 / self.dt**2)
+        except (ZeroDivisionError, OverflowError):  # dt**2 leaves the floats
+            scale_ok = False
+        if not scale_ok:
+            raise ParamError("dt", f"dt={self.dt!r} puts 2/dt**2 out of float range")
         if self.newton_tol <= 0.0:
             raise ParamError("newton_tol", "newton_tol must be positive")
         if self.newton_max < 1:

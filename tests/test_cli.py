@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 import gapbeam
 from gapbeam.artifacts import load_snapshot, save_snapshot
 from gapbeam.cli import main
-from gapbeam.config import (_KNOWN, ConfigError, build_config, load_config,
-                            parse_mapping)
-from gapbeam.model import NormalCompliance, SignoriniPenalty
-from gapbeam.timestep import State
+from gapbeam.config import (_KNOWN, _PARSERS, _SECTIONS, ConfigError,
+                            ExperimentConfig, InitSpec, SweepSpec, build_config,
+                            load_config, parse_mapping)
+from gapbeam.model import (ForceLaw, NoContact, NormalCompliance,
+                           SignoriniPenalty, TipParams)
+from gapbeam.timestep import SchemeConfig, State
 
 BASE_MAP = {
     "beam.rho1": "1.0", "beam.rho2": "1.0", "beam.k": "1.0", "beam.b": "1.0",
@@ -134,6 +137,44 @@ class TestConfigParsing:
         except ConfigError:
             pass
 
+    def test_absent_keys_take_the_record_defaults(self):
+        cfg = build_config(BASE_MAP)
+        assert cfg.tip == TipParams()
+        assert cfg.force_f == cfg.force_g == ForceLaw()
+        assert cfg.init == InitSpec()
+        assert cfg.sweep == SweepSpec()
+        assert cfg.scheme == SchemeConfig(dt=1e-3)
+        assert cfg.contact == NoContact()
+        assert (cfg.stride, cfg.seed, cfg.multiplier_n, cfg.snapshot) == \
+            (1, 0, None, False)
+
+    def test_known_keys_are_pinned(self):
+        # written out, so that renaming a record field cannot rename a key
+        assert _KNOWN == {
+            "beam.rho1", "beam.rho2", "beam.k", "beam.b", "beam.ell",
+            "beam.gamma1", "beam.gamma2", "beam.xi_num", "beam.xi_den",
+            "beam.xi", "tip.enabled", "tip.epsilon", "tip.damping_on",
+            "contact.kind", "contact.d1", "contact.d2", "contact.p",
+            "contact.g_lo", "contact.g_hi", "contact.eps_pen",
+            "force_f.mu", "force_f.alpha", "force_f.cutoff_r", "force_f.f0",
+            "force_g.mu", "force_g.alpha", "force_g.cutoff_r", "force_g.f0",
+            "scheme.dt", "scheme.newton_tol", "scheme.newton_max",
+            "mesh.ne", "run.t_final", "run.stride", "run.seed",
+            "run.snapshot", "init.kind", "init.amplitude",
+            "init.amplitude_psi", "init.mode", "init.center", "init.width",
+            "init.radius", "multiplier.n", "sweep.eps_pen", "sweep.epsilon",
+            "sweep.xi", "sweep.ne", "sweep.tie_tip", "sweep.workers",
+        }
+
+    def test_every_field_a_key_sets_has_a_parser(self):
+        settable = [f for records in _SECTIONS.values() for record in records
+                    for f in fields(record)
+                    if f.name not in ("xi_fraction", "xi_real")]
+        settable += [f for f in fields(ExperimentConfig) if f.name in (
+            "ne", "t_final", "stride", "seed", "multiplier_n", "snapshot")]
+        assert len(settable) == 48  # contact.g_lo and g_hi set two records
+        assert [f.name for f in settable if f.type not in _PARSERS] == []
+
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "# header\n\n" + BASE + "  # tail\n"))
         assert cfg.t_final == 0.02
@@ -194,6 +235,10 @@ class TestSimulateCommand:
         ({"contact.kind": "penalty", "contact.eps_pen": "1e-2",
           "contact.g_lo": "-0.1", "contact.g_hi": "-0.05"}, "contact.g_hi"),
         ({"force_f.mu": "1", "force_f.cutoff_r": "-1"}, "force_f.cutoff_r"),
+        # 2/dt**2 underflows to a division by zero, or dt**2 overflows
+        ({"scheme.dt": "1e-200", "run.t_final": "2e-200", "run.stride": "1"},
+         "scheme.dt"),
+        ({"scheme.dt": "1e200", "run.t_final": "1e200"}, "scheme.dt"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -324,6 +369,23 @@ def test_eigensolver_cap_exit_two_names_field(tmp_path, capsys, command, extra, 
     assert msg.startswith(named + ": pencil dimension")
     assert "ne = 1000" in msg
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", {}),
+    ("sweep-xi", {"sweep.xi": "1/2"}),
+    ("spectrum", {}),
+])
+def test_unusable_operator_exit_two(tmp_path, capsys, command, extra):
+    # a finite but huge shear stiffness leaves no positive definite operator
+    text = "".join(f"{k} = {v}\n" for k, v in
+                   {**BASE_MAP, "beam.k": "1e300", **extra}.items())
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "not positive definite" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, extra, artifacts", [
