@@ -4,6 +4,10 @@ Subcommands: simulate, sweep-eps, sweep-xi, spectrum, observability.  Each
 takes --config <key=value file> and --out <directory>.  Exit codes: 0 success,
 2 configuration error, 3 solver failure, 4 I/O failure.
 
+A command writes its tables and returns its summary entries; main writes
+them to <out>/summary after the envelope (schema, command, status), which a
+solver failure gets too.
+
 The rows of a sweep (sweep-eps, sweep-xi and the epsilon study of spectrum)
 run here and in forked children that pipe their rows back, up to sweep.workers
 processes (default: the usable CPUs); artifacts do not depend on their number.
@@ -104,36 +108,47 @@ def _fit_entries(times, energies) -> dict:
             "fit_window_lo": fit.window[0], "fit_window_hi": fit.window[1]}
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
+def _report(cfg: ExperimentConfig, out: Path, **tolerances):
+    """Run cfg, write out/trajectory.csv and gather the run's summary entries.
+
+    A contact run adds its constraint violation and sign-pattern counts,
+    classified with complementarity_report's tolerances.  Returns (system,
+    trajectory, entries); a NewtonDivergence propagates.
+    """
     system, laws, traj = _run(cfg)
-    summary: dict = {"schema": "gapbeam-summary-v1", "command": "simulate"}
     write_trajectory_csv(out / "trajectory.csv", system, traj, laws)
-    reports = energy_series(system, traj, laws)
-    energies = [r.E_total for r in reports]
-    summary["status"] = "ok"
-    summary["samples"] = len(traj)
-    summary["E_initial"] = energies[0]
-    summary["E_final"] = energies[-1]
-    summary.update(_fit_entries(traj.times, energies))
-    if not isinstance(laws.contact, NoContact):
-        law = laws.contact
-        summary["constraint_violation"] = constraint_violation(
+    energies = [r.E_total for r in energy_series(system, traj, laws)]
+    entries = {"samples": len(traj), "E_initial": energies[0],
+               "E_final": energies[-1], **_fit_entries(traj.times, energies)}
+    law = laws.contact
+    if not isinstance(law, NoContact):
+        entries["constraint_violation"] = constraint_violation(
             traj, law.g_lo, law.g_hi)
-        comp = complementarity_report(system, traj, law)
+        comp = complementarity_report(system, traj, law, **tolerances)
         for key, count in comp.counts.items():
-            summary[f"complementarity_{key}"] = count
+            entries[f"complementarity_{key}"] = count
         if comp.worst is not None:
-            summary["complementarity_worst_t"] = comp.worst[0]
-            summary["complementarity_worst_v"] = comp.worst[1]
-            summary["complementarity_worst_S"] = comp.worst[2]
-    write_summary(out / "summary", summary)
+            entries["complementarity_worst_t"] = comp.worst[0]
+            entries["complementarity_worst_v"] = comp.worst[1]
+            entries["complementarity_worst_S"] = comp.worst[2]
+    return system, traj, entries
+
+
+def cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
+    _, traj, entries = _report(cfg, out)
     if cfg.snapshot:
         save_snapshot(out / "final_state.snap", traj.states[-1])
-    return EXIT_OK
+    return entries
+
+
+SWEEP_HEADER = ("eps_pen", "status", "violation", "sup_S_ell", "gamma_state",
+                "compl_interior", "compl_upper", "compl_lower",
+                "compl_violations", "violation_decreasing")
 
 
 def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
-    """One penalty-sweep row; returns plain scalars so rows cross processes."""
+    """One penalty-sweep row of plain scalars, so that rows cross processes,
+    keyed by SWEEP_HEADER but for its last column."""
     base = cfg.contact
     contact = SignoriniPenalty(eps_pen=eps_pen, g_lo=base.g_lo, g_hi=base.g_hi)
     tip = cfg.tip
@@ -144,80 +159,52 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
     row_cfg = dataclasses.replace(cfg, contact=contact, tip=tip)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    row: dict = {"eps_pen": eps_pen}
-    try:
-        system, laws, traj = _run(row_cfg)
-    except NewtonDivergence as exc:
-        row.update(status="diverged", t_fail=exc.t, violation=math.nan,
-                   sup_S_ell=math.nan, gamma_state=math.nan,
-                   compl_violations=-1, compl_interior=-1, compl_upper=-1,
-                   compl_lower=-1)
-        write_summary(out / "summary", {"status": "diverged", "t_fail": exc.t})
-        return row
-    write_trajectory_csv(out / "trajectory.csv", system, traj, laws)
-    ell = system.mesh.ell
-    sup_s = max(abs(recover_stress(system, s, ell, side="left")[0])
-                for s in traj.states)
-    energies = [r.E_total for r in energy_series(system, traj, laws)]
-    fit = _fit_entries(traj.times, energies)
     # scale-aware tolerances: penetration depth scales like sqrt(eps) on
     # impact, and the recovered trace inherits the same transient scale;
     # classification is taken over the settled second half of the run
     tol_g = math.sqrt(eps_pen) * (contact.g_hi - contact.g_lo)
     tol_s = math.sqrt(eps_pen) * row_cfg.beam.k
-    comp = complementarity_report(system, traj, contact, tol_S=tol_s,
-                                  tol_g=tol_g, t_start=0.5 * row_cfg.t_final)
-    row.update(
-        status="ok",
-        violation=constraint_violation(traj, contact.g_lo, contact.g_hi),
-        sup_S_ell=sup_s,
-        gamma_state=fit["gamma_state"],
-        compl_interior=comp.counts["interior"],
-        compl_upper=comp.counts["upper"],
-        compl_lower=comp.counts["lower"],
-        compl_violations=comp.counts["violation"],
-        tol_S=tol_s, tol_g=tol_g,
-    )
-    write_summary(out / "summary", {k: v for k, v in row.items()})
+    try:
+        system, traj, entries = _report(row_cfg, out, tol_S=tol_s, tol_g=tol_g,
+                                        t_start=0.5 * row_cfg.t_final)
+    except NewtonDivergence as exc:
+        write_summary(out / "summary", {"status": "diverged", "t_fail": exc.t})
+        return dict(zip(SWEEP_HEADER, (eps_pen, "diverged", math.nan,
+                                       math.nan, math.nan, -1, -1, -1, -1)))
+    ell = system.mesh.ell
+    sup_s = max(abs(recover_stress(system, s, ell, side="left")[0])
+                for s in traj.states)
+    counts = [entries[f"complementarity_{key}"]
+              for key in ("interior", "upper", "lower", "violation")]
+    row = dict(zip(SWEEP_HEADER, (eps_pen, "ok", entries["constraint_violation"],
+                                  sup_s, entries["gamma_state"], *counts)))
+    write_summary(out / "summary", {**row, "tol_S": tol_s, "tol_g": tol_g})
     return row
 
 
-def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> dict:
     if not cfg.sweep.eps_pen:
         raise ConfigError("sweep.eps_pen: empty axis for sweep-eps")
     if not isinstance(cfg.contact, SignoriniPenalty):
         raise ConfigError("contact.kind: sweep-eps needs a signorini_penalty law")
     jobs = [(cfg, eps, str(out / eps_row_dir(eps))) for eps in cfg.sweep.eps_pen]
     rows = map_rows(_sweep_eps_row, jobs, workers=cfg.sweep.workers)
-
-    header = ("eps_pen", "status", "violation", "sup_S_ell", "gamma_state",
-              "compl_interior", "compl_upper", "compl_lower",
-              "compl_violations", "violation_decreasing")
-    table = []
     prev = None
     for row in rows:
-        decreasing = ""
+        row["violation_decreasing"] = ""
         if row["status"] == "ok":
             if prev is not None:
-                decreasing = "yes" if row["violation"] < prev else "no"
+                row["violation_decreasing"] = ("yes" if row["violation"] < prev
+                                               else "no")
             prev = row["violation"]
-        table.append((row["eps_pen"], row["status"], row["violation"],
-                      row["sup_S_ell"], row["gamma_state"],
-                      str(row["compl_interior"]), str(row["compl_upper"]),
-                      str(row["compl_lower"]), str(row["compl_violations"]),
-                      decreasing))
-    write_table_csv(out / "sweep.csv", SWEEP_SCHEMA, header, table)
-    ok = all(r["status"] == "ok" for r in rows)
-    write_summary(out / "summary", {
-        "schema": "gapbeam-summary-v1", "command": "sweep-eps",
-        "status": "ok" if ok else "partial",
-        "rows": len(rows),
-        "rows_ok": sum(r["status"] == "ok" for r in rows),
-    })
-    return EXIT_OK
+    write_table_csv(out / "sweep.csv", SWEEP_SCHEMA, SWEEP_HEADER,
+                    [[row[key] for key in SWEEP_HEADER] for row in rows])
+    rows_ok = sum(r["status"] == "ok" for r in rows)
+    return {"status": "ok" if rows_ok == len(rows) else "partial",
+            "rows": len(rows), "rows_ok": rows_ok}
 
 
-def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> dict:
     if not cfg.sweep.xi:
         raise ConfigError("sweep.xi: empty axis for sweep-xi")
     key, ne_values = (("sweep.ne", cfg.sweep.ne) if cfg.sweep.ne
@@ -231,17 +218,15 @@ def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> int:
     table = [(str(r.xi_fraction.numerator), str(r.xi_fraction.denominator),
               str(r.ne), r.abscissa, r.verdict) for r in rows]
     write_table_csv(out / "xi_study.csv", XI_SCHEMA, header, table)
-    summary = {"schema": "gapbeam-summary-v1", "command": "sweep-xi",
-               "status": "ok", "rows": len(rows)}
+    entries = {"rows": len(rows)}
     for frac in cfg.sweep.xi:
         sub = [r for r in rows if r.xi_fraction == frac]
-        summary[f"trend_toward_zero_{frac.numerator}_{frac.denominator}"] = \
+        entries[f"trend_toward_zero_{frac.numerator}_{frac.denominator}"] = \
             str(trend_toward_zero(sub)).lower()
-    write_summary(out / "summary", summary)
-    return EXIT_OK
+    return entries
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     tips = [cfg.tip]
     if cfg.sweep.epsilon:
         # tip-coefficient study: compare against the plain traction-free model
@@ -255,10 +240,10 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
     except DimensionCapExceeded as exc:
         raise ConfigError(f"mesh.ne: {exc}") from exc
     write_spectrum_csv(out / "spectrum.csv", report.eigenvalues)
-    summary = {
-        "schema": "gapbeam-summary-v1", "command": "spectrum", "status": "ok",
-        "model": report.model, "ne": report.ne,
-        "epsilon": "" if report.epsilon is None else fmt(report.epsilon),
+    tip = cfg.tip
+    entries = {
+        "model": "hybrid" if tip.enabled else "non-hybrid", "ne": cfg.ne,
+        "epsilon": fmt(tip.epsilon) if tip.enabled else "",
         "abscissa": report.abscissa,
         "min_damping_gap": report.min_damping_gap,
         "n_eigenvalues": len(report.eigenvalues),
@@ -270,26 +255,20 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
                  for eps, rep in zip(cfg.sweep.epsilon, hybrid)]
         write_table_csv(out / "eps_study.csv", EPS_SCHEMA,
                         ("epsilon", "abscissa", "min_damping_gap"), rows)
-        summary["non_hybrid_abscissa"] = plain.abscissa
-    write_summary(out / "summary", summary)
-    return EXIT_OK
+        entries["non_hybrid_abscissa"] = plain.abscissa
+    return entries
 
 
-def cmd_observability(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_observability(cfg: ExperimentConfig, out: Path) -> dict:
     system, laws, traj = _run(cfg)
     rep = observability(system, traj, _multiplier(cfg), laws)
     rows = zip(rep.times, rep.I_ell, rep.I_0, rep.L_series, rep.L0_series)
     write_table_csv(out / "observability.csv", OBSERVABILITY_SCHEMA,
                     ("t", "I_ell", "I_0", "L", "L0"), rows)
-    write_summary(out / "summary", {
-        "schema": "gapbeam-summary-v1", "command": "observability",
-        "status": "ok",
-        "defect_ell": rep.defect_ell, "defect_0": rep.defect_0,
-        "ratio_ell_to_E0": rep.ratio_to_E0[0],
-        "ratio_0_to_E0": rep.ratio_to_E0[1],
-        "c0_measured": rep.c0_measured, "c1_measured": rep.c1_measured,
-    })
-    return EXIT_OK
+    return {"defect_ell": rep.defect_ell, "defect_0": rep.defect_0,
+            "ratio_ell_to_E0": rep.ratio_to_E0[0],
+            "ratio_0_to_E0": rep.ratio_to_E0[1],
+            "c0_measured": rep.c0_measured, "c1_measured": rep.c1_measured}
 
 
 _COMMANDS = {
@@ -323,24 +302,27 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     out = Path(args.out)
+    summary = {"schema": "gapbeam-summary-v1", "command": args.command,
+               "status": "ok"}
+    code = EXIT_OK
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
+        try:
+            summary.update(_COMMANDS[args.command](cfg, out))
+        except NewtonDivergence as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            summary.update(status="newton_divergence", t_fail=exc.t,
+                           last_residual=exc.residual)
+            code = EXIT_SOLVER
+        write_summary(out / "summary", summary)
     except (ConfigError, AssemblyError) as exc:
         # an AssemblyError is a finite config whose operators are unusable
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NewtonDivergence as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        write_summary(out / "summary", {
-            "schema": "gapbeam-summary-v1", "command": args.command,
-            "status": "newton_divergence", "t_fail": exc.t,
-            "last_residual": exc.residual,
-        })
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    return code
 
 
 def entrypoint() -> None:

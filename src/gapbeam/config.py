@@ -1,9 +1,9 @@
 """Flat key=value experiment configuration.
 
 The format is line oriented: one `dotted.path=value` per line, `#` comments,
-blank lines ignored.  Lists are comma separated; the damper location is given
-as an exact fraction (`beam.xi_num`, `beam.xi_den`) or as a real override
-(`beam.xi`), in which case location verdicts report irrational input.
+blank lines ignored.  Lists are comma separated; the damper location of a
+run is given as an exact fraction (`beam.xi_num`, `beam.xi_den`) or as a real
+override (`beam.xi`); sweep-xi takes its locations from `sweep.xi` instead.
 
 The parameter records are the schema: key `section.field` sets that field,
 parsed by its annotation, and an absent key keeps the record's default.  A

@@ -24,13 +24,8 @@ from .timestep import (
 
 def energy_series(system: SemiDiscreteSystem, traj: Trajectory,
                   laws: Laws) -> list[EnergyReport]:
-    """Energy reports at every sample, with the running dissipation filled in."""
-    reports = []
-    for state, diss in zip(traj.states, traj.dissipated_cum):
-        rep = energy(system, state, laws)
-        rep.dissipated_cum = diss
-        reports.append(rep)
-    return reports
+    """Energy reports at every sample."""
+    return [energy(system, state, laws) for state in traj.states]
 
 
 @dataclass(frozen=True)
@@ -189,10 +184,6 @@ class ComplementarityReport:
     tol_S: float
     tol_g: float
     n_samples: int
-
-    @property
-    def violations(self) -> int:
-        return self.counts["violation"]
 
 
 def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,

@@ -50,16 +50,14 @@ class DimensionCapExceeded(RuntimeError):
 class GeneratorPencil:
     """Pencil lam * blockdiag(I, M) x = [[0, I], [-K, -D]] x of the system.
 
-    Holds the coordinate lists of the system's reduced operators; n is the
-    pencil dimension, twice the number of free dofs.
+    Holds the coordinate lists of the system's reduced operators and nothing
+    of the config they came from; n is the pencil dimension, twice the number
+    of free dofs.
     """
 
     K: CooMatrix = field(repr=False)
     D: CooMatrix = field(repr=False)
     M: CooMatrix = field(repr=False)
-    model: str                 # 'hybrid' or 'non-hybrid'
-    epsilon: float | None
-    ne: int
 
     @property
     def n(self) -> int:
@@ -73,13 +71,7 @@ def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
     deflection slot (the tip coordinate is identified with that dof); with the
     tip disabled the traction-free end condition holds naturally.
     """
-    tip = system.tip
-    return GeneratorPencil(
-        K=system.K, D=system.D, M=system.M,
-        model="hybrid" if tip.enabled else "non-hybrid",
-        epsilon=tip.epsilon if tip.enabled else None,
-        ne=system.mesh.ne,
-    )
+    return GeneratorPencil(K=system.K, D=system.D, M=system.M)
 
 
 def energy_form(pencil: GeneratorPencil) -> np.ndarray:
@@ -133,15 +125,13 @@ class SpectralReport:
     """Complete spectrum of a generator pencil, ordered by real part (descending).
 
     abscissa is the largest real part; min_damping_gap the distance of the
-    spectrum to the imaginary axis.
+    spectrum to the imaginary axis.  The mesh and tip model of a row are the
+    caller's inputs, so the report does not repeat them.
     """
 
     eigenvalues: np.ndarray
     abscissa: float
     min_damping_gap: float
-    ne: int
-    model: str
-    epsilon: float | None = None
 
 
 def spectrum(pencil: GeneratorPencil) -> SpectralReport:
@@ -149,19 +139,20 @@ def spectrum(pencil: GeneratorPencil) -> SpectralReport:
 
     The pencil dimension is checked against DENSE_CAP first; the eigenvalues
     are those of the dense energy form A, taken by the general nonsymmetric
-    solver also without damping.
+    solver also without damping.  An A with a non-finite entry (operators that
+    overflowed in assembly) raises AssemblyError.
     """
     if pencil.n > DENSE_CAP:
         raise DimensionCapExceeded(pencil.n)
-    lam = np.linalg.eigvals(energy_form(pencil))
+    A = energy_form(pencil)
+    if not np.isfinite(A).all():
+        raise AssemblyError("generator in energy form has a non-finite entry")
+    lam = np.linalg.eigvals(A)
     lam = lam[np.lexsort((lam.imag, -lam.real))]
     return SpectralReport(
         eigenvalues=lam,
         abscissa=float(lam.real.max()),
         min_damping_gap=float(np.abs(lam.real).min()),
-        ne=pencil.ne,
-        model=pencil.model,
-        epsilon=pencil.epsilon,
     )
 
 

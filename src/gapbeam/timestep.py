@@ -224,7 +224,6 @@ class EnergyReport:
     Fhat_int: float
     Ghat_int: float
     dissipation_rate: float = 0.0
-    dissipated_cum: float = 0.0
 
 
 def energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> EnergyReport:
@@ -278,7 +277,6 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     states: list[State] = field(default_factory=list)
     balance_residuals: list[float] = field(default_factory=list)
-    dissipated_cum: list[float] = field(default_factory=list)
     dt: float = 0.0
 
     def __len__(self) -> int:
@@ -441,13 +439,11 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
     u, w = state0.pack(system)
     state = State.from_reduced(system, u, w, state0.t)
     energy_prev = total_energy(system, state, laws)
-    dissipated = 0.0
     diss_since_sample = 0.0
 
     traj.times.append(state.t)
     traj.states.append(state)
     traj.balance_residuals.append(0.0)
-    traj.dissipated_cum.append(0.0)
 
     for k in range(1, n_steps + 1):
         t = state0.t + (k - 1) * cfg.dt
@@ -457,9 +453,7 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
             exc.t = t + cfg.dt
             raise
         wm = (up - u) / cfg.dt
-        d_step = cfg.dt * _quadratic_form(system.D, wm)
-        dissipated += d_step
-        diss_since_sample += d_step
+        diss_since_sample += cfg.dt * _quadratic_form(system.D, wm)
         u, w = up, wp
         if k % sample_stride == 0 or k == n_steps:
             state = State.from_reduced(system, u, w, state0.t + k * cfg.dt)
@@ -467,7 +461,6 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
             traj.times.append(state.t)
             traj.states.append(state)
             traj.balance_residuals.append(energy_now - energy_prev + diss_since_sample)
-            traj.dissipated_cum.append(dissipated)
             energy_prev = energy_now
             diss_since_sample = 0.0
     return traj

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -354,6 +355,18 @@ class TestSpectrumCommand:
         assert len(rows) == 4
         assert all(float(r[1]) < 0.0 for r in rows)
 
+    def test_model_and_epsilon_tags(self, tmp_path):
+        tags = []
+        for name, text in (("hybrid", cfg_text(tip__enabled="true",
+                                               tip__epsilon="0.01")),
+                           ("plain", BASE)):
+            out = tmp_path / name
+            assert main(["spectrum", "--config", write_cfg(tmp_path, text),
+                         "--out", str(out)]) == 0
+            summary = read_summary(out)
+            tags.append((summary["model"], summary["ne"], summary["epsilon"]))
+        assert tags == [("hybrid", "8", "0.01"), ("non-hybrid", "8", "")]
+
 
 @pytest.mark.parametrize("command, extra, named", [
     ("spectrum", {"mesh.ne": "1200"}, "mesh.ne"),
@@ -375,16 +388,22 @@ def test_eigensolver_cap_exit_two_names_field(tmp_path, capsys, command, extra, 
     ("simulate", {}),
     ("sweep-xi", {"sweep.xi": "1/2"}),
     ("spectrum", {}),
+    ("spectrum", {"beam.k": "1.0", "beam.ell": "1e-300"}),
+    ("sweep-xi", {"beam.k": "1.0", "beam.ell": "1e-300",
+                  "sweep.xi": "1/2, 2/3", "sweep.workers": "2"}),
 ])
 def test_unusable_operator_exit_two(tmp_path, capsys, command, extra):
-    # a finite but huge shear stiffness leaves no positive definite operator
+    # a finite but huge shear stiffness leaves no positive definite operator;
+    # a finite but tiny length overflows the operators' entries, also in the
+    # rows of a forked worker
     text = "".join(f"{k} = {v}\n" for k, v in
                    {**BASE_MAP, "beam.k": "1e300", **extra}.items())
     assert main([command, "--config", write_cfg(tmp_path, text),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert "not positive definite" in err
+    assert ("non-finite entry" if "beam.ell" in extra
+            else "not positive definite") in err
     assert "Traceback" not in err
 
 
@@ -526,3 +545,85 @@ class TestObservabilityCommand:
         out = tmp_path / "out"
         assert main(["observability", "--config", cfg, "--out", str(out)]) == 0
         assert float(read_summary(out)["c0_measured"]) > 0.0
+
+
+FIT_KEYS = ["samples", "E_initial", "E_final", "fit_status", "gamma_E",
+            "gamma_state", "fit_c", "fit_r2", "fit_window_lo", "fit_window_hi"]
+DIVERGING = dict(
+    scheme__dt="0.05", scheme__newton_max="2", run__t_final="0.5",
+    contact__kind="signorini_penalty", contact__eps_pen="1e-2",
+    contact__g_lo="-0.01", contact__g_hi="0.01", init__kind="mode_velocity",
+    init__amplitude="50.0", tip__enabled="true", tip__epsilon="1e-6")
+
+
+@pytest.mark.parametrize("command, overrides, summaries", [
+    ("simulate", dict(init__kind="mode"), {"summary": FIT_KEYS}),
+    ("simulate", dict(
+        run__t_final="0.1", contact__kind="normal_compliance",
+        contact__d1="100.0", contact__d2="100.0", contact__p="2",
+        contact__g_lo="-0.01", contact__g_hi="0.01",
+        init__kind="mode_velocity", init__amplitude="0.5"),
+     {"summary": FIT_KEYS + [
+         "constraint_violation", "complementarity_interior",
+         "complementarity_upper", "complementarity_lower",
+         "complementarity_violation", "complementarity_worst_t",
+         "complementarity_worst_v", "complementarity_worst_S"]}),
+    ("sweep-eps", dict(DIVERGING, sweep__eps_pen="1e-1, 1e-10",
+                       sweep__tie_tip="false"),
+     {"summary": ["rows", "rows_ok"],
+      "eps_0.1/summary": [
+          "eps_pen", "status", "violation", "sup_S_ell", "gamma_state",
+          "compl_interior", "compl_upper", "compl_lower", "compl_violations",
+          "tol_S", "tol_g"],
+      "eps_1e-10/summary": ["status", "t_fail"]}),
+    ("sweep-xi", dict(sweep__xi="1/2, 2/3"),
+     {"summary": ["rows", "trend_toward_zero_1_2", "trend_toward_zero_2_3"]}),
+    ("spectrum", {},
+     {"summary": ["model", "ne", "epsilon", "abscissa", "min_damping_gap",
+                  "n_eigenvalues"]}),
+    ("spectrum", dict(sweep__epsilon="1e-1, 1e-2"),
+     {"summary": ["model", "ne", "epsilon", "abscissa", "min_damping_gap",
+                  "n_eigenvalues", "non_hybrid_abscissa"]}),
+    ("observability", dict(run__stride="5"),
+     {"summary": ["defect_ell", "defect_0", "ratio_ell_to_E0",
+                  "ratio_0_to_E0", "c0_measured", "c1_measured"]}),
+    ("simulate", dict(DIVERGING, contact__eps_pen="1e-10"),
+     {"summary": ["t_fail", "last_residual"]}),
+], ids=["simulate", "simulate-contact", "sweep-eps-partial", "sweep-xi",
+        "spectrum", "spectrum-eps-study", "observability",
+        "newton-divergence"])
+def test_summary_key_lists(tmp_path, command, overrides, summaries):
+    # the gapbeam-summary-v1 keys and their order, envelope first; a sweep
+    # row's own summary carries no envelope
+    out = tmp_path / "out"
+    code = main([command, "--config", write_cfg(tmp_path, cfg_text(**overrides)),
+                 "--out", str(out)])
+    assert code == (3 if "last_residual" in summaries["summary"] else 0)
+    envelope = ["schema", "command", "status"]
+    for name, keys in summaries.items():
+        lines = (out / name).read_text().splitlines()
+        expected = envelope + keys if name == "summary" else keys
+        assert [line.split("=", 1)[0] for line in lines] == expected
+    summary = read_summary(out)
+    assert (summary["schema"], summary["command"]) == \
+        ("gapbeam-summary-v1", command)
+    if command == "sweep-eps":
+        assert summary["status"] == "partial"
+        assert (out / "sweep.csv").read_text().splitlines()[1] == (
+            "eps_pen,status,violation,sup_S_ell,gamma_state,compl_interior,"
+            "compl_upper,compl_lower,compl_violations,violation_decreasing")
+
+
+def test_c07_ulp_probe_imports(tmp_path):
+    # tools/c07_ulp_probe.py runs _sweep_eps_row outside the CLI and reads
+    # these two keys of its row
+    spec = importlib.util.spec_from_file_location(
+        "c07_ulp_probe", Path(__file__).parents[1] / "tools" / "c07_ulp_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    cfg = build_config(parse_mapping(cfg_text(
+        contact__kind="signorini_penalty", contact__eps_pen="1e-2",
+        contact__g_lo="-0.05", contact__g_hi="0.05")))
+    row = probe._sweep_eps_row(cfg, 1e-2, str(tmp_path / "row"))
+    assert (row["status"], row["compl_violations"]) == ("ok", 0)
+    assert "sweep.eps_pen" in probe.SWEEP_CFG

@@ -38,14 +38,6 @@ class TestGenerator:
         for op in (pen.K, pen.D, pen.M):
             assert not {"_by_row", "_by_col"} & set(vars(op))
         assert pen.n == 2 * damped_system.n_free
-        assert pen.model == "non-hybrid"
-        assert pen.epsilon is None
-
-    def test_hybrid_tag(self):
-        system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=0.01))
-        pen = generator(system)
-        assert pen.model == "hybrid"
-        assert pen.epsilon == 0.01
 
 
 class TestSpectrum:
