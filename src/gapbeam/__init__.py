@@ -4,7 +4,6 @@ from .model import (
     BeamParams,
     ContactLaw,
     ForceLaw,
-    MultiplierSpec,
     NoContact,
     NormalCompliance,
     SignoriniPenalty,
@@ -13,10 +12,7 @@ from .model import (
     body_force_primitive,
     contact_potential,
     contact_traction,
-    default_multiplier,
     is_stabilizing_xi,
-    multiplier_q,
-    multiplier_q0,
 )
 from .discretize import Mesh, SemiDiscreteSystem, assemble, build_mesh, recover_stress
 from .timestep import (

@@ -44,13 +44,7 @@ from .diagnostics import (
 )
 from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
                          recover_stress)
-from .model import (
-    NoContact,
-    SignoriniPenalty,
-    TipParams,
-    default_multiplier,
-    MultiplierSpec,
-)
+from .model import NoContact, SignoriniPenalty, TipParams
 from .rows import map_rows
 from .spectral import (DimensionCapExceeded, mesh_spectrum, trend_toward_zero,
                        xi_study)
@@ -89,12 +83,6 @@ def _run(cfg: ExperimentConfig):
     traj = simulate(system, state0, laws, cfg.scheme, cfg.t_final,
                     sample_stride=cfg.stride)
     return system, laws, traj
-
-
-def _multiplier(cfg: ExperimentConfig) -> MultiplierSpec:
-    if cfg.multiplier_n:
-        return MultiplierSpec(n=cfg.multiplier_n, ell=cfg.beam.ell)
-    return default_multiplier(cfg.beam.ell)
 
 
 def _fit_entries(times, energies) -> dict:
@@ -261,7 +249,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
 
 def cmd_observability(cfg: ExperimentConfig, out: Path) -> dict:
     system, laws, traj = _run(cfg)
-    rep = observability(system, traj, _multiplier(cfg), laws)
+    rep = observability(system, traj, cfg.multiplier_n, laws)
     rows = zip(rep.times, rep.I_ell, rep.I_0, rep.L_series, rep.L0_series)
     write_table_csv(out / "observability.csv", OBSERVABILITY_SCHEMA,
                     ("t", "I_ell", "I_0", "L", "L0"), rows)

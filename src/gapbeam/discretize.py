@@ -36,16 +36,14 @@ class CooMatrix:
     """An n x n operator as a coordinate list; entries at one (row, col) add.
 
     Only nonzero entries inside the matrix are stored, in the order assembly
-    added them.  A @ x (x a vector) and x @ A (x one or more rows) run on
-    fixed-width (ELL) arrays of the merged entries, built on first use.
+    added them.  A @ x (x a vector) runs on fixed-width (ELL) arrays of the
+    merged entries, built on first use.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     n: int
-
-    __array_ufunc__ = None  # ndarray @ A defers to __rmatmul__
 
     def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) sorted by row, then column, one per slot."""
@@ -65,17 +63,9 @@ class CooMatrix:
         idx[slot, rows] = cols
         return data, idx
 
-    @cached_property
-    def _by_col(self) -> tuple[np.ndarray, np.ndarray]:
-        return CooMatrix(self.cols, self.rows, self.vals, self.n)._by_row
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         data, idx = self._by_row
         return np.einsum("ji,ji->i", data, x[idx])
-
-    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        data, idx = self._by_col
-        return np.einsum("ji,...ji->...i", data, x[..., idx])
 
     def abs_row_sums(self) -> np.ndarray:
         """Sum of |a_ij| over each row's merged entries, in column order."""

@@ -269,60 +269,6 @@ def body_force_primitive(s, law: ForceLaw):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Sharpness parameter of the exponential observability multiplier."""
-
-    n: int
-    ell: float
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.n < 1:
-            raise ParamError("n", "multiplier parameter n must be a positive integer")
-        if self.ell <= 0.0:
-            raise ParamError("ell", "ell must be positive")
-
-
-def default_multiplier(ell: float) -> MultiplierSpec:
-    """Default sharpness: large enough that the weight's slope dominates its value."""
-    return MultiplierSpec(n=math.ceil(8.0 / ell), ell=ell)
-
-
-def _check_domain(x, ell):
-    if np.any(np.asarray(x) < 0.0) or np.any(np.asarray(x) > ell):
-        raise ValueError(f"position outside [0, {ell}]")
-
-
-def multiplier_q(x, spec: MultiplierSpec):
-    """Increasing multiplier anchored at the left end: returns (q(x), q'(x)).
-
-    q(x) = (exp(n x) - 1)/n, so q(0) = 0 and q' = exp(n x).
-    """
-    _check_domain(x, spec.ell)
-    x = np.asarray(x, dtype=float)
-    e = np.exp(spec.n * x)
-    q = (e - 1.0) / spec.n
-    if q.ndim == 0:
-        return float(q), float(e)
-    return q, e
-
-
-def multiplier_q0(x, spec: MultiplierSpec):
-    """Decreasing companion anchored at the right end: returns (q0(x), q0'(x)).
-
-    q0(x) = (exp(-n x) - exp(-n ell))/n vanishes at x = ell.
-    """
-    _check_domain(x, spec.ell)
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-spec.n * x)
-    q0 = (e - math.exp(-spec.n * spec.ell)) / spec.n
-    d = -e
-    if q0.ndim == 0:
-        return float(q0), float(d)
-    return q0, d
-
-
 def is_stabilizing_xi(xi_fraction: Fraction | tuple[int, int] | None) -> str:
     """Damper-location verdict for xi = (p/q) * ell.
 

@@ -241,8 +241,10 @@ def energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> EnergyReport
     kinetic = 0.5 * _quadratic_form(system.M, w)
     tip_e = 0.0
     if tip.enabled:
-        tip_e = 0.5 * tip.epsilon * (state.v**2 + state.v_t**2)
-        kinetic -= 0.5 * tip.epsilon * state.v_t**2
+        # numpy scalars: a square past the float range is inf, not OverflowError
+        v, v_t = state.phi[-1], state.phi_t[-1]
+        tip_e = 0.5 * tip.epsilon * (v**2 + v_t**2)
+        kinetic -= 0.5 * tip.epsilon * v_t**2
     n_p = contact_potential(state.v, laws.contact)
     fhat = integrate_primitive(mesh, state.phi, laws.force_f)
     ghat = integrate_primitive(mesh, state.psi, laws.force_g)

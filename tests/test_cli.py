@@ -627,3 +627,45 @@ def test_c07_ulp_probe_imports(tmp_path):
     row = probe._sweep_eps_row(cfg, 1e-2, str(tmp_path / "row"))
     assert (row["status"], row["compl_violations"]) == ("ok", 0)
     assert "sweep.eps_pen" in probe.SWEEP_CFG
+
+
+def test_artifact_digests_imports(tmp_path):
+    # tools/artifact_digests.py: every reference config is valid, once per
+    # worker count, and a run's line is the same on a second run
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests",
+        Path(__file__).parents[1] / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = tool.reference_runs()
+    names = [name for name, _, _ in runs]
+    assert len(set(names)) == len(names)
+    assert {"c07-w1", "c07-w2", "xi-study-w2", "observability-n3-w1"} <= set(names)
+    for _, _, mapping in runs:
+        build_config(mapping)
+    run = next(r for r in runs if r[0] == "observability-w1")
+    for d in "ab":
+        (tmp_path / d).mkdir()
+    first, second = (tool.digest_line(*run, tmp_path / d) for d in "ab")
+    assert first == second
+    assert first.split()[:2] == ["observability-w1", "0"]
+
+
+def test_overflowing_tip_energy_is_a_solver_failure(tmp_path):
+    # the squares of a huge tip deflection and velocity are inf, not an
+    # OverflowError: simulate exits 3 and the sweep row diverges
+    huge = dict(tip__enabled="true", tip__epsilon="0.1",
+                init__kind="mode_velocity", init__amplitude="1e200")
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg_text(**huge)),
+                 "--out", str(out)]) == 3
+    assert read_summary(out)["status"] == "newton_divergence"
+    text = cfg_text(**huge, contact__kind="signorini_penalty",
+                    contact__eps_pen="1e-2", contact__g_lo="-0.05",
+                    contact__g_hi="0.05", sweep__eps_pen="1e-2")
+    out = tmp_path / "sweep"
+    assert main(["sweep-eps", "--config", write_cfg(tmp_path, text, "sweep.cfg"),
+                 "--out", str(out)]) == 0
+    assert read_summary(out)["status"] == "partial"
+    assert (out / "sweep.csv").read_text().splitlines()[2].split(",")[1] == \
+        "diverged"

@@ -23,7 +23,8 @@ from gapbeam import (
     simulate,
 )
 from gapbeam.diagnostics import forcing_norm
-from gapbeam.model import NoContact, default_multiplier
+from gapbeam.discretize import recover_stress
+from gapbeam.model import NoContact
 from gapbeam.timestep import Trajectory
 
 LINEAR = Laws()
@@ -182,29 +183,27 @@ class TestComplementarity:
 class TestObservability:
     def test_zero_trajectory_all_zero(self, damped_system):
         s = State.zeros(damped_system.mesh)
-        rep = observability(damped_system, _single_state_traj(s),
-                            default_multiplier(1.0))
+        rep = observability(damped_system, _single_state_traj(s))
         assert rep.defect_ell == 0.0 and rep.defect_0 == 0.0
         assert np.all(rep.I_ell == 0.0) and np.all(rep.L_series == 0.0)
 
     def test_empty_trajectory_rejected(self, damped_system):
         with pytest.raises(ValueError):
-            observability(damped_system, Trajectory(dt=1e-3),
-                          default_multiplier(1.0))
+            observability(damped_system, Trajectory(dt=1e-3))
 
     def test_coarse_sampling_rejected(self, damped_system):
         s0 = initial_state(damped_system, "mode", amplitude=1.0)
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.1,
                         sample_stride=20)
         with pytest.raises(ValueError):
-            observability(damped_system, traj, default_multiplier(1.0))
+            observability(damped_system, traj)
 
     def test_equivalence_constants_positive(self, damped_system):
         s0 = initial_state(damped_system, "mode", amplitude=1.0,
                            amplitude_psi=0.5, mode=2)
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 1.0,
                         sample_stride=5)
-        rep = observability(damped_system, traj, default_multiplier(1.0), LINEAR)
+        rep = observability(damped_system, traj, laws=LINEAR)
         assert rep.c0_measured > 0.0
         assert rep.c1_measured >= rep.c0_measured
         assert np.all(rep.L_series >= 0.0)
@@ -213,9 +212,36 @@ class TestObservability:
         s0 = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.5,
                         sample_stride=5)
-        rep = observability(damped_system, traj, default_multiplier(1.0), LINEAR)
+        rep = observability(damped_system, traj, laws=LINEAR)
         assert math.isfinite(rep.ratio_to_E0[0])
         assert math.isfinite(rep.ratio_to_E0[1])
+
+    def test_end_traces_and_default_n(self, damped_system):
+        # on a moving beam each end intensity is built from the one-sided
+        # stress trace that recover_stress takes there, and n=None is the
+        # default sharpness ceil(8/ell)
+        s0 = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
+        traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.05,
+                        sample_stride=5)
+        rep = observability(damped_system, traj)
+        beam, ell = damped_system.beam, damped_system.mesh.ell
+        for series, x, side, node in ((rep.I_ell, ell, "left", -1),
+                                      (rep.I_0, 0.0, "right", 0)):
+            expected = []
+            for s in traj.states:
+                S, Mb = recover_stress(damped_system, s, x, side=side)
+                expected.append(beam.rho2 * beam.b * s.psi_t[node] ** 2 + Mb**2
+                                + beam.rho1 * beam.k * s.phi_t[node] ** 2 + S**2)
+            assert np.all(series > 0.0)
+            assert np.array_equal(series, expected)
+        again = observability(damped_system, traj, math.ceil(8.0 / ell))
+        for name, value in vars(rep).items():
+            assert np.array_equal(value, getattr(again, name)), name
+
+    def test_nonpositive_n_rejected(self, damped_system):
+        s = State.zeros(damped_system.mesh)
+        with pytest.raises(ValueError, match="multiplier parameter n"):
+            observability(damped_system, _single_state_traj(s), 0)
 
 
 class TestAbsorbingProbe:

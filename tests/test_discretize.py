@@ -76,9 +76,9 @@ class TestAssemble:
         reduced = beam.rho1 * (beam.ell - 2 * h / 3) + beam.rho2 * (beam.ell - 2 * h / 3)
         system = assemble(mesh, beam, TipParams())
         ones = np.ones(system.n_free)
-        assert ones @ system.M @ ones == pytest.approx(reduced)
+        assert ones @ (system.M @ ones) == pytest.approx(reduced)
         system_tip = assemble(mesh, beam, TipParams(enabled=True, epsilon=0.25))
-        assert ones @ system_tip.M @ ones == pytest.approx(reduced + 0.25)
+        assert ones @ (system_tip.M @ ones) == pytest.approx(reduced + 0.25)
 
     def test_shear_kernel_contains_pure_bending_state(self):
         # phi = x, psi = -1 has zero shear strain; the midpoint strain of its
@@ -105,7 +105,7 @@ class TestAssemble:
             system = assemble(mesh, desk_beam(), TipParams())
             u = system.reduce(np.concatenate([amp_phi * np.sin(a * mesh.nodes),
                                               amp_psi * np.cos(a * mesh.nodes)]))
-            errs.append(abs(0.5 * u @ system.K @ u - closed) / closed)
+            errs.append(abs(0.5 * u @ (system.K @ u) - closed) / closed)
         assert errs[0] < 0.01
         assert errs[0] / errs[1] > 3.0  # second-order quadrature error
 
@@ -120,7 +120,7 @@ class TestAssemble:
             state = State.from_reduced(system, u, np.zeros_like(u))
             rep = energy(system, state, Laws())
             parts = rep.potential_shear + rep.potential_bend + 0.5 * eps * state.v**2
-            assert 0.5 * u @ system.K @ u == pytest.approx(parts, rel=1e-12)
+            assert 0.5 * u @ (system.K @ u) == pytest.approx(parts, rel=1e-12)
 
     def test_matches_dense_element_loop(self):
         # nonuniform mesh (xi = 2/5 splits 12 elements 5 + 7), tip and both
@@ -146,17 +146,15 @@ class TestAssemble:
 
 
 class TestProducts:
-    """A @ x and x @ A on the fixed-width arrays against the dense matrix."""
+    """A @ x on the fixed-width arrays against the dense matrix."""
 
     @staticmethod
     def assert_products(A, seed):
         dense = A.toarray()
         rng = np.random.default_rng(seed)
-        x, X = rng.standard_normal(A.n), rng.standard_normal((3, A.n))
-        atol = 1e-14 * np.abs(dense).sum(axis=1).max() * np.abs(X).max()
+        x = rng.standard_normal(A.n)
+        atol = 1e-14 * np.abs(dense).sum(axis=1).max() * np.abs(x).max()
         np.testing.assert_allclose(A @ x, dense @ x, rtol=0, atol=atol)
-        np.testing.assert_allclose(x @ A, x @ dense, rtol=0, atol=atol)
-        np.testing.assert_allclose(X @ A, X @ dense, rtol=0, atol=atol)
         np.testing.assert_allclose(A.abs_row_sums(), np.abs(dense).sum(axis=1),
                                    rtol=1e-15, atol=0.0)
 
@@ -168,7 +166,7 @@ class TestProducts:
 
     def test_unsymmetric_list_with_repeats_and_empty_rows(self):
         # a transposed product or a lost repeat would show here, where the
-        # symmetric operators cannot tell x @ A from A @ x
+        # symmetric operators cannot tell A from its transpose
         rng = np.random.default_rng(4)
         n, nnz = 9, 40
         A = CooMatrix(rng.integers(0, n - 2, nnz), rng.integers(0, n, nnz),

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import force_laws
+from gapbeam.diagnostics import _multipliers
 from gapbeam.model import (
     EXCLUDED,
     IRRATIONAL,
     STABILIZING,
     BeamParams,
     ForceLaw,
-    MultiplierSpec,
     NoContact,
     NormalCompliance,
     SignoriniPenalty,
@@ -25,10 +25,7 @@ from gapbeam.model import (
     contact_potential,
     contact_stiffness,
     contact_traction,
-    default_multiplier,
     is_stabilizing_xi,
-    multiplier_q,
-    multiplier_q0,
 )
 from gapbeam.timestep import SchemeConfig
 
@@ -204,42 +201,33 @@ class TestBodyForce:
 
 class TestMultiplier:
     def test_anchor_values(self):
-        spec = MultiplierSpec(n=1, ell=1.0)
-        assert multiplier_q(0.0, spec) == (0.0, 1.0)
-        q, qx = multiplier_q(1.0, spec)
-        assert q == pytest.approx(math.e - 1.0)
-        assert qx == pytest.approx(math.e)
+        (q, qx), _ = _multipliers(np.array([0.0, 1.0]), 1, 1.0)
+        assert (q[0], qx[0]) == (0.0, 1.0)
+        assert q[1] == pytest.approx(math.e - 1.0)
+        assert qx[1] == pytest.approx(math.e)
 
     def test_companion_vanishes_at_right_end(self):
-        spec = MultiplierSpec(n=3, ell=2.0)
-        q0, _ = multiplier_q0(2.0, spec)
+        _, (q0, _) = _multipliers(2.0, 3, 2.0)
         assert q0 == pytest.approx(0.0, abs=1e-15)
 
-    def test_rejects_outside_domain(self):
-        spec = MultiplierSpec(n=2, ell=1.0)
-        with pytest.raises(ValueError):
-            multiplier_q(1.5, spec)
-        with pytest.raises(ValueError):
-            multiplier_q0(-0.1, spec)
-
     def test_strictly_increasing_from_zero(self):
-        spec = default_multiplier(1.0)
         x = np.linspace(0.0, 1.0, 50)
-        q, qx = multiplier_q(x, spec)
+        (q, qx), (q0, q0x) = _multipliers(x, 8, 1.0)
         assert q[0] == 0.0
         assert np.all(np.diff(q) > 0.0)
         assert np.all(qx > 0.0)
+        # the companion falls to zero at ell
+        assert np.all(np.diff(q0) < 0.0) and np.all(q0x < 0.0)
 
     def test_slope_dominates_value(self):
-        # pointwise q'/q >= n, and in particular >= 1 for the default n
+        # pointwise q'/q >= n at observability's default n = ceil(8/ell)
         for ell in (0.5, 1.0, 3.0):
-            spec = default_multiplier(ell)
-            assert spec.n >= 4.0 / ell
+            n = math.ceil(8.0 / ell)
             x = np.linspace(1e-9, ell, 200)
-            q, qx = multiplier_q(x, spec)
+            (q, qx), _ = _multipliers(x, n, ell)
             ratio = qx / q
-            assert ratio.min() >= spec.n
-            weak = spec.n / (math.exp(spec.n * ell) - 1.0)
+            assert ratio.min() >= n
+            weak = n / (math.exp(n * ell) - 1.0)
             assert ratio.min() >= weak
 
 
@@ -311,7 +299,6 @@ VALID_RECORDS = {
     NormalCompliance: dict(d1=1.0, d2=1.0, p=2, g_lo=-0.1, g_hi=0.1),
     SignoriniPenalty: dict(eps_pen=1e-2, g_lo=-0.1, g_hi=0.1),
     ForceLaw: dict(mu=1.0, alpha=1.0, cutoff_R=2.0, f0=0.5),
-    MultiplierSpec: dict(n=8, ell=1.0),
     SchemeConfig: dict(dt=1e-3, newton_tol=1e-10),
 }
 FLOAT_FIELDS = [(cls, name) for cls, kw in VALID_RECORDS.items()

@@ -1,0 +1,82 @@
+"""Digests of the artifacts of a fixed list of reference runs.
+
+    PYTHONPATH=src python tools/artifact_digests.py > digests.txt
+
+Runs gapbeam.cli.main in this process on each reference config and prints one
+line per run: its name, its exit code and the digest of every file it wrote
+(bench/workloads.artifact_digest).  The configs are the two benchmark
+workloads at seed 0, the configs of acceptance checks C07 and C11, and
+observability, spectrum and tip-body runs built on the base config of the CLI
+tests.  Every config runs once with sweep.workers = 1 and once with 2, which
+only the sweeps read.  To show that a change leaves every artifact
+byte-identical, run this in a checkout of the parent commit and in one of the
+change, and diff the two outputs.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
+
+from gapbeam.cli import main  # noqa: E402
+from gapbeam.config import parse_mapping  # noqa: E402
+from test_acceptance import DETERMINISM_CFG, SWEEP_CFG  # noqa: E402
+from test_cli import BASE_MAP  # noqa: E402
+from workloads import WORKLOADS, artifact_digest, write_config  # noqa: E402
+
+MODE = {"init.kind": "mode", "init.amplitude": "1.0", "run.stride": "5",
+        "run.t_final": "0.5"}
+COMPLIANCE = {
+    "contact.kind": "normal_compliance", "contact.d1": "100", "contact.d2": "100",
+    "contact.p": "2", "contact.g_lo": "-0.01", "contact.g_hi": "0.01",
+    "init.kind": "mode_velocity", "init.amplitude": "0.5", "run.stride": "5",
+    "run.t_final": "0.2"}
+TIP = {"tip.enabled": "true", "tip.epsilon": "0.1",
+       "init.kind": "mode_velocity", "init.amplitude": "0.5"}
+PENALTY = {"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
+           "contact.g_lo": "-0.05", "contact.g_hi": "0.05",
+           "sweep.eps_pen": "1e-1, 1e-2"}
+
+
+def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
+    """(name, command, config mapping) of every reference run."""
+    runs = [(name, wl.command, wl.config(0)) for name, wl in WORKLOADS.items()]
+    runs += [("c07", "sweep-eps", parse_mapping(SWEEP_CFG)),
+             ("c11", "simulate", parse_mapping(DETERMINISM_CFG))]
+    for name, command, overrides in [
+        ("observability", "observability", MODE),
+        ("observability-n3", "observability", {**MODE, "multiplier.n": "3"}),
+        ("observability-contact", "observability", COMPLIANCE),
+        ("observability-tip", "observability", {**TIP, "run.stride": "5"}),
+        ("spectrum-eps-study", "spectrum", {"sweep.epsilon": "1e-1, 1e-2"}),
+        ("tip", "simulate", TIP),
+        ("tip-sweep-eps", "sweep-eps", {**TIP, **PENALTY}),
+    ]:
+        runs.append((name, command, {**BASE_MAP, **overrides}))
+    return [(f"{name}-w{workers}", command,
+             {**mapping, "sweep.workers": str(workers)})
+            for name, command, mapping in runs for workers in (1, 2)]
+
+
+def digest_line(name: str, command: str, mapping: dict[str, str],
+                tmp: Path) -> str:
+    """Run one reference config with its output under tmp: 'name exit digest'."""
+    cfg, out = Path(tmp) / f"{name}.cfg", Path(tmp) / name
+    write_config(mapping, cfg)
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    return f"{name} {code} {artifact_digest(out)}"
+
+
+def main_digests() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in reference_runs():
+            print(digest_line(*run, tmp), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())
