@@ -60,11 +60,6 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-def build_system(cfg: ExperimentConfig) -> SemiDiscreteSystem:
-    mesh = build_mesh(cfg.beam.ell, cfg.beam.xi, cfg.ne)
-    return assemble(mesh, cfg.beam, cfg.tip)
-
-
 def make_initial(cfg: ExperimentConfig, system: SemiDiscreteSystem):
     return initial_state(system, **vars(cfg.init), seed=cfg.seed)
 
@@ -74,7 +69,8 @@ def _run(cfg: ExperimentConfig):
 
     Returns (system, laws, trajectory); a NewtonDivergence propagates.
     """
-    system = build_system(cfg)
+    mesh = build_mesh(cfg.beam.ell, cfg.beam.xi, cfg.ne)
+    system = assemble(mesh, cfg.beam, cfg.tip)
     laws = cfg.laws()
     try:
         state0 = make_initial(cfg, system)

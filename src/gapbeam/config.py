@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -111,6 +112,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.multiplier_n or 0) < 0:
             raise ParamError("multiplier_n", "must be >= 0 (0: default)")
+        # the multiplier exp(n x) must stay finite up to x = ell
+        n_max = math.log(sys.float_info.max) / self.beam.ell
+        if (self.multiplier_n or 0) > n_max:
+            raise ParamError("multiplier_n", f"must be at most {n_max:.6g} "
+                             "(n * beam.ell <= log of the largest float)")
         if self.ne < 2:
             raise ParamError("ne", "need at least 2 elements")
         if self.stride < 1:

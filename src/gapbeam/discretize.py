@@ -123,10 +123,6 @@ class Mesh:
     def ell(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def xi(self) -> float:
-        return float(self.nodes[self.xi_index])
-
     @cached_property
     def widths(self) -> np.ndarray:
         return np.diff(self.nodes)
@@ -184,7 +180,6 @@ class SemiDiscreteSystem:
     mesh: Mesh
     beam: BeamParams
     tip: TipParams
-    free: np.ndarray            # free dof indices into the full vector
     tip_slot: int               # position of phi(ell) in the reduced numbering
     xi_phi_slot: int            # position of phi(xi) in the reduced numbering
     xi_psi_slot: int            # position of psi(xi) in the reduced numbering
@@ -194,7 +189,7 @@ class SemiDiscreteSystem:
 
     @property
     def n_free(self) -> int:
-        return len(self.free)
+        return self.K.n
 
     @property
     def node_rank(self) -> np.ndarray:
@@ -272,7 +267,7 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("reduced mass operator is not positive definite") from exc
     return SemiDiscreteSystem(
-        mesh=mesh, beam=beam, tip=tip, free=np.arange(1, 2 * nn - 1),
+        mesh=mesh, beam=beam, tip=tip,
         tip_slot=tip_slot, xi_phi_slot=xi_phi_slot, xi_psi_slot=xi_psi_slot,
         M=M, K=K, D=D,
     )

@@ -14,7 +14,6 @@ import numpy as np
 
 STABILIZING = "stabilizing"
 EXCLUDED = "excluded"
-IRRATIONAL = "irrational-input"
 
 
 class ParamError(ValueError):
@@ -269,23 +268,14 @@ def body_force_primitive(s, law: ForceLaw):
     return float(out) if out.ndim == 0 else out
 
 
-def is_stabilizing_xi(xi_fraction: Fraction | tuple[int, int] | None) -> str:
+def is_stabilizing_xi(xi_fraction: Fraction) -> str:
     """Damper-location verdict for xi = (p/q) * ell.
 
     After reduction, fractions with an even numerator (and hence odd
     denominator) are the obstructed locations: they coincide with interior
     zeros of the transverse half-wave traces, so the transverse damper misses
-    a whole family of modes there.  Everything else rational is stabilizing.
-    A None input means no exact rational was supplied; the location theorem
-    assumes rationality, so the verdict is left open rather than guessed.
+    a whole family of modes there.  Everything else is stabilizing.
     """
-    if xi_fraction is None:
-        return IRRATIONAL
-    if isinstance(xi_fraction, tuple):
-        num, den = xi_fraction
-        if den == 0:
-            raise ValueError("zero denominator")
-        xi_fraction = Fraction(num, den)
     if not 0 < xi_fraction < 1:
         raise ValueError(f"xi fraction {xi_fraction} must lie strictly in (0, 1)")
     num, den = xi_fraction.numerator, xi_fraction.denominator

@@ -303,21 +303,25 @@ class MidpointStepper:
         self.laws = laws
         self.cfg = cfg
         self.mesh = system.mesh
-        self._load = self._constant_load()
+        h, nn = self.mesh.widths, self.mesh.nn
+        self._load = self._scatter(
+            (offset, f0 * h / 2.0, f0 * h / 2.0)
+            for offset, f0 in ((0, laws.force_f.f0), (nn, laws.force_g.f0))
+            if f0 != 0.0)
         self._nl_body = laws.force_f.mu > 0.0 or laws.force_g.mu > 0.0
         self._nl_contact = not isinstance(laws.contact, NoContact)
         self._cache: dict[float, tuple] = {}
 
     # -- assembly helpers -------------------------------------------------
 
-    def _constant_load(self) -> np.ndarray:
+    def _scatter(self, shares) -> np.ndarray:
+        """Reduced load from (field offset, left, right) element shares: node
+        e gets element e's left share, then node e + 1 its right share."""
         nn = self.mesh.nn
-        h = self.mesh.widths
         load = np.zeros(2 * nn)
-        for offset, f0 in ((0, self.laws.force_f.f0), (nn, self.laws.force_g.f0)):
-            if f0 != 0.0:
-                load[offset:offset + nn - 1] += f0 * h / 2.0
-                load[offset + 1:offset + nn] += f0 * h / 2.0
+        for offset, left, right in shares:
+            load[offset:offset + nn - 1] += left
+            load[offset + 1:offset + nn] += right
         return self.system.reduce(load)
 
     def _base_operators(self, dt: float):
@@ -346,19 +350,15 @@ class MidpointStepper:
         return hit
 
     def _body_force_reduced(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Body-force load on the reduced dofs, left Gauss shares first."""
-        nn = self.mesh.nn
-        out = np.zeros(self.system.n_free)
-        mesh, law_f, law_g = self.mesh, self.laws.force_f, self.laws.force_g
-        if law_f.mu != 0.0:
-            contrib = mesh.gauss_weights * body_force(mesh.at_gauss(phi), law_f)
-            out[:nn - 2] += (contrib @ N_LEFT)[1:]
-            out[:nn - 1] += contrib @ N_RIGHT
-        if law_g.mu != 0.0:
-            contrib = mesh.gauss_weights * body_force(mesh.at_gauss(psi), law_g)
-            out[nn - 1:] += contrib @ N_LEFT
-            out[nn:] += (contrib @ N_RIGHT)[:-1]
-        return out
+        """Body-force load on the reduced dofs from its Gauss-point shares."""
+        mesh = self.mesh
+        shares = []
+        for offset, nodal, law in ((0, phi, self.laws.force_f),
+                                   (mesh.nn, psi, self.laws.force_g)):
+            if law.mu != 0.0:
+                contrib = mesh.gauss_weights * body_force(mesh.at_gauss(nodal), law)
+                shares.append((offset, contrib @ N_LEFT, contrib @ N_RIGHT))
+        return self._scatter(shares)
 
     # -- core solve --------------------------------------------------------
 
@@ -396,7 +396,8 @@ class MidpointStepper:
         raise NewtonDivergence(t_next, res, self.cfg.newton_max)
 
     def step_reduced(self, u, w, t):
-        """Advance (u, w) by one dt; bisects the step once on Newton failure."""
+        """Advance (u, w) by one dt; bisects the step once on Newton failure.
+        A NewtonDivergence names the end time of the (half) step that failed."""
         dt = self.cfg.dt
         try:
             up, wp, _, _ = self._solve_step(u, w, dt, t + dt)
@@ -448,12 +449,7 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
     traj.balance_residuals.append(0.0)
 
     for k in range(1, n_steps + 1):
-        t = state0.t + (k - 1) * cfg.dt
-        try:
-            up, wp = stepper.step_reduced(u, w, t)
-        except NewtonDivergence as exc:
-            exc.t = t + cfg.dt
-            raise
+        up, wp = stepper.step_reduced(u, w, state0.t + (k - 1) * cfg.dt)
         wm = (up - u) / cfg.dt
         diss_since_sample += cfg.dt * _quadratic_form(system.D, wm)
         u, w = up, wp

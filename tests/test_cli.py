@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -240,6 +241,8 @@ class TestSimulateCommand:
         ({"scheme.dt": "1e-200", "run.t_final": "2e-200", "run.stride": "1"},
          "scheme.dt"),
         ({"scheme.dt": "1e200", "run.t_final": "1e200"}, "scheme.dt"),
+        # exp(n x) overflows at x = ell = 1 past n = 709.78
+        ({"multiplier.n": "710"}, "multiplier.n"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -267,7 +270,7 @@ class TestSimulateCommand:
             (out2 / "trajectory.csv").read_bytes()
         assert (out1 / "summary").read_bytes() == (out2 / "summary").read_bytes()
 
-    def test_newton_divergence_exit_three_with_time(self, tmp_path):
+    def test_newton_divergence_exit_three_with_time(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, cfg_text(
             scheme__dt="0.05", scheme__newton_max="2", run__t_final="0.5",
             tip__enabled="true", tip__epsilon="1e-6",
@@ -283,6 +286,11 @@ class TestSimulateCommand:
             assert summary["status"] == "newton_divergence"
             assert float(summary["t_fail"]) > 0.0
             assert float(summary["last_residual"]) > 0.0
+            # the message and the summary name one failure time, that of the
+            # (sub-)step that failed
+            err = capsys.readouterr().err
+            assert re.search(r"at t=(\S+):", err)[1] == \
+                f"{float(summary['t_fail']):.6g}", err
 
     def test_snapshot_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "run.snapshot = true\n"

@@ -22,7 +22,6 @@ from gapbeam import (
     observability,
     simulate,
 )
-from gapbeam.diagnostics import forcing_norm
 from gapbeam.discretize import recover_stress
 from gapbeam.model import NoContact
 from gapbeam.timestep import Trajectory
@@ -105,9 +104,9 @@ class TestFitDecay:
     def test_window_selection(self):
         t = np.linspace(0.0, 10.0, 500)
         e = np.where(t < 4.0, 5.0, np.exp(-(t - 4.0)))  # transient then decay
-        fit = fit_decay(t, e, window=(5.0, 10.0))
+        fit = fit_decay(t, e)  # the default window, the last 60%, skips it
         assert fit.gamma_E == pytest.approx(1.0, rel=1e-6)
-        assert fit.window == (5.0, 10.0)
+        assert fit.window == (4.0, 10.0)
 
     def test_errors(self):
         t = np.linspace(0.0, 1.0, 50)
@@ -177,7 +176,7 @@ class TestComplementarity:
         traj = Trajectory(times=[0.0, 1.0], states=[s0, s1],
                           balance_residuals=[0.0, 0.0], dt=1e-3)
         rep = complementarity_report(conservative_system, traj, NC, t_start=0.5)
-        assert rep.n_samples == 1
+        assert sum(rep.counts.values()) == 1
 
 
 class TestObservability:
@@ -257,14 +256,8 @@ class TestAbsorbingProbe:
                               radius=1.0, t_final=30.0, n_ensemble=8,
                               sample_stride=20, seed=5)
         assert rep.plateau_radius < 0.2  # pure decay: well inside the unit ball
-        assert rep.f0_norm == 0.0
 
     def test_ensemble_size_floor(self, damped_system):
         with pytest.raises(ValueError):
             absorbing_probe(damped_system, LINEAR, SchemeConfig(dt=1e-2),
                             radius=1.0, t_final=1.0, n_ensemble=4)
-
-    def test_forcing_norm(self, damped_system):
-        laws = Laws(force_f=ForceLaw(f0=0.2), force_g=ForceLaw(f0=0.1))
-        expected = math.sqrt(0.2**2 * 1.0 / 1.0 + 0.1**2 * 1.0 / 1.0)
-        assert forcing_norm(damped_system, laws) == pytest.approx(expected)

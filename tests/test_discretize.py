@@ -271,7 +271,7 @@ class TestRecoverStress:
             traj = simulate(system, s0, Laws(), SchemeConfig(dt=2.5e-4), 1.0,
                             sample_stride=40)
             worst = 0.0
-            xi = system.mesh.xi
+            xi = system.mesh.nodes[system.mesh.xi_index]
             for st in traj.states:
                 S_r, _ = recover_stress(system, st, xi, side="right")
                 S_l, _ = recover_stress(system, st, xi, side="left")

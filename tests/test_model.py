@@ -12,7 +12,6 @@ from conftest import force_laws
 from gapbeam.diagnostics import _multipliers
 from gapbeam.model import (
     EXCLUDED,
-    IRRATIONAL,
     STABILIZING,
     BeamParams,
     ForceLaw,
@@ -239,18 +238,13 @@ class TestXiVerdict:
         assert is_stabilizing_xi(Fraction(1, 2)) == STABILIZING
 
     def test_reduces_before_deciding(self):
-        assert is_stabilizing_xi((4, 6)) == EXCLUDED
-        assert is_stabilizing_xi((2, 4)) == STABILIZING
-
-    def test_irrational_input(self):
-        assert is_stabilizing_xi(None) == IRRATIONAL
+        assert is_stabilizing_xi(Fraction(4, 6)) == EXCLUDED
+        assert is_stabilizing_xi(Fraction(2, 4)) == STABILIZING
 
     def test_rejects_bad_fractions(self):
         for bad in (Fraction(0, 1), Fraction(-1, 3), Fraction(5, 4), Fraction(1, 1)):
             with pytest.raises(ValueError):
                 is_stabilizing_xi(bad)
-        with pytest.raises(ValueError):
-            is_stabilizing_xi((1, 0))
 
 
 class TestValidation:

@@ -6,8 +6,8 @@ Runs gapbeam.cli.main in this process on each reference config and prints one
 line per run: its name, its exit code and the digest of every file it wrote
 (bench/workloads.artifact_digest).  The configs are the two benchmark
 workloads at seed 0, the configs of acceptance checks C07 and C11, and
-observability, spectrum and tip-body runs built on the base config of the CLI
-tests.  Every config runs once with sweep.workers = 1 and once with 2, which
+observability, spectrum, tip-body, body-force and Newton-failure (exit 3) runs
+built on the base config of the CLI tests.  Every config runs once with sweep.workers = 1 and once with 2, which
 only the sweeps read.  To show that a change leaves every artifact
 byte-identical, run this in a checkout of the parent commit and in one of the
 change, and diff the two outputs.
@@ -37,6 +37,17 @@ COMPLIANCE = {
     "run.t_final": "0.2"}
 TIP = {"tip.enabled": "true", "tip.epsilon": "0.1",
        "init.kind": "mode_velocity", "init.amplitude": "0.5"}
+BODY = {"force_f.mu": "1.0", "force_f.alpha": "1.0",
+        "init.kind": "mode_velocity", "init.amplitude": "0.5", "run.stride": "5",
+        "run.t_final": "0.2"}
+CUTOFF = {"force_f.cutoff_r": "0.02", "force_g.mu": "0.5", "force_g.alpha": "2.0",
+          "force_g.cutoff_r": "0.02", "init.amplitude_psi": "0.5"}
+# the config of test_cli's exit-3 test: the first half of a bisected step fails
+DIVERGENCE = {"scheme.dt": "0.05", "scheme.newton_max": "2", "run.t_final": "0.5",
+              "tip.enabled": "true", "tip.epsilon": "1e-6",
+              "contact.kind": "signorini_penalty", "contact.eps_pen": "1e-10",
+              "contact.g_lo": "-0.01", "contact.g_hi": "0.01",
+              "init.kind": "mode_velocity", "init.amplitude": "50.0"}
 PENALTY = {"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
            "contact.g_lo": "-0.05", "contact.g_hi": "0.05",
            "sweep.eps_pen": "1e-1, 1e-2"}
@@ -55,6 +66,11 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
         ("spectrum-eps-study", "spectrum", {"sweep.epsilon": "1e-1, 1e-2"}),
         ("tip", "simulate", TIP),
         ("tip-sweep-eps", "sweep-eps", {**TIP, **PENALTY}),
+        ("body-f0", "simulate", {**BODY, "force_f.f0": "0.05", "force_g.f0": "0.02"}),
+        ("body-cutoff", "simulate", {**BODY, **CUTOFF}),
+        ("body-compliance", "simulate", {**COMPLIANCE, "force_f.mu": "1.0",
+                                         "force_f.alpha": "1.0"}),
+        ("newton-divergence", "simulate", DIVERGENCE),
     ]:
         runs.append((name, command, {**BASE_MAP, **overrides}))
     return [(f"{name}-w{workers}", command,
