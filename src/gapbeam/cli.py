@@ -46,8 +46,8 @@ from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh
                          recover_stress)
 from .model import NoContact, SignoriniPenalty, TipParams
 from .rows import map_rows
-from .spectral import (DimensionCapExceeded, mesh_spectrum, trend_toward_zero,
-                       xi_study)
+from .spectral import (DimensionCapExceeded, SpectrumCertificateError,
+                       mesh_spectrum, trend_toward_zero, xi_study)
 from .timestep import NewtonDivergence, initial_state, simulate
 
 # everything imported so far lives as long as the process: keep it out of the
@@ -297,6 +297,10 @@ def main(argv=None) -> int:
             print(f"solver failure: {exc}", file=sys.stderr)
             summary.update(status="newton_divergence", t_fail=exc.t,
                            last_residual=exc.residual)
+            code = EXIT_SOLVER
+        except SpectrumCertificateError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            summary["status"] = "certificate_failure"
             code = EXIT_SOLVER
         write_summary(out / "summary", summary)
     except (ConfigError, AssemblyError) as exc:

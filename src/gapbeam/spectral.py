@@ -1,22 +1,22 @@
 """First-order generator pencils, spectra and the damper-location study.
 
-The second-order system M.u'' + D.u' + K.u = 0 is the first-order pencil
-lam * blockdiag(I, M) x = [[0, I], [-K, -D]] x.  Its complete spectrum is taken
-in energy coordinates x = (R.u, L^T.u') with M = L.L^T and K = R^T.R, where
-|x|^2 / 2 is the discrete energy and the generator is the real matrix
-
-    A = [[0, B], [-B^T, -G]],   B = R.L^-T,   G = L^-1.D.L^-T,
-
-similar to the pencil, exactly skew without damping and dissipative (its
-symmetric part is -G) with it; see Tisseur & Meerbergen, "The quadratic
-eigenvalue problem", SIAM Rev. 43 (2001), for linearizations.  The module is
-numpy only: A is formed from the assembled coordinate lists and its
-eigenvalues come from np.linalg.eigvals.
+M.u'' + D.u' + K.u = 0 is the pencil lam * blockdiag(I, M) x = [[0, I],
+[-K, -D]] x.  With M = L.L^T, the undamped modes L^-1.K.L^-T = V.Omega^2.V^T
+and D = Z.Z^T on the few slots S where it is nonzero (dampers and tip), the
+pencil is similar to the modal form [[0, Omega], [-Omega, -Q.Q^T]], where
+Q = V^T.C.Z, C the columns S of L^-1, has rank r <= 3 (Veselic, "Damped
+Oscillations of Linear Systems", LNM 2023, 2011).  Its 2n eigenvalues are the
+roots of det(I_r + sum_j lam / (lam^2 + omega_j^2) q_j.q_j^T) = 0, q_j the
+rows of Q: the poles +-i.omega_j moved by a rank-r perturbation.  An
+Ehrlich-Aberth iteration (Bini & Robol, J. Comput. Appl. Math. 272 (2014))
+finds them all at once, each held as its pole plus an offset so that a root
+1e-13 from its pole keeps its digits, and certifies the set.  numpy only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,8 +28,17 @@ from .model import BeamParams, TipParams, is_stabilizing_xi
 from .rows import map_rows
 
 
-# largest pencil dimension of the dense eigensolver; ne elements give 4 * ne
+# largest pencil dimension admitted (ne elements give 4 * ne); the dense
+# Cholesky factor and SVD of the modal form are of half that order
 DENSE_CAP = 4000
+
+_EPS = float(np.finfo(float).eps)
+# a root stops after a step below _STEP_TOL times its offset: convergence is
+# cubic, so that step left it at rounding (within the step in a cluster)
+_STEP_TOL, _MAX_SWEEPS = 2.0 ** -40, 80
+_MAX_STAGES = 12  # x10 each; beyond, slow roots ~omega/10^12 drown in rounding
+_CERT_ULPS = 64            # certificate tolerance, rounding units per root
+_SET_ASIDE = 2.0 ** -500   # |q_j|^2 up to this keeps its first-order root
 
 
 class DimensionCapExceeded(RuntimeError):
@@ -39,11 +48,16 @@ class DimensionCapExceeded(RuntimeError):
         self.n = n
         super().__init__(
             f"pencil dimension {n} exceeds DENSE_CAP = {DENSE_CAP} of the dense "
-            f"eigensolver; the largest admissible mesh has ne = {DENSE_CAP // 4}"
+            f"modal eigensolver; the largest admissible mesh has ne = "
+            f"{DENSE_CAP // 4}"
         )
 
     def __reduce__(self):
         return type(self), (self.n,)
+
+
+class SpectrumCertificateError(RuntimeError):
+    """A root set that failed its certificate; the message names the check."""
 
 
 @dataclass(frozen=True)
@@ -74,36 +88,42 @@ def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
     return GeneratorPencil(K=system.K, D=system.D, M=system.M)
 
 
-def energy_form(pencil: GeneratorPencil) -> np.ndarray:
-    """The dense real generator A = [[0, B], [-B^T, -G]] of the module docstring.
+def modal_form(pencil: GeneratorPencil) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, Q) of the module docstring, omega ascending, Q of shape (n, r).
 
-    M is tridiagonal in the reduced numbering, so L is bidiagonal and every
-    solve with it is a row recurrence, O(n) per column; K is not banded and
-    gets a dense Cholesky.  D has a few nonzeros on slots S, so
-    G = C.D_SS.C^T with C the columns S of L^-1.
+    L is bidiagonal (M is tridiagonal), so solves with it are recurrences.
+    With K = R^T.R, omega and V are the SVD of B^T = L^-1.R^T: exact to
+    rounding of omega_max, where eigh of B^T.B would square the range.  D is
+    diagonal, Z its square root on S.  Frequencies equal to 12 digits are one
+    multiple pole, whose rows of Q turn orthogonal, at most r of them nonzero.
     """
-    n = pencil.n // 2
-    M, D = pencil.M, pencil.D
+    M, D, n = pencil.M, pencil.D, pencil.n // 2
     L = tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
     try:
         Rt = np.linalg.cholesky(pencil.K.toarray())  # K = R^T.R, R^T lower
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(
             "reduced stiffness operator is not positive definite") from exc
-    A = np.zeros((2 * n, 2 * n))
     Bt = lower_solve(L, Rt)     # B^T = L^-1.R^T, in place of R^T
-    A[:n, n:] = Bt.T
-    np.negative(Bt, out=A[n:, :n])
-    # the sorted slots of np.unique, without its import of numpy.ma
-    S = np.flatnonzero(np.bincount(np.concatenate([D.rows, D.cols])))
-    if S.size:
-        unit = np.zeros((n, S.size))
-        unit[S, np.arange(S.size)] = 1.0
-        C = lower_solve(L, unit)
-        D_SS = CooMatrix(np.searchsorted(S, D.rows), np.searchsorted(S, D.cols),
-                         D.vals, S.size).toarray()
-        A[n:, n:] = C @ (D_SS @ -C.T)
-    return A
+    damping = D.diagonal()
+    if np.any(D.rows != D.cols) or np.any(damping < 0.0):
+        raise AssemblyError("damping operator is not a nonnegative diagonal")
+    S = np.flatnonzero(damping)
+    unit = np.zeros((n, S.size))
+    unit[S, np.arange(S.size)] = 1.0
+    C = lower_solve(L, unit) * np.sqrt(damping[S])
+    if not (np.isfinite(Bt).all() and np.isfinite(C).all()):
+        raise AssemblyError("modal form of the generator has a non-finite entry")
+    V, omega, _ = np.linalg.svd(Bt)
+    omega, Q = omega[::-1].copy(), V[:, ::-1].T @ C
+    gaps = np.flatnonzero(np.diff(omega) > 2.0 ** -40 * omega[1:]) + 1
+    for block in np.split(np.arange(n), gaps):
+        if block.size > 1:
+            omega[block] = omega[block].mean()
+            _, sv, vt = np.linalg.svd(Q[block], full_matrices=False)
+            Q[block] = 0.0
+            Q[block[:sv.size]] = sv[:, None] * vt
+    return omega, Q
 
 
 def lower_solve(L: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
@@ -118,6 +138,110 @@ def lower_solve(L: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray
         rhs[i] -= below[i - 1] * rhs[i - 1]
         rhs[i] /= lower[i]
     return rhs
+
+
+def secular_roots(omega: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Offsets of the 2n roots of the modal form from its poles i[omega, -omega].
+
+    Roots start at their first-order guesses +-i.omega_j - |q_j|^2 / 2 (apart
+    on a multiple pole), and stay there if |q_j|^2 <= _SET_ASIDE.  Continuation
+    takes Q.sqrt(s), s = 10^-k, ..., 0.1, 1, 10^-k |q_j|^2 <= omega_j.  The
+    upper half-plane is mirrored until a root reaches the real axis or a stage
+    stalls, then all roots iterate, from starts off conjugate symmetry.
+    """
+    weight = np.einsum("ja,ja->j", Q, Q)
+    delta = np.tile(-0.5 * weight, 2).astype(complex)
+    live = weight > _SET_ASIDE
+    om, q, m = omega[live], Q[live], int(live.sum())
+    if not m:
+        return delta
+    ratio = float(np.max(weight[live] / om))
+    if not (ratio <= 10.0 ** _MAX_STAGES and np.isfinite(np.sum((q.T @ q) ** 2))):
+        raise AssemblyError(f"secular weights of the modal form out of range: "
+                            f"max |q_j|^2 / omega_j = {ratio:.3g} > 1e{_MAX_STAGES}")
+    stages = max(0, math.ceil(math.log10(ratio)))
+    R = np.einsum("ja,jb->jab", q, q).reshape(m, -1)
+    first = np.flatnonzero(np.diff(om, prepend=-1.0))  # runs of equal poles
+    rank = np.arange(m) - np.repeat(first, np.diff(first, append=m))
+    d = np.tile(-0.5 * weight[live] * np.exp(0.01j * rank), 2) * 10.0 ** -stages
+    rows = m  # the upper half-plane, mirrored
+    for s in 10.0 ** np.arange(-stages, 1):
+        start = d.copy()
+        while not _aberth(om, s * R, d, rows):
+            if rows == 2 * m:
+                raise SpectrumCertificateError(
+                    f"convergence: roots still moving after {_MAX_SWEEPS} "
+                    f"sweeps at damping scale {s:g}")
+            rows, d = 2 * m, start
+            d[m:] *= 1.0 + 1e-3j  # off conjugate symmetry
+    delta[np.tile(live, 2)] = d
+    return delta
+
+
+def _aberth(om: np.ndarray, R: np.ndarray, d: np.ndarray, rows: int) -> bool:
+    """Ehrlich-Aberth sweeps on the first `rows` offsets d from i[om, -om].
+
+    Root z_k = mu_k + d_k of prod(lam - mu_p) * det F(lam), F = I +
+    sum_j R_j lam / (lam^2 + om_j^2), steps by 1 / (det'/det + 1/d_k - sum_{l != k}
+    d_l / ((z_k - mu_l)(z_k - z_l))): the poles' log-derivative less the
+    Aberth sum, paired term by term so that no nearby large numbers cancel.
+    With rows = len(om) the lower half mirrors the upper, and a root reaching
+    the real axis ends the sweeps.  True once every root has stopped.
+    """
+    m, r = om.size, math.isqrt(R.shape[1])
+    pole = np.concatenate([om, -om])     # imaginary parts of the poles
+    live, chunk = np.arange(rows), max(1, 2 ** 15 // (2 * m))  # chunk: 2^15 pairs
+    for _ in range(_MAX_SWEEPS):
+        if not live.size:
+            return True
+        step = np.empty(live.size, complex)
+        for a in range(0, live.size, chunk):
+            k = live[a:a + chunk]
+            gap = 1j * (pole[k, None] - pole) + d[k, None]  # z_k - mu_p
+            E = 1.0 / gap
+            to_root = gap - d                               # z_k - z_l
+            to_root[np.arange(k.size), k] = np.inf
+            # 1 / (z^2 + omega^2) as one product: a mode's pole terms cannot cancel
+            z, EE = 1j * pole[k, None] + d[k, None], E[:, :m] * E[:, m:]
+            F = ((z * EE) @ R).reshape(-1, r, r) + np.eye(r)
+            dF = (((om * om - z * z) * EE * EE) @ R).reshape(-1, r, r)
+            det = np.linalg.det(F)
+            # Jacobi: det' sums det F with one column replaced by that of F'
+            ddet = sum(np.linalg.det(np.concatenate(
+                [F[..., :j], dF[..., j:j + 1], F[..., j + 1:]], axis=-1))
+                for j in range(r))
+            pairs = (E / to_root) @ d   # sum_l d_l / ((z_k - mu_l)(z_k - z_l))
+            step[a:a + k.size] = det / (ddet + (1.0 / d[k] - pairs) * det)
+        d[live] -= step
+        if rows == m:
+            d[m + live] = d[live].conj()
+            if np.any(pole[live] + d[live].imag <= 0.0):
+                return False
+        live = live[np.abs(step) > _STEP_TOL * np.abs(d[live])]
+    return not live.size
+
+
+def certify(omega: np.ndarray, Q: np.ndarray, delta: np.ndarray) -> None:
+    """Raise SpectrumCertificateError unless delta is a root set of (omega, Q).
+
+    delta holds the offsets from the poles i[omega, -omega].  Checks: 2n finite
+    roots; no Re lam above its rounding bound (the generator is dissipative);
+    sum lam = -tr(G), sum lam^2 = -2 sum omega^2 + tr(G^2) for G = Q^T.Q.
+    """
+    n, G = omega.size, Q.T @ Q
+    if delta.shape != (2 * n,) or not np.isfinite(delta).all():
+        raise SpectrumCertificateError(
+            f"count: {np.isfinite(delta).sum()} finite roots of {2 * n}")
+    if np.any(delta.real > _CERT_ULPS * _EPS * np.abs(delta)):
+        raise SpectrumCertificateError(
+            f"sign: a root has Re lambda = {delta.real.max():.4g}")
+    square = delta * (2j * np.concatenate([omega, -omega]) + delta)  # lam^2 - mu^2
+    for name, terms, want in (("trace", delta, -np.trace(G)),
+                              ("trace of the square", square, np.sum(G * G))):
+        size = np.abs(terms).sum() + abs(want)
+        if not abs(terms.sum() - want) <= _CERT_ULPS * 2 * n * _EPS * size:
+            raise SpectrumCertificateError(
+                f"{name}: the roots give {terms.sum():.6g}, the modal form {want:.6g}")
 
 
 @dataclass(frozen=True)
@@ -135,25 +259,21 @@ class SpectralReport:
 
 
 def spectrum(pencil: GeneratorPencil) -> SpectralReport:
-    """The complete spectrum of the pencil.
+    """The complete spectrum of the pencil, from its modal form.
 
-    The pencil dimension is checked against DENSE_CAP first; the eigenvalues
-    are those of the dense energy form A, taken by the general nonsymmetric
-    solver also without damping.  An A with a non-finite entry (operators that
-    overflowed in assembly) raises AssemblyError.
+    The pencil dimension is checked against DENSE_CAP first.  Operators or
+    secular weights that overflow raise AssemblyError; a root set that fails
+    its certificate raises SpectrumCertificateError and yields no report.
     """
     if pencil.n > DENSE_CAP:
         raise DimensionCapExceeded(pencil.n)
-    A = energy_form(pencil)
-    if not np.isfinite(A).all():
-        raise AssemblyError("generator in energy form has a non-finite entry")
-    lam = np.linalg.eigvals(A)
+    omega, Q = modal_form(pencil)
+    delta = secular_roots(omega, Q)
+    certify(omega, Q, delta)
+    lam = 1j * np.concatenate([omega, -omega]) + delta
     lam = lam[np.lexsort((lam.imag, -lam.real))]
-    return SpectralReport(
-        eigenvalues=lam,
-        abscissa=float(lam.real.max()),
-        min_damping_gap=float(np.abs(lam.real).min()),
-    )
+    return SpectralReport(eigenvalues=lam, abscissa=float(lam.real.max()),
+                          min_damping_gap=float(np.abs(lam.real).min()))
 
 
 @dataclass(frozen=True)
@@ -165,9 +285,15 @@ class XiStudyRow:
 
 
 def mesh_spectrum(beam: BeamParams, tip: TipParams, ne: int) -> SpectralReport:
-    """The spectrum of the beam on a uniform mesh of ne elements; one study row."""
-    mesh = build_mesh(beam.ell, beam.xi, ne)
-    return spectrum(generator(assemble(mesh, beam, tip)))
+    """One study row: the spectrum of the beam on a mesh of ne elements."""
+    try:
+        return spectrum(generator(assemble(build_mesh(beam.ell, beam.xi, ne),
+                                           beam, tip)))
+    except SpectrumCertificateError as exc:
+        eps = f", epsilon={tip.epsilon:g}" if tip.enabled else ""
+        raise SpectrumCertificateError(
+            f"spectrum at ne={ne}, xi={beam.xi_fraction or beam.xi_real}{eps} "
+            f"failed its certificate: {exc}")
 
 
 def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
@@ -178,7 +304,7 @@ def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
     is_stabilizing_xi applies and the mesh places the damper on a node.
     Every ne is checked against DENSE_CAP before the first solve.  The rows
     run on up to `workers` processes (rows.map_rows), weighted by ne**3, the
-    cost of the dense eigen-solve.
+    cost of the dense SVD of the modal form (a root sweep is ne**2).
     """
     ne_max = max(ne_values, default=0)
     if 4 * ne_max > DENSE_CAP:

@@ -19,6 +19,7 @@ from gapbeam.config import (_KNOWN, _PARSERS, _SECTIONS, ConfigError,
                             load_config, parse_mapping)
 from gapbeam.model import (ForceLaw, NoContact, NormalCompliance,
                            SignoriniPenalty, TipParams)
+from gapbeam.spectral import SpectrumCertificateError
 from gapbeam.timestep import SchemeConfig, State
 
 BASE_MAP = {
@@ -413,6 +414,54 @@ def test_unusable_operator_exit_two(tmp_path, capsys, command, extra):
     assert ("non-finite entry" if "beam.ell" in extra
             else "not positive definite") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep-xi"])
+@pytest.mark.parametrize("extra", [{"beam.gamma1": "1e300"},
+                                   {"beam.rho1": "1e-300"}])
+def test_overflowing_secular_weights_exit_two(tmp_path, capsys, command, extra):
+    # the dissipative generator has no root with Re lam > 0; weights beyond
+    # the modal form's range are a config error, not a positive abscissa
+    text = "".join(f"{k} = {v}\n" for k, v in
+                   {**BASE_MAP, "sweep.xi": "1/2", **extra}.items())
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: secular weights")
+    assert "Traceback" not in err
+    assert not (out / "summary").exists()
+
+
+@pytest.mark.parametrize("command, extra, row", [
+    ("spectrum", {"tip.enabled": "true", "tip.epsilon": "0.01"},
+     "ne=8, xi=1/2, epsilon=0.01"),
+    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16",
+                  "sweep.workers": "2"}, "ne=16, xi=2/3"),
+])
+def test_certificate_failure_exit_three_names_row(tmp_path, capsys, monkeypatch,
+                                                  command, extra, row):
+    # a root set that fails its certificate is a solver failure; the message
+    # names the row and the check, also from a forked row worker (whose
+    # first row is the xi = 2/3 one at ne = 16)
+    caller = os.getpid()
+
+    def fail(omega, Q, delta):
+        if command == "spectrum" or os.getpid() != caller:
+            raise SpectrumCertificateError("trace: the roots give 1, the "
+                                           "modal form 2")
+
+    monkeypatch.setattr("gapbeam.spectral.certify", fail)
+    text = "".join(f"{k} = {v}\n" for k, v in {**BASE_MAP, **extra}.items())
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver failure: spectrum at {row} failed its "
+                          "certificate: trace:")
+    assert read_summary(out)["status"] == "certificate_failure"
+    assert not (out / "spectrum.csv").exists()
+    assert not (out / "xi_study.csv").exists()
 
 
 @pytest.mark.parametrize("command, extra, artifacts", [
