@@ -20,7 +20,6 @@ from .timestep import (
     Laws,
     NewtonDivergence,
     SchemeConfig,
-    State,
     Trajectory,
     energy,
     initial_state,

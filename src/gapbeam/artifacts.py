@@ -6,14 +6,14 @@ bitwise-identical files and golden-file comparisons are meaningful.
 
 from __future__ import annotations
 
-import struct
+from struct import pack, unpack_from
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import energy_series
 from .discretize import SemiDiscreteSystem, recover_stress
-from .timestep import Laws, State, Trajectory
+from .timestep import Laws, Trajectory
 
 TRAJECTORY_SCHEMA = "gapbeam-trajectory-v1"
 SPECTRUM_SCHEMA = "gapbeam-spectrum-v1"
@@ -25,6 +25,10 @@ OBSERVABILITY_SCHEMA = "gapbeam-observability-v1"
 _SNAP_MAGIC = b"GAPBEAMSNAP"
 _SNAP_VERSION = 1
 
+# v, v_t: tip deflection and velocity; S_ell: shear force at ell from the
+# last element; balance_residual: Trajectory.balance, E - E_prev plus the
+# dissipation since the previous row, which is the constant load's work over
+# those steps plus, with nonlinear laws, the midpoint rule's quadrature error
 TRAJECTORY_COLUMNS = (
     "t", "E_total", "kinetic", "potential_shear", "potential_bend", "N_p",
     "tip_energy", "Fhat_int", "Ghat_int", "v", "v_t", "S_ell",
@@ -49,15 +53,13 @@ def write_table_csv(path: str | Path, schema: str, header: tuple[str, ...],
 def write_trajectory_csv(path: str | Path, system: SemiDiscreteSystem,
                          traj: Trajectory, laws: Laws) -> None:
     reports = energy_series(system, traj, laws)
-    ell = system.mesh.ell
-    rows = []
-    for t, state, rep, bal in zip(traj.times, traj.states, reports,
-                                  traj.balance_residuals):
-        s_ell, _ = recover_stress(system, state, ell, side="left")
-        rows.append((t, rep.E_total, rep.kinetic, rep.potential_shear,
-                     rep.potential_bend, rep.N_p, rep.tip_energy, rep.Fhat_int,
-                     rep.Ghat_int, state.v, state.v_t, s_ell,
-                     rep.dissipation_rate, bal))
+    s_ell, _ = recover_stress(system, traj.U, system.mesh.ell, side="left")
+    tip = system.tip_slot
+    rows = [(t, rep.E_total, rep.kinetic, rep.potential_shear, rep.potential_bend,
+             rep.N_p, rep.tip_energy, rep.Fhat_int, rep.Ghat_int, v, v_t, s,
+             rep.dissipation_rate, bal)
+            for t, rep, v, v_t, s, bal in zip(traj.times, reports, traj.U[:, tip],
+                                              traj.W[:, tip], s_ell, traj.balance)]
     write_table_csv(path, TRAJECTORY_SCHEMA, TRAJECTORY_COLUMNS, rows)
 
 
@@ -75,26 +77,32 @@ def write_summary(path: str | Path, entries: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def save_snapshot(path: str | Path, state: State) -> None:
-    """Binary state dump: magic, version, node count, time, four raw arrays."""
-    fields = (state.phi, state.psi, state.phi_t, state.psi_t)
-    nn = len(state.phi)
-    if any(len(a) != nn for a in fields):
-        raise ValueError("state arrays have inconsistent lengths")
-    head = _SNAP_MAGIC + struct.pack("<IId", _SNAP_VERSION, nn, state.t)
+def save_snapshot(path: str | Path, system: SemiDiscreteSystem, u: np.ndarray,
+                  w: np.ndarray, t: float) -> None:
+    """Binary dump of the reduced state (u, w) at time t: magic, version, node
+    count, time, then the nodal phi, psi, phi_t, psi_t as raw arrays."""
+    fields = (*system.expand(u), *system.expand(w))
+    head = _SNAP_MAGIC + pack("<IId", _SNAP_VERSION, system.mesh.nn, t)
     Path(path).write_bytes(head + np.asarray(fields, dtype="<f8").tobytes())
 
 
-def load_snapshot(path: str | Path) -> State:
+def load_snapshot(path: str | Path,
+                  system: SemiDiscreteSystem) -> tuple[np.ndarray, np.ndarray, float]:
+    """(u, w, t) of a snapshot of system's mesh; the essential dofs drop out."""
     blob = Path(path).read_bytes()
     head = len(_SNAP_MAGIC) + 16
     if not blob.startswith(_SNAP_MAGIC) or len(blob) < head:
         raise ValueError(f"{path}: not a snapshot file, or its header is cut")
-    version, nn, t = struct.unpack_from("<IId", blob, len(_SNAP_MAGIC))
+    version, nn, t = unpack_from("<IId", blob, len(_SNAP_MAGIC))
     if version != _SNAP_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     if len(blob) != head + 32 * nn:
         raise ValueError(f"{path}: {len(blob)} bytes, where a snapshot of {nn} "
                          f"nodes takes {head + 32 * nn}")
-    fields = np.frombuffer(blob, dtype="<f8", offset=head).reshape(4, nn)
-    return State(*fields.copy(), t)
+    if nn != system.mesh.nn:
+        raise ValueError(f"{path}: a snapshot of {nn} nodes, where the mesh "
+                         f"has {system.mesh.nn}")
+    phi, psi, phi_t, psi_t = np.frombuffer(blob, dtype="<f8",
+                                           offset=head).reshape(4, nn)
+    return (system.reduce(np.concatenate([phi, psi])),
+            system.reduce(np.concatenate([phi_t, psi_t])), t)

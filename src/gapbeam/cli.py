@@ -6,7 +6,11 @@ takes --config <key=value file> and --out <directory>.  Exit codes: 0 success,
 
 A command writes its tables and returns its summary entries; main writes
 them to <out>/summary after the envelope (schema, command, status), which a
-solver failure gets too.
+solver failure gets too.  The statuses of exit 3:
+  newton_divergence    a step failed at t_fail (simulate, observability)
+  certificate_failure  a root set failed its certificate (sweep-xi, spectrum)
+  non_finite_<figure>  an observability figure, the first such, is nan or
+                       inf for nonzero initial data; all figures are written
 
 The rows of a sweep (sweep-eps, sweep-xi and the epsilon study of spectrum)
 run here and in forked children that pipe their rows back, up to sweep.workers
@@ -60,6 +64,10 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
+class NonFiniteFigure(RuntimeError):
+    """args: the name of a figure that is nan or inf, and every summary entry."""
+
+
 def make_initial(cfg: ExperimentConfig, system: SemiDiscreteSystem):
     return initial_state(system, **vars(cfg.init), seed=cfg.seed)
 
@@ -73,10 +81,10 @@ def _run(cfg: ExperimentConfig):
     system = assemble(mesh, cfg.beam, cfg.tip)
     laws = cfg.laws()
     try:
-        state0 = make_initial(cfg, system)
+        initial = make_initial(cfg, system)
     except ValueError as exc:
         raise ConfigError(f"init: {exc}") from exc
-    traj = simulate(system, state0, laws, cfg.scheme, cfg.t_final,
+    traj = simulate(system, initial, laws, cfg.scheme, cfg.t_final,
                     sample_stride=cfg.stride)
     return system, laws, traj
 
@@ -107,7 +115,7 @@ def _report(cfg: ExperimentConfig, out: Path, **tolerances):
     law = laws.contact
     if not isinstance(law, NoContact):
         entries["constraint_violation"] = constraint_violation(
-            traj, law.g_lo, law.g_hi)
+            system, traj, law.g_lo, law.g_hi)
         comp = complementarity_report(system, traj, law, **tolerances)
         for key, count in comp.counts.items():
             entries[f"complementarity_{key}"] = count
@@ -119,9 +127,10 @@ def _report(cfg: ExperimentConfig, out: Path, **tolerances):
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
-    _, traj, entries = _report(cfg, out)
+    system, traj, entries = _report(cfg, out)
     if cfg.snapshot:
-        save_snapshot(out / "final_state.snap", traj.states[-1])
+        save_snapshot(out / "final_state.snap", system, traj.U[-1], traj.W[-1],
+                      traj.times[-1])
     return entries
 
 
@@ -155,9 +164,8 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
         write_summary(out / "summary", {"status": "diverged", "t_fail": exc.t})
         return dict(zip(SWEEP_HEADER, (eps_pen, "diverged", math.nan,
                                        math.nan, math.nan, -1, -1, -1, -1)))
-    ell = system.mesh.ell
-    sup_s = max(abs(recover_stress(system, s, ell, side="left")[0])
-                for s in traj.states)
+    s_ell, _ = recover_stress(system, traj.U, system.mesh.ell, side="left")
+    sup_s = float(abs(s_ell).max())
     counts = [entries[f"complementarity_{key}"]
               for key in ("interior", "upper", "lower", "violation")]
     row = dict(zip(SWEEP_HEADER, (eps_pen, "ok", entries["constraint_violation"],
@@ -246,13 +254,19 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
 def cmd_observability(cfg: ExperimentConfig, out: Path) -> dict:
     system, laws, traj = _run(cfg)
     rep = observability(system, traj, cfg.multiplier_n, laws)
-    rows = zip(rep.times, rep.I_ell, rep.I_0, rep.L_series, rep.L0_series)
+    rows = zip(traj.times, rep.I_ell, rep.I_0, rep.L_series, rep.L0_series)
     write_table_csv(out / "observability.csv", OBSERVABILITY_SCHEMA,
                     ("t", "I_ell", "I_0", "L", "L0"), rows)
-    return {"defect_ell": rep.defect_ell, "defect_0": rep.defect_0,
-            "ratio_ell_to_E0": rep.ratio_to_E0[0],
-            "ratio_0_to_E0": rep.ratio_to_E0[1],
-            "c0_measured": rep.c0_measured, "c1_measured": rep.c1_measured}
+    entries = {"defect_ell": rep.defect_ell, "defect_0": rep.defect_0,
+               "ratio_ell_to_E0": rep.ratio_to_E0[0],
+               "ratio_0_to_E0": rep.ratio_to_E0[1],
+               "c0_measured": rep.c0_measured, "c1_measured": rep.c1_measured}
+    # zero initial data has E0 = 0 and no intensity, so its ratios are inf
+    # and its constants nan by definition; any other data lost them to range
+    for key, value in entries.items():
+        if not math.isfinite(value) and (traj.U[0].any() or traj.W[0].any()):
+            raise NonFiniteFigure(key, entries)
+    return entries
 
 
 _COMMANDS = {
@@ -301,6 +315,12 @@ def main(argv=None) -> int:
         except SpectrumCertificateError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             summary["status"] = "certificate_failure"
+            code = EXIT_SOLVER
+        except NonFiniteFigure as exc:
+            name, entries = exc.args
+            print(f"solver failure: {name} = {entries[name]} is not finite",
+                  file=sys.stderr)
+            summary.update(entries, status=f"non_finite_{name}")
             code = EXIT_SOLVER
         write_summary(out / "summary", summary)
     except (ConfigError, AssemblyError) as exc:

@@ -25,7 +25,7 @@ from .timestep import (
 def energy_series(system: SemiDiscreteSystem, traj: Trajectory,
                   laws: Laws) -> list[EnergyReport]:
     """Energy reports at every sample."""
-    return [energy(system, state, laws) for state in traj.states]
+    return [energy(system, u, w, laws) for u, w in zip(traj.U, traj.W)]
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class ObservabilityReport:
     reported, not asserted (the comparison constant is not quantified).
     """
 
-    times: np.ndarray
     I_ell: np.ndarray
     I_0: np.ndarray
     L_series: np.ndarray
@@ -120,18 +119,19 @@ def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = 
         raise ValueError("multiplier parameter n must be a positive integer")
     weights = mesh.gauss_weights
     (q, qx), (q0, q0x) = _multipliers(mesh.gauss_points, n, ell)
-    times = np.asarray(traj.times)
+    times = traj.times
     I_ell, I_0, L_q, L_q0, I_int = np.empty((5, len(traj)))
-    for i, state in enumerate(traj.states):
-        gamma, kappa = element_strains(mesh, state.phi, state.psi)
+    for i, (u, w) in enumerate(zip(traj.U, traj.W)):
+        gamma, kappa = element_strains(mesh, *system.expand(u))
+        phi_t, psi_t = system.expand(w)
         S_el, M_el = beam.k * gamma, beam.b * kappa
         for series, end in ((I_ell, -1), (I_0, 0)):
             # squared as scalars: pow can round apart from an array's x * x
-            series[i] = (beam.rho2 * beam.b * state.psi_t[end] ** 2
+            series[i] = (beam.rho2 * beam.b * psi_t[end] ** 2
                          + float(M_el[end]) ** 2
-                         + beam.rho1 * beam.k * state.phi_t[end] ** 2
+                         + beam.rho1 * beam.k * phi_t[end] ** 2
                          + float(S_el[end]) ** 2)
-        phit_g, psit_g = mesh.at_gauss(state.phi_t), mesh.at_gauss(state.psi_t)
+        phit_g, psit_g = mesh.at_gauss(phi_t), mesh.at_gauss(psi_t)
         intensity = (beam.rho2 * beam.b * psit_g**2 + M_el[:, None] ** 2
                      + beam.rho1 * beam.k * phit_g**2 + S_el[:, None] ** 2)
         cross = beam.rho1 * beam.k * phit_g * psit_g - (S_el * M_el)[:, None]
@@ -147,7 +147,7 @@ def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = 
     int_L0 = float(np.trapezoid(L_q0, times))
     defect_ell = abs(int_bd_ell - int_L)
     defect_0 = abs(int_bd_0 - int_L0)
-    e0 = total_energy(system, traj.states[0], laws)
+    e0 = total_energy(system, traj.U[0], traj.W[0], laws)
     ratio = (defect_ell / e0 if e0 > 0 else math.inf,
              defect_0 / e0 if e0 > 0 else math.inf)
 
@@ -156,17 +156,18 @@ def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = 
     c0 = float(ratios.min()) if ratios.size else math.nan
     c1 = float(ratios.max()) if ratios.size else math.nan
     return ObservabilityReport(
-        times=times, I_ell=I_ell, I_0=I_0, L_series=L_q, L0_series=L_q0,
+        I_ell=I_ell, I_0=I_0, L_series=L_q, L0_series=L_q0,
         defect_ell=defect_ell, defect_0=defect_0, ratio_to_E0=ratio,
         c0_measured=c0, c1_measured=c1,
     )
 
 
-def constraint_violation(traj: Trajectory, g_lo: float, g_hi: float) -> float:
+def constraint_violation(system: SemiDiscreteSystem, traj: Trajectory,
+                         g_lo: float, g_hi: float) -> float:
     """Worst excursion of the end deflection beyond the stops (0 if admissible)."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    v = traj.v_series()
+    v = traj.U[:, system.tip_slot]
     return float(max(0.0, (v - g_hi).max(), (g_lo - v).max()))
 
 
@@ -203,11 +204,10 @@ def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
     counts = {"interior": 0, "upper": 0, "lower": 0, "violation": 0}
     worst = None
     worst_mag = -1.0
-    for t, state in zip(traj.times, traj.states):
+    S_ell, _ = recover_stress(system, traj.U, beam.ell, side="left")
+    for t, v, S in zip(traj.times, traj.U[:, system.tip_slot], S_ell):
         if t_start is not None and t < t_start:
             continue
-        v = state.v
-        S, _ = recover_stress(system, state, beam.ell, side="left")
         if law.g_lo + tol_g < v < law.g_hi - tol_g:
             side, ok = "interior", abs(S) <= tol_S
         elif v >= law.g_hi - tol_g:
@@ -247,13 +247,13 @@ def absorbing_probe(system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig,
     if n_ensemble < 8:
         raise ValueError("ensemble must hold at least 8 trajectories")
     norm_rows = []
-    times = None
     for j in range(n_ensemble):
-        s0 = initial_state(system, "random_ball", radius=radius, seed=seed + j)
-        traj = simulate(system, s0, laws, cfg, t_final, sample_stride=sample_stride)
-        norm_rows.append([state_norm(system, s) for s in traj.states])
-        times = np.asarray(traj.times)
-    norms = np.asarray(norm_rows)
+        initial = initial_state(system, "random_ball", radius=radius,
+                                seed=seed + j)
+        traj = simulate(system, initial, laws, cfg, t_final,
+                        sample_stride=sample_stride)
+        norm_rows.append([state_norm(system, u, w) for u, w in zip(traj.U, traj.W)])
+    times, norms = traj.times, np.asarray(norm_rows)
 
     n_tail = max(2, int(0.2 * norms.shape[1]))
     plateau = float(norms[:, -n_tail:].max())

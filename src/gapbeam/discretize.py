@@ -201,12 +201,13 @@ class SemiDiscreteSystem:
     def reduce(self, full_vec: np.ndarray) -> np.ndarray:
         return full_vec[1:-1]
 
-    def expand(self, reduced_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reduced vector -> (phi, psi) full nodal arrays with essential zeros."""
+    def expand(self, reduced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced vectors -> (phi, psi) full nodal arrays with essential zeros;
+        the dofs run along the last axis, other axes carry over."""
         nn = self.mesh.nn
-        full = np.zeros(2 * nn)
-        full[1:-1] = reduced_vec
-        return full[:nn], full[nn:]
+        full = np.zeros(reduced.shape[:-1] + (2 * nn,))
+        full[..., 1:-1] = reduced
+        return full[..., :nn], full[..., nn:]
 
 
 def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem:
@@ -296,24 +297,26 @@ def element_strains(mesh: Mesh, phi: np.ndarray,
     """Shear strain phi_x + psi_mid and curvature psi_x of every element.
 
     Both are constant per element: the shear term is sampled at the midpoint
-    (the reduced integration of the stiffness), and psi is linear.
+    (the reduced integration of the stiffness), and psi is linear.  The nodes
+    run along the last axis of phi and psi.
     """
     h = mesh.widths
-    gamma = np.diff(phi) / h + 0.5 * (psi[:-1] + psi[1:])
+    gamma = np.diff(phi) / h + 0.5 * (psi[..., :-1] + psi[..., 1:])
     kappa = np.diff(psi) / h
     return gamma, kappa
 
 
-def recover_stress(system: SemiDiscreteSystem, state, x: float,
-                   side: str = "auto") -> tuple[float, float]:
-    """Element-wise shear force and bending moment at x.
+def recover_stress(system: SemiDiscreteSystem, u: np.ndarray, x: float,
+                   side: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise shear force and bending moment at x of the displacement u.
 
     Shear is k*(phi_x + psi_mid), the constant conjugate to the reduced strain;
     bending is b*psi_x, also constant per element.  At nodes the value is
     one-sided; pass side='left'/'right' to pick the element, e.g. to measure
-    the force jump across the damper node.  `state` is anything carrying full
-    nodal `phi` and `psi` arrays.
+    the force jump across the damper node.  u is a reduced displacement
+    vector, or a block of them with the dofs along its last axis (such as
+    Trajectory.U); the two results take the shape of the block's other axes.
     """
     e = _element_for(system.mesh, x, side)
-    gamma, kappa = element_strains(system.mesh, state.phi, state.psi)
-    return float(system.beam.k * gamma[e]), float(system.beam.b * kappa[e])
+    gamma, kappa = element_strains(system.mesh, *system.expand(u))
+    return system.beam.k * gamma[..., e], system.beam.b * kappa[..., e]

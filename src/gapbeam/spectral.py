@@ -34,7 +34,9 @@ DENSE_CAP = 4000
 
 _EPS = float(np.finfo(float).eps)
 # a root stops after a step below _STEP_TOL times its offset: convergence is
-# cubic, so that step left it at rounding (within the step in a cluster)
+# cubic, so that step left it at rounding (within the step in a cluster).  It
+# also stops once its step, below the rounding of the root itself, no longer
+# shrinks: such a root cycles at rounding level and meets no offset tolerance
 _STEP_TOL, _MAX_SWEEPS = 2.0 ** -40, 80
 _MAX_STAGES = 12  # x10 each; beyond, slow roots ~omega/10^12 drown in rounding
 _CERT_ULPS = 64            # certificate tolerance, rounding units per root
@@ -191,6 +193,7 @@ def _aberth(om: np.ndarray, R: np.ndarray, d: np.ndarray, rows: int) -> bool:
     m, r = om.size, math.isqrt(R.shape[1])
     pole = np.concatenate([om, -om])     # imaginary parts of the poles
     live, chunk = np.arange(rows), max(1, 2 ** 15 // (2 * m))  # chunk: 2^15 pairs
+    last = np.full(rows, np.inf)         # each root's previous step size
     for _ in range(_MAX_SWEEPS):
         if not live.size:
             return True
@@ -217,7 +220,10 @@ def _aberth(om: np.ndarray, R: np.ndarray, d: np.ndarray, rows: int) -> bool:
             d[m + live] = d[live].conj()
             if np.any(pole[live] + d[live].imag <= 0.0):
                 return False
-        live = live[np.abs(step) > _STEP_TOL * np.abs(d[live])]
+        size, z = np.abs(step), 1j * pole[live] + d[live]
+        stalled = (size >= last[live]) & (size <= _EPS * np.abs(z))
+        last[live] = size
+        live = live[(size > _STEP_TOL * np.abs(d[live])) & ~stalled]
     return not live.size
 
 

@@ -15,7 +15,7 @@ is defined here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,42 +87,6 @@ class SchemeConfig:
             raise ParamError("newton_tol", "newton_tol must be positive")
         if self.newton_max < 1:
             raise ParamError("newton_max", "newton_max must be at least 1")
-
-
-@dataclass
-class State:
-    """Nodal fields (full arrays, essential zeros included) at time t."""
-
-    phi: np.ndarray
-    psi: np.ndarray
-    phi_t: np.ndarray
-    psi_t: np.ndarray
-    t: float = 0.0
-
-    @property
-    def v(self) -> float:
-        return float(self.phi[-1])
-
-    @property
-    def v_t(self) -> float:
-        return float(self.phi_t[-1])
-
-    @classmethod
-    def zeros(cls, mesh: Mesh, t: float = 0.0) -> "State":
-        nn = mesh.nn
-        return cls(np.zeros(nn), np.zeros(nn), np.zeros(nn), np.zeros(nn), t)
-
-    @classmethod
-    def from_reduced(cls, system: SemiDiscreteSystem, u: np.ndarray,
-                     w: np.ndarray, t: float = 0.0) -> "State":
-        phi, psi = system.expand(u)
-        phi_t, psi_t = system.expand(w)
-        return cls(phi, psi, phi_t, psi_t, t)
-
-    def pack(self, system: SemiDiscreteSystem) -> tuple[np.ndarray, np.ndarray]:
-        u = system.reduce(np.concatenate([self.phi, self.psi]))
-        w = system.reduce(np.concatenate([self.phi_t, self.psi_t]))
-        return u, w
 
 
 def _quadratic_form(A: CooMatrix, x: np.ndarray) -> float:
@@ -223,31 +187,33 @@ class EnergyReport:
     tip_energy: float
     Fhat_int: float
     Ghat_int: float
-    dissipation_rate: float = 0.0
+    dissipation_rate: float
 
 
-def energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> EnergyReport:
-    """Evaluate the energy functional of one state, itemized.
+def energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
+           laws: Laws) -> EnergyReport:
+    """Evaluate the energy functional of the reduced state (u, w), itemized.
 
     Shear and bending are 1/2 sum k h gamma_e^2 and 1/2 sum b h kappa_e^2 over
-    the element strains; the tip body's share of the mass and stiffness is
+    the element strains of the nodal fields system.expand(u), the kinetic
+    energy w.M.w / 2; the tip body's share of the mass and stiffness is
     reported as tip_energy, not as kinetic or potential energy of the beam.
     """
-    _, w = state.pack(system)
     mesh, beam, tip = system.mesh, system.beam, system.tip
-    gamma, kappa = element_strains(mesh, state.phi, state.psi)
+    phi, psi = system.expand(u)
+    gamma, kappa = element_strains(mesh, phi, psi)
     shear = 0.5 * beam.k * float(mesh.widths @ gamma**2)
     bend = 0.5 * beam.b * float(mesh.widths @ kappa**2)
     kinetic = 0.5 * _quadratic_form(system.M, w)
+    # numpy scalars: a square past the float range is inf, not OverflowError
+    v, v_t = u[system.tip_slot], w[system.tip_slot]
     tip_e = 0.0
     if tip.enabled:
-        # numpy scalars: a square past the float range is inf, not OverflowError
-        v, v_t = state.phi[-1], state.phi_t[-1]
         tip_e = 0.5 * tip.epsilon * (v**2 + v_t**2)
         kinetic -= 0.5 * tip.epsilon * v_t**2
-    n_p = contact_potential(state.v, laws.contact)
-    fhat = integrate_primitive(mesh, state.phi, laws.force_f)
-    ghat = integrate_primitive(mesh, state.psi, laws.force_g)
+    n_p = contact_potential(float(v), laws.contact)
+    fhat = integrate_primitive(mesh, phi, laws.force_f)
+    ghat = integrate_primitive(mesh, psi, laws.force_g)
     return EnergyReport(
         E_total=kinetic + shear + bend + tip_e + n_p + fhat + ghat,
         kinetic=kinetic,
@@ -261,31 +227,38 @@ def energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> EnergyReport
     )
 
 
-def total_energy(system: SemiDiscreteSystem, state: State, laws: Laws) -> float:
-    """Discrete Lyapunov functional: the sum of the energy items."""
-    return energy(system, state, laws).E_total
+def total_energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
+                 laws: Laws) -> float:
+    """Discrete Lyapunov functional of (u, w): the sum of the energy items."""
+    return energy(system, u, w, laws).E_total
 
 
-def state_norm(system: SemiDiscreteSystem, state: State) -> float:
+def state_norm(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray) -> float:
     """Phase-space norm (the quadratic part only, without stored potentials)."""
-    u, w = state.pack(system)
     return math.sqrt(_quadratic_form(system.M, w) + _quadratic_form(system.K, u))
 
 
 @dataclass
 class Trajectory:
-    """Sampled states plus per-sample balance bookkeeping."""
+    """A run sampled at `times`, one row per sample.
 
-    times: list[float] = field(default_factory=list)
-    states: list[State] = field(default_factory=list)
-    balance_residuals: list[float] = field(default_factory=list)
-    dt: float = 0.0
+    U and W, of shape (samples, n_free), hold the reduced displacement and
+    velocity vectors the stepper advances; system.expand gives their nodal
+    fields.  balance[i] is E_i - E_{i-1} plus the dissipation dt.wm.D.wm of
+    the steps since sample i - 1 (0 at sample 0).  The energy holds no load
+    term, so with a constant load the column is the load's work over those
+    steps; with nonlinear laws it also holds the midpoint rule's quadrature
+    error of their potentials.
+    """
+
+    times: np.ndarray
+    U: np.ndarray
+    W: np.ndarray
+    balance: np.ndarray
+    dt: float
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def v_series(self) -> np.ndarray:
-        return np.array([s.v for s in self.states])
+        return len(self.times)
 
 
 class MidpointStepper:
@@ -426,9 +399,11 @@ def step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
-def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
-             cfg: SchemeConfig, t_final: float, sample_stride: int = 1) -> Trajectory:
-    """March to t_final, sampling every sample_stride steps (plus the endpoints).
+def simulate(system: SemiDiscreteSystem, initial: tuple[np.ndarray, np.ndarray],
+             laws: Laws, cfg: SchemeConfig, t_final: float,
+             sample_stride: int = 1) -> Trajectory:
+    """March the reduced state initial = (u, w) from t = 0 to t_final, sampling
+    every sample_stride steps (plus the endpoints).
 
     Per-sample balance residuals telescope the energy identity between
     consecutive samples.  Deterministic for identical inputs.
@@ -437,76 +412,64 @@ def simulate(system: SemiDiscreteSystem, state0: State, laws: Laws,
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     stepper = MidpointStepper(system, laws, cfg)
-    traj = Trajectory(dt=cfg.dt)
-
-    u, w = state0.pack(system)
-    state = State.from_reduced(system, u, w, state0.t)
-    energy_prev = total_energy(system, state, laws)
-    diss_since_sample = 0.0
-
-    traj.times.append(state.t)
-    traj.states.append(state)
-    traj.balance_residuals.append(0.0)
-
-    for k in range(1, n_steps + 1):
-        up, wp = stepper.step_reduced(u, w, state0.t + (k - 1) * cfg.dt)
-        wm = (up - u) / cfg.dt
-        diss_since_sample += cfg.dt * _quadratic_form(system.D, wm)
-        u, w = up, wp
-        if k % sample_stride == 0 or k == n_steps:
-            state = State.from_reduced(system, u, w, state0.t + k * cfg.dt)
-            energy_now = total_energy(system, state, laws)
-            traj.times.append(state.t)
-            traj.states.append(state)
-            traj.balance_residuals.append(energy_now - energy_prev + diss_since_sample)
-            energy_prev = energy_now
-            diss_since_sample = 0.0
-    return traj
+    # step 0, every stride-th step and the last
+    sampled = np.minimum(np.arange(0, n_steps + sample_stride, sample_stride),
+                         n_steps)
+    U, W = np.empty((2, sampled.size, system.n_free))
+    balance = np.zeros(sampled.size)
+    u, w = initial
+    U[0], W[0] = u, w
+    energy_prev = total_energy(system, u, w, laws)
+    for i, (first, last) in enumerate(zip(sampled.tolist(), sampled[1:].tolist()), 1):
+        dissipated = 0.0
+        for k in range(first, last):
+            up, w = stepper.step_reduced(u, w, k * cfg.dt)
+            dissipated += cfg.dt * _quadratic_form(system.D, (up - u) / cfg.dt)
+            u = up
+        U[i], W[i] = u, w
+        energy_now = total_energy(system, u, w, laws)
+        balance[i] = energy_now - energy_prev + dissipated
+        energy_prev = energy_now
+    return Trajectory(times=sampled * cfg.dt, U=U, W=W, balance=balance,
+                      dt=cfg.dt)
 
 
 def initial_state(system: SemiDiscreteSystem, kind: str, *, amplitude: float = 1.0,
                   amplitude_psi: float = 0.0, mode: int = 1,
                   center: float | None = None, width: float | None = None,
-                  radius: float = 1.0, seed: int = 0) -> State:
-    """Initial-data library.
+                  radius: float = 1.0, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Initial-data library: the reduced state (u, w) at t = 0.
 
     kinds: 'zero'; 'mode' / 'mode_velocity' (half-wave pair sin/cos compatible
     with the clamped/free end conditions, as displacement or velocity data);
     'gaussian' (transverse pulse); 'random_ball' (uniform direction, scaled to
-    a phase-space-norm radius drawn uniformly in the ball).
+    a phase-space-norm radius drawn uniformly in the ball).  Nodal profiles
+    lose their essential dofs in system.reduce.
     """
     mesh = system.mesh
     x = mesh.nodes
     ell = mesh.ell
-    nn = mesh.nn
+    u, w = np.zeros((2, system.n_free))
     if kind == "zero":
-        return State.zeros(mesh)
+        return u, w
     if kind in ("mode", "mode_velocity"):
         if mode < 1:
             raise ValueError("mode index must be >= 1")
         a = (2 * mode - 1) * math.pi / (2.0 * ell)
-        fphi = amplitude * np.sin(a * x)
-        fpsi = amplitude_psi * np.cos(a * x)
-        fphi[0] = 0.0
-        fpsi[-1] = 0.0
-        z = np.zeros(nn)
-        if kind == "mode":
-            return State(fphi, fpsi, z.copy(), z.copy())
-        return State(z.copy(), z.copy(), fphi, fpsi)
+        data = system.reduce(np.concatenate([amplitude * np.sin(a * x),
+                                             amplitude_psi * np.cos(a * x)]))
+        return (data, w) if kind == "mode" else (u, data)
     if kind == "gaussian":
         c = ell / 2.0 if center is None else center
         s = ell / 10.0 if width is None else width
         fphi = amplitude * np.exp(-((x - c) ** 2) / (2.0 * s**2))
-        fphi[0] = 0.0
-        z = np.zeros(nn)
-        return State(fphi, z.copy(), z.copy(), z.copy())
+        return system.reduce(np.concatenate([fphi, np.zeros(mesh.nn)])), w
     if kind == "random_ball":
         rng = np.random.default_rng(seed)
         n = system.n_free
         z = rng.standard_normal(2 * n)
         u, w = z[:n], z[n:]
-        nrm = math.sqrt(_quadratic_form(system.K, u) + _quadratic_form(system.M, w))
         target = radius * rng.uniform() ** (1.0 / (2 * n))
-        scal = target / nrm
-        return State.from_reduced(system, scal * u, scal * w)
+        scal = target / state_norm(system, u, w)
+        return scal * u, scal * w
     raise ValueError(f"unknown initial-data kind {kind!r}")

@@ -25,6 +25,11 @@ def desk_system(ne=16, gamma1=0.0, gamma2=0.0, xi=Fraction(1, 2),
     return assemble(mesh, beam, tip)
 
 
+def last_state(traj):
+    """The reduced (u, w) of a trajectory's last sample."""
+    return traj.U[-1], traj.W[-1]
+
+
 def force_laws(mu_max=10.0, alpha_max=3.0):
     """Hypothesis strategy: a body-force law, with or without a cutoff."""
     return st.builds(ForceLaw, mu=st.floats(0.0, mu_max),

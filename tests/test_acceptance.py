@@ -16,7 +16,6 @@ from gapbeam import (
     ForceLaw,
     Laws,
     SchemeConfig,
-    State,
     TipParams,
     absorbing_probe,
     complementarity_report,
@@ -45,8 +44,8 @@ def test_c01_conservation():
     cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12)
     s0 = initial_state(system, "mode", amplitude=1.0, mode=2)
     traj = simulate(system, s0, laws, cfg, 10.0, sample_stride=1000)
-    e0 = total_energy(system, traj.states[0], laws)
-    ef = total_energy(system, traj.states[-1], laws)
+    e0 = total_energy(system, traj.U[0], traj.W[0], laws)
+    ef = total_energy(system, traj.U[-1], traj.W[-1], laws)
     drift = abs(ef - e0) / e0
     report("C01", "conservation over 1e4 midpoint steps", drift <= 1e-9,
            f"relative drift {drift:.3e} <= 1e-9")
@@ -59,8 +58,8 @@ def test_c02_dissipation_identity():
     cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12)
     s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.5, mode=2)
     traj = simulate(system, s0, laws, cfg, 1.0, sample_stride=1)
-    worst = max(abs(r) for r in traj.balance_residuals)
-    energies = [total_energy(system, s, laws) for s in traj.states]
+    worst = max(abs(r) for r in traj.balance)
+    energies = [total_energy(system, u, w, laws) for u, w in zip(traj.U, traj.W)]
     monotone = all(b <= a + 10 * cfg.newton_tol
                    for a, b in zip(energies, energies[1:]))
     ok = worst <= 10 * cfg.newton_tol and monotone
@@ -90,10 +89,9 @@ def test_c04_decay_matches_abscissa():
     vec = vecs[:, int(np.argmax(lam.real))]
     u, w = np.real(vec[:n]), np.real(vec[n:])
     scale = 1.0 / math.sqrt(0.5 * (w @ (system.M @ w) + u @ (system.K @ u)))
-    s0 = State.from_reduced(system, scale * u, scale * w)
-    traj = simulate(system, s0, laws, SchemeConfig(dt=1e-3), 60.0,
-                    sample_stride=20)
-    energies = [total_energy(system, s, laws) for s in traj.states]
+    traj = simulate(system, (scale * u, scale * w), laws, SchemeConfig(dt=1e-3),
+                    60.0, sample_stride=20)
+    energies = [total_energy(system, u, w, laws) for u, w in zip(traj.U, traj.W)]
     fit = fit_decay(traj.times, energies)
     err = abs(fit.gamma_state - abs(rep.abscissa)) / abs(rep.abscissa)
     report("C04", "fitted state decay rate vs spectral abscissa", err <= 0.20,

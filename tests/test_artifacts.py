@@ -1,5 +1,6 @@
 """Snapshot files: bit-exact round trip and named errors for damaged files."""
 
+import functools
 import re
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import desk_system
 from gapbeam.artifacts import load_snapshot, save_snapshot
-from gapbeam.timestep import State
 
 # signed zeros, the smallest subnormals, a normal-range boundary and the
 # largest magnitudes come often; any other double, nan and inf included, may
@@ -17,34 +18,44 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.1e-308, 2.2250738585072014e-308,
 values = st.one_of(st.sampled_from(EDGES), st.floats())
 
 
+@functools.lru_cache(maxsize=None)
+def system_of(ne):
+    return desk_system(ne=ne)
+
+
 @st.composite
 def states(draw):
-    nn = draw(st.integers(min_value=0, max_value=40))
-    fields = [np.array(draw(st.lists(values, min_size=nn, max_size=nn)),
-                       dtype=float) for _ in range(4)]
-    return State(*fields, t=draw(values))
+    """(system, u, w, t) with any doubles in the reduced state and the time."""
+    system = system_of(draw(st.integers(min_value=2, max_value=20)))
+    n = system.n_free
+    u, w = (np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+            for _ in range(2))
+    return system, u, w, draw(values)
 
 
-def bits(state):
-    return (np.float64(state.t).tobytes(), state.phi.tobytes(),
-            state.psi.tobytes(), state.phi_t.tobytes(), state.psi_t.tobytes())
+def bits(u, w, t):
+    return np.float64(t).tobytes(), u.tobytes(), w.tobytes()
 
 
 @given(state=states())
 def test_round_trip_is_bit_exact(tmp_path_factory, state):
+    system, u, w, t = state
     path = tmp_path_factory.mktemp("snap") / "s.snap"
-    save_snapshot(path, state)
-    assert bits(load_snapshot(path)) == bits(state)
+    save_snapshot(path, system, u, w, t)
+    assert bits(*load_snapshot(path, system)) == bits(u, w, t)
 
 
-@pytest.mark.parametrize("nn", [0, 3])
+@pytest.mark.parametrize("nn", [3, 9])
 def test_cut_or_padded_file_names_its_path(tmp_path, nn):
-    rng = np.random.default_rng(nn)
+    system = system_of(nn - 1)
+    u, w = np.random.default_rng(nn).standard_normal((2, system.n_free))
     whole = tmp_path / "whole.snap"
-    save_snapshot(whole, State(*rng.standard_normal((4, nn)), t=0.5))
+    save_snapshot(whole, system, u, w, 0.5)
+    with pytest.raises(ValueError, match=re.escape(str(whole))):
+        load_snapshot(whole, system_of(nn))  # a mesh of another size
     blob = whole.read_bytes()
     path = tmp_path / "damaged.snap"
     for damaged in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            load_snapshot(path)
+            load_snapshot(path, system)

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gapbeam
+from conftest import desk_system
 from gapbeam.artifacts import load_snapshot, save_snapshot
 from gapbeam.cli import main
 from gapbeam.config import (_KNOWN, _PARSERS, _SECTIONS, ConfigError,
@@ -20,7 +21,7 @@ from gapbeam.config import (_KNOWN, _PARSERS, _SECTIONS, ConfigError,
 from gapbeam.model import (ForceLaw, NoContact, NormalCompliance,
                            SignoriniPenalty, TipParams)
 from gapbeam.spectral import SpectrumCertificateError
-from gapbeam.timestep import SchemeConfig, State
+from gapbeam.timestep import SchemeConfig
 
 BASE_MAP = {
     "beam.rho1": "1.0", "beam.rho2": "1.0", "beam.k": "1.0", "beam.b": "1.0",
@@ -55,6 +56,25 @@ def cfg_text(drop=(), **overrides):
     for key, value in overrides.items():
         entries[key.replace("__", ".")] = value
     return "".join(f"{k} = {v}\n" for k, v in entries.items())
+
+
+# gapbeam spectrum once ran out of root sweeps on this config (exit 3)
+STIFF_DAMPERS_TIP = dict(beam__gamma1="1e3", beam__gamma2="1e3", mesh__ne="64",
+                         tip__enabled="true", tip__epsilon="1.0")
+COMPLIANCE_STOPS = dict(
+    contact__kind="normal_compliance", contact__d1="100", contact__d2="100",
+    contact__p="2", contact__g_lo="-0.01", contact__g_hi="0.01")
+# observability configs whose figures leave the float range
+NON_FINITE_OBSERVABILITY = {
+    "ell-1e300": (dict(COMPLIANCE_STOPS, beam__ell="1e300",
+                       init__kind="mode_velocity", run__t_final="0.01"),
+                  "defect_ell"),
+    "amplitude-1e-300": (dict(COMPLIANCE_STOPS, init__amplitude="1e-300",
+                              init__kind="mode_velocity", run__t_final="0.01"),
+                         "ratio_ell_to_E0"),
+    "multiplier-n-709": (dict(multiplier__n="709", init__amplitude="1e3",
+                              init__kind="mode"), "defect_ell"),
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -298,9 +318,9 @@ class TestSimulateCommand:
                         "init.kind = mode\ninit.amplitude = 0.7\n")
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        snap = load_snapshot(out / "final_state.snap")
-        assert snap.t == pytest.approx(0.02)
-        assert snap.phi.shape == (9,)
+        u, w, t = load_snapshot(out / "final_state.snap", desk_system(ne=8))
+        assert t == pytest.approx(0.02)
+        assert u.shape == w.shape == (16,)
 
     def test_contact_summary_fields(self, tmp_path):
         cfg = write_cfg(tmp_path, cfg_text(
@@ -317,22 +337,19 @@ class TestSimulateCommand:
 
 class TestSnapshotFormat:
     def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        state = State(rng.standard_normal(9), rng.standard_normal(9),
-                      rng.standard_normal(9), rng.standard_normal(9), t=1.25)
+        system = desk_system(ne=8)
+        u, w = np.random.default_rng(0).standard_normal((2, system.n_free))
         path = tmp_path / "s.snap"
-        save_snapshot(path, state)
-        back = load_snapshot(path)
-        assert back.t == state.t
-        for a, b in ((back.phi, state.phi), (back.psi, state.psi),
-                     (back.phi_t, state.phi_t), (back.psi_t, state.psi_t)):
-            assert a.tobytes() == b.tobytes()
+        save_snapshot(path, system, u, w, 1.25)
+        back_u, back_w, t = load_snapshot(path, system)
+        assert t == 1.25
+        assert (back_u.tobytes(), back_w.tobytes()) == (u.tobytes(), w.tobytes())
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.snap"
         path.write_bytes(b"not a snapshot")
         with pytest.raises(ValueError):
-            load_snapshot(path)
+            load_snapshot(path, desk_system(ne=8))
 
 
 class TestSpectrumCommand:
@@ -375,6 +392,18 @@ class TestSpectrumCommand:
             summary = read_summary(out)
             tags.append((summary["model"], summary["ne"], summary["epsilon"]))
         assert tags == [("hybrid", "8", "0.01"), ("non-hybrid", "8", "")]
+
+    @pytest.mark.parametrize("damping_on", ["true", "false"])
+    def test_stiff_dampers_with_tip_certify(self, tmp_path, damping_on):
+        # two roots of this spectrum cycle at rounding level instead of meeting
+        # the offset tolerance; they stop once their steps no longer shrink
+        text = cfg_text(**STIFF_DAMPERS_TIP, tip__damping_on=damping_on)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["status"] == "ok"
+        assert float(summary["abscissa"]) < 0.0
 
 
 @pytest.mark.parametrize("command, extra, named", [
@@ -602,6 +631,21 @@ class TestObservabilityCommand:
         out = tmp_path / "out"
         assert main(["observability", "--config", cfg, "--out", str(out)]) == 0
         assert float(read_summary(out)["c0_measured"]) > 0.0
+
+
+@pytest.mark.parametrize("overrides, figure",
+                         NON_FINITE_OBSERVABILITY.values(),
+                         ids=NON_FINITE_OBSERVABILITY.keys())
+def test_non_finite_observability_figure_exit_three(tmp_path, capsys, overrides,
+                                                    figure):
+    out = tmp_path / "out"
+    assert main(["observability", "--config",
+                 write_cfg(tmp_path, cfg_text(**overrides)),
+                 "--out", str(out)]) == 3
+    summary = read_summary(out)
+    assert summary["status"] == f"non_finite_{figure}"
+    assert not np.isfinite(float(summary[figure]))
+    assert f"{figure} = " in capsys.readouterr().err
 
 
 FIT_KEYS = ["samples", "E_initial", "E_final", "fit_status", "gamma_E",

@@ -10,7 +10,6 @@ from gapbeam import (
     NormalCompliance,
     SchemeConfig,
     SignoriniPenalty,
-    State,
     TipParams,
     absorbing_probe,
     complementarity_report,
@@ -30,33 +29,40 @@ LINEAR = Laws()
 NC = NormalCompliance(d1=1.0, d2=1.0, p=2, g_lo=-0.05, g_hi=0.05)
 
 
-def _single_state_traj(state, dt=1e-3):
-    return Trajectory(times=[state.t], states=[state], balance_residuals=[0.0],
-                      dt=dt)
+def _traj(U, times=(0.0,), dt=1e-3):
+    """A trajectory at rest: displacements U, one row per time, zero velocity."""
+    U = np.atleast_2d(U)
+    return Trajectory(times=np.array(times), U=U, W=np.zeros_like(U),
+                      balance=np.zeros(len(times)), dt=dt)
+
+
+def _tip_at(system, v):
+    """Reduced displacement zero but for the tip deflection v."""
+    u = np.zeros(system.n_free)
+    u[system.tip_slot] = v
+    return u
 
 
 class TestEnergy:
     def test_zero_state_all_zero(self, damped_system):
-        rep = energy(damped_system, State.zeros(damped_system.mesh), LINEAR)
+        rep = energy(damped_system, *initial_state(damped_system, "zero"), LINEAR)
         for name in ("E_total", "kinetic", "potential_shear", "potential_bend",
                      "N_p", "tip_energy", "Fhat_int", "Ghat_int",
                      "dissipation_rate"):
             assert getattr(rep, name) == 0.0
 
     def test_boundary_touch_has_zero_contact_potential(self, conservative_system):
-        s = State.zeros(conservative_system.mesh)
-        s.phi[-1] = NC.g_hi
-        rep = energy(conservative_system, s, Laws(contact=NC))
+        u = _tip_at(conservative_system, NC.g_hi)
+        rep = energy(conservative_system, u, np.zeros_like(u), Laws(contact=NC))
         assert rep.N_p == 0.0
 
     def test_total_is_sum_of_parts(self):
         system = desk_system(ne=12, gamma1=1.0,
                              tip=TipParams(enabled=True, epsilon=0.4))
         laws = Laws(contact=NC, force_f=ForceLaw(mu=0.5, alpha=1.0))
-        s = initial_state(system, "mode", amplitude=0.3, amplitude_psi=0.2)
-        s.phi_t[:] = 0.1
-        s.phi_t[0] = 0.0
-        rep = energy(system, s, laws)
+        u, w = initial_state(system, "mode", amplitude=0.3, amplitude_psi=0.2)
+        w[:system.mesh.nn - 1] = 0.1  # phi_t on the free nodes
+        rep = energy(system, u, w, laws)
         parts = (rep.kinetic + rep.potential_shear + rep.potential_bend
                  + rep.N_p + rep.tip_energy + rep.Fhat_int + rep.Ghat_int)
         assert rep.E_total == pytest.approx(parts, rel=1e-14)
@@ -70,7 +76,7 @@ class TestEnergy:
         for ne in (32, 64):
             system = desk_system(ne=ne)
             s = initial_state(system, "mode", amplitude=amp, mode=2)
-            rep = energy(system, s, LINEAR)
+            rep = energy(system, *s, LINEAR)
             errs.append(abs(rep.E_total - closed) / closed)
         assert errs[0] < 1e-2
         assert errs[0] / errs[1] > 3.0
@@ -83,7 +89,7 @@ class TestEnergy:
         assert len(reps) == len(traj)
         # cumulative balance: the per-sample residuals telescope to
         # E(T) - E(0) + dissipated = 0 up to solver tol
-        drift = sum(traj.balance_residuals)
+        drift = sum(traj.balance)
         assert abs(drift) <= 10 * cfg.newton_tol * len(traj.times) * 100
 
 
@@ -118,19 +124,17 @@ class TestFitDecay:
 
 class TestConstraintViolation:
     def test_zero_inside_gap(self, conservative_system):
-        s = State.zeros(conservative_system.mesh)
-        assert constraint_violation(_single_state_traj(s), -0.05, 0.05) == 0.0
+        traj = _traj(_tip_at(conservative_system, 0.0))
+        assert constraint_violation(conservative_system, traj, -0.05, 0.05) == 0.0
 
     def test_constant_overshoot(self, conservative_system):
-        s = State.zeros(conservative_system.mesh)
-        s.phi[-1] = 0.30
-        traj = _single_state_traj(s)
-        assert constraint_violation(traj, -0.05, 0.05) == pytest.approx(0.25)
+        traj = _traj(_tip_at(conservative_system, 0.30))
+        assert constraint_violation(conservative_system, traj, -0.05, 0.05) == \
+            pytest.approx(0.25)
 
     def test_lower_overshoot(self, conservative_system):
-        s = State.zeros(conservative_system.mesh)
-        s.phi[-1] = -0.08
-        assert constraint_violation(_single_state_traj(s), -0.05, 0.05) == \
+        traj = _traj(_tip_at(conservative_system, -0.08))
+        assert constraint_violation(conservative_system, traj, -0.05, 0.05) == \
             pytest.approx(0.03)
 
     def test_penalty_sweep_monotone(self):
@@ -143,52 +147,47 @@ class TestConstraintViolation:
             s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)
             traj = simulate(system, s0, laws, SchemeConfig(dt=2e-4), 1.0,
                             sample_stride=10)
-            viols.append(constraint_violation(traj, -0.05, 0.05))
+            viols.append(constraint_violation(system, traj, -0.05, 0.05))
         assert viols[0] > viols[1] > viols[2] > 0.0
 
 
 class TestComplementarity:
     def test_zero_trajectory_all_interior(self, conservative_system):
-        s = State.zeros(conservative_system.mesh)
-        rep = complementarity_report(conservative_system, _single_state_traj(s), NC)
+        traj = _traj(_tip_at(conservative_system, 0.0))
+        rep = complementarity_report(conservative_system, traj, NC)
         assert rep.counts == {"interior": 1, "upper": 0, "lower": 0, "violation": 0}
         assert rep.worst is None
 
     def test_requires_active_law(self, conservative_system):
-        s = State.zeros(conservative_system.mesh)
+        traj = _traj(_tip_at(conservative_system, 0.0))
         with pytest.raises(ValueError):
-            complementarity_report(conservative_system, _single_state_traj(s),
-                                   NoContact())
+            complementarity_report(conservative_system, traj, NoContact())
 
     def test_violation_detected(self, conservative_system):
         # tip beyond the upper stop with a pulling (positive) traction
         mesh = conservative_system.mesh
-        s = State.zeros(mesh)
-        s.phi[:] = 0.2 * mesh.nodes  # S = 0.2 k > 0 at the end
-        rep = complementarity_report(conservative_system, _single_state_traj(s),
-                                     NC, tol_S=1e-3)
+        u = conservative_system.reduce(  # S = 0.2 k > 0 at the end
+            np.concatenate([0.2 * mesh.nodes, np.zeros(mesh.nn)]))
+        rep = complementarity_report(conservative_system, _traj(u), NC, tol_S=1e-3)
         assert rep.counts["violation"] == 1
         assert rep.worst is not None
 
     def test_t_start_restricts_samples(self, conservative_system):
-        mesh = conservative_system.mesh
-        s0, s1 = State.zeros(mesh), State.zeros(mesh, t=1.0)
-        traj = Trajectory(times=[0.0, 1.0], states=[s0, s1],
-                          balance_residuals=[0.0, 0.0], dt=1e-3)
+        traj = _traj(np.zeros((2, conservative_system.n_free)), times=(0.0, 1.0))
         rep = complementarity_report(conservative_system, traj, NC, t_start=0.5)
         assert sum(rep.counts.values()) == 1
 
 
 class TestObservability:
     def test_zero_trajectory_all_zero(self, damped_system):
-        s = State.zeros(damped_system.mesh)
-        rep = observability(damped_system, _single_state_traj(s))
+        rep = observability(damped_system, _traj(_tip_at(damped_system, 0.0)))
         assert rep.defect_ell == 0.0 and rep.defect_0 == 0.0
         assert np.all(rep.I_ell == 0.0) and np.all(rep.L_series == 0.0)
 
     def test_empty_trajectory_rejected(self, damped_system):
         with pytest.raises(ValueError):
-            observability(damped_system, Trajectory(dt=1e-3))
+            observability(damped_system,
+                          _traj(np.zeros((0, damped_system.n_free)), times=()))
 
     def test_coarse_sampling_rejected(self, damped_system):
         s0 = initial_state(damped_system, "mode", amplitude=1.0)
@@ -227,10 +226,11 @@ class TestObservability:
         for series, x, side, node in ((rep.I_ell, ell, "left", -1),
                                       (rep.I_0, 0.0, "right", 0)):
             expected = []
-            for s in traj.states:
-                S, Mb = recover_stress(damped_system, s, x, side=side)
-                expected.append(beam.rho2 * beam.b * s.psi_t[node] ** 2 + Mb**2
-                                + beam.rho1 * beam.k * s.phi_t[node] ** 2 + S**2)
+            for u, w in zip(traj.U, traj.W):
+                S, Mb = recover_stress(damped_system, u, x, side=side)
+                phi_t, psi_t = damped_system.expand(w)
+                expected.append(beam.rho2 * beam.b * psi_t[node] ** 2 + Mb**2
+                                + beam.rho1 * beam.k * phi_t[node] ** 2 + S**2)
             assert np.all(series > 0.0)
             assert np.array_equal(series, expected)
         again = observability(damped_system, traj, math.ceil(8.0 / ell))
@@ -238,9 +238,8 @@ class TestObservability:
             assert np.array_equal(value, getattr(again, name)), name
 
     def test_nonpositive_n_rejected(self, damped_system):
-        s = State.zeros(damped_system.mesh)
         with pytest.raises(ValueError, match="multiplier parameter n"):
-            observability(damped_system, _single_state_traj(s), 0)
+            observability(damped_system, _traj(_tip_at(damped_system, 0.0)), 0)
 
 
 class TestAbsorbingProbe:

@@ -10,7 +10,6 @@ from conftest import desk_beam, desk_system
 from gapbeam import (
     Laws,
     SchemeConfig,
-    State,
     TipParams,
     assemble,
     build_mesh,
@@ -117,9 +116,9 @@ class TestAssemble:
         rng = np.random.default_rng(3)
         for _ in range(5):
             u = rng.standard_normal(system.n_free)
-            state = State.from_reduced(system, u, np.zeros_like(u))
-            rep = energy(system, state, Laws())
-            parts = rep.potential_shear + rep.potential_bend + 0.5 * eps * state.v**2
+            rep = energy(system, u, np.zeros_like(u), Laws())
+            parts = (rep.potential_shear + rep.potential_bend
+                     + 0.5 * eps * u[system.tip_slot]**2)
             assert 0.5 * u @ (system.K @ u) == pytest.approx(parts, rel=1e-12)
 
     def test_matches_dense_element_loop(self):
@@ -223,41 +222,37 @@ def quad_energy(a, amp_phi, amp_psi):
     return (a * amp_phi + amp_psi) ** 2 * int_cos2 + (a * amp_psi) ** 2 * int_sin2
 
 
-def _field_state(mesh, phi=None, psi=None):
-    s = State.zeros(mesh)
-    if phi is not None:
-        s.phi = phi
-    if psi is not None:
-        s.psi = psi
-    return s
+def _displacement(system, phi):
+    """Reduced displacement with nodal deflection phi and zero rotation."""
+    return system.reduce(np.concatenate([phi, np.zeros(system.mesh.nn)]))
 
 
 class TestRecoverStress:
     def test_zero_state(self, conservative_system):
-        s = State.zeros(conservative_system.mesh)
-        S, Mb = recover_stress(conservative_system, s, 0.3)
+        u = np.zeros(conservative_system.n_free)
+        S, Mb = recover_stress(conservative_system, u, 0.3)
         assert S == 0.0 and Mb == 0.0
 
     def test_linear_field_gives_constant_shear(self, conservative_system):
         mesh = conservative_system.mesh
-        s = _field_state(mesh, phi=mesh.nodes.copy())
+        u = _displacement(conservative_system, mesh.nodes)
         for x in (0.0, 0.25, 0.5, 0.77, 1.0):
-            S, Mb = recover_stress(conservative_system, s, x)
+            S, Mb = recover_stress(conservative_system, u, x)
             assert S == pytest.approx(1.0)
             assert Mb == pytest.approx(0.0)
 
     def test_rejects_outside_domain(self, conservative_system):
-        s = State.zeros(conservative_system.mesh)
+        u = np.zeros(conservative_system.n_free)
         with pytest.raises(ValueError):
-            recover_stress(conservative_system, s, 1.5)
+            recover_stress(conservative_system, u, 1.5)
 
     def test_one_sided_values_differ_across_damper(self):
         system = desk_system(ne=8, gamma1=1.0)
         mesh = system.mesh
         phi = np.where(mesh.nodes <= 0.5, mesh.nodes, 0.5 + 2.0 * (mesh.nodes - 0.5))
-        s = _field_state(mesh, phi=phi)
-        S_left, _ = recover_stress(system, s, 0.5, side="left")
-        S_right, _ = recover_stress(system, s, 0.5, side="right")
+        u = _displacement(system, phi)
+        S_left, _ = recover_stress(system, u, 0.5, side="left")
+        S_right, _ = recover_stress(system, u, 0.5, side="right")
         assert S_left == pytest.approx(1.0)
         assert S_right == pytest.approx(2.0)
 
@@ -270,14 +265,12 @@ class TestRecoverStress:
             s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.5)
             traj = simulate(system, s0, Laws(), SchemeConfig(dt=2.5e-4), 1.0,
                             sample_stride=40)
-            worst = 0.0
             xi = system.mesh.nodes[system.mesh.xi_index]
-            for st in traj.states:
-                S_r, _ = recover_stress(system, st, xi, side="right")
-                S_l, _ = recover_stress(system, st, xi, side="left")
-                defect = abs((S_r - S_l) - 1.0 * st.phi_t[system.mesh.xi_index])
-                worst = max(worst, defect)
-            defects.append(worst)
+            S_r, _ = recover_stress(system, traj.U, xi, side="right")
+            S_l, _ = recover_stress(system, traj.U, xi, side="left")
+            phi_t, _ = system.expand(traj.W)
+            defect = abs((S_r - S_l) - 1.0 * phi_t[:, system.mesh.xi_index])
+            defects.append(defect.max())
         assert defects[1] < 0.4 * defects[0]
 
 
