@@ -28,10 +28,6 @@ from .timestep import (
     total_energy,
 )
 from .diagnostics import (
-    AbsorbingReport,
-    ComplementarityReport,
-    DecayFit,
-    ObservabilityReport,
     absorbing_probe,
     complementarity_report,
     constraint_violation,
@@ -41,8 +37,6 @@ from .diagnostics import (
 )
 from .spectral import (
     GeneratorPencil,
-    SpectralReport,
-    XiStudyRow,
     generator,
     spectrum,
     trend_toward_zero,

@@ -6,7 +6,10 @@ takes --config <key=value file> and --out <directory>.  Exit codes: 0 success,
 
 A command writes its tables and returns its summary entries; main writes
 them to <out>/summary after the envelope (schema, command, status), which a
-solver failure gets too.  The statuses of exit 3:
+solver failure gets too.  Besides ok, the status of exit 0 can be
+  zero_data            observability of zero initial data: E0 = 0 and no
+                       intensity, so the ratios are inf and c0, c1 nan
+and the statuses of exit 3 are
   newton_divergence    a step failed at t_fail (simulate, observability)
   certificate_failure  a root set failed its certificate (sweep-xi, spectrum)
   non_finite_<figure>  an observability figure, the first such, is nan or
@@ -40,6 +43,7 @@ from .artifacts import (
 )
 from .config import ConfigError, ExperimentConfig, eps_row_dir, load_config
 from .diagnostics import (
+    MAX_STRIDE,
     complementarity_report,
     constraint_violation,
     energy_series,
@@ -89,17 +93,6 @@ def _run(cfg: ExperimentConfig):
     return system, laws, traj
 
 
-def _fit_entries(times, energies) -> dict:
-    try:
-        fit = fit_decay(times, energies)
-    except ValueError as exc:
-        return {"fit_status": f"degenerate ({exc})", "gamma_E": math.nan,
-                "gamma_state": math.nan, "fit_r2": math.nan}
-    return {"fit_status": "ok", "gamma_E": fit.gamma_E,
-            "gamma_state": fit.gamma_state, "fit_c": fit.c, "fit_r2": fit.r2,
-            "fit_window_lo": fit.window[0], "fit_window_hi": fit.window[1]}
-
-
 def _report(cfg: ExperimentConfig, out: Path, **tolerances):
     """Run cfg, write out/trajectory.csv and gather the run's summary entries.
 
@@ -111,18 +104,12 @@ def _report(cfg: ExperimentConfig, out: Path, **tolerances):
     write_trajectory_csv(out / "trajectory.csv", system, traj, laws)
     energies = [r.E_total for r in energy_series(system, traj, laws)]
     entries = {"samples": len(traj), "E_initial": energies[0],
-               "E_final": energies[-1], **_fit_entries(traj.times, energies)}
+               "E_final": energies[-1], **fit_decay(traj.times, energies)}
     law = laws.contact
     if not isinstance(law, NoContact):
         entries["constraint_violation"] = constraint_violation(
             system, traj, law.g_lo, law.g_hi)
-        comp = complementarity_report(system, traj, law, **tolerances)
-        for key, count in comp.counts.items():
-            entries[f"complementarity_{key}"] = count
-        if comp.worst is not None:
-            entries["complementarity_worst_t"] = comp.worst[0]
-            entries["complementarity_worst_v"] = comp.worst[1]
-            entries["complementarity_worst_S"] = comp.worst[2]
+        entries.update(complementarity_report(system, traj, law, **tolerances))
     return system, traj, entries
 
 
@@ -207,12 +194,12 @@ def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> dict:
     except DimensionCapExceeded as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     header = ("xi_num", "xi_den", "ne", "abscissa", "verdict")
-    table = [(str(r.xi_fraction.numerator), str(r.xi_fraction.denominator),
-              str(r.ne), r.abscissa, r.verdict) for r in rows]
+    table = [(str(frac.numerator), str(frac.denominator), str(ne), abscissa,
+              verdict) for frac, ne, abscissa, verdict in rows]
     write_table_csv(out / "xi_study.csv", XI_SCHEMA, header, table)
     entries = {"rows": len(rows)}
     for frac in cfg.sweep.xi:
-        sub = [r for r in rows if r.xi_fraction == frac]
+        sub = [r for r in rows if r[0] == frac]
         entries[f"trend_toward_zero_{frac.numerator}_{frac.denominator}"] = \
             str(trend_toward_zero(sub)).lower()
     return entries
@@ -226,47 +213,47 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
             TipParams(enabled=True, epsilon=eps, damping_on=cfg.tip.damping_on)
             for eps in cfg.sweep.epsilon]
     try:
-        report, *study = map_rows(
+        spectra = map_rows(
             mesh_spectrum, [(cfg.beam, tip, cfg.ne) for tip in tips],
             workers=cfg.sweep.workers)
     except DimensionCapExceeded as exc:
         raise ConfigError(f"mesh.ne: {exc}") from exc
-    write_spectrum_csv(out / "spectrum.csv", report.eigenvalues)
+    # a spectrum is sorted by real part, descending: lam[0].real is its abscissa
+    (abscissa, gap), *study = [(float(lam[0].real), float(abs(lam.real).min()))
+                               for lam in spectra]
+    write_spectrum_csv(out / "spectrum.csv", spectra[0])
     tip = cfg.tip
     entries = {
         "model": "hybrid" if tip.enabled else "non-hybrid", "ne": cfg.ne,
         "epsilon": fmt(tip.epsilon) if tip.enabled else "",
-        "abscissa": report.abscissa,
-        "min_damping_gap": report.min_damping_gap,
-        "n_eigenvalues": len(report.eigenvalues),
+        "abscissa": abscissa, "min_damping_gap": gap,
+        "n_eigenvalues": len(spectra[0]),
     }
     if study:
-        plain, *hybrid = study
-        rows = [("non-hybrid", plain.abscissa, plain.min_damping_gap)]
-        rows += [(fmt(eps), rep.abscissa, rep.min_damping_gap)
-                 for eps, rep in zip(cfg.sweep.epsilon, hybrid)]
+        labels = ["non-hybrid"] + [fmt(eps) for eps in cfg.sweep.epsilon]
         write_table_csv(out / "eps_study.csv", EPS_SCHEMA,
-                        ("epsilon", "abscissa", "min_damping_gap"), rows)
-        entries["non_hybrid_abscissa"] = plain.abscissa
+                        ("epsilon", "abscissa", "min_damping_gap"),
+                        [(label, *row) for label, row in zip(labels, study)])
+        entries["non_hybrid_abscissa"] = study[0][0]
     return entries
 
 
 def cmd_observability(cfg: ExperimentConfig, out: Path) -> dict:
+    if cfg.stride > MAX_STRIDE:
+        raise ConfigError(f"run.stride: observability needs samples at most "
+                          f"{MAX_STRIDE} steps apart, got {cfg.stride}")
     system, laws, traj = _run(cfg)
-    rep = observability(system, traj, cfg.multiplier_n, laws)
-    rows = zip(traj.times, rep.I_ell, rep.I_0, rep.L_series, rep.L0_series)
+    series, figures = observability(system, traj, cfg.multiplier_n, laws)
     write_table_csv(out / "observability.csv", OBSERVABILITY_SCHEMA,
-                    ("t", "I_ell", "I_0", "L", "L0"), rows)
-    entries = {"defect_ell": rep.defect_ell, "defect_0": rep.defect_0,
-               "ratio_ell_to_E0": rep.ratio_to_E0[0],
-               "ratio_0_to_E0": rep.ratio_to_E0[1],
-               "c0_measured": rep.c0_measured, "c1_measured": rep.c1_measured}
-    # zero initial data has E0 = 0 and no intensity, so its ratios are inf
-    # and its constants nan by definition; any other data lost them to range
-    for key, value in entries.items():
-        if not math.isfinite(value) and (traj.U[0].any() or traj.W[0].any()):
-            raise NonFiniteFigure(key, entries)
-    return entries
+                    ("t", *series), zip(traj.times, *series.values()))
+    if not (traj.U[0].any() or traj.W[0].any()):
+        # E0 = 0 and no intensity: the ratios are inf and the constants nan
+        return {"status": "zero_data", **figures}
+    # any other data lost a figure to range
+    for key, value in figures.items():
+        if not math.isfinite(value):
+            raise NonFiniteFigure(key, figures)
+    return figures
 
 
 _COMMANDS = {

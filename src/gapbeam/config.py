@@ -51,6 +51,9 @@ class InitSpec:
     radius: float = 1.0
 
     def __post_init__(self):
+        if self.mode > 2**53:
+            raise ParamError("mode", "must be at most 2**53: past it a float "
+                             "frequency tells no two modes apart")
         if self.width is not None and self.width <= 0.0:
             raise ParamError("width", "must be positive")
         if self.radius <= 0.0:

@@ -1,9 +1,26 @@
-"""Energy, decay, observability and contact diagnostics over trajectories."""
+"""Energy, decay, observability and contact diagnostics over trajectories.
+
+Each diagnostic returns what its reader writes:
+  fit_decay               summary entries fit_status, gamma_E, gamma_state,
+                          fit_c, fit_r2, fit_window_lo, fit_window_hi of the
+                          fit E ~ fit_c * exp(-gamma_E t) on the window; a
+                          degenerate window gives fit_status, gamma_E,
+                          gamma_state and fit_r2 only, the last three nan
+  complementarity_report  summary entries complementarity_interior, _upper,
+                          _lower, _violation (sample counts), then _worst_t,
+                          _worst_v, _worst_S if there is a violation
+  observability           (series, figures): series I_ell, I_0, L, L0 per
+                          sample, keyed as the columns of observability.csv;
+                          figures defect_ell, defect_0, ratio_ell_to_E0,
+                          ratio_0_to_E0, c0_measured, c1_measured, keyed as
+                          the summary entries
+  absorbing_probe         (t0, plateau, converged); t0 is None when the
+                          ensemble never stays inside the ball
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,31 +45,24 @@ def energy_series(system: SemiDiscreteSystem, traj: Trajectory,
     return [energy(system, u, w, laws) for u, w in zip(traj.U, traj.W)]
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares exponential fit E ~ c * exp(-gamma_E t) on a window."""
-
-    gamma_E: float
-    gamma_state: float
-    c: float
-    window: tuple[float, float]
-    r2: float
-
-
-def fit_decay(times, energies) -> DecayFit:
+def fit_decay(times, energies) -> dict:
     """Fit log E linearly over the last 60% of the run.
 
     The energy decays at twice the state-norm rate, so both gamma_E and
-    gamma_state = gamma_E / 2 are reported.
+    gamma_state = gamma_E / 2 are reported.  A window of fewer than 10
+    samples or with a nonpositive energy is degenerate, and fit_status says
+    which.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(energies, dtype=float)
     ta, tb = t[0] + 0.4 * (t[-1] - t[0]), t[-1]
     mask = (t >= ta) & (t <= tb)
-    if mask.sum() < 10:
-        raise ValueError("decay window holds fewer than 10 samples")
-    if np.any(e[mask] <= 0.0):
-        raise ValueError("nonpositive energies in the decay window")
+    problem = ("decay window holds fewer than 10 samples" if mask.sum() < 10
+               else "nonpositive energies in the decay window"
+               if np.any(e[mask] <= 0.0) else None)
+    if problem is not None:
+        return {"fit_status": f"degenerate ({problem})", "gamma_E": math.nan,
+                "gamma_state": math.nan, "fit_r2": math.nan}
     tw, lw = t[mask], np.log(e[mask])
     slope, intercept = np.polyfit(tw, lw, 1)
     pred = slope * tw + intercept
@@ -60,28 +70,13 @@ def fit_decay(times, energies) -> DecayFit:
     ss_tot = float(np.sum((lw - lw.mean()) ** 2))
     r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
     gamma_e = -float(slope)
-    return DecayFit(gamma_E=gamma_e, gamma_state=gamma_e / 2.0,
-                    c=float(np.exp(intercept)), window=(float(ta), float(tb)), r2=r2)
+    return {"fit_status": "ok", "gamma_E": gamma_e, "gamma_state": gamma_e / 2.0,
+            "fit_c": float(np.exp(intercept)), "fit_r2": r2,
+            "fit_window_lo": float(ta), "fit_window_hi": float(tb)}
 
 
-@dataclass
-class ObservabilityReport:
-    """Boundary observability functionals along a trajectory.
-
-    The defects compare the weighted boundary time-integrals against the
-    interior functional; their size relative to the initial energy is
-    reported, not asserted (the comparison constant is not quantified).
-    """
-
-    I_ell: np.ndarray
-    I_0: np.ndarray
-    L_series: np.ndarray
-    L0_series: np.ndarray
-    defect_ell: float
-    defect_0: float
-    ratio_to_E0: tuple[float, float]
-    c0_measured: float
-    c1_measured: float
+# the time integrals of observability resolve at most this many steps per sample
+MAX_STRIDE = 10
 
 
 def _multipliers(x, n: int, ell: float):
@@ -96,21 +91,26 @@ def _multipliers(x, n: int, ell: float):
 
 
 def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = None,
-                  laws: Laws | None = None) -> ObservabilityReport:
+                  laws: Laws | None = None) -> tuple[dict, dict]:
     """Evaluate the boundary/interior observability functionals along a run.
 
-    n is the sharpness of the exponential multipliers (see _multipliers);
-    None takes ceil(8/ell), large enough that the slope of the weight
-    dominates its value.  Each sample's element strains give both the
-    interior functionals at the Gauss points and the one-sided end traces:
-    the stresses of the last element at ell and of the first at 0.
+    The defects compare the weighted boundary time-integrals against the
+    interior functional; their size relative to the initial energy is
+    reported, not asserted (the comparison constant is not quantified).
+    Samples may lie at most MAX_STRIDE steps apart.  n is the sharpness of
+    the exponential multipliers (see _multipliers); None takes ceil(8/ell),
+    large enough that the slope of the weight dominates its value.  Each
+    sample's element strains give both the interior functionals at the Gauss
+    points and the one-sided end traces: the stresses of the last element at
+    ell and of the first at 0.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     if len(traj) > 1 and traj.dt > 0.0:
-        spacing = traj.times[1] - traj.times[0]
-        if spacing > 10.0 * traj.dt + 1e-12:
-            raise ValueError("trajectory sampled too coarsely (stride > 10 steps)")
+        stride = round((traj.times[1] - traj.times[0]) / traj.dt)
+        if stride > MAX_STRIDE:
+            raise ValueError(f"trajectory sampled every {stride} steps, more "
+                             f"than {MAX_STRIDE}")
     laws = laws or Laws()
     mesh, beam = system.mesh, system.beam
     ell = mesh.ell
@@ -148,18 +148,18 @@ def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = 
     defect_ell = abs(int_bd_ell - int_L)
     defect_0 = abs(int_bd_0 - int_L0)
     e0 = total_energy(system, traj.U[0], traj.W[0], laws)
-    ratio = (defect_ell / e0 if e0 > 0 else math.inf,
-             defect_0 / e0 if e0 > 0 else math.inf)
 
     live = I_int > 1e-14 * max(I_int.max(), 1e-300)
     ratios = L_q[live] / I_int[live]
-    c0 = float(ratios.min()) if ratios.size else math.nan
-    c1 = float(ratios.max()) if ratios.size else math.nan
-    return ObservabilityReport(
-        I_ell=I_ell, I_0=I_0, L_series=L_q, L0_series=L_q0,
-        defect_ell=defect_ell, defect_0=defect_0, ratio_to_E0=ratio,
-        c0_measured=c0, c1_measured=c1,
-    )
+    series = {"I_ell": I_ell, "I_0": I_0, "L": L_q, "L0": L_q0}
+    figures = {
+        "defect_ell": defect_ell, "defect_0": defect_0,
+        "ratio_ell_to_E0": defect_ell / e0 if e0 > 0 else math.inf,
+        "ratio_0_to_E0": defect_0 / e0 if e0 > 0 else math.inf,
+        "c0_measured": float(ratios.min()) if ratios.size else math.nan,
+        "c1_measured": float(ratios.max()) if ratios.size else math.nan,
+    }
+    return series, figures
 
 
 def constraint_violation(system: SemiDiscreteSystem, traj: Trajectory,
@@ -171,23 +171,14 @@ def constraint_violation(system: SemiDiscreteSystem, traj: Trajectory,
     return float(max(0.0, (v - g_hi).max(), (g_lo - v).max()))
 
 
-@dataclass
-class ComplementarityReport:
-    """Per-sample sign-pattern classification of (v, S(ell)).
-
-    interior: |S| below tol_S while v is inside the gap; upper/lower: v at a
-    stop with the admissible traction sign; anything else is a violation.
-    """
-
-    counts: dict[str, int]
-    worst: tuple[float, float, float] | None   # (t, v, S) of the worst violation
-
-
 def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
                            law, tol_S: float | None = None,
                            tol_g: float | None = None,
-                           t_start: float | None = None) -> ComplementarityReport:
+                           t_start: float | None = None) -> dict:
     """Classify each sample against the unilateral sign conditions.
+
+    interior: |S| below tol_S while v is inside the gap; upper/lower: v at a
+    stop with the admissible traction sign; anything else is a violation.
 
     Tolerances default to 1e-6 of the shear stiffness / beam length; pass
     scale-aware values for penalty runs (the one-sided stress trace carries
@@ -202,7 +193,7 @@ def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
     tol_S = 1e-6 * beam.k if tol_S is None else tol_S
     tol_g = 1e-6 * beam.ell if tol_g is None else tol_g
     counts = {"interior": 0, "upper": 0, "lower": 0, "violation": 0}
-    worst = None
+    worst = {}
     worst_mag = -1.0
     S_ell, _ = recover_stress(system, traj.U, beam.ell, side="left")
     for t, v, S in zip(traj.times, traj.U[:, system.tip_slot], S_ell):
@@ -220,22 +211,17 @@ def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
             counts["violation"] += 1
             if abs(S) > worst_mag:
                 worst_mag = abs(S)
-                worst = (float(t), float(v), float(S))
-    return ComplementarityReport(counts=counts, worst=worst)
-
-
-@dataclass
-class AbsorbingReport:
-    """Evidence of a bounded absorbing set from an ensemble of forced runs."""
-
-    t0_observed: float | None
-    plateau_radius: float
-    converged: bool
+                worst = {"complementarity_worst_t": float(t),
+                         "complementarity_worst_v": float(v),
+                         "complementarity_worst_S": float(S)}
+    return {**{f"complementarity_{side}": count
+               for side, count in counts.items()}, **worst}
 
 
 def absorbing_probe(system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig,
                     *, radius: float, t_final: float, n_ensemble: int = 8,
-                    sample_stride: int = 10, seed: int = 0) -> AbsorbingReport:
+                    sample_stride: int = 10, seed: int = 0
+                    ) -> tuple[float | None, float, bool]:
     """Drive an ensemble from a ball of initial data and watch it contract.
 
     Reports the plateau radius, the largest norm over the last fifth of the
@@ -261,10 +247,8 @@ def absorbing_probe(system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig,
     if outside.any():
         last_out = int(np.nonzero(outside)[0][-1])
         if last_out + 1 >= norms.shape[1]:
-            return AbsorbingReport(None, plateau, False)
+            return None, plateau, False
         t0 = float(times[last_out + 1])
     else:
         t0 = 0.0
-    converged = t0 <= 0.8 * times[-1] + 1e-12
-    return AbsorbingReport(t0_observed=t0, plateau_radius=plateau,
-                           converged=converged)
+    return t0, plateau, bool(t0 <= 0.8 * times[-1] + 1e-12)

@@ -261,7 +261,7 @@ def body_force_primitive(s, law: ForceLaw):
     if law.cutoff_R is None:
         out = law.mu * a ** (law.alpha + 2.0) / (law.alpha + 2.0)
     else:
-        R = law.cutoff_R
+        R = np.float64(law.cutoff_R)  # R**alpha overflows to inf, not an error
         core = law.mu * np.minimum(a, R) ** (law.alpha + 2.0) / (law.alpha + 2.0)
         tail = np.where(a > R, law.mu * R**law.alpha * (a**2 - R**2) / 2.0, 0.0)
         out = core + tail

@@ -11,6 +11,12 @@ rows of Q: the poles +-i.omega_j moved by a rank-r perturbation.  An
 Ehrlich-Aberth iteration (Bini & Robol, J. Comput. Appl. Math. 272 (2014))
 finds them all at once, each held as its pole plus an offset so that a root
 1e-13 from its pole keeps its digits, and certifies the set.  numpy only.
+
+spectrum and mesh_spectrum return the 2n eigenvalues ordered by real part,
+descending (ties by imaginary part): the abscissa, the largest real part, is
+lam[0].real, and the distance of the spectrum to the imaginary axis, its
+damping gap, is min |Re lam|.  xi_study returns (xi_fraction, ne, abscissa,
+verdict) rows; the mesh and tip model of a row are the caller's inputs.
 """
 
 from __future__ import annotations
@@ -250,26 +256,12 @@ def certify(omega: np.ndarray, Q: np.ndarray, delta: np.ndarray) -> None:
                 f"{name}: the roots give {terms.sum():.6g}, the modal form {want:.6g}")
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Complete spectrum of a generator pencil, ordered by real part (descending).
-
-    abscissa is the largest real part; min_damping_gap the distance of the
-    spectrum to the imaginary axis.  The mesh and tip model of a row are the
-    caller's inputs, so the report does not repeat them.
-    """
-
-    eigenvalues: np.ndarray
-    abscissa: float
-    min_damping_gap: float
-
-
-def spectrum(pencil: GeneratorPencil) -> SpectralReport:
+def spectrum(pencil: GeneratorPencil) -> np.ndarray:
     """The complete spectrum of the pencil, from its modal form.
 
     The pencil dimension is checked against DENSE_CAP first.  Operators or
     secular weights that overflow raise AssemblyError; a root set that fails
-    its certificate raises SpectrumCertificateError and yields no report.
+    its certificate raises SpectrumCertificateError and yields no spectrum.
     """
     if pencil.n > DENSE_CAP:
         raise DimensionCapExceeded(pencil.n)
@@ -277,20 +269,10 @@ def spectrum(pencil: GeneratorPencil) -> SpectralReport:
     delta = secular_roots(omega, Q)
     certify(omega, Q, delta)
     lam = 1j * np.concatenate([omega, -omega]) + delta
-    lam = lam[np.lexsort((lam.imag, -lam.real))]
-    return SpectralReport(eigenvalues=lam, abscissa=float(lam.real.max()),
-                          min_damping_gap=float(np.abs(lam.real).min()))
+    return lam[np.lexsort((lam.imag, -lam.real))]
 
 
-@dataclass(frozen=True)
-class XiStudyRow:
-    xi_fraction: Fraction
-    ne: int
-    abscissa: float
-    verdict: str
-
-
-def mesh_spectrum(beam: BeamParams, tip: TipParams, ne: int) -> SpectralReport:
+def mesh_spectrum(beam: BeamParams, tip: TipParams, ne: int) -> np.ndarray:
     """One study row: the spectrum of the beam on a mesh of ne elements."""
     try:
         return spectrum(generator(assemble(build_mesh(beam.ell, beam.xi, ne),
@@ -303,7 +285,7 @@ def mesh_spectrum(beam: BeamParams, tip: TipParams, ne: int) -> SpectralReport:
 
 
 def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
-             workers: int = 1) -> list[XiStudyRow]:
+             workers: int = 1) -> list[tuple[Fraction, int, float, str]]:
     """Abscissa table over damper locations and mesh refinements.
 
     Locations are exact fractions of the length so the verdict of
@@ -318,19 +300,19 @@ def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
     keys = [(Fraction(frac), ne) for frac in xi_fractions for ne in ne_values]
     jobs = [(dataclasses.replace(beam, xi_fraction=frac, xi_real=None), tip, ne)
             for frac, ne in keys]
-    reports = map_rows(mesh_spectrum, jobs, [ne ** 3 for _, ne in keys],
+    spectra = map_rows(mesh_spectrum, jobs, [ne ** 3 for _, ne in keys],
                        workers)
-    return [XiStudyRow(xi_fraction=frac, ne=ne, abscissa=rep.abscissa,
-                       verdict=is_stabilizing_xi(frac))
-            for (frac, ne), rep in zip(keys, reports)]
+    return [(frac, ne, float(lam[0].real), is_stabilizing_xi(frac))
+            for (frac, ne), lam in zip(keys, spectra)]
 
 
-def trend_toward_zero(rows: list[XiStudyRow], tol_bad: float = 1e-6) -> bool:
+def trend_toward_zero(rows, tol_bad: float = 1e-6) -> bool:
     """Operational reading of 'abscissa approaches 0 under refinement'.
 
-    True when the finest abscissa at least halves its distance to zero
-    relative to the coarsest and ends within tol_bad of the axis.
+    rows are xi_study rows of one damper location.  True when the finest
+    abscissa at least halves its distance to zero relative to the coarsest
+    and ends within tol_bad of the axis.
     """
-    rows = sorted(rows, key=lambda r: r.ne)
-    a_min, a_max = rows[0].abscissa, rows[-1].abscissa
+    rows = sorted(rows, key=lambda r: r[1])
+    a_min, a_max = rows[0][2], rows[-1][2]
     return a_max >= 0.5 * a_min and a_max >= -tol_bad

@@ -64,6 +64,8 @@ STIFF_DAMPERS_TIP = dict(beam__gamma1="1e3", beam__gamma2="1e3", mesh__ne="64",
 COMPLIANCE_STOPS = dict(
     contact__kind="normal_compliance", contact__d1="100", contact__d2="100",
     contact__p="2", contact__g_lo="-0.01", contact__g_hi="0.01")
+# an observability config sampled too coarsely for its time integrals
+OBSERVABILITY_STRIDE_11 = {"init.kind": "mode", "run.stride": "11"}
 # observability configs whose figures leave the float range
 NON_FINITE_OBSERVABILITY = {
     "ell-1e300": (dict(COMPLIANCE_STOPS, beam__ell="1e300",
@@ -264,12 +266,18 @@ class TestSimulateCommand:
         ({"scheme.dt": "1e200", "run.t_final": "1e200"}, "scheme.dt"),
         # exp(n x) overflows at x = ell = 1 past n = 709.78
         ({"multiplier.n": "710"}, "multiplier.n"),
+        # (2k - 1) pi overflows a float past k = 2**1023
+        ({"init.kind": "mode", "init.mode": str(2**1024)}, "init.mode"),
+        # the observability integrals take at most 10 steps per sample
+        (OBSERVABILITY_STRIDE_11, "run.stride"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
         text = "".join(f"{k} = {v}\n" for k, v in {**BASE_MAP, **overrides}.items())
         cfg = write_cfg(tmp_path, text)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        command = ("observability" if overrides is OBSERVABILITY_STRIDE_11
+                   else "simulate")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         msg = capsys.readouterr().err.removeprefix("config error: ")
         assert msg.startswith(named)
         # the field key is the only prefix: no section name in front of it
@@ -619,6 +627,7 @@ class TestObservabilityCommand:
         out = tmp_path / "out"
         assert main(["observability", "--config", cfg, "--out", str(out)]) == 0
         summary = read_summary(out)
+        assert summary["status"] == "zero_data"
         assert float(summary["defect_ell"]) == 0.0
         assert float(summary["defect_0"]) == 0.0
         lines = (out / "observability.csv").read_text().splitlines()
@@ -770,3 +779,82 @@ def test_overflowing_tip_energy_is_a_solver_failure(tmp_path):
     assert read_summary(out)["status"] == "partial"
     assert (out / "sweep.csv").read_text().splitlines()[2].split(",")[1] == \
         "diverged"
+
+
+# the exit-code property: any key of a config, numbers over the whole double
+# range, but a run stays small: ne <= 8, a few steps, at most 50 Newton
+# corrections, at most 3 entries in a sweep list and 3 processes
+_DOUBLE = st.floats(allow_nan=False, allow_infinity=False)
+_WHOLE = st.integers(-2**1024, 2**1024)     # the integers of the double range
+_FRACTION = st.builds("{}/{}".format, _WHOLE, _WHOLE)
+
+
+def _listed(entries):
+    return st.lists(entries, min_size=1, max_size=3).map(
+        lambda values: ", ".join(map(str, values)))
+
+
+_FLOAT_KEYS = (
+    "beam.rho1", "beam.rho2", "beam.k", "beam.b", "beam.ell", "beam.gamma1",
+    "beam.gamma2", "tip.epsilon", "contact.d1", "contact.d2", "contact.g_lo",
+    "contact.g_hi", "contact.eps_pen", "force_f.mu", "force_f.alpha",
+    "force_f.cutoff_r", "force_f.f0", "force_g.mu", "force_g.alpha",
+    "force_g.cutoff_r", "force_g.f0", "scheme.newton_tol", "init.amplitude",
+    "init.amplitude_psi", "init.center", "init.width", "init.radius")
+_KEY_VALUES = {
+    **{key: _DOUBLE.map(repr) for key in _FLOAT_KEYS},
+    **{key: _WHOLE.map(str) for key in (
+        "beam.xi_num", "beam.xi_den", "contact.p", "run.stride", "run.seed",
+        "init.mode", "multiplier.n")},
+    **{key: st.sampled_from(["true", "false"]) for key in (
+        "tip.enabled", "tip.damping_on", "run.snapshot", "sweep.tie_tip")},
+    "contact.kind": st.sampled_from(
+        ["none", "normal_compliance", "signorini_penalty"]),
+    "init.kind": st.sampled_from(
+        ["zero", "mode", "mode_velocity", "gaussian", "random_ball"]),
+    "mesh.ne": st.integers(-1, 8).map(str),
+    "scheme.newton_max": st.integers(-1, 50).map(str),
+    "sweep.eps_pen": _listed(_DOUBLE.map(repr)),
+    "sweep.epsilon": _listed(_DOUBLE.map(repr)),
+    "sweep.xi": _listed(_FRACTION),
+    "sweep.ne": _listed(st.integers(-1, 8)),
+    "sweep.workers": st.integers(0, 3).map(str),
+}
+# what each command needs to get past its own checks
+_COMMAND_BASES = {
+    "simulate": {},
+    "sweep-eps": {"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
+                  "contact.g_lo": "-0.05", "contact.g_hi": "0.05",
+                  "sweep.eps_pen": "1e-1, 1e-2"},
+    "sweep-xi": {"sweep.xi": "1/2, 2/3"},
+    "spectrum": {},
+    "observability": {"init.kind": "mode"},
+}
+
+
+@st.composite
+def _cli_configs(draw):
+    """(command, config mapping): a base, up to 4 drawn keys, a short run."""
+    command = draw(st.sampled_from(sorted(_COMMAND_BASES)))
+    keys = draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)), max_size=4,
+                         unique=True))
+    mapping = {**BASE_MAP, **_COMMAND_BASES[command],
+               **{key: draw(_KEY_VALUES[key]) for key in keys}}
+    if draw(st.booleans()):
+        # a few steps of any size; the product may overflow or round
+        dt = draw(_DOUBLE)
+        mapping.update({"scheme.dt": repr(dt),
+                        "run.t_final": repr(draw(st.integers(0, 4)) * dt)})
+    if draw(st.booleans()):
+        # a real damper location in place of the fraction
+        del mapping["beam.xi_num"], mapping["beam.xi_den"]
+        mapping["beam.xi"] = repr(draw(_DOUBLE))
+    return command, mapping
+
+
+@given(_cli_configs())
+def test_any_finite_config_exits_with_a_contract_code(tmp_path_factory, case):
+    command, mapping = case
+    tmp = tmp_path_factory.mktemp("property")
+    cfg = write_cfg(tmp, "".join(f"{k} = {v}\n" for k, v in mapping.items()))
+    assert main([command, "--config", cfg, "--out", str(tmp / "o")]) in (0, 2, 3, 4)

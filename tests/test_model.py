@@ -175,6 +175,13 @@ class TestBodyForce:
             ref, _ = quad(lambda t: body_force(t, law), 0.0, s)
             assert body_force_primitive(s, law) == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
+    def test_primitive_below_an_overflowing_cutoff(self):
+        # R**alpha leaves the floats, but only the tail past R reads it
+        law = ForceLaw(mu=1.0, alpha=3e209, cutoff_R=3e209)
+        with np.errstate(over="ignore"):
+            assert body_force_primitive(np.array([0.0, 0.5]), law).tolist() == \
+                [0.0, 0.0]
+
     def test_global_lipschitz_with_cutoff(self):
         law = ForceLaw(mu=2.0, alpha=2.0, cutoff_R=1.0)
         bound = law.mu * (law.alpha + 1.0) * law.cutoff_R**law.alpha

@@ -7,12 +7,14 @@ line per run: its name, its exit code and the digest of every file it wrote
 (bench/workloads.artifact_digest).  The configs are the two benchmark
 workloads at seed 0, the configs of acceptance checks C07 and C11, and
 observability, spectrum, tip-body, body-force and Newton-failure (exit 3) runs
-built on the base config of the CLI tests.  Three more runs record exit codes:
+built on the base config of the CLI tests.  Four more runs record exit codes:
 spectrum-stall, a spectrum whose Aberth sweeps once stalled (exit 3 before the
 stop rule froze roots cycling at rounding level); observability-non-finite, whose
 figures are nan with beam.ell = 1e300 (exit 3 since non-finite figures fail);
-and gamma2-1e8, a damper that swamps the Newton scale, so that the first step
-takes no correction (exit 0 with a balance defect of 5.2e-4).  Every config
+gamma2-1e8, a damper that swamps the Newton scale, so that the first step
+takes no correction (exit 0 with a balance defect of 5.2e-4); and
+observability-stride-11, samples too far apart for the observability
+integrals (exit 2, once a traceback).  Every config
 runs once with sweep.workers = 1 and once with 2, which only the sweeps read.
 To show that a change leaves every artifact byte-identical, run this in a
 checkout of the parent commit and in one of the change, and diff the two
@@ -32,7 +34,7 @@ from gapbeam.cli import main  # noqa: E402
 from gapbeam.config import parse_mapping  # noqa: E402
 from test_acceptance import DETERMINISM_CFG, SWEEP_CFG  # noqa: E402
 from test_cli import (BASE_MAP, NON_FINITE_OBSERVABILITY,  # noqa: E402
-                      STIFF_DAMPERS_TIP)
+                      OBSERVABILITY_STRIDE_11, STIFF_DAMPERS_TIP)
 from workloads import WORKLOADS, artifact_digest, write_config  # noqa: E402
 
 MODE = {"init.kind": "mode", "init.amplitude": "1.0", "run.stride": "5",
@@ -88,6 +90,7 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
          dotted(NON_FINITE_OBSERVABILITY["ell-1e300"][0])),
         ("gamma2-1e8", "simulate", {"init.kind": "mode_velocity",
                                     "beam.gamma2": "1e8"}),
+        ("observability-stride-11", "observability", OBSERVABILITY_STRIDE_11),
     ]:
         runs.append((name, command, {**BASE_MAP, **overrides}))
     return [(f"{name}-w{workers}", command,
