@@ -4,9 +4,10 @@ from .model import (
     BeamParams,
     ContactLaw,
     ForceLaw,
+    Laws,
     NoContact,
     NormalCompliance,
-    SignoriniPenalty,
+    SchemeConfig,
     TipParams,
     body_force,
     body_force_primitive,
@@ -17,9 +18,7 @@ from .model import (
 from .discretize import Mesh, SemiDiscreteSystem, assemble, build_mesh, recover_stress
 from .timestep import (
     EnergyReport,
-    Laws,
     NewtonDivergence,
-    SchemeConfig,
     Trajectory,
     energy,
     initial_state,

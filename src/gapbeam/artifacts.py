@@ -13,7 +13,8 @@ import numpy as np
 
 from .diagnostics import energy_series
 from .discretize import SemiDiscreteSystem, recover_stress
-from .timestep import Laws, Trajectory
+from .model import Laws
+from .timestep import Trajectory
 
 TRAJECTORY_SCHEMA = "gapbeam-trajectory-v1"
 SPECTRUM_SCHEMA = "gapbeam-spectrum-v1"

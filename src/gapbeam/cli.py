@@ -52,7 +52,7 @@ from .diagnostics import (
 )
 from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
                          recover_stress)
-from .model import NoContact, SignoriniPenalty, TipParams
+from .model import NoContact, NormalCompliance, TipParams
 from .rows import map_rows
 from .spectral import (DimensionCapExceeded, SpectrumCertificateError,
                        mesh_spectrum, trend_toward_zero, xi_study)
@@ -130,7 +130,7 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
     """One penalty-sweep row of plain scalars, so that rows cross processes,
     keyed by SWEEP_HEADER but for its last column."""
     base = cfg.contact
-    contact = SignoriniPenalty(eps_pen=eps_pen, g_lo=base.g_lo, g_hi=base.g_hi)
+    contact = NormalCompliance.penalty(eps_pen, base.g_lo, base.g_hi)
     tip = cfg.tip
     if cfg.sweep.tie_tip:
         # the penalized end model uses one coefficient for the tip body and the
@@ -157,15 +157,20 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
               for key in ("interior", "upper", "lower", "violation")]
     row = dict(zip(SWEEP_HEADER, (eps_pen, "ok", entries["constraint_violation"],
                                   sup_s, entries["gamma_state"], *counts)))
-    write_summary(out / "summary", {**row, "tol_S": tol_s, "tol_g": tol_g})
+    # a degenerate decay fit says why gamma_state is nan
+    fit = ({} if entries["fit_status"] == "ok"
+           else {"fit_status": entries["fit_status"]})
+    write_summary(out / "summary", {**row, "tol_S": tol_s, "tol_g": tol_g, **fit})
     return row
 
 
 def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> dict:
     if not cfg.sweep.eps_pen:
         raise ConfigError("sweep.eps_pen: empty axis for sweep-eps")
-    if not isinstance(cfg.contact, SignoriniPenalty):
-        raise ConfigError("contact.kind: sweep-eps needs a signorini_penalty law")
+    law = cfg.contact
+    if not (isinstance(law, NormalCompliance) and law.p == 1 and law.d1 == law.d2):
+        raise ConfigError("contact.kind: sweep-eps needs a penalty law, "
+                          "signorini_penalty or p = 1 with d1 = d2")
     jobs = [(cfg, eps, str(out / eps_row_dir(eps))) for eps in cfg.sweep.eps_pen]
     rows = map_rows(_sweep_eps_row, jobs, workers=cfg.sweep.workers)
     prev = None

@@ -8,6 +8,9 @@ override (`beam.xi`); sweep-xi takes its locations from `sweep.xi` instead.
 The parameter records are the schema: key `section.field` sets that field,
 parsed by its annotation, and an absent key keeps the record's default.  A
 record's __post_init__ checks its fields; its ParamError names the key.
+`contact.kind` picks the stop law: none, normal_compliance (contact.d1, d2,
+p, g_lo, g_hi), or signorini_penalty, which is the p = 1 compliance law with
+d1 = d2 = 1/contact.eps_pen.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from pathlib import Path
 from .model import (
     BeamParams,
     ForceLaw,
+    Laws,
     NoContact,
     NormalCompliance,
     ParamError,
-    SignoriniPenalty,
+    SchemeConfig,
     TipParams,
+    step_count,
 )
-from .timestep import Laws, SchemeConfig, step_count
 
 
 class ConfigError(ValueError):
@@ -85,6 +89,9 @@ class SweepSpec:
         for name in ("eps_pen", "epsilon"):
             if not all(v > 0.0 for v in getattr(self, name)):
                 raise ParamError(name, "must be positive")
+        # the stiffness of a row's penalty law is 1/eps_pen
+        if not all(math.isfinite(1.0 / v) for v in self.eps_pen):
+            raise ParamError("eps_pen", "an entry puts 1/eps_pen out of float range")
         dirs = [eps_row_dir(v) for v in self.eps_pen]
         for i, j in enumerate(map(dirs.index, dirs)):
             if i != j:
@@ -129,12 +136,11 @@ class ExperimentConfig:
         return Laws(contact=self.contact, force_f=self.force_f, force_g=self.force_g)
 
 
-# the records whose fields are the keys of each section
+# the record whose fields are the keys of each section
 _SECTIONS = {
-    "beam": (BeamParams,), "tip": (TipParams,),
-    "contact": (NormalCompliance, SignoriniPenalty),
-    "force_f": (ForceLaw,), "force_g": (ForceLaw,), "scheme": (SchemeConfig,),
-    "init": (InitSpec,), "sweep": (SweepSpec,),
+    "beam": BeamParams, "tip": TipParams, "contact": NormalCompliance,
+    "force_f": ForceLaw, "force_g": ForceLaw, "scheme": SchemeConfig,
+    "init": InitSpec, "sweep": SweepSpec,
 }
 # keys that a record field would leave at its default, yet every config
 # states: the damping of the beam
@@ -146,15 +152,17 @@ def _key(section: str, name: str) -> str:
     return f"{section}.{name.lower()}"
 
 
-# beam.xi_num/xi_den or beam.xi set BeamParams' xi_fraction or xi_real; the
-# literal keys are those outside _SECTIONS
+# beam.xi_num/xi_den or beam.xi set BeamParams' xi_fraction or xi_real, and
+# contact.eps_pen the penalty law's stiffnesses; the literal keys are those
+# outside _SECTIONS
 _KNOWN = {
     _key(section, f.name)
-    for section, records in _SECTIONS.items() for record in records
+    for section, record in _SECTIONS.items()
     for f in fields(record) if f.name not in ("xi_fraction", "xi_real")
 } | {
-    "beam.xi_num", "beam.xi_den", "beam.xi", "contact.kind", "mesh.ne",
-    "run.t_final", "run.stride", "run.seed", "run.snapshot", "multiplier.n",
+    "beam.xi_num", "beam.xi_den", "beam.xi", "contact.kind", "contact.eps_pen",
+    "mesh.ne", "run.t_final", "run.stride", "run.seed", "run.snapshot",
+    "multiplier.n",
 }
 
 
@@ -293,7 +301,12 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         contact = _record(NormalCompliance, "contact", mapping,
                           p=_get(mapping, "contact.p", _int, 1))
     elif kind in ("signorini_penalty", "penalty"):
-        contact = _record(SignoriniPenalty, "contact", mapping)
+        args = [_get(mapping, _key("contact", name), _finite_float)
+                for name in ("eps_pen", "g_lo", "g_hi")]
+        try:
+            contact = NormalCompliance.penalty(*args)
+        except ParamError as exc:
+            raise ConfigError(f"{_key('contact', exc.name)}: {exc}") from exc
     else:
         raise ConfigError(f"contact.kind: unknown kind {kind!r}")
 

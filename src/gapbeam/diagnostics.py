@@ -25,11 +25,9 @@ import math
 import numpy as np
 
 from .discretize import SemiDiscreteSystem, element_strains, recover_stress
-from .model import NoContact
+from .model import Laws, NoContact, SchemeConfig
 from .timestep import (
     EnergyReport,
-    Laws,
-    SchemeConfig,
     Trajectory,
     energy,
     initial_state,
@@ -192,30 +190,27 @@ def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
     beam = system.beam
     tol_S = 1e-6 * beam.k if tol_S is None else tol_S
     tol_g = 1e-6 * beam.ell if tol_g is None else tol_g
-    counts = {"interior": 0, "upper": 0, "lower": 0, "violation": 0}
-    worst = {}
-    worst_mag = -1.0
-    S_ell, _ = recover_stress(system, traj.U, beam.ell, side="left")
-    for t, v, S in zip(traj.times, traj.U[:, system.tip_slot], S_ell):
-        if t_start is not None and t < t_start:
-            continue
-        if law.g_lo + tol_g < v < law.g_hi - tol_g:
-            side, ok = "interior", abs(S) <= tol_S
-        elif v >= law.g_hi - tol_g:
-            side, ok = "upper", S <= tol_S
-        else:
-            side, ok = "lower", S >= -tol_S
-        if ok:
-            counts[side] += 1
-        else:
-            counts["violation"] += 1
-            if abs(S) > worst_mag:
-                worst_mag = abs(S)
-                worst = {"complementarity_worst_t": float(t),
-                         "complementarity_worst_v": float(v),
-                         "complementarity_worst_S": float(S)}
-    return {**{f"complementarity_{side}": count
-               for side, count in counts.items()}, **worst}
+    S, _ = recover_stress(system, traj.U, beam.ell, side="left")
+    v = traj.U[:, system.tip_slot]
+    settled = traj.times >= (-math.inf if t_start is None else t_start)
+    # the rest is lower, a nan v too; a nan S fails every sign condition
+    interior = (law.g_lo + tol_g < v) & (v < law.g_hi - tol_g)
+    upper = ~interior & (v >= law.g_hi - tol_g)
+    ok = np.where(interior, abs(S) <= tol_S,
+                  np.where(upper, S <= tol_S, S >= -tol_S))
+    good, bad = settled & ok, settled & ~ok
+    report = {"complementarity_interior": int((good & interior).sum()),
+              "complementarity_upper": int((good & upper).sum()),
+              "complementarity_lower": int((good & ~interior & ~upper).sum()),
+              "complementarity_violation": int(bad.sum())}
+    # the worst violation is the first with the largest |S|; a nan S never is
+    magnitude = np.where(bad & ~np.isnan(S), abs(S), -1.0)
+    i = int(np.argmax(magnitude))
+    if magnitude[i] >= 0.0:
+        report.update(complementarity_worst_t=float(traj.times[i]),
+                      complementarity_worst_v=float(v[i]),
+                      complementarity_worst_S=float(S[i]))
+    return report
 
 
 def absorbing_probe(system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig,

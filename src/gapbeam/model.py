@@ -1,4 +1,4 @@
-"""Physical parameters and constitutive laws for the damped beam with tip stops.
+"""Parameters, constitutive laws and step controls of the damped beam with stops.
 
 Everything in this module is a pure function of its inputs or an immutable
 parameter record; instances can be shared freely across workers.
@@ -130,48 +130,28 @@ class NormalCompliance:
                 raise ParamError(name, f"contact stiffness {name} must be positive")
         if self.p not in (1, 2, 3):
             raise ParamError("p", "compliance exponent p must be 1, 2 or 3")
-        _check_gap(self.g_lo, self.g_hi)
+        # rest position v=0 must be admissible, so the stops straddle zero
+        if not self.g_lo < 0.0 < self.g_hi:
+            raise ParamError("g_hi" if self.g_lo < 0.0 else "g_lo",
+                             "stops must satisfy g_lo < 0 < g_hi, got "
+                             f"[{self.g_lo}, {self.g_hi}]")
 
-
-@dataclass(frozen=True)
-class SignoriniPenalty:
-    """Stiff linear penalisation of the stops with parameter eps_pen.
-
-    This is the p=1 compliance law with both stiffnesses 1/eps_pen, so it
-    reads as a NormalCompliance everywhere the laws are evaluated.
-    """
-
-    eps_pen: float
-    g_lo: float
-    g_hi: float
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.eps_pen <= 0.0:
+    @classmethod
+    def penalty(cls, eps_pen: float, g_lo: float, g_hi: float) -> NormalCompliance:
+        """The Signorini penalty with parameter eps_pen: the p=1 law with both
+        stiffnesses 1/eps_pen, which tends to the rigid stops as eps_pen -> 0."""
+        if not math.isfinite(eps_pen):
+            raise ParamError("eps_pen", f"eps_pen must be finite, got {eps_pen!r}")
+        if eps_pen <= 0.0:
             raise ParamError("eps_pen", "eps_pen must be positive")
-        _check_gap(self.g_lo, self.g_hi)
-
-    @property
-    def d1(self) -> float:
-        return 1.0 / self.eps_pen
-
-    @property
-    def d2(self) -> float:
-        return 1.0 / self.eps_pen
-
-    @property
-    def p(self) -> int:
-        return 1
+        d = 1.0 / eps_pen
+        if not math.isfinite(d):
+            raise ParamError("eps_pen", f"eps_pen={eps_pen!r} puts 1/eps_pen "
+                             "out of float range")
+        return cls(d1=d, d2=d, p=1, g_lo=g_lo, g_hi=g_hi)
 
 
-ContactLaw = NoContact | NormalCompliance | SignoriniPenalty
-
-
-def _check_gap(g_lo, g_hi):
-    # rest position v=0 must be admissible, so the stops straddle zero
-    if not g_lo < 0.0 < g_hi:
-        raise ParamError("g_hi" if g_lo < 0.0 else "g_lo",
-                         f"stops must satisfy g_lo < 0 < g_hi, got [{g_lo}, {g_hi}]")
+ContactLaw = NoContact | NormalCompliance
 
 
 @dataclass(frozen=True)
@@ -196,6 +176,60 @@ class ForceLaw:
                 raise ParamError(name, f"{name} must be nonnegative")
         if self.cutoff_R is not None and self.cutoff_R <= 0.0:
             raise ParamError("cutoff_R", "cutoff_R must be positive when given")
+
+
+@dataclass(frozen=True)
+class Laws:
+    """Bundle of the nonlinear laws entering the force balance."""
+
+    contact: ContactLaw = NoContact()
+    force_f: ForceLaw = ForceLaw()
+    force_g: ForceLaw = ForceLaw()
+
+
+@dataclass(frozen=True)
+class SchemeConfig:
+    """Time step and Newton controls.
+
+    newton_tol applies to the step residual normalized by the implicit-system
+    force scale (2/dt^2 * ||M|| + ...) so it is meaningful uniformly in dt.
+    It bounds that residual, not the error of the accepted iterate.
+    """
+
+    dt: float
+    newton_tol: float = 1e-10
+    newton_max: int = 25
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.dt <= 0.0:
+            raise ParamError("dt", "dt must be positive")
+        try:  # the step matrix scales as 2/dt**2
+            scale_ok = math.isfinite(2.0 / self.dt**2)
+        except (ZeroDivisionError, OverflowError):  # dt**2 leaves the floats
+            scale_ok = False
+        if not scale_ok:
+            raise ParamError("dt", f"dt={self.dt!r} puts 2/dt**2 out of float range")
+        if self.newton_tol <= 0.0:
+            raise ParamError("newton_tol", "newton_tol must be positive")
+        if self.newton_max < 1:
+            raise ParamError("newton_max", "newton_max must be at least 1")
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """The number of dt steps in t_final; ValueError unless it is whole.
+
+    A relative slack of 1e-9 absorbs the rounding of t_final / dt.
+    """
+    if t_final < 0.0:
+        raise ValueError("must be nonnegative")
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"{t_final!r} overflows in steps of dt = {dt!r}")
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-9 * max(n_steps, 1):
+        raise ValueError(f"{t_final!r} is not a whole number of dt = {dt!r} steps")
+    return n_steps
 
 
 def contact_traction(v: float, law: ContactLaw) -> float:

@@ -22,16 +22,16 @@ import numpy as np
 from .discretize import (N_LEFT, N_RIGHT, AssemblyError, CooMatrix, Mesh,
                          SemiDiscreteSystem, element_strains)
 from .model import (
-    ContactLaw,
     ForceLaw,
+    Laws,
     NoContact,
-    ParamError,
+    SchemeConfig,
     body_force,
     body_force_primitive,
     contact_potential,
     contact_stiffness,
     contact_traction,
-    require_finite,
+    step_count,
 )
 
 
@@ -49,44 +49,6 @@ class NewtonDivergence(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.t, self.residual, self.iterations)
-
-
-@dataclass(frozen=True)
-class Laws:
-    """Bundle of the nonlinear laws entering the force balance."""
-
-    contact: ContactLaw = NoContact()
-    force_f: ForceLaw = ForceLaw()
-    force_g: ForceLaw = ForceLaw()
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Time step and Newton controls.
-
-    newton_tol applies to the step residual normalized by the implicit-system
-    force scale (2/dt^2 * ||M|| + ...) so it is meaningful uniformly in dt.
-    It bounds that residual, not the error of the accepted iterate.
-    """
-
-    dt: float
-    newton_tol: float = 1e-10
-    newton_max: int = 25
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.dt <= 0.0:
-            raise ParamError("dt", "dt must be positive")
-        try:  # the step matrix scales as 2/dt**2
-            scale_ok = math.isfinite(2.0 / self.dt**2)
-        except (ZeroDivisionError, OverflowError):  # dt**2 leaves the floats
-            scale_ok = False
-        if not scale_ok:
-            raise ParamError("dt", f"dt={self.dt!r} puts 2/dt**2 out of float range")
-        if self.newton_tol <= 0.0:
-            raise ParamError("newton_tol", "newton_tol must be positive")
-        if self.newton_max < 1:
-            raise ParamError("newton_max", "newton_max must be at least 1")
 
 
 def _quadratic_form(A: CooMatrix, x: np.ndarray) -> float:
@@ -381,22 +343,6 @@ class MidpointStepper:
                 up, wp, _, _ = self._solve_step(uh, wh, dt / 2.0, t + dt)
                 return up, wp
             raise
-
-
-def step_count(t_final: float, dt: float) -> int:
-    """The number of dt steps in t_final; ValueError unless it is whole.
-
-    A relative slack of 1e-9 absorbs the rounding of t_final / dt.
-    """
-    if t_final < 0.0:
-        raise ValueError("must be nonnegative")
-    steps = t_final / dt
-    if not math.isfinite(steps):
-        raise ValueError(f"{t_final!r} overflows in steps of dt = {dt!r}")
-    n_steps = round(steps)
-    if abs(steps - n_steps) > 1e-9 * max(n_steps, 1):
-        raise ValueError(f"{t_final!r} is not a whole number of dt = {dt!r} steps")
-    return n_steps
 
 
 def simulate(system: SemiDiscreteSystem, initial: tuple[np.ndarray, np.ndarray],

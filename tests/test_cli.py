@@ -18,10 +18,9 @@ from gapbeam.cli import main
 from gapbeam.config import (_KNOWN, _PARSERS, _SECTIONS, ConfigError,
                             ExperimentConfig, InitSpec, SweepSpec, build_config,
                             load_config, parse_mapping)
-from gapbeam.model import (ForceLaw, NoContact, NormalCompliance,
-                           SignoriniPenalty, TipParams)
+from gapbeam.model import (ForceLaw, NoContact, NormalCompliance, SchemeConfig,
+                           TipParams)
 from gapbeam.spectral import SpectrumCertificateError
-from gapbeam.timestep import SchemeConfig
 
 BASE_MAP = {
     "beam.rho1": "1.0", "beam.rho2": "1.0", "beam.k": "1.0", "beam.b": "1.0",
@@ -64,6 +63,16 @@ STIFF_DAMPERS_TIP = dict(beam__gamma1="1e3", beam__gamma2="1e3", mesh__ne="64",
 COMPLIANCE_STOPS = dict(
     contact__kind="normal_compliance", contact__d1="100", contact__d2="100",
     contact__p="2", contact__g_lo="-0.01", contact__g_hi="0.01")
+PENALTY_STOPS = dict(contact__kind="signorini_penalty", contact__eps_pen="1e-2",
+                     contact__g_lo="-0.05", contact__g_hi="0.05")
+# one stop law twice: the penalty with eps_pen = 1/4, and the p = 1
+# compliance law with d1 = d2 = 4; the data carry the tip past the upper stop
+STOP_DATA = dict(contact__g_lo="-0.05", contact__g_hi="0.05",
+                 init__kind="mode_velocity", init__amplitude="5.0")
+PENALTY_QUARTER = dict(STOP_DATA, contact__kind="signorini_penalty",
+                       contact__eps_pen="0.25")
+COMPLIANCE_P1 = dict(STOP_DATA, contact__kind="normal_compliance",
+                     contact__d1="4", contact__d2="4", contact__p="1")
 # an observability config sampled too coarsely for its time integrals
 OBSERVABILITY_STRIDE_11 = {"init.kind": "mode", "run.stride": "11"}
 # observability configs whose figures leave the float range
@@ -137,7 +146,8 @@ class TestConfigParsing:
         cfg = build_config(parse_mapping(
             BASE + "contact.kind = signorini_penalty\ncontact.eps_pen = 1e-2\n"
             "contact.g_lo = -0.05\ncontact.g_hi = 0.05\n"))
-        assert isinstance(cfg.contact, SignoriniPenalty)
+        assert cfg.contact == NormalCompliance(d1=100.0, d2=100.0, p=1,
+                                               g_lo=-0.05, g_hi=0.05)
         cfg = build_config(parse_mapping(
             BASE + "contact.kind = normal_compliance\ncontact.d1 = 1\n"
             "contact.d2 = 2\ncontact.p = 2\ncontact.g_lo = -0.1\ncontact.g_hi = 0.1\n"))
@@ -192,12 +202,11 @@ class TestConfigParsing:
         }
 
     def test_every_field_a_key_sets_has_a_parser(self):
-        settable = [f for records in _SECTIONS.values() for record in records
-                    for f in fields(record)
+        settable = [f for record in _SECTIONS.values() for f in fields(record)
                     if f.name not in ("xi_fraction", "xi_real")]
         settable += [f for f in fields(ExperimentConfig) if f.name in (
             "ne", "t_final", "stride", "seed", "multiplier_n", "snapshot")]
-        assert len(settable) == 48  # contact.g_lo and g_hi set two records
+        assert len(settable) == 45  # contact.eps_pen is read outside them
         assert [f.name for f in settable if f.type not in _PARSERS] == []
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -603,6 +612,29 @@ class TestSweepEpsCommand:
         assert main(["sweep-eps", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("overrides, code", [
+        (COMPLIANCE_P1, 0),
+        (dict(COMPLIANCE_P1, contact__p="2"), 2),
+        (dict(COMPLIANCE_P1, contact__d2="5"), 2),
+    ], ids=["p1-compliance", "p2-compliance", "unequal-stiffnesses"])
+    def test_base_law_is_a_penalty_law(self, tmp_path, overrides, code):
+        # the rows vary eps_pen, so the base must be p = 1 with d1 = d2
+        cfg = write_cfg(tmp_path, cfg_text(sweep__eps_pen="1e-1", **overrides))
+        assert main(["sweep-eps", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == code
+
+    def test_degenerate_fit_row_says_why(self, tmp_path):
+        # zero data: every energy is 0, so no decay rate can be fitted
+        cfg = write_cfg(tmp_path, cfg_text(sweep__eps_pen="1e-1, 1e-2",
+                                           **PENALTY_STOPS))
+        out = tmp_path / "out"
+        assert main(["sweep-eps", "--config", cfg, "--out", str(out)]) == 0
+        for row in ("eps_0.1", "eps_0.01"):
+            summary = read_summary(out / row)
+            assert (summary["status"], summary["gamma_state"]) == ("ok", "nan")
+            assert summary["fit_status"] == \
+                "degenerate (nonpositive energies in the decay window)"
+
     def test_partial_table_on_divergence(self, tmp_path):
         cfg = write_cfg(tmp_path, cfg_text(
             scheme__dt="0.05", scheme__newton_max="2", run__t_final="0.5",
@@ -619,6 +651,34 @@ class TestSweepEpsCommand:
         assert statuses["1e-10"] == "diverged"
         summary = read_summary(out)
         assert summary["status"] == "partial"
+
+
+def test_penalty_is_its_p1_compliance_law(tmp_path):
+    outs = []
+    for name, overrides in (("penalty", PENALTY_QUARTER),
+                            ("compliance", COMPLIANCE_P1)):
+        cfg = write_cfg(tmp_path, cfg_text(**overrides), f"{name}.cfg")
+        outs.append(tmp_path / name)
+        assert main(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+    assert float(read_summary(outs[0])["constraint_violation"]) > 0.0
+    for artifact in ("trajectory.csv", "summary"):
+        assert (outs[0] / artifact).read_bytes() == \
+            (outs[1] / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("command, overrides, named", [
+    ("simulate", dict(PENALTY_STOPS, contact__eps_pen="5e-324"),
+     "contact.eps_pen"),
+    ("sweep-eps", dict(PENALTY_STOPS, sweep__eps_pen="1e-1, 5e-324"),
+     "sweep.eps_pen"),
+], ids=["contact", "sweep"])
+def test_overflowing_penalty_stiffness_exit_two(tmp_path, capsys, command,
+                                               overrides, named):
+    # 1/eps_pen overflows below about 5.6e-309: such a law once ran to a
+    # nan residual, and such a sweep row diverged
+    cfg = write_cfg(tmp_path, cfg_text(**overrides))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}: ")
 
 
 class TestObservabilityCommand:
@@ -684,7 +744,7 @@ DIVERGING = dict(
       "eps_0.1/summary": [
           "eps_pen", "status", "violation", "sup_S_ell", "gamma_state",
           "compl_interior", "compl_upper", "compl_lower", "compl_violations",
-          "tol_S", "tol_g"],
+          "tol_S", "tol_g", "fit_status"],
       "eps_1e-10/summary": ["status", "t_fail"]}),
     ("sweep-xi", dict(sweep__xi="1/2, 2/3"),
      {"summary": ["rows", "trend_toward_zero_1_2", "trend_toward_zero_2_3"]}),
@@ -750,7 +810,8 @@ def test_artifact_digests_imports(tmp_path):
     runs = tool.reference_runs()
     names = [name for name, _, _ in runs]
     assert len(set(names)) == len(names)
-    assert {"c07-w1", "c07-w2", "xi-study-w2", "observability-n3-w1"} <= set(names)
+    assert {"c07-w1", "c07-w2", "xi-study-w2", "observability-n3-w1",
+            "penalty-w1"} <= set(names)
     for _, _, mapping in runs:
         build_config(mapping)
     run = next(r for r in runs if r[0] == "observability-w1")

@@ -9,7 +9,6 @@ from gapbeam import (
     Laws,
     NormalCompliance,
     SchemeConfig,
-    SignoriniPenalty,
     TipParams,
     absorbing_probe,
     complementarity_report,
@@ -150,12 +149,37 @@ class TestConstraintViolation:
         for eps in (1e-1, 1e-2, 1e-3):
             system = desk_system(ne=16, gamma1=1.0, gamma2=1.0,
                                  tip=TipParams(enabled=True, epsilon=eps))
-            laws = Laws(contact=SignoriniPenalty(eps_pen=eps, g_lo=-0.05, g_hi=0.05))
+            laws = Laws(contact=NormalCompliance.penalty(eps_pen=eps, g_lo=-0.05,
+                                                         g_hi=0.05))
             s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)
             traj = simulate(system, s0, laws, SchemeConfig(dt=2e-4), 1.0,
                             sample_stride=10)
             viols.append(constraint_violation(system, traj, -0.05, 0.05))
         assert viols[0] > viols[1] > viols[2] > 0.0
+
+
+def _complementarity_loop(system, traj, law, tol_S, tol_g, t_start):
+    """complementarity_report sample by sample: the reference of its masks."""
+    counts = {"interior": 0, "upper": 0, "lower": 0, "violation": 0}
+    worst, worst_mag = {}, -1.0
+    S_ell, _ = recover_stress(system, traj.U, system.mesh.ell, side="left")
+    for t, v, S in zip(traj.times, traj.U[:, system.tip_slot], S_ell):
+        if t < t_start:
+            continue
+        if law.g_lo + tol_g < v < law.g_hi - tol_g:
+            side, ok = "interior", abs(S) <= tol_S
+        elif v >= law.g_hi - tol_g:
+            side, ok = "upper", S <= tol_S
+        else:
+            side, ok = "lower", S >= -tol_S
+        counts[side if ok else "violation"] += 1
+        if not ok and abs(S) > worst_mag:
+            worst_mag = abs(S)
+            worst = {"complementarity_worst_t": float(t),
+                     "complementarity_worst_v": float(v),
+                     "complementarity_worst_S": float(S)}
+    return {**{f"complementarity_{side}": count
+               for side, count in counts.items()}, **worst}
 
 
 class TestComplementarity:
@@ -187,6 +211,39 @@ class TestComplementarity:
         traj = _traj(np.zeros((2, conservative_system.n_free)), times=(0.0, 1.0))
         rep = complementarity_report(conservative_system, traj, NC, t_start=0.5)
         assert sum(rep.values()) == 1
+
+    def test_masks_match_the_per_sample_loop(self, conservative_system):
+        # phi = v x and psi = c put v at the tip and an S(ell) linear in
+        # (v, c): a state and its negative tie in |S|, and psi = nan makes S nan
+        system = conservative_system
+        nodes = system.mesh.nodes
+
+        def state(v, c):
+            return system.reduce(np.concatenate([v * nodes, np.full(nodes.size, c)]))
+
+        U = np.array([state(0.08, 0.9), state(0.0, 0.0), state(0.08, 0.22),
+                      state(-0.08, 0.2), state(0.0, math.nan),
+                      state(-0.08, -0.22), state(0.0, 0.1)])
+        traj = _traj(U, times=np.arange(len(U)) / 10.0)
+        S, _ = recover_stress(system, U, 1.0, side="left")
+        assert abs(S[2]) == abs(S[5]) and math.isnan(S[4])
+        rep = complementarity_report(system, traj, NC, tol_S=1e-3, t_start=0.1)
+        assert rep == _complementarity_loop(system, traj, NC, 1e-3, 1e-6, 0.1)
+        assert rep == {
+            "complementarity_interior": 1, "complementarity_upper": 0,
+            "complementarity_lower": 1, "complementarity_violation": 4,
+            "complementarity_worst_t": 0.2, "complementarity_worst_v": 0.08,
+            "complementarity_worst_S": S[2]}
+        assert all(type(rep[f"complementarity_{side}"]) is int
+                   for side in ("interior", "upper", "lower", "violation"))
+
+    def test_nan_stresses_name_no_worst_violation(self, conservative_system):
+        nodes = conservative_system.mesh.nodes
+        u = conservative_system.reduce(
+            np.concatenate([0.0 * nodes, np.full(nodes.size, math.nan)]))
+        rep = complementarity_report(conservative_system, _traj(u), NC)
+        assert rep["complementarity_violation"] == 1
+        assert "complementarity_worst_S" not in rep
 
 
 class TestObservability:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +17,8 @@ from gapbeam.model import (
     ForceLaw,
     NoContact,
     NormalCompliance,
-    SignoriniPenalty,
+    ParamError,
+    SchemeConfig,
     TipParams,
     body_force,
     body_force_primitive,
@@ -26,16 +27,15 @@ from gapbeam.model import (
     contact_traction,
     is_stabilizing_xi,
 )
-from gapbeam.timestep import SchemeConfig
 
 NC = NormalCompliance(d1=1.0, d2=1.0, p=2, g_lo=-1.0, g_hi=1.0)
-PEN = SignoriniPenalty(eps_pen=0.5, g_lo=-1.0, g_hi=1.0)
+PEN = NormalCompliance.penalty(eps_pen=0.5, g_lo=-1.0, g_hi=1.0)
 LAWS = [
     NC,
     NormalCompliance(d1=3.0, d2=0.7, p=1, g_lo=-0.5, g_hi=0.25),
     NormalCompliance(d1=1.5, d2=2.0, p=3, g_lo=-1.0, g_hi=0.5),
     PEN,
-    SignoriniPenalty(eps_pen=1e-2, g_lo=-0.3, g_hi=0.3),
+    NormalCompliance.penalty(eps_pen=1e-2, g_lo=-0.3, g_hi=0.3),
 ]
 
 _STOPS = dict(g_lo=st.floats(-1.0, -1e-3), g_hi=st.floats(1e-3, 1.0))
@@ -43,7 +43,7 @@ CONTACT_LAWS = st.one_of(
     st.just(NoContact()),
     st.builds(NormalCompliance, d1=st.floats(1e-2, 1e3),
               d2=st.floats(1e-2, 1e3), p=st.sampled_from([1, 2, 3]), **_STOPS),
-    st.builds(SignoriniPenalty, eps_pen=st.floats(1e-4, 1.0), **_STOPS),
+    st.builds(NormalCompliance.penalty, eps_pen=st.floats(1e-4, 1.0), **_STOPS),
 )
 
 
@@ -97,7 +97,7 @@ class TestContactPotential:
         # central differences at 20 points; the two kink points are skipped
         # for p=1 (and the penalty law) where the traction is only C^0
         vs = np.linspace(-2.5, 2.5, 20)
-        kinked = isinstance(law, SignoriniPenalty) or law.p == 1
+        kinked = law.p == 1
         for v in vs:
             if kinked and (abs(v - law.g_hi) < 0.3 or abs(v - law.g_lo) < 0.3):
                 continue
@@ -283,7 +283,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             NormalCompliance(d1=1, d2=1, p=2, g_lo=0.1, g_hi=1)
         with pytest.raises(ValueError):
-            SignoriniPenalty(eps_pen=0.0, g_lo=-1, g_hi=1)
+            NormalCompliance.penalty(eps_pen=0.0, g_lo=-1, g_hi=1)
+
+    def test_penalty_is_the_p1_law_with_stiffnesses_one_over_eps(self):
+        assert NormalCompliance.penalty(eps_pen=0.3, g_lo=-0.5, g_hi=0.25) == \
+            NormalCompliance(d1=1.0 / 0.3, d2=1.0 / 0.3, p=1, g_lo=-0.5, g_hi=0.25)
+
+    @pytest.mark.parametrize("eps_pen", [5e-324, 5.5e-309])
+    def test_penalty_stiffness_must_be_a_float(self, eps_pen):
+        # 1/eps_pen overflows below about 5.6e-309
+        with pytest.raises(ParamError, match="1/eps_pen out of float range") as exc:
+            NormalCompliance.penalty(eps_pen=eps_pen, g_lo=-1, g_hi=1)
+        assert exc.value.name == "eps_pen"
 
     def test_force_law_invariants(self):
         with pytest.raises(ValueError):
@@ -292,31 +303,37 @@ class TestValidation:
             ForceLaw(mu=1.0, cutoff_R=0.0)
 
 
-# one valid instance of every parameter record, each float field set
+# one valid instance of every parameter record, each float field set, keyed
+# by its label; the Signorini penalty checks its arguments like a record
 VALID_RECORDS = {
-    BeamParams: dict(rho1=1.0, rho2=1.0, k=1.0, b=1.0, ell=1.0, gamma1=0.5,
-                     gamma2=0.5, xi_real=0.5),
-    TipParams: dict(enabled=True, epsilon=0.1),
-    NormalCompliance: dict(d1=1.0, d2=1.0, p=2, g_lo=-0.1, g_hi=0.1),
-    SignoriniPenalty: dict(eps_pen=1e-2, g_lo=-0.1, g_hi=0.1),
-    ForceLaw: dict(mu=1.0, alpha=1.0, cutoff_R=2.0, f0=0.5),
-    SchemeConfig: dict(dt=1e-3, newton_tol=1e-10),
+    "BeamParams": (BeamParams, dict(rho1=1.0, rho2=1.0, k=1.0, b=1.0, ell=1.0,
+                                    gamma1=0.5, gamma2=0.5, xi_real=0.5)),
+    "TipParams": (TipParams, dict(enabled=True, epsilon=0.1)),
+    "NormalCompliance": (NormalCompliance,
+                         dict(d1=1.0, d2=1.0, p=2, g_lo=-0.1, g_hi=0.1)),
+    "SignoriniPenalty": (NormalCompliance.penalty,
+                         dict(eps_pen=1e-2, g_lo=-0.1, g_hi=0.1)),
+    "ForceLaw": (ForceLaw, dict(mu=1.0, alpha=1.0, cutoff_R=2.0, f0=0.5)),
+    "SchemeConfig": (SchemeConfig, dict(dt=1e-3, newton_tol=1e-10)),
 }
-FLOAT_FIELDS = [(cls, name) for cls, kw in VALID_RECORDS.items()
+FLOAT_FIELDS = [(label, name) for label, (_, kw) in VALID_RECORDS.items()
                 for name, value in kw.items() if isinstance(value, float)]
 
 
 class TestFiniteParameters:
     def test_every_float_field_is_listed(self):
-        for cls, kw in VALID_RECORDS.items():
-            declared = {f.name for f in fields(cls) if f.type.startswith("float")}
+        for build, kw in VALID_RECORDS.values():
+            declared = {name for name, param in
+                        inspect.signature(build).parameters.items()
+                        if param.annotation.startswith("float")}
             assert declared == {n for n, v in kw.items() if isinstance(v, float)}
-            cls(**kw)
+            build(**kw)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
-                             ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
-    def test_non_finite_field_is_named(self, cls, name, bad):
+    @pytest.mark.parametrize("label, name", FLOAT_FIELDS,
+                             ids=[f"{c}.{n}" for c, n in FLOAT_FIELDS])
+    def test_non_finite_field_is_named(self, label, name, bad):
+        build, kw = VALID_RECORDS[label]
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
-            cls(**{**VALID_RECORDS[cls], name: bad})
+            build(**{**kw, name: bad})

@@ -14,7 +14,6 @@ from gapbeam import (
     NoContact,
     NormalCompliance,
     SchemeConfig,
-    SignoriniPenalty,
     TipParams,
     initial_state,
     simulate,
@@ -168,7 +167,8 @@ class TestSimulate:
 
     def test_divergence_reports_failing_time(self):
         system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=1e-6))
-        laws = Laws(contact=SignoriniPenalty(eps_pen=1e-10, g_lo=-0.01, g_hi=0.01))
+        laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-10, g_lo=-0.01,
+                                                     g_hi=0.01))
         s0 = initial_state(system, "mode_velocity", amplitude=50.0)
         with pytest.raises(NewtonDivergence) as err:
             simulate(system, s0, laws, SchemeConfig(dt=0.05, newton_max=2), 0.5)
@@ -180,7 +180,8 @@ class TestContactStepping:
     def test_penalty_kink_steps_converge(self):
         system = desk_system(ne=16, gamma1=1.0, gamma2=1.0,
                              tip=TipParams(enabled=True, epsilon=1e-3))
-        laws = Laws(contact=SignoriniPenalty(eps_pen=1e-3, g_lo=-0.05, g_hi=0.05))
+        laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-3, g_lo=-0.05,
+                                                     g_hi=0.05))
         s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)
         traj = simulate(system, s0, laws, SchemeConfig(dt=2e-4), 0.5,
                         sample_stride=50)
@@ -412,7 +413,7 @@ def contact_laws():
         st.just(NoContact()),
         st.builds(NormalCompliance, d1=st.floats(1.0, 200.0),
                   d2=st.floats(1.0, 200.0), p=st.sampled_from([1, 2, 3]), **gaps),
-        st.builds(SignoriniPenalty, eps_pen=st.floats(1e-3, 1e-1), **gaps),
+        st.builds(NormalCompliance.penalty, eps_pen=st.floats(1e-3, 1e-1), **gaps),
     )
 
 

@@ -6,8 +6,8 @@ Runs gapbeam.cli.main in this process on each reference config and prints one
 line per run: its name, its exit code and the digest of every file it wrote
 (bench/workloads.artifact_digest).  The configs are the two benchmark
 workloads at seed 0, the configs of acceptance checks C07 and C11, and
-observability, spectrum, tip-body, body-force and Newton-failure (exit 3) runs
-built on the base config of the CLI tests.  Four more runs record exit codes:
+observability, spectrum, tip-body, body-force, penalty (the tip reaches a stop)
+and Newton-failure (exit 3) runs built on the base config of the CLI tests.  Four more runs record exit codes:
 spectrum-stall, a spectrum whose Aberth sweeps once stalled (exit 3 before the
 stop rule froze roots cycling at rounding level); observability-non-finite, whose
 figures are nan with beam.ell = 1e300 (exit 3 since non-finite figures fail);
@@ -84,6 +84,9 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
         ("body-cutoff", "simulate", {**BODY, **CUTOFF}),
         ("body-compliance", "simulate", {**COMPLIANCE, "force_f.mu": "1.0",
                                          "force_f.alpha": "1.0"}),
+        ("penalty", "simulate", {**PENALTY, "init.kind": "mode_velocity",
+                                 "init.amplitude": "1.0", "run.stride": "5",
+                                 "run.t_final": "0.2"}),
         ("newton-divergence", "simulate", DIVERGENCE),
         ("spectrum-stall", "spectrum", dotted(STIFF_DAMPERS_TIP)),
         ("observability-non-finite", "observability",
