@@ -87,7 +87,7 @@ def _run(cfg: ExperimentConfig):
     try:
         initial = make_initial(cfg, system)
     except ValueError as exc:
-        raise ConfigError(f"init: {exc}") from exc
+        raise ConfigError(f"init.kind: {exc}") from exc
     traj = simulate(system, initial, laws, cfg.scheme, cfg.t_final,
                     sample_stride=cfg.stride)
     return system, laws, traj

@@ -11,6 +11,10 @@ record's __post_init__ checks its fields; its ParamError names the key.
 `contact.kind` picks the stop law: none, normal_compliance (contact.d1, d2,
 p, g_lo, g_hi), or signorini_penalty, which is the p = 1 compliance law with
 d1 = d2 = 1/contact.eps_pen.
+
+Every key is read once, and the reads are the only list of keys: a key that
+nothing reads, such as a stop-law key the chosen contact.kind does not take,
+is a ConfigError, reported after any bad value.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class InitSpec:
     radius: float = 1.0
 
     def __post_init__(self):
+        if self.mode < 1:
+            raise ParamError("mode", "must be >= 1")
         if self.mode > 2**53:
             raise ParamError("mode", "must be at most 2**53: past it a float "
                              "frequency tells no two modes apart")
@@ -136,34 +142,9 @@ class ExperimentConfig:
         return Laws(contact=self.contact, force_f=self.force_f, force_g=self.force_g)
 
 
-# the record whose fields are the keys of each section
-_SECTIONS = {
-    "beam": BeamParams, "tip": TipParams, "contact": NormalCompliance,
-    "force_f": ForceLaw, "force_g": ForceLaw, "scheme": SchemeConfig,
-    "init": InitSpec, "sweep": SweepSpec,
-}
-# keys that a record field would leave at its default, yet every config
-# states: the damping of the beam
-_REQUIRED = ("beam.gamma1", "beam.gamma2")
-
-
 def _key(section: str, name: str) -> str:
     # force_f.cutoff_R is read from force_f.cutoff_r
     return f"{section}.{name.lower()}"
-
-
-# beam.xi_num/xi_den or beam.xi set BeamParams' xi_fraction or xi_real, and
-# contact.eps_pen the penalty law's stiffnesses; the literal keys are those
-# outside _SECTIONS
-_KNOWN = {
-    _key(section, f.name)
-    for section, record in _SECTIONS.items()
-    for f in fields(record) if f.name not in ("xi_fraction", "xi_real")
-} | {
-    "beam.xi_num", "beam.xi_den", "beam.xi", "contact.kind", "contact.eps_pen",
-    "mesh.ne", "run.t_final", "run.stride", "run.seed", "run.snapshot",
-    "multiplier.n",
-}
 
 
 def parse_mapping(text: str) -> dict[str, str]:
@@ -242,8 +223,9 @@ _PARSERS = {
 
 
 def _get(mapping: dict[str, str], key: str, parse, default=MISSING):
-    """The parsed value of key, default when it is absent (required if none)."""
-    raw = mapping.get(key)
+    """Take key out of mapping and parse its value; default when it is absent
+    (required if none)."""
+    raw = mapping.pop(key, None)
     if raw is None:
         if default is MISSING:
             raise ConfigError(f"missing required field {key}")
@@ -262,7 +244,7 @@ def _record(cls, section: str, mapping: dict[str, str], keys=None, **given):
 
     for f in fields(cls):
         if f.name not in given and (
-                key(f.name) in mapping or key(f.name) in _REQUIRED
+                key(f.name) in mapping
                 or f.default is MISSING and f.default_factory is MISSING):
             given[f.name] = _get(mapping, key(f.name), _PARSERS[f.type])
     try:
@@ -272,29 +254,24 @@ def _record(cls, section: str, mapping: dict[str, str], keys=None, **given):
 
 
 def build_config(mapping: dict[str, str]) -> ExperimentConfig:
-    unknown = sorted(set(mapping) - _KNOWN)
-    if unknown:
-        raise ConfigError(f"unknown field {unknown[0]}")
+    mapping = dict(mapping)  # each read takes its key out of this copy
 
-    xi_num, xi_den = mapping.get("beam.xi_num"), mapping.get("beam.xi_den")
     xi_real = _get(mapping, "beam.xi", _optional_float, None)
+    xi_num = _get(mapping, "beam.xi_num", _int, None)
+    xi_den = _get(mapping, "beam.xi_den", _int, None)
     if (xi_num is None) != (xi_den is None):
         raise ConfigError("beam.xi_num and beam.xi_den must be given together")
-    if xi_num is not None and xi_real is not None:
-        raise ConfigError("beam.xi conflicts with beam.xi_num/beam.xi_den")
-    if xi_num is None and xi_real is None:
-        raise ConfigError("missing required field beam.xi_num/beam.xi_den (or beam.xi)")
     xi_fraction = None
     if xi_num is not None:
         try:
-            xi_fraction = Fraction(int(xi_num), int(xi_den))
-        except (ValueError, ZeroDivisionError) as exc:
+            xi_fraction = Fraction(xi_num, xi_den)
+        except ZeroDivisionError as exc:
             raise ConfigError(f"beam.xi_num/beam.xi_den: {exc}") from exc
     xi_key = "beam.xi" if xi_fraction is None else "beam.xi_num/beam.xi_den"
     beam = _record(BeamParams, "beam", mapping, {"xi": xi_key},
                    xi_fraction=xi_fraction, xi_real=xi_real)
 
-    kind = mapping.get("contact.kind", "none").lower()
+    kind = _get(mapping, "contact.kind", str.lower, "none")
     if kind in ("none", "no_contact"):
         contact = NoContact()
     elif kind in ("normal_compliance", "nc"):
@@ -319,16 +296,22 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
             step_count(t_final, dt)
         except ValueError as exc:
             raise ConfigError(f"run.t_final: {exc}") from exc
-    return _record(
+    config = _record(
         ExperimentConfig, "run", mapping,
         {"ne": "mesh.ne", "multiplier_n": "multiplier.n"}, t_final=t_final,
         beam=beam, tip=_record(TipParams, "tip", mapping), contact=contact,
         force_f=_record(ForceLaw, "force_f", mapping),
         force_g=_record(ForceLaw, "force_g", mapping),
-        scheme=_record(SchemeConfig, "scheme", mapping),
+        scheme=_record(SchemeConfig, "scheme", mapping, dt=dt),
         init=_record(InitSpec, "init", mapping),
         sweep=_record(SweepSpec, "sweep", mapping),
     )
+    if mapping:
+        key = min(mapping)
+        if key.startswith("contact."):
+            raise ConfigError(f"{key}: not read by contact.kind = {kind}")
+        raise ConfigError(f"unknown field {key}")
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

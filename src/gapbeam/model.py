@@ -56,8 +56,8 @@ class BeamParams:
     k: float
     b: float
     ell: float
-    gamma1: float = 0.0
-    gamma2: float = 0.0
+    gamma1: float
+    gamma2: float
     xi_fraction: Fraction | None = None
     xi_real: float | None = None
 
@@ -70,7 +70,7 @@ class BeamParams:
             if getattr(self, name) < 0.0:
                 raise ParamError(name, f"{name} must be nonnegative")
         if (self.xi_fraction is None) == (self.xi_real is None):
-            raise ParamError("xi", "specify exactly one of xi_fraction, xi_real")
+            raise ParamError("xi", "the damper location must be given exactly once")
         if not 0.0 < self.xi < self.ell:
             raise ParamError(
                 "xi", f"xi={self.xi} must lie strictly inside (0, {self.ell})")

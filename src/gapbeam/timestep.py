@@ -399,8 +399,6 @@ def initial_state(system: SemiDiscreteSystem, kind: str, *, amplitude: float = 1
     if kind == "zero":
         return u, w
     if kind in ("mode", "mode_velocity"):
-        if mode < 1:
-            raise ValueError("mode index must be >= 1")
         a = (2 * mode - 1) * math.pi / (2.0 * ell)
         data = system.reduce(np.concatenate([amplitude * np.sin(a * x),
                                              amplitude_psi * np.cos(a * x)]))

@@ -15,11 +15,10 @@ import gapbeam
 from conftest import desk_system
 from gapbeam.artifacts import load_snapshot, save_snapshot
 from gapbeam.cli import main
-from gapbeam.config import (_KNOWN, _PARSERS, _SECTIONS, ConfigError,
-                            ExperimentConfig, InitSpec, SweepSpec, build_config,
-                            load_config, parse_mapping)
-from gapbeam.model import (ForceLaw, NoContact, NormalCompliance, SchemeConfig,
-                           TipParams)
+from gapbeam.config import (_PARSERS, ConfigError, ExperimentConfig, InitSpec,
+                            SweepSpec, build_config, load_config, parse_mapping)
+from gapbeam.model import (BeamParams, ForceLaw, NoContact, NormalCompliance,
+                           SchemeConfig, TipParams)
 from gapbeam.spectral import SpectrumCertificateError
 
 BASE_MAP = {
@@ -30,6 +29,55 @@ BASE_MAP = {
 }
 
 BASE = "".join(f"{k} = {v}\n" for k, v in BASE_MAP.items())
+
+# every config key, written out so that renaming a record field cannot rename
+# a key
+KEYS = {
+    "beam.rho1", "beam.rho2", "beam.k", "beam.b", "beam.ell",
+    "beam.gamma1", "beam.gamma2", "beam.xi_num", "beam.xi_den",
+    "beam.xi", "tip.enabled", "tip.epsilon", "tip.damping_on",
+    "contact.kind", "contact.d1", "contact.d2", "contact.p",
+    "contact.g_lo", "contact.g_hi", "contact.eps_pen",
+    "force_f.mu", "force_f.alpha", "force_f.cutoff_r", "force_f.f0",
+    "force_g.mu", "force_g.alpha", "force_g.cutoff_r", "force_g.f0",
+    "scheme.dt", "scheme.newton_tol", "scheme.newton_max",
+    "mesh.ne", "run.t_final", "run.stride", "run.seed",
+    "run.snapshot", "init.kind", "init.amplitude",
+    "init.amplitude_psi", "init.mode", "init.center", "init.width",
+    "init.radius", "multiplier.n", "sweep.eps_pen", "sweep.epsilon",
+    "sweep.xi", "sweep.ne", "sweep.tie_tip", "sweep.workers",
+}
+# the stop-law keys each contact.kind reads, with a valid value each
+STOP_LAW_KEYS = {
+    "none": {},
+    "normal_compliance": {"contact.d1": "100", "contact.d2": "100",
+                          "contact.p": "2", "contact.g_lo": "-0.05",
+                          "contact.g_hi": "0.05"},
+    "signorini_penalty": {"contact.eps_pen": "1e-2", "contact.g_lo": "-0.05",
+                          "contact.g_hi": "0.05"},
+}
+# a valid value of every key outside the stop laws but beam.xi, the
+# alternative to beam.xi_num/beam.xi_den
+EVERY_OTHER_KEY = {
+    **BASE_MAP, "tip.enabled": "true", "tip.epsilon": "0.1",
+    "tip.damping_on": "false",
+    **{f"{side}.{name}": value for side in ("force_f", "force_g")
+       for name, value in (("mu", "1"), ("alpha", "1"), ("cutoff_r", "2"),
+                           ("f0", "0.5"))},
+    "scheme.newton_tol": "1e-10", "scheme.newton_max": "20",
+    "run.stride": "2", "run.seed": "3", "run.snapshot": "true",
+    "init.kind": "gaussian", "init.amplitude": "1", "init.amplitude_psi": "0",
+    "init.mode": "2", "init.center": "0.5", "init.width": "0.1",
+    "init.radius": "1", "multiplier.n": "3", "sweep.eps_pen": "1e-2",
+    "sweep.epsilon": "1e-2", "sweep.xi": "1/2", "sweep.ne": "8",
+    "sweep.tie_tip": "false", "sweep.workers": "1",
+}
+# the record whose fields a section's keys may name
+SECTIONS = {
+    "beam": BeamParams, "tip": TipParams, "contact": NormalCompliance,
+    "force_f": ForceLaw, "force_g": ForceLaw, "scheme": SchemeConfig,
+    "init": InitSpec, "sweep": SweepSpec,
+}
 
 
 # config values: numbers of every size and sign, non-finite ones, fractions,
@@ -161,7 +209,7 @@ class TestConfigParsing:
         assert cfg.sweep.ne == (16, 32)
 
     @given(overrides=st.dictionaries(
-        st.sampled_from(sorted(_KNOWN) + ["beam.rho3"]), CONFIG_VALUES,
+        st.sampled_from(sorted(KEYS) + ["beam.rho3"]), CONFIG_VALUES,
         max_size=6),
         drop=st.sets(st.sampled_from(sorted(BASE_MAP)), max_size=2))
     def test_fuzzed_mapping_raises_only_config_error(self, overrides, drop):
@@ -184,25 +232,39 @@ class TestConfigParsing:
             (1, 0, None, False)
 
     def test_known_keys_are_pinned(self):
-        # written out, so that renaming a record field cannot rename a key
-        assert _KNOWN == {
-            "beam.rho1", "beam.rho2", "beam.k", "beam.b", "beam.ell",
-            "beam.gamma1", "beam.gamma2", "beam.xi_num", "beam.xi_den",
-            "beam.xi", "tip.enabled", "tip.epsilon", "tip.damping_on",
-            "contact.kind", "contact.d1", "contact.d2", "contact.p",
-            "contact.g_lo", "contact.g_hi", "contact.eps_pen",
-            "force_f.mu", "force_f.alpha", "force_f.cutoff_r", "force_f.f0",
-            "force_g.mu", "force_g.alpha", "force_g.cutoff_r", "force_g.f0",
-            "scheme.dt", "scheme.newton_tol", "scheme.newton_max",
-            "mesh.ne", "run.t_final", "run.stride", "run.seed",
-            "run.snapshot", "init.kind", "init.amplitude",
-            "init.amplitude_psi", "init.mode", "init.center", "init.width",
-            "init.radius", "multiplier.n", "sweep.eps_pen", "sweep.epsilon",
-            "sweep.xi", "sweep.ne", "sweep.tie_tip", "sweep.workers",
-        }
+        # each kind builds with every key it reads, so every pinned key is read
+        read = set()
+        for kind, stop_law in STOP_LAW_KEYS.items():
+            mapping = {**EVERY_OTHER_KEY, "contact.kind": kind, **stop_law}
+            build_config(mapping)
+            read |= set(mapping)
+            # a stop-law key of another kind is named with the kind in force
+            for other in {k for law in STOP_LAW_KEYS.values() for k in law}:
+                if other not in stop_law:
+                    with pytest.raises(ConfigError) as exc:
+                        build_config({**mapping, other: "1"})
+                    assert str(exc.value) == \
+                        f"{other}: not read by contact.kind = {kind}"
+        xi_real = {k: v for k, v in EVERY_OTHER_KEY.items()
+                   if k not in ("beam.xi_num", "beam.xi_den")}
+        assert build_config({**xi_real, "beam.xi": "0.25"}).beam.xi == 0.25
+        assert read | {"beam.xi"} == KEYS
+        # keys outside the set: every record field under a name that sets
+        # none, and a few near misses
+        outside = {f"{section}.{f.name.lower()}"
+                   for section, record in {**SECTIONS, "run": ExperimentConfig,
+                                           "mesh": ExperimentConfig}.items()
+                   for f in fields(record)} - KEYS
+        outside |= {"beam.rho3", "force_f.cutoff_R", "multiplier.m", "mesh",
+                    "contact.eps"}
+        assert {"beam.xi_fraction", "run.ne", "run.multiplier_n",
+                "mesh.t_final"} <= outside
+        for key in outside:
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                build_config({**BASE_MAP, key: "1"})
 
     def test_every_field_a_key_sets_has_a_parser(self):
-        settable = [f for record in _SECTIONS.values() for f in fields(record)
+        settable = [f for record in SECTIONS.values() for f in fields(record)
                     if f.name not in ("xi_fraction", "xi_real")]
         settable += [f for f in fields(ExperimentConfig) if f.name in (
             "ne", "t_final", "stride", "seed", "multiplier_n", "snapshot")]
@@ -241,8 +303,8 @@ class TestSimulateCommand:
         ({"scheme.dt": "inf"}, "scheme.dt"),
         ({"run.t_final": "nan"}, "run.t_final"),
         ({"sweep.eps_pen": "1e-2, nan"}, "sweep.eps_pen"),
-        ({"init.kind": "bogus"}, "init: unknown initial-data kind 'bogus'"),
-        ({"init.kind": "mode", "init.mode": "0"}, "init: mode"),
+        ({"init.kind": "bogus"}, "init.kind: unknown initial-data kind 'bogus'"),
+        ({"init.kind": "mode", "init.mode": "0"}, "init.mode"),
         ({"init.kind": "gaussian", "init.width": "0"}, "init.width"),
         ({"sweep.ne": "8, 1"}, "sweep.ne"),
         ({"sweep.xi": "1/2, 1/1"}, "sweep.xi"),
@@ -279,6 +341,14 @@ class TestSimulateCommand:
         ({"init.kind": "mode", "init.mode": str(2**1024)}, "init.mode"),
         # the observability integrals take at most 10 steps per sample
         (OBSERVABILITY_STRIDE_11, "run.stride"),
+        # a stop-law key the chosen contact.kind never reads
+        ({"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
+          "contact.g_lo": "-0.05", "contact.g_hi": "0.05", "contact.d1": "5",
+          "contact.p": "3"}, "contact.d1"),
+        ({"contact.kind": "normal_compliance", "contact.d1": "100",
+          "contact.d2": "100", "contact.p": "2", "contact.g_lo": "-0.05",
+          "contact.g_hi": "0.05", "contact.eps_pen": "7"}, "contact.eps_pen"),
+        ({"contact.d1": "5", "contact.g_hi": "0.05"}, "contact.d1"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -800,8 +870,9 @@ def test_c07_ulp_probe_imports(tmp_path):
 
 
 def test_artifact_digests_imports(tmp_path):
-    # tools/artifact_digests.py: every reference config is valid, once per
-    # worker count, and a run's line is the same on a second run
+    # tools/artifact_digests.py: every reference config but penalty-unread-d1
+    # is valid, once per worker count, and a run's line is the same on a
+    # second run
     spec = importlib.util.spec_from_file_location(
         "artifact_digests",
         Path(__file__).parents[1] / "tools" / "artifact_digests.py")
@@ -812,8 +883,12 @@ def test_artifact_digests_imports(tmp_path):
     assert len(set(names)) == len(names)
     assert {"c07-w1", "c07-w2", "xi-study-w2", "observability-n3-w1",
             "penalty-w1"} <= set(names)
-    for _, _, mapping in runs:
-        build_config(mapping)
+    for name, _, mapping in runs:
+        if name.startswith("penalty-unread-d1-"):
+            with pytest.raises(ConfigError, match="^contact.d1: "):
+                build_config(mapping)
+        else:
+            build_config(mapping)
     run = next(r for r in runs if r[0] == "observability-w1")
     for d in "ab":
         (tmp_path / d).mkdir()

@@ -257,19 +257,23 @@ class TestXiVerdict:
 class TestValidation:
     def test_beam_positivity(self):
         with pytest.raises(ValueError):
-            BeamParams(rho1=0.0, rho2=1, k=1, b=1, ell=1, xi_real=0.5)
+            BeamParams(rho1=0.0, rho2=1, k=1, b=1, ell=1, gamma1=0, gamma2=0,
+                       xi_real=0.5)
         with pytest.raises(ValueError):
-            BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, gamma1=-0.1, xi_real=0.5)
+            BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, gamma1=-0.1, gamma2=0,
+                       xi_real=0.5)
 
     def test_xi_inside_domain(self):
         with pytest.raises(ValueError):
-            BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, xi_real=1.2)
+            BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, gamma1=0, gamma2=0,
+                       xi_real=1.2)
         with pytest.raises(ValueError):
-            BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, xi_fraction=Fraction(1, 2),
-                       xi_real=0.5)
+            BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, gamma1=0, gamma2=0,
+                       xi_fraction=Fraction(1, 2), xi_real=0.5)
 
     def test_xi_fraction_times_ell(self):
-        beam = BeamParams(rho1=1, rho2=1, k=1, b=1, ell=3.0, xi_fraction=Fraction(2, 3))
+        beam = BeamParams(rho1=1, rho2=1, k=1, b=1, ell=3.0, gamma1=0, gamma2=0,
+                          xi_fraction=Fraction(2, 3))
         assert beam.xi == pytest.approx(2.0)
 
     def test_tip_epsilon_required_when_enabled(self):

@@ -7,14 +7,16 @@ line per run: its name, its exit code and the digest of every file it wrote
 (bench/workloads.artifact_digest).  The configs are the two benchmark
 workloads at seed 0, the configs of acceptance checks C07 and C11, and
 observability, spectrum, tip-body, body-force, penalty (the tip reaches a stop)
-and Newton-failure (exit 3) runs built on the base config of the CLI tests.  Four more runs record exit codes:
+and Newton-failure (exit 3) runs built on the base config of the CLI tests.  Five more runs record exit codes:
 spectrum-stall, a spectrum whose Aberth sweeps once stalled (exit 3 before the
 stop rule froze roots cycling at rounding level); observability-non-finite, whose
 figures are nan with beam.ell = 1e300 (exit 3 since non-finite figures fail);
 gamma2-1e8, a damper that swamps the Newton scale, so that the first step
-takes no correction (exit 0 with a balance defect of 5.2e-4); and
+takes no correction (exit 0 with a balance defect of 5.2e-4);
 observability-stride-11, samples too far apart for the observability
-integrals (exit 2, once a traceback).  Every config
+integrals (exit 2, once a traceback); and penalty-unread-d1, the penalty run
+with two keys of the compliance law, which the penalty law does not read
+(exit 2, once exit 0 with the penalty run's artifacts).  Every config
 runs once with sweep.workers = 1 and once with 2, which only the sweeps read.
 To show that a change leaves every artifact byte-identical, run this in a
 checkout of the parent commit and in one of the change, and diff the two
@@ -60,6 +62,8 @@ DIVERGENCE = {"scheme.dt": "0.05", "scheme.newton_max": "2", "run.t_final": "0.5
 PENALTY = {"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
            "contact.g_lo": "-0.05", "contact.g_hi": "0.05",
            "sweep.eps_pen": "1e-1, 1e-2"}
+PENALTY_RUN = {**PENALTY, "init.kind": "mode_velocity", "init.amplitude": "1.0",
+               "run.stride": "5", "run.t_final": "0.2"}
 
 
 def dotted(overrides: dict[str, str]) -> dict[str, str]:
@@ -84,9 +88,7 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
         ("body-cutoff", "simulate", {**BODY, **CUTOFF}),
         ("body-compliance", "simulate", {**COMPLIANCE, "force_f.mu": "1.0",
                                          "force_f.alpha": "1.0"}),
-        ("penalty", "simulate", {**PENALTY, "init.kind": "mode_velocity",
-                                 "init.amplitude": "1.0", "run.stride": "5",
-                                 "run.t_final": "0.2"}),
+        ("penalty", "simulate", PENALTY_RUN),
         ("newton-divergence", "simulate", DIVERGENCE),
         ("spectrum-stall", "spectrum", dotted(STIFF_DAMPERS_TIP)),
         ("observability-non-finite", "observability",
@@ -94,6 +96,8 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
         ("gamma2-1e8", "simulate", {"init.kind": "mode_velocity",
                                     "beam.gamma2": "1e8"}),
         ("observability-stride-11", "observability", OBSERVABILITY_STRIDE_11),
+        ("penalty-unread-d1", "simulate",
+         {**PENALTY_RUN, "contact.d1": "5", "contact.p": "3"}),
     ]:
         runs.append((name, command, {**BASE_MAP, **overrides}))
     return [(f"{name}-w{workers}", command,
