@@ -17,7 +17,6 @@ from .model import (
 )
 from .discretize import Mesh, SemiDiscreteSystem, assemble, build_mesh, recover_stress
 from .timestep import (
-    EnergyReport,
     NewtonDivergence,
     Trajectory,
     energy,

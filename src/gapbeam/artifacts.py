@@ -26,10 +26,12 @@ OBSERVABILITY_SCHEMA = "gapbeam-observability-v1"
 _SNAP_MAGIC = b"GAPBEAMSNAP"
 _SNAP_VERSION = 1
 
-# v, v_t: tip deflection and velocity; S_ell: shear force at ell from the
-# last element; balance_residual: Trajectory.balance, E - E_prev plus the
-# dissipation since the previous row, which is the constant load's work over
-# those steps plus, with nonlinear laws, the midpoint rule's quadrature error
+# timestep.energy supplies E_total through Ghat_int and dissipation_rate,
+# keyed by these names; v, v_t: tip deflection and velocity; S_ell: shear
+# force at ell from the last element; balance_residual: Trajectory.balance,
+# E - E_prev plus the dissipation since the previous row, which is the
+# constant load's work over those steps plus, with nonlinear laws, the
+# midpoint rule's quadrature error
 TRAJECTORY_COLUMNS = (
     "t", "E_total", "kinetic", "potential_shear", "potential_bend", "N_p",
     "tip_energy", "Fhat_int", "Ghat_int", "v", "v_t", "S_ell",
@@ -53,14 +55,14 @@ def write_table_csv(path: str | Path, schema: str, header: tuple[str, ...],
 
 def write_trajectory_csv(path: str | Path, system: SemiDiscreteSystem,
                          traj: Trajectory, laws: Laws) -> None:
-    reports = energy_series(system, traj, laws)
     s_ell, _ = recover_stress(system, traj.U, system.mesh.ell, side="left")
     tip = system.tip_slot
-    rows = [(t, rep.E_total, rep.kinetic, rep.potential_shear, rep.potential_bend,
-             rep.N_p, rep.tip_energy, rep.Fhat_int, rep.Ghat_int, v, v_t, s,
-             rep.dissipation_rate, bal)
-            for t, rep, v, v_t, s, bal in zip(traj.times, reports, traj.U[:, tip],
-                                              traj.W[:, tip], s_ell, traj.balance)]
+    samples = ({**items, "t": t, "v": v, "v_t": v_t, "S_ell": s,
+                "balance_residual": bal}
+               for items, t, v, v_t, s, bal in zip(
+                   energy_series(system, traj, laws), traj.times, traj.U[:, tip],
+                   traj.W[:, tip], s_ell, traj.balance))
+    rows = [[sample[name] for name in TRAJECTORY_COLUMNS] for sample in samples]
     write_table_csv(path, TRAJECTORY_SCHEMA, TRAJECTORY_COLUMNS, rows)
 
 

@@ -102,7 +102,7 @@ def _report(cfg: ExperimentConfig, out: Path, **tolerances):
     """
     system, laws, traj = _run(cfg)
     write_trajectory_csv(out / "trajectory.csv", system, traj, laws)
-    energies = [r.E_total for r in energy_series(system, traj, laws)]
+    energies = [e["E_total"] for e in energy_series(system, traj, laws)]
     entries = {"samples": len(traj), "E_initial": energies[0],
                "E_final": energies[-1], **fit_decay(traj.times, energies)}
     law = laws.contact

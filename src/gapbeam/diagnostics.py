@@ -1,6 +1,8 @@
 """Energy, decay, observability and contact diagnostics over trajectories.
 
 Each diagnostic returns what its reader writes:
+  energy_series           one dict per sample, keyed as the energy columns
+                          of trajectory.csv (timestep.energy)
   fit_decay               summary entries fit_status, gamma_E, gamma_state,
                           fit_c, fit_r2, fit_window_lo, fit_window_hi of the
                           fit E ~ fit_c * exp(-gamma_E t) on the window; a
@@ -27,7 +29,6 @@ import numpy as np
 from .discretize import SemiDiscreteSystem, element_strains, recover_stress
 from .model import Laws, NoContact, SchemeConfig
 from .timestep import (
-    EnergyReport,
     Trajectory,
     energy,
     initial_state,
@@ -38,8 +39,8 @@ from .timestep import (
 
 
 def energy_series(system: SemiDiscreteSystem, traj: Trajectory,
-                  laws: Laws) -> list[EnergyReport]:
-    """Energy reports at every sample."""
+                  laws: Laws) -> list[dict[str, float]]:
+    """The energy items of every sample."""
     return [energy(system, u, w, laws) for u, w in zip(traj.U, traj.W)]
 
 

@@ -137,29 +137,16 @@ def integrate_primitive(mesh: Mesh, nodal: np.ndarray, law: ForceLaw) -> float:
                         * body_force_primitive(mesh.at_gauss(nodal), law)))
 
 
-@dataclass
-class EnergyReport:
-    """Itemized Lyapunov functional; E_total is the sum of the parts."""
-
-    E_total: float
-    kinetic: float
-    potential_shear: float
-    potential_bend: float
-    N_p: float
-    tip_energy: float
-    Fhat_int: float
-    Ghat_int: float
-    dissipation_rate: float
-
-
 def energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
-           laws: Laws) -> EnergyReport:
-    """Evaluate the energy functional of the reduced state (u, w), itemized.
+           laws: Laws) -> dict[str, float]:
+    """The energy functional of the reduced state (u, w), itemized.
 
-    Shear and bending are 1/2 sum k h gamma_e^2 and 1/2 sum b h kappa_e^2 over
-    the element strains of the nodal fields system.expand(u), the kinetic
-    energy w.M.w / 2; the tip body's share of the mass and stiffness is
-    reported as tip_energy, not as kinetic or potential energy of the beam.
+    Keyed as trajectory.csv's energy columns, in its order: E_total is the sum
+    of the next seven items, and dissipation_rate is w.D.w.  Shear and bending
+    are 1/2 sum k h gamma_e^2 and 1/2 sum b h kappa_e^2 over the element
+    strains of the nodal fields system.expand(u), the kinetic energy w.M.w / 2;
+    the tip body's share of the mass and stiffness is the tip_energy item, not
+    kinetic or potential energy of the beam.
     """
     mesh, beam, tip = system.mesh, system.beam, system.tip
     phi, psi = system.expand(u)
@@ -176,23 +163,23 @@ def energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
     n_p = contact_potential(float(v), laws.contact)
     fhat = integrate_primitive(mesh, phi, laws.force_f)
     ghat = integrate_primitive(mesh, psi, laws.force_g)
-    return EnergyReport(
-        E_total=kinetic + shear + bend + tip_e + n_p + fhat + ghat,
-        kinetic=kinetic,
-        potential_shear=shear,
-        potential_bend=bend,
-        N_p=n_p,
-        tip_energy=tip_e,
-        Fhat_int=fhat,
-        Ghat_int=ghat,
-        dissipation_rate=_quadratic_form(system.D, w),
-    )
+    return {
+        "E_total": kinetic + shear + bend + tip_e + n_p + fhat + ghat,
+        "kinetic": kinetic,
+        "potential_shear": shear,
+        "potential_bend": bend,
+        "N_p": n_p,
+        "tip_energy": tip_e,
+        "Fhat_int": fhat,
+        "Ghat_int": ghat,
+        "dissipation_rate": _quadratic_form(system.D, w),
+    }
 
 
 def total_energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
                  laws: Laws) -> float:
     """Discrete Lyapunov functional of (u, w): the sum of the energy items."""
-    return energy(system, u, w, laws).E_total
+    return energy(system, u, w, laws)["E_total"]
 
 
 def state_norm(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray) -> float:

@@ -1,6 +1,8 @@
-"""Snapshot files: bit-exact round trip and named errors for damaged files."""
+"""Snapshot files: bit-exact round trip and named errors for damaged files;
+the energy items that trajectory.csv writes as its columns."""
 
 import functools
+import math
 import re
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import desk_system
-from gapbeam.artifacts import load_snapshot, save_snapshot
+from gapbeam import (ForceLaw, Laws, NormalCompliance, TipParams, energy,
+                     initial_state)
+from gapbeam.artifacts import TRAJECTORY_COLUMNS, load_snapshot, save_snapshot
 
 # signed zeros, the smallest subnormals, a normal-range boundary and the
 # largest magnitudes come often; any other double, nan and inf included, may
@@ -59,3 +63,21 @@ def test_cut_or_padded_file_names_its_path(tmp_path, nn):
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_snapshot(path, system)
+
+
+def test_energy_items_are_the_trajectory_columns():
+    # tip body, both stops (the tip starts past g_hi) and a body law on each field
+    system = desk_system(ne=8, gamma1=1.0, gamma2=1.0,
+                         tip=TipParams(enabled=True, epsilon=0.4))
+    laws = Laws(contact=NormalCompliance(d1=1.0, d2=2.0, p=2, g_lo=-0.05,
+                                         g_hi=0.05),
+                force_f=ForceLaw(mu=0.5, alpha=1.0),
+                force_g=ForceLaw(mu=0.5, alpha=2.0))
+    u, w = initial_state(system, "mode", amplitude=0.3, amplitude_psi=0.2)
+    w += 0.1
+    items = energy(system, u, w, laws)
+    assert list(items) == list(TRAJECTORY_COLUMNS[1:9] + ("dissipation_rate",))
+    for name, value in items.items():
+        assert isinstance(value, float) and math.isfinite(value), name
+    assert items["N_p"] > 0.0 and items["tip_energy"] > 0.0
+    assert items["dissipation_rate"] > 0.0

@@ -869,15 +869,21 @@ def test_c07_ulp_probe_imports(tmp_path):
     assert "sweep.eps_pen" in probe.SWEEP_CFG
 
 
-def test_artifact_digests_imports(tmp_path):
-    # tools/artifact_digests.py: every reference config but penalty-unread-d1
-    # is valid, once per worker count, and a run's line is the same on a
-    # second run
+def digest_tool():
+    """tools/artifact_digests.py as a module."""
     spec = importlib.util.spec_from_file_location(
         "artifact_digests",
         Path(__file__).parents[1] / "tools" / "artifact_digests.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_artifact_digests_imports(tmp_path):
+    # tools/artifact_digests.py: every reference config but penalty-unread-d1
+    # is valid, once per worker count, and a run's line is the same on a
+    # second run
+    tool = digest_tool()
     runs = tool.reference_runs()
     names = [name for name, _, _ in runs]
     assert len(set(names)) == len(names)
@@ -895,6 +901,35 @@ def test_artifact_digests_imports(tmp_path):
     first, second = (tool.digest_line(*run, tmp_path / d) for d in "ab")
     assert first == second
     assert first.split()[:2] == ["observability-w1", "0"]
+
+
+def test_artifact_digests_check_names_each_difference(tmp_path, monkeypatch,
+                                                      capsys):
+    # the committed file names every reference run, in order; --check against
+    # a stand-in run: one line moved, one missing, one extra; the same lines
+    # pass; other versions fail before any run
+    tool = digest_tool()
+    committed = tool.EXPECTED.read_text(encoding="utf-8").splitlines()
+    assert [line.split()[0] for line in committed if not line.startswith("#")] \
+        == [name for name, _, _ in tool.reference_runs()]
+    expected = tmp_path / "digests.expected"
+    monkeypatch.setattr(tool, "EXPECTED", expected)
+    monkeypatch.setattr(tool, "digest_lines",
+                        lambda: iter(["a-w1 0 x", "b-w1 0 y", "c-w1 2 z"]))
+    expected.write_text("\n".join(
+        tool.environment() + ["a-w1 0 x", "b-w1 0 old", "d-w1 0 w"]) + "\n")
+    assert tool.check() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "extra: c-w1 2 z", "missing: d-w1 0 w", "moved: b-w1 0 old",
+        "    -> b-w1 0 y", "3 of 4 lines differ"]
+    expected.write_text("\n".join(
+        tool.environment() + ["a-w1 0 x", "b-w1 0 y", "c-w1 2 z"]) + "\n")
+    assert tool.check() == 0
+    assert capsys.readouterr().out == "0 of 3 lines differ\n"
+    expected.write_text("# numpy 0.0\na-w1 0 x\n")
+    monkeypatch.setattr(tool, "digest_lines", None)
+    assert tool.check() == 1
+    assert capsys.readouterr().out.startswith("environment differs")
 
 
 def test_overflowing_tip_energy_is_a_solver_failure(tmp_path):

@@ -117,7 +117,7 @@ class TestAssemble:
         for _ in range(5):
             u = rng.standard_normal(system.n_free)
             rep = energy(system, u, np.zeros_like(u), Laws())
-            parts = (rep.potential_shear + rep.potential_bend
+            parts = (rep["potential_shear"] + rep["potential_bend"]
                      + 0.5 * eps * u[system.tip_slot]**2)
             assert 0.5 * u @ (system.K @ u) == pytest.approx(parts, rel=1e-12)
 

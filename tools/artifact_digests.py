@@ -1,6 +1,7 @@
 """Digests of the artifacts of a fixed list of reference runs.
 
-    PYTHONPATH=src python tools/artifact_digests.py > digests.txt
+    PYTHONPATH=src python tools/artifact_digests.py > tools/artifact_digests.expected
+    PYTHONPATH=src python tools/artifact_digests.py --check
 
 Runs gapbeam.cli.main in this process on each reference config and prints one
 line per run: its name, its exit code and the digest of every file it wrote
@@ -18,18 +19,27 @@ integrals (exit 2, once a traceback); and penalty-unread-d1, the penalty run
 with two keys of the compliance law, which the penalty law does not read
 (exit 2, once exit 0 with the penalty run's artifacts).  Every config
 runs once with sweep.workers = 1 and once with 2, which only the sweeps read.
-To show that a change leaves every artifact byte-identical, run this in a
-checkout of the parent commit and in one of the change, and diff the two
-outputs.
+
+The output opens with the Python, numpy and BLAS versions that made it.
+tools/artifact_digests.expected holds it as of the last change that moved an
+artifact byte; such a change regenerates the file (first command above).
+--check shows that a change leaves every artifact byte-identical: it prints
+each line that moved, is missing or is extra against that file and exits 1 if
+there is one.  Other versions may move digests with no defect, so under them
+--check prints "environment differs" and exits 1 without running.
 """
 
 from __future__ import annotations
 
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = Path(__file__).with_suffix(".expected")
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 from gapbeam.cli import main  # noqa: E402
@@ -114,12 +124,48 @@ def digest_line(name: str, command: str, mapping: dict[str, str],
     return f"{name} {code} {artifact_digest(out)}"
 
 
-def main_digests() -> int:
+def digest_lines():
+    """Run every reference config, yielding its digest line."""
     with tempfile.TemporaryDirectory() as tmp:
         for run in reference_runs():
-            print(digest_line(*run, tmp), flush=True)
+            yield digest_line(*run, tmp)
+
+
+def environment() -> list[str]:
+    """The header lines: the versions the digests depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
+            f"# blas {blas['name']} {blas['version']}"]
+
+
+def check() -> int:
+    """Compare a fresh run with EXPECTED; print each difference, 1 if any."""
+    expected = EXPECTED.read_text(encoding="utf-8").splitlines()
+    header = [line for line in expected if line.startswith("#")]
+    if header != environment():
+        print("environment differs; the expected file was made under",
+              *header, "and this run has", *environment(), sep="\n")
+        return 1
+    want = {line.split()[0]: line for line in expected if not line.startswith("#")}
+    got = {line.split()[0]: line for line in digest_lines()}
+    diffs = [f"moved: {want[name]}\n    -> {got[name]}"
+             for name in want.keys() & got.keys() if want[name] != got[name]]
+    diffs += [f"missing: {want[name]}" for name in want.keys() - got.keys()]
+    diffs += [f"extra: {got[name]}" for name in got.keys() - want.keys()]
+    for line in sorted(diffs):
+        print(line)
+    print(f"{len(diffs)} of {len(want.keys() | got.keys())} lines differ")
+    return 1 if diffs else 0
+
+
+def main_digests() -> int:
+    print(*environment(), sep="\n")
+    for line in digest_lines():
+        print(line, flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_digests())
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: artifact_digests.py [--check]")
+    sys.exit(check() if sys.argv[1:] else main_digests())
