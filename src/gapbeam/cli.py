@@ -12,8 +12,9 @@ solver failure gets too.  Besides ok, the status of exit 0 can be
 and the statuses of exit 3 are
   newton_divergence    a step failed at t_fail (simulate, observability)
   certificate_failure  a root set failed its certificate (sweep-xi, spectrum)
-  non_finite_<figure>  an observability figure, the first such, is nan or
-                       inf for nonzero initial data; all figures are written
+  non_finite_<figure>  a figure is nan or inf: the first observability one
+                       for nonzero initial data (all figures are written), or
+                       simulate's E_total at t_fail (trajectory.csv is written)
 
 The rows of a sweep (sweep-eps, sweep-xi and the epsilon study of spectrum)
 run here and in forked children that pipe their rows back, up to sweep.workers
@@ -69,7 +70,7 @@ EXIT_IO = 4
 
 
 class NonFiniteFigure(RuntimeError):
-    """args: the name of a figure that is nan or inf, and every summary entry."""
+    """args: the name of a figure that is nan or inf, and the summary entries."""
 
 
 def make_initial(cfg: ExperimentConfig, system: SemiDiscreteSystem):
@@ -98,11 +99,15 @@ def _report(cfg: ExperimentConfig, out: Path, **tolerances):
 
     A contact run adds its constraint violation and sign-pattern counts,
     classified with complementarity_report's tolerances.  Returns (system,
-    trajectory, entries); a NewtonDivergence propagates.
+    trajectory, entries); a NewtonDivergence propagates, and a non-finite
+    energy raises NonFiniteFigure naming E_total and t_fail.
     """
     system, laws, traj = _run(cfg)
     write_trajectory_csv(out / "trajectory.csv", system, traj, laws)
     energies = [e["E_total"] for e in energy_series(system, traj, laws)]
+    for t, e in zip(traj.times.tolist(), energies):
+        if not math.isfinite(e):
+            raise NonFiniteFigure("E_total", {"E_total": e, "t_fail": t})
     entries = {"samples": len(traj), "E_initial": energies[0],
                "E_final": energies[-1], **fit_decay(traj.times, energies)}
     law = laws.contact
@@ -135,7 +140,7 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
     if cfg.sweep.tie_tip:
         # the penalized end model uses one coefficient for the tip body and the
         # penalty; tie them so the limit drives both to zero together
-        tip = TipParams(enabled=True, epsilon=eps_pen, damping_on=True)
+        tip = TipParams(epsilon=eps_pen)
     row_cfg = dataclasses.replace(cfg, contact=contact, tip=tip)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -144,11 +149,16 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
     # classification is taken over the settled second half of the run
     tol_g = math.sqrt(eps_pen) * (contact.g_hi - contact.g_lo)
     tol_s = math.sqrt(eps_pen) * row_cfg.beam.k
+    t_fail = None
     try:
         system, traj, entries = _report(row_cfg, out, tol_S=tol_s, tol_g=tol_g,
                                         t_start=0.5 * row_cfg.t_final)
     except NewtonDivergence as exc:
-        write_summary(out / "summary", {"status": "diverged", "t_fail": exc.t})
+        t_fail = exc.t
+    except NonFiniteFigure as exc:  # an energy left the float range
+        t_fail = exc.args[1]["t_fail"]
+    if t_fail is not None:
+        write_summary(out / "summary", {"status": "diverged", "t_fail": t_fail})
         return dict(zip(SWEEP_HEADER, (eps_pen, "diverged", math.nan,
                                        math.nan, math.nan, -1, -1, -1, -1)))
     s_ell, _ = recover_stress(system, traj.U, system.mesh.ell, side="left")
@@ -213,10 +223,10 @@ def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> dict:
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     tips = [cfg.tip]
     if cfg.sweep.epsilon:
-        # tip-coefficient study: compare against the plain traction-free model
-        tips += [TipParams()] + [
-            TipParams(enabled=True, epsilon=eps, damping_on=cfg.tip.damping_on)
-            for eps in cfg.sweep.epsilon]
+        # tip-coefficient study: compare against the plain traction-free model,
+        # the row epsilon = 0
+        tips += [dataclasses.replace(cfg.tip, epsilon=e)
+                 for e in (0.0, *cfg.sweep.epsilon)]
     try:
         spectra = map_rows(
             mesh_spectrum, [(cfg.beam, tip, cfg.ne) for tip in tips],
@@ -229,8 +239,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     write_spectrum_csv(out / "spectrum.csv", spectra[0])
     tip = cfg.tip
     entries = {
-        "model": "hybrid" if tip.enabled else "non-hybrid", "ne": cfg.ne,
-        "epsilon": fmt(tip.epsilon) if tip.enabled else "",
+        "model": "hybrid" if tip.epsilon else "non-hybrid", "ne": cfg.ne,
+        "epsilon": fmt(tip.epsilon) if tip.epsilon else "",
         "abscissa": abscissa, "min_damping_gap": gap,
         "n_eigenvalues": len(spectra[0]),
     }

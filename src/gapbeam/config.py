@@ -8,9 +8,10 @@ override (`beam.xi`); sweep-xi takes its locations from `sweep.xi` instead.
 The parameter records are the schema: key `section.field` sets that field,
 parsed by its annotation, and an absent key keeps the record's default.  A
 record's __post_init__ checks its fields; its ParamError names the key.
-`contact.kind` picks the stop law: none, normal_compliance (contact.d1, d2,
-p, g_lo, g_hi), or signorini_penalty, which is the p = 1 compliance law with
-d1 = d2 = 1/contact.eps_pen.
+`tip.epsilon` is the coefficient of the tip body; its default 0 is no body,
+the traction-free end.  `contact.kind` picks the stop law: none,
+normal_compliance (contact.d1, d2, p, g_lo, g_hi), or signorini_penalty,
+which is the p = 1 compliance law with d1 = d2 = 1/contact.eps_pen.
 
 Every key is read once, and the reads are the only list of keys: a key that
 nothing reads, such as a stop-law key the chosen contact.kind does not take,

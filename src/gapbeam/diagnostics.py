@@ -49,8 +49,8 @@ def fit_decay(times, energies) -> dict:
 
     The energy decays at twice the state-norm rate, so both gamma_E and
     gamma_state = gamma_E / 2 are reported.  A window of fewer than 10
-    samples or with a nonpositive energy is degenerate, and fit_status says
-    which.
+    samples or with a nonpositive or non-finite energy is degenerate, and
+    fit_status says which.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(energies, dtype=float)
@@ -58,7 +58,9 @@ def fit_decay(times, energies) -> dict:
     mask = (t >= ta) & (t <= tb)
     problem = ("decay window holds fewer than 10 samples" if mask.sum() < 10
                else "nonpositive energies in the decay window"
-               if np.any(e[mask] <= 0.0) else None)
+               if np.any(e[mask] <= 0.0)
+               else "non-finite energies in the decay window"
+               if not np.isfinite(e[mask]).all() else None)
     if problem is not None:
         return {"fit_status": f"degenerate ({problem})", "gamma_E": math.nan,
                 "gamma_state": math.nan, "fit_r2": math.nan}
@@ -125,11 +127,11 @@ def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = 
         phi_t, psi_t = system.expand(w)
         S_el, M_el = beam.k * gamma, beam.b * kappa
         for series, end in ((I_ell, -1), (I_0, 0)):
-            # squared as scalars: pow can round apart from an array's x * x
+            # numpy scalar pow, not an array's x * x; inf past the float range
             series[i] = (beam.rho2 * beam.b * psi_t[end] ** 2
-                         + float(M_el[end]) ** 2
+                         + M_el[end] ** 2
                          + beam.rho1 * beam.k * phi_t[end] ** 2
-                         + float(S_el[end]) ** 2)
+                         + S_el[end] ** 2)
         phit_g, psit_g = mesh.at_gauss(phi_t), mesh.at_gauss(psi_t)
         intensity = (beam.rho2 * beam.b * psit_g**2 + M_el[:, None] ** 2
                      + beam.rho1 * beam.k * phit_g**2 + S_el[:, None] ** 2)

@@ -6,9 +6,10 @@ pointwise dampers become single diagonal entries at the interface node, which
 is exactly the weak form of the force-jump conditions there.  The tip body is
 coupled by identifying the end deflection dof with the tip coordinate and
 adding epsilon to mass, damping and stiffness at that slot.  Only the reduced
-operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept,
-as the coordinate lists assembly builds; their products run on fixed-width
-row arrays built from those lists on first use.  Everything here is numpy.
+operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept:
+M and K as the coordinate lists assembly builds, their products run on
+fixed-width row arrays built from those lists on first use, and D as its
+diagonal.  Everything here is numpy.
 """
 
 from __future__ import annotations
@@ -175,17 +176,17 @@ class SemiDiscreteSystem:
     essential dofs phi(0) and psi(ell), so the free dofs are the contiguous
     range 1 .. 2N and reduce() is a slice (a view).  The quadratic form u.K.u
     equals the potential part of the phase-space norm; w.M.w the kinetic part.
+    D is held as its diagonal: gamma1 at phi(xi), gamma2 at psi(xi), the tip
+    body's damping at phi(ell) and zero elsewhere, so w.D.w is w @ (D * w).
     """
 
     mesh: Mesh
     beam: BeamParams
     tip: TipParams
     tip_slot: int               # position of phi(ell) in the reduced numbering
-    xi_phi_slot: int            # position of phi(xi) in the reduced numbering
-    xi_psi_slot: int            # position of psi(xi) in the reduced numbering
     M: CooMatrix = field(repr=False)
     K: CooMatrix = field(repr=False)
-    D: CooMatrix = field(repr=False)
+    D: np.ndarray = field(repr=False)
 
     @property
     def n_free(self) -> int:
@@ -214,11 +215,12 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     """Galerkin assembly of the reduced mass/stiffness/damping operators.
 
     Shear uses the one-point midpoint rule, bending and mass are exact.
-    Dampers are lumped diagonal entries at the xi node.  With the tip enabled,
-    epsilon is added to M, D, K at the phi(ell) slot; disabled, the end is
-    traction free by the natural boundary condition.  All element blocks go
-    into one coordinate list per operator.  M must be positive definite; it
-    is tridiagonal and is checked by the Cholesky factor the spectrum uses.
+    Dampers are lumped diagonal entries at the xi node.  The tip body adds
+    epsilon to M, K and, with damping_on, D at the phi(ell) slot; with
+    epsilon = 0 the end is traction free by the natural boundary condition.
+    The element blocks go into one coordinate list each for M and K.  M must
+    be positive definite; it is tridiagonal and is checked by the Cholesky
+    factor the spectrum uses.
     """
     if np.any(mesh.widths <= 0.0):
         raise AssemblyError("mesh has empty or inverted elements")
@@ -244,9 +246,6 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     k_e[:, 2:, 2:] += beam.b / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
     tip_slot = nn - 2
-    xi_phi_slot = mesh.xi_index - 1
-    xi_psi_slot = nn + mesh.xi_index - 1
-    eps = tip.epsilon if tip.enabled else 0.0
 
     def coo(r, c, v):
         # entries on the eliminated dofs (-1 and n) and zeros are not stored
@@ -256,22 +255,19 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     # element blocks first, then the point entries, as a sequential assembly
     # would add them
     M = coo(np.append(rows, tip_slot), np.append(cols, tip_slot),
-            np.append(m_e.ravel(), eps))
+            np.append(m_e.ravel(), tip.epsilon))
     K = coo(np.append(rows, tip_slot), np.append(cols, tip_slot),
-            np.append(k_e.ravel(), eps))
-    points = np.array([xi_phi_slot, xi_psi_slot, tip_slot])
-    D = coo(points, points,
-            np.array([beam.gamma1, beam.gamma2, eps if tip.damping_on else 0.0]))
+            np.append(k_e.ravel(), tip.epsilon))
+    D = np.zeros(n)
+    D[[mesh.xi_index - 1, nn + mesh.xi_index - 1, tip_slot]] = (
+        beam.gamma1, beam.gamma2, tip.epsilon if tip.damping_on else 0.0)
     # M couples no phi with a psi dof, so in this numbering it is tridiagonal
     try:
         tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("reduced mass operator is not positive definite") from exc
-    return SemiDiscreteSystem(
-        mesh=mesh, beam=beam, tip=tip,
-        tip_slot=tip_slot, xi_phi_slot=xi_phi_slot, xi_psi_slot=xi_psi_slot,
-        M=M, K=K, D=D,
-    )
+    return SemiDiscreteSystem(mesh=mesh, beam=beam, tip=tip, tip_slot=tip_slot,
+                              M=M, K=K, D=D)
 
 
 def _element_for(mesh: Mesh, x: float, side: str) -> int:

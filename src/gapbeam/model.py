@@ -84,24 +84,22 @@ class BeamParams:
 
 @dataclass(frozen=True)
 class TipParams:
-    """Tip-body coupling at the free end.
+    """Tip body at the free end, of coefficient epsilon >= 0.
 
-    When enabled, the free end carries a body of coefficient epsilon that adds
-    epsilon to the mass, damping and stiffness seen by the end deflection.
-    damping_on=False zeroes only the damping contribution, which is useful for
-    conservative verification runs.  Disabled entirely, the end is traction
-    free and the model reduces to the plain transmission beam.
+    The body adds epsilon to the mass, damping and stiffness seen by the end
+    deflection, which makes the model the hybrid PDE-ODE system.  epsilon = 0
+    is no body: the end is traction free and the model is the plain
+    transmission beam.  damping_on=False zeroes only the damping contribution,
+    which is useful for conservative verification runs.
     """
 
-    enabled: bool = False
     epsilon: float = 0.0
     damping_on: bool = True
 
     def __post_init__(self):
         require_finite(self)
-        if self.enabled and self.epsilon <= 0.0:
-            raise ParamError("epsilon",
-                             "epsilon must be > 0 when the tip body is enabled")
+        if self.epsilon < 0.0:
+            raise ParamError("epsilon", "epsilon must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -232,40 +230,29 @@ def step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
-def contact_traction(v: float, law: ContactLaw) -> float:
-    """Traction added to the force balance of the end deflection v.
+def contact_traction(v: float, law: NormalCompliance) -> tuple[float, float]:
+    """Traction added to the force balance of the end deflection v, and its
+    semismooth derivative d(traction)/dv.
 
-    Zero inside the gap; pushes back toward the gap outside it (negative above
-    g_hi, positive below g_lo).
+    The traction is zero inside the gap and pushes back toward the gap outside
+    it (negative above g_hi, positive below g_lo).  At the kinks (contact
+    onset) the positive parts vanish, so the slope is the inactive branch's 0;
+    this is the generalized derivative used by the Newton corrector.
     """
-    if isinstance(law, NoContact):
-        return 0.0
     up = max(v - law.g_hi, 0.0)
     lo = max(law.g_lo - v, 0.0)
-    return -law.d2 * up**law.p + law.d1 * lo**law.p
-
-
-def contact_stiffness(v: float, law: ContactLaw) -> float:
-    """Semismooth derivative d(contact_traction)/dv.
-
-    At the kinks (contact onset) the positive parts vanish, so the inactive
-    branch slope 0 is returned; this is the generalized derivative used by the
-    Newton corrector.
-    """
-    if isinstance(law, NoContact):
-        return 0.0
-    s = 0.0
-    if v > law.g_hi:
-        s -= law.d2 * law.p * (v - law.g_hi) ** (law.p - 1)
-    if v < law.g_lo:
-        s -= law.d1 * law.p * (law.g_lo - v) ** (law.p - 1)
-    return s
+    slope = 0.0
+    if up > 0.0:
+        slope -= law.d2 * law.p * up ** (law.p - 1)
+    if lo > 0.0:
+        slope -= law.d1 * law.p * lo ** (law.p - 1)
+    return -law.d2 * up**law.p + law.d1 * lo**law.p, slope
 
 
 def contact_potential(v: float, law: ContactLaw) -> float:
     """Stored contact energy; nonnegative, zero on the gap.
 
-    Its negative derivative with respect to v is contact_traction.
+    Its negative derivative with respect to v is contact_traction's traction.
     """
     if isinstance(law, NoContact):
         return 0.0

@@ -72,13 +72,13 @@ class SpectrumCertificateError(RuntimeError):
 class GeneratorPencil:
     """Pencil lam * blockdiag(I, M) x = [[0, I], [-K, -D]] x of the system.
 
-    Holds the coordinate lists of the system's reduced operators and nothing
-    of the config they came from; n is the pencil dimension, twice the number
-    of free dofs.
+    Holds the system's reduced operators, K and M as coordinate lists and D
+    as its diagonal, and nothing of the config they came from; n is the pencil
+    dimension, twice the number of free dofs.
     """
 
     K: CooMatrix = field(repr=False)
-    D: CooMatrix = field(repr=False)
+    D: np.ndarray = field(repr=False)
     M: CooMatrix = field(repr=False)
 
     @property
@@ -90,8 +90,8 @@ def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
     """The generator pencil of an assembled system; no dense work is done here.
 
     The hybrid variant carries the tip-body entries inside M, D, K at the end
-    deflection slot (the tip coordinate is identified with that dof); with the
-    tip disabled the traction-free end condition holds naturally.
+    deflection slot (the tip coordinate is identified with that dof); with
+    epsilon = 0 the traction-free end condition holds naturally.
     """
     return GeneratorPencil(K=system.K, D=system.D, M=system.M)
 
@@ -113,13 +113,12 @@ def modal_form(pencil: GeneratorPencil) -> tuple[np.ndarray, np.ndarray]:
         raise AssemblyError(
             "reduced stiffness operator is not positive definite") from exc
     Bt = lower_solve(L, Rt)     # B^T = L^-1.R^T, in place of R^T
-    damping = D.diagonal()
-    if np.any(D.rows != D.cols) or np.any(damping < 0.0):
-        raise AssemblyError("damping operator is not a nonnegative diagonal")
-    S = np.flatnonzero(damping)
+    if np.any(D < 0.0):
+        raise AssemblyError("damping operator is not nonnegative")
+    S = np.flatnonzero(D)
     unit = np.zeros((n, S.size))
     unit[S, np.arange(S.size)] = 1.0
-    C = lower_solve(L, unit) * np.sqrt(damping[S])
+    C = lower_solve(L, unit) * np.sqrt(D[S])
     if not (np.isfinite(Bt).all() and np.isfinite(C).all()):
         raise AssemblyError("modal form of the generator has a non-finite entry")
     V, omega, _ = np.linalg.svd(Bt)
@@ -278,7 +277,7 @@ def mesh_spectrum(beam: BeamParams, tip: TipParams, ne: int) -> np.ndarray:
         return spectrum(generator(assemble(build_mesh(beam.ell, beam.xi, ne),
                                            beam, tip)))
     except SpectrumCertificateError as exc:
-        eps = f", epsilon={tip.epsilon:g}" if tip.enabled else ""
+        eps = f", epsilon={tip.epsilon:g}" if tip.epsilon else ""
         raise SpectrumCertificateError(
             f"spectrum at ne={ne}, xi={beam.xi_fraction or beam.xi_real}{eps} "
             f"failed its certificate: {exc}")

@@ -29,7 +29,6 @@ from .model import (
     body_force,
     body_force_primitive,
     contact_potential,
-    contact_stiffness,
     contact_traction,
     step_count,
 )
@@ -157,10 +156,10 @@ def energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
     # numpy scalars: a square past the float range is inf, not OverflowError
     v, v_t = u[system.tip_slot], w[system.tip_slot]
     tip_e = 0.0
-    if tip.enabled:
+    if tip.epsilon:  # with no body, an overflowing v must not give 0 * inf
         tip_e = 0.5 * tip.epsilon * (v**2 + v_t**2)
         kinetic -= 0.5 * tip.epsilon * v_t**2
-    n_p = contact_potential(float(v), laws.contact)
+    n_p = contact_potential(v, laws.contact)
     fhat = integrate_primitive(mesh, phi, laws.force_f)
     ghat = integrate_primitive(mesh, psi, laws.force_g)
     return {
@@ -172,7 +171,7 @@ def energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
         "tip_energy": tip_e,
         "Fhat_int": fhat,
         "Ghat_int": ghat,
-        "dissipation_rate": _quadratic_form(system.D, w),
+        "dissipation_rate": float(w @ (system.D * w)),
     }
 
 
@@ -254,14 +253,15 @@ class MidpointStepper:
         sysm = self.system
         M, D, K = sysm.M, sysm.D, sysm.K
         # each entry is (2/dt^2 m + d/dt) + k/2 of the merged operators
-        (mr, mc, mv), (dr, dc, dv), (kr, kc, kv) = M.merged(), D.merged(), K.merged()
-        J = CooMatrix(np.concatenate([mr, dr, kr]), np.concatenate([mc, dc, kc]),
-                      np.concatenate([2.0 / dt**2 * mv, dv / dt, 0.5 * kv]),
+        (mr, mc, mv), (kr, kc, kv) = M.merged(), K.merged()
+        dr = np.flatnonzero(D)
+        J = CooMatrix(np.concatenate([mr, dr, kr]), np.concatenate([mc, dr, kc]),
+                      np.concatenate([2.0 / dt**2 * mv, D[dr] / dt, 0.5 * kv]),
                       sysm.n_free)
         factor = BandFactor(J, sysm.node_rank)
         fscale = (
             2.0 / dt**2 * M.abs_row_sums().max()
-            + D.abs_row_sums().max() / dt
+            + np.abs(D).max() / dt
             + 0.5 * K.abs_row_sums().max()
         )
         e_tip = np.zeros(sysm.n_free)
@@ -285,15 +285,18 @@ class MidpointStepper:
     # -- core solve --------------------------------------------------------
 
     def _residual(self, J, r0, u, delta):
+        """(R, slope): delta's midpoint residual and contact slope (0 if none)."""
         sysm = self.system
         R = J @ delta + r0
         um = u + 0.5 * delta
         if self._nl_body:
             phi_m, psi_m = sysm.expand(um)
             R += self._body_force_reduced(phi_m, psi_m)
+        slope = 0.0
         if self._nl_contact:
-            R[sysm.tip_slot] -= contact_traction(um[sysm.tip_slot], self.laws.contact)
-        return R
+            traction, slope = contact_traction(um[sysm.tip_slot], self.laws.contact)
+            R[sysm.tip_slot] -= traction
+        return R, slope
 
     def _solve_step(self, u, w, dt, t_next):
         sysm = self.system
@@ -303,7 +306,7 @@ class MidpointStepper:
         delta = dt * w
         res = math.inf
         for it in range(self.cfg.newton_max):
-            R = self._residual(J, r0, u, delta)
+            R, slope = self._residual(J, r0, u, delta)
             up = u + delta
             res = np.linalg.norm(R) / (fscale * max(1.0, np.linalg.norm(up)))
             if res <= self.cfg.newton_tol:
@@ -311,7 +314,7 @@ class MidpointStepper:
                 return up, wp, it, res
             # chord step: body slope left out, contact slope by Sherman-Morrison
             step = factor.solve(-R)
-            c = -0.5 * contact_stiffness(u[tip] + 0.5 * delta[tip], self.laws.contact)
+            c = -0.5 * slope
             if c != 0.0:
                 step -= (c * step[tip] / (1.0 + c * z_tip[tip])) * z_tip
             delta = delta + step
@@ -357,7 +360,8 @@ def simulate(system: SemiDiscreteSystem, initial: tuple[np.ndarray, np.ndarray],
         dissipated = 0.0
         for k in range(first, last):
             up, w = stepper.step_reduced(u, w, k * cfg.dt)
-            dissipated += cfg.dt * _quadratic_form(system.D, (up - u) / cfg.dt)
+            wm = (up - u) / cfg.dt
+            dissipated += cfg.dt * float(wm @ (system.D * wm))
             u = up
         U[i], W[i] = u, w
         energy_now = total_energy(system, u, w, laws)

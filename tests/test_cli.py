@@ -35,7 +35,7 @@ BASE = "".join(f"{k} = {v}\n" for k, v in BASE_MAP.items())
 KEYS = {
     "beam.rho1", "beam.rho2", "beam.k", "beam.b", "beam.ell",
     "beam.gamma1", "beam.gamma2", "beam.xi_num", "beam.xi_den",
-    "beam.xi", "tip.enabled", "tip.epsilon", "tip.damping_on",
+    "beam.xi", "tip.epsilon", "tip.damping_on",
     "contact.kind", "contact.d1", "contact.d2", "contact.p",
     "contact.g_lo", "contact.g_hi", "contact.eps_pen",
     "force_f.mu", "force_f.alpha", "force_f.cutoff_r", "force_f.f0",
@@ -59,7 +59,7 @@ STOP_LAW_KEYS = {
 # a valid value of every key outside the stop laws but beam.xi, the
 # alternative to beam.xi_num/beam.xi_den
 EVERY_OTHER_KEY = {
-    **BASE_MAP, "tip.enabled": "true", "tip.epsilon": "0.1",
+    **BASE_MAP, "tip.epsilon": "0.1",
     "tip.damping_on": "false",
     **{f"{side}.{name}": value for side in ("force_f", "force_g")
        for name, value in (("mu", "1"), ("alpha", "1"), ("cutoff_r", "2"),
@@ -107,7 +107,7 @@ def cfg_text(drop=(), **overrides):
 
 # gapbeam spectrum once ran out of root sweeps on this config (exit 3)
 STIFF_DAMPERS_TIP = dict(beam__gamma1="1e3", beam__gamma2="1e3", mesh__ne="64",
-                         tip__enabled="true", tip__epsilon="1.0")
+                         tip__epsilon="1.0")
 COMPLIANCE_STOPS = dict(
     contact__kind="normal_compliance", contact__d1="100", contact__d2="100",
     contact__p="2", contact__g_lo="-0.01", contact__g_hi="0.01")
@@ -121,6 +121,8 @@ PENALTY_QUARTER = dict(STOP_DATA, contact__kind="signorini_penalty",
                        contact__eps_pen="0.25")
 COMPLIANCE_P1 = dict(STOP_DATA, contact__kind="normal_compliance",
                      contact__d1="4", contact__d2="4", contact__p="1")
+# every step converges, but E = w.M.w / 2 of these data overflows
+ENERGY_OVERFLOW = dict(init__kind="mode_velocity", init__amplitude="1e160")
 # an observability config sampled too coarsely for its time integrals
 OBSERVABILITY_STRIDE_11 = {"init.kind": "mode", "run.stride": "11"}
 # observability configs whose figures leave the float range
@@ -133,6 +135,8 @@ NON_FINITE_OBSERVABILITY = {
                          "ratio_ell_to_E0"),
     "multiplier-n-709": (dict(multiplier__n="709", init__amplitude="1e3",
                               init__kind="mode"), "defect_ell"),
+    # the squares of the end stresses overflowed: once an OverflowError
+    "amplitude-1e160": (dict(ENERGY_OVERFLOW, run__stride="5"), "defect_ell"),
 }
 
 
@@ -268,7 +272,7 @@ class TestConfigParsing:
                     if f.name not in ("xi_fraction", "xi_real")]
         settable += [f for f in fields(ExperimentConfig) if f.name in (
             "ne", "t_final", "stride", "seed", "multiplier_n", "snapshot")]
-        assert len(settable) == 45  # contact.eps_pen is read outside them
+        assert len(settable) == 44  # contact.eps_pen is read outside them
         assert [f.name for f in settable if f.type not in _PARSERS] == []
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -327,7 +331,7 @@ class TestSimulateCommand:
         ({"beam.rho1": "-1"}, "beam.rho1"),
         ({"scheme.newton_max": "0"}, "scheme.newton_max"),
         ({"beam.gamma2": "-1"}, "beam.gamma2"),
-        ({"tip.enabled": "true", "tip.epsilon": "0"}, "tip.epsilon"),
+        ({"tip.epsilon": "-1"}, "tip.epsilon"),
         ({"contact.kind": "penalty", "contact.eps_pen": "1e-2",
           "contact.g_lo": "-0.1", "contact.g_hi": "-0.05"}, "contact.g_hi"),
         ({"force_f.mu": "1", "force_f.cutoff_r": "-1"}, "force_f.cutoff_r"),
@@ -362,6 +366,13 @@ class TestSimulateCommand:
         # the field key is the only prefix: no section name in front of it
         assert msg.count(named.split(":")[0] + ":") == 1
 
+    def test_tip_body_is_its_epsilon(self, tmp_path, capsys):
+        # the tip body has no on/off key: epsilon = 0 is no body
+        cfg = write_cfg(tmp_path, cfg_text(tip__enabled="true",
+                                           tip__epsilon="0.1"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: unknown field tip.enabled\n"
+
     def test_missing_config_file_exit_io(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -381,7 +392,7 @@ class TestSimulateCommand:
     def test_newton_divergence_exit_three_with_time(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, cfg_text(
             scheme__dt="0.05", scheme__newton_max="2", run__t_final="0.5",
-            tip__enabled="true", tip__epsilon="1e-6",
+            tip__epsilon="1e-6",
             contact__kind="signorini_penalty", contact__eps_pen="1e-10",
             contact__g_lo="-0.01", contact__g_hi="0.01",
             init__kind="mode_velocity", init__amplitude="50.0"))
@@ -470,8 +481,7 @@ class TestSpectrumCommand:
 
     def test_model_and_epsilon_tags(self, tmp_path):
         tags = []
-        for name, text in (("hybrid", cfg_text(tip__enabled="true",
-                                               tip__epsilon="0.01")),
+        for name, text in (("hybrid", cfg_text(tip__epsilon="0.01")),
                            ("plain", BASE)):
             out = tmp_path / name
             assert main(["spectrum", "--config", write_cfg(tmp_path, text),
@@ -550,7 +560,7 @@ def test_overflowing_secular_weights_exit_two(tmp_path, capsys, command, extra):
 
 
 @pytest.mark.parametrize("command, extra, row", [
-    ("spectrum", {"tip.enabled": "true", "tip.epsilon": "0.01"},
+    ("spectrum", {"tip.epsilon": "0.01"},
      "ne=8, xi=1/2, epsilon=0.01"),
     ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16",
                   "sweep.workers": "2"}, "ne=16, xi=2/3"),
@@ -712,7 +722,7 @@ class TestSweepEpsCommand:
             contact__g_lo="-0.01", contact__g_hi="0.01",
             init__kind="mode_velocity", init__amplitude="50.0",
             sweep__eps_pen="1e-1, 1e-10", sweep__tie_tip="false",
-            tip__enabled="true", tip__epsilon="1e-6"))
+            tip__epsilon="1e-6"))
         out = tmp_path / "out"
         assert main(["sweep-eps", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
@@ -793,7 +803,7 @@ DIVERGING = dict(
     scheme__dt="0.05", scheme__newton_max="2", run__t_final="0.5",
     contact__kind="signorini_penalty", contact__eps_pen="1e-2",
     contact__g_lo="-0.01", contact__g_hi="0.01", init__kind="mode_velocity",
-    init__amplitude="50.0", tip__enabled="true", tip__epsilon="1e-6")
+    init__amplitude="50.0", tip__epsilon="1e-6")
 
 
 @pytest.mark.parametrize("command, overrides, summaries", [
@@ -932,10 +942,48 @@ def test_artifact_digests_check_names_each_difference(tmp_path, monkeypatch,
     assert capsys.readouterr().out.startswith("environment differs")
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_tip_epsilon_zero_is_the_traction_free_end(tmp_path, command):
+    # epsilon = 0 writes the bytes of a config with no tip.* key
+    outs = []
+    for name, overrides in (("zero", dict(tip__epsilon="0", tip__damping_on="false")),
+                            ("none", {})):
+        text = cfg_text(init__kind="mode_velocity", **overrides)
+        outs.append(tmp_path / name)
+        assert main([command, "--config", write_cfg(tmp_path, text, f"{name}.cfg"),
+                     "--out", str(outs[-1])]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_overflowing_energy_is_a_solver_failure(tmp_path, capsys):
+    # simulate once exited 0 with E_initial = inf and fit_status = ok; it
+    # exits 3 naming the energy and its first non-finite sample, after
+    # writing the trajectory, and a sweep row diverges at that sample
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--config",
+                 write_cfg(tmp_path, cfg_text(**ENERGY_OVERFLOW)),
+                 "--out", str(out)]) == 3
+    assert (out / "summary").read_text().splitlines() == [
+        "schema=gapbeam-summary-v1", "command=simulate",
+        "status=non_finite_E_total", "E_total=inf", "t_fail=0"]
+    assert "E_total = inf is not finite" in capsys.readouterr().err
+    assert (out / "trajectory.csv").read_text().splitlines()[2].split(",")[1] \
+        == "inf"
+    text = cfg_text(**ENERGY_OVERFLOW, **PENALTY_STOPS, sweep__eps_pen="1e-1")
+    out = tmp_path / "sweep"
+    assert main(["sweep-eps", "--config", write_cfg(tmp_path, text, "sweep.cfg"),
+                 "--out", str(out)]) == 0
+    assert read_summary(out)["status"] == "partial"
+    assert read_summary(out / "eps_0.1") == {"status": "diverged", "t_fail": "0"}
+
+
 def test_overflowing_tip_energy_is_a_solver_failure(tmp_path):
     # the squares of a huge tip deflection and velocity are inf, not an
     # OverflowError: simulate exits 3 and the sweep row diverges
-    huge = dict(tip__enabled="true", tip__epsilon="0.1",
+    huge = dict(tip__epsilon="0.1",
                 init__kind="mode_velocity", init__amplitude="1e200")
     out = tmp_path / "simulate"
     assert main(["simulate", "--config", write_cfg(tmp_path, cfg_text(**huge)),
@@ -978,7 +1026,7 @@ _KEY_VALUES = {
         "beam.xi_num", "beam.xi_den", "contact.p", "run.stride", "run.seed",
         "init.mode", "multiplier.n")},
     **{key: st.sampled_from(["true", "false"]) for key in (
-        "tip.enabled", "tip.damping_on", "run.snapshot", "sweep.tie_tip")},
+        "tip.damping_on", "run.snapshot", "sweep.tie_tip")},
     "contact.kind": st.sampled_from(
         ["none", "normal_compliance", "signorini_penalty"]),
     "init.kind": st.sampled_from(

@@ -57,7 +57,7 @@ class TestEnergy:
 
     def test_total_is_sum_of_parts(self):
         system = desk_system(ne=12, gamma1=1.0,
-                             tip=TipParams(enabled=True, epsilon=0.4))
+                             tip=TipParams(epsilon=0.4))
         laws = Laws(contact=NC, force_f=ForceLaw(mu=0.5, alpha=1.0))
         u, w = initial_state(system, "mode", amplitude=0.3, amplitude_psi=0.2)
         w[:system.mesh.nn - 1] = 0.1  # phi_t on the free nodes
@@ -121,7 +121,12 @@ class TestFitDecay:
         for fit, problem in (
                 (fit_decay(t[:5], np.exp(-t[:5])), "fewer than 10 samples"),
                 (fit_decay(t, np.concatenate([np.ones(49), [0.0]])),
-                 "nonpositive energies")):
+                 "nonpositive energies"),
+                # inf once passed as a positive energy, fitted to nan rates
+                (fit_decay(t, np.concatenate([np.ones(49), [math.inf]])),
+                 "non-finite energies"),
+                (fit_decay(t, np.concatenate([np.ones(48), [math.nan, 1.0]])),
+                 "non-finite energies")):
             assert fit["fit_status"].startswith("degenerate (")
             assert problem in fit["fit_status"]
             assert list(fit) == ["fit_status", "gamma_E", "gamma_state",
@@ -149,7 +154,7 @@ class TestConstraintViolation:
         viols = []
         for eps in (1e-1, 1e-2, 1e-3):
             system = desk_system(ne=16, gamma1=1.0, gamma2=1.0,
-                                 tip=TipParams(enabled=True, epsilon=eps))
+                                 tip=TipParams(epsilon=eps))
             laws = Laws(contact=NormalCompliance.penalty(eps_pen=eps, g_lo=-0.05,
                                                          g_hi=0.05))
             s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)

@@ -50,20 +50,24 @@ class TestBuildMesh:
 
 class TestAssemble:
     def test_no_damping_gives_zero_d(self, conservative_system):
-        assert np.count_nonzero(conservative_system.D.toarray()) == 0
+        assert np.count_nonzero(conservative_system.D) == 0
 
     def test_damping_rank_at_most_three(self):
+        # D, the diagonal, is nonzero exactly at phi(xi), psi(xi), phi(ell)
         system = desk_system(ne=12, gamma1=1.0, gamma2=2.0,
-                             tip=TipParams(enabled=True, epsilon=0.5))
-        assert np.linalg.matrix_rank(system.D.toarray()) == 3
-        assert system.D.toarray()[system.xi_phi_slot, system.xi_phi_slot] == 1.0
-        assert system.D.toarray()[system.xi_psi_slot, system.xi_psi_slot] == 2.0
-        assert system.D.toarray()[system.tip_slot, system.tip_slot] == 0.5
+                             tip=TipParams(epsilon=0.5))
+        assert system.D.shape == (system.n_free,)
+        phi, psi = system.expand(system.D)
+        xi, end = system.mesh.xi_index, system.mesh.nn - 1
+        assert np.flatnonzero(phi).tolist() == [xi, end]
+        assert np.flatnonzero(psi).tolist() == [xi]
+        assert (phi[xi], psi[xi], phi[end]) == (1.0, 2.0, 0.5)
+        assert system.D[system.tip_slot] == 0.5
 
     def test_tip_damping_can_be_zeroed(self):
-        system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=0.5,
+        system = desk_system(ne=8, tip=TipParams(epsilon=0.5,
                                                  damping_on=False))
-        assert np.count_nonzero(system.D.toarray()) == 0
+        assert np.count_nonzero(system.D) == 0
         assert system.M.toarray()[system.tip_slot, system.tip_slot] > 0.5
 
     def test_mass_of_uniform_velocity(self):
@@ -76,7 +80,7 @@ class TestAssemble:
         system = assemble(mesh, beam, TipParams())
         ones = np.ones(system.n_free)
         assert ones @ (system.M @ ones) == pytest.approx(reduced)
-        system_tip = assemble(mesh, beam, TipParams(enabled=True, epsilon=0.25))
+        system_tip = assemble(mesh, beam, TipParams(epsilon=0.25))
         assert ones @ (system_tip.M @ ones) == pytest.approx(reduced + 0.25)
 
     def test_shear_kernel_contains_pure_bending_state(self):
@@ -112,7 +116,7 @@ class TestAssemble:
         # u.K.u against the strain helper, on a nonuniform mesh with the tip
         eps = 0.4
         system = desk_system(ne=12, xi=Fraction(2, 5),
-                             tip=TipParams(enabled=True, epsilon=eps))
+                             tip=TipParams(epsilon=eps))
         rng = np.random.default_rng(3)
         for _ in range(5):
             u = rng.standard_normal(system.n_free)
@@ -124,20 +128,21 @@ class TestAssemble:
     def test_matches_dense_element_loop(self):
         # nonuniform mesh (xi = 2/5 splits 12 elements 5 + 7), tip and both
         # dampers on, tip damping included
-        tip = TipParams(enabled=True, epsilon=0.4)
+        tip = TipParams(epsilon=0.4)
         system = desk_system(ne=12, gamma1=1.0, gamma2=2.0, xi=Fraction(2, 5),
                              tip=tip)
         assert len(set(np.round(system.mesh.widths, 12))) == 2
         M, K, D = dense_reference_operators(system.mesh, system.beam, tip)
-        for sparse, dense in ((system.M, M), (system.K, K), (system.D, D)):
-            np.testing.assert_allclose(sparse.toarray(), dense, rtol=1e-14,
+        for ours, dense in ((system.M.toarray(), M), (system.K.toarray(), K),
+                            (np.diag(system.D), D)):
+            np.testing.assert_allclose(ours, dense, rtol=1e-14,
                                        atol=1e-14 * np.abs(dense).max())
 
     def test_undamped_generator_is_skew(self, conservative_system):
         system = conservative_system
         n = system.n_free
         A = np.block([[np.zeros((n, n)), np.eye(n)],
-                      [-system.K.toarray(), -system.D.toarray()]])
+                      [-system.K.toarray(), -np.diag(system.D)]])
         B = np.block([[np.eye(n), np.zeros((n, n))],
                       [np.zeros((n, n)), system.M.toarray()]])
         lam = sla.eig(A, B, right=False)
@@ -157,10 +162,10 @@ class TestProducts:
         np.testing.assert_allclose(A.abs_row_sums(), np.abs(dense).sum(axis=1),
                                    rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("name", ["M", "K", "D"])
+    @pytest.mark.parametrize("name", ["M", "K"])
     def test_operators(self, name):
         system = desk_system(ne=12, gamma1=1.0, gamma2=2.0, xi=Fraction(2, 5),
-                             tip=TipParams(enabled=True, epsilon=0.4))
+                             tip=TipParams(epsilon=0.4))
         self.assert_products(getattr(system, name), seed=len(name))
 
     def test_unsymmetric_list_with_repeats_and_empty_rows(self):
@@ -177,8 +182,8 @@ class TestProducts:
         # the step's force scale reads these sums; they equal scipy's CSR
         # row sums bit for bit
         system = desk_system(ne=64, gamma1=1.0, gamma2=1.0,
-                             tip=TipParams(enabled=True, epsilon=1e-2))
-        for A in (system.M, system.K, system.D):
+                             tip=TipParams(epsilon=1e-2))
+        for A in (system.M, system.K):
             csr = sp.csr_array((A.vals, (A.rows, A.cols)), shape=(A.n, A.n))
             assert np.array_equal(A.abs_row_sums(), abs(csr).sum(axis=1))
 
@@ -206,7 +211,7 @@ def dense_reference_operators(mesh, beam, tip):
     tip_slot = nn - 2
     D[mesh.xi_index - 1, mesh.xi_index - 1] = beam.gamma1
     D[nn + mesh.xi_index - 1, nn + mesh.xi_index - 1] = beam.gamma2
-    if tip.enabled:
+    if tip.epsilon:
         M[tip_slot, tip_slot] += tip.epsilon
         K[tip_slot, tip_slot] += tip.epsilon
         if tip.damping_on:

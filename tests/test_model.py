@@ -15,7 +15,6 @@ from gapbeam.model import (
     STABILIZING,
     BeamParams,
     ForceLaw,
-    NoContact,
     NormalCompliance,
     ParamError,
     SchemeConfig,
@@ -23,7 +22,6 @@ from gapbeam.model import (
     body_force,
     body_force_primitive,
     contact_potential,
-    contact_stiffness,
     contact_traction,
     is_stabilizing_xi,
 )
@@ -39,8 +37,7 @@ LAWS = [
 ]
 
 _STOPS = dict(g_lo=st.floats(-1.0, -1e-3), g_hi=st.floats(1e-3, 1.0))
-CONTACT_LAWS = st.one_of(
-    st.just(NoContact()),
+STOP_LAWS = st.one_of(
     st.builds(NormalCompliance, d1=st.floats(1e-2, 1e3),
               d2=st.floats(1e-2, 1e3), p=st.sampled_from([1, 2, 3]), **_STOPS),
     st.builds(NormalCompliance.penalty, eps_pen=st.floats(1e-4, 1.0), **_STOPS),
@@ -56,25 +53,25 @@ def central_quotient(f, v, h):
 
 class TestContactTraction:
     def test_zero_inside_gap_all_laws(self):
-        for law in (NoContact(), NC, PEN):
+        for law in (NC, PEN):
             for v in (-0.99, -0.3, 0.0, 0.5, 0.99):
-                assert contact_traction(v, law) == 0.0
+                assert contact_traction(v, law) == (0.0, 0.0)
 
     def test_zero_at_contact_onset(self):
-        assert contact_traction(1.0, NC) == 0.0
+        assert contact_traction(1.0, NC) == (0.0, 0.0)
 
     def test_quadratic_upper_value(self):
-        # -(3-1)^2 with d2=1, p=2
-        assert contact_traction(3.0, NC) == -4.0
+        # -(3-1)^2 with d2=1, p=2, and the slope -2*(3-1)
+        assert contact_traction(3.0, NC) == (-4.0, -4.0)
 
     def test_penalty_lower_value(self):
-        # (1/0.5)*((-1) - (-2))^+ = 2
-        assert contact_traction(-2.0, PEN) == 2.0
+        # (1/0.5)*((-1) - (-2))^+ = 2, and the slope -1/0.5
+        assert contact_traction(-2.0, PEN) == (2.0, -2.0)
 
     def test_monotone_nonincreasing(self):
         for law in (NC, PEN, NormalCompliance(d1=2.0, d2=0.5, p=1, g_lo=-0.2, g_hi=0.4)):
             vs = np.linspace(-3.0, 3.0, 201)
-            ts = [contact_traction(v, law) for v in vs]
+            ts = [contact_traction(v, law)[0] for v in vs]
             assert all(b <= a + 1e-15 for a, b in zip(ts, ts[1:]))
 
 
@@ -103,8 +100,8 @@ class TestContactPotential:
                 continue
             for h in (1e-3, 1e-4, 1e-5):
                 fd = -(contact_potential(v + h, law) - contact_potential(v - h, law)) / (2 * h)
-                scale = max(1.0, abs(contact_traction(v, law)))
-                assert abs(fd - contact_traction(v, law)) <= 50.0 * scale * h**2
+                traction, _ = contact_traction(v, law)
+                assert abs(fd - traction) <= 50.0 * max(1.0, abs(traction)) * h**2
 
     def test_derivative_at_example_point(self):
         for h in (1e-3, 1e-4, 1e-5, 1e-6):
@@ -118,35 +115,35 @@ class TestContactPotential:
             if law.p == 1 and (abs(v - law.g_hi) < 0.3 or abs(v - law.g_lo) < 0.3):
                 continue
             h = 1e-5
-            fd = (contact_traction(v + h, law) - contact_traction(v - h, law)) / (2 * h)
-            slope = contact_stiffness(v, law)
+            fd = (contact_traction(v + h, law)[0]
+                  - contact_traction(v - h, law)[0]) / (2 * h)
+            _, slope = contact_traction(v, law)
             assert abs(fd - slope) <= 1e-6 * max(1.0, abs(slope))
 
-    @given(law=CONTACT_LAWS, v=st.floats(-3.0, 3.0))
+    @given(law=STOP_LAWS, v=st.floats(-3.0, 3.0))
     def test_potential_and_stiffness_are_traction_derivatives(self, law, v):
-        # -dN/dv = traction and d(traction)/dv = stiffness, by central
-        # quotients on intervals that hold no kink; away from the kinks the
-        # traction is d * penetration**p, so the quotients' truncation errors
-        # are h^2/6 times the third derivatives of N and of the traction
+        # -dN/dv = traction and d(traction)/dv = the returned slope, by
+        # central quotients on intervals that hold no kink; away from the
+        # kinks the traction is d * penetration**p, so the quotients'
+        # truncation errors are h^2/6 times the third derivatives of N and of
+        # the traction
         h = 1e-5 * max(1.0, abs(v))
-        if isinstance(law, NoContact):
-            d, p, pen = 0.0, 1, 0.0
-        else:
-            assume(abs(v - law.g_lo) > 2 * h and abs(v - law.g_hi) > 2 * h)
-            d, p = max(law.d1, law.d2), law.p
-            pen = max(v - law.g_hi, law.g_lo - v, 0.0) + h
+        assume(abs(v - law.g_lo) > 2 * h and abs(v - law.g_hi) > 2 * h)
+        d, p = max(law.d1, law.d2), law.p
+        pen = max(v - law.g_hi, law.g_lo - v, 0.0) + h
+        traction, slope = contact_traction(v, law)
         dN, round_N = central_quotient(lambda x: contact_potential(x, law), v, h)
         trunc_N = h**2 / 6 * d * p * (p - 1) * pen ** max(p - 2, 0)
-        assert abs(-dN - contact_traction(v, law)) <= trunc_N + round_N
-        dT, round_T = central_quotient(lambda x: contact_traction(x, law), v, h)
+        assert abs(-dN - traction) <= trunc_N + round_N
+        dT, round_T = central_quotient(lambda x: contact_traction(x, law)[0], v, h)
         trunc_T = h**2 / 6 * d * p * (p - 1) * (p - 2)
-        assert abs(dT - contact_stiffness(v, law)) <= trunc_T + round_T
+        assert abs(dT - slope) <= trunc_T + round_T
 
     def test_semismooth_slope_zero_at_kink(self):
         law = NormalCompliance(d1=1.0, d2=1.0, p=1, g_lo=-1.0, g_hi=1.0)
-        assert contact_stiffness(1.0, law) == 0.0
-        assert contact_stiffness(1.5, law) == -1.0
-        assert contact_stiffness(-1.5, law) == -1.0
+        assert contact_traction(1.0, law)[1] == 0.0
+        assert contact_traction(1.5, law)[1] == -1.0
+        assert contact_traction(-1.5, law)[1] == -1.0
 
 
 class TestBodyForce:
@@ -276,10 +273,12 @@ class TestValidation:
                           xi_fraction=Fraction(2, 3))
         assert beam.xi == pytest.approx(2.0)
 
-    def test_tip_epsilon_required_when_enabled(self):
-        with pytest.raises(ValueError):
-            TipParams(enabled=True, epsilon=0.0)
-        TipParams(enabled=False, epsilon=0.0)
+    def test_tip_epsilon_must_be_nonnegative(self):
+        # epsilon = 0 is no tip body, the traction-free end
+        with pytest.raises(ParamError, match="epsilon must be nonnegative") as exc:
+            TipParams(epsilon=-1e-300)
+        assert exc.value.name == "epsilon"
+        assert TipParams(epsilon=0.0) == TipParams()
 
     def test_contact_law_invariants(self):
         with pytest.raises(ValueError):
@@ -312,7 +311,7 @@ class TestValidation:
 VALID_RECORDS = {
     "BeamParams": (BeamParams, dict(rho1=1.0, rho2=1.0, k=1.0, b=1.0, ell=1.0,
                                     gamma1=0.5, gamma2=0.5, xi_real=0.5)),
-    "TipParams": (TipParams, dict(enabled=True, epsilon=0.1)),
+    "TipParams": (TipParams, dict(epsilon=0.1)),
     "NormalCompliance": (NormalCompliance,
                          dict(d1=1.0, d2=1.0, p=2, g_lo=-0.1, g_hi=0.1)),
     "SignoriniPenalty": (NormalCompliance.penalty,

@@ -21,7 +21,7 @@ from gapbeam import (
     total_energy,
 )
 from gapbeam.discretize import N_LEFT, N_RIGHT, AssemblyError, CooMatrix
-from gapbeam.model import body_force, contact_stiffness, contact_traction
+from gapbeam.model import body_force, contact_traction
 from gapbeam.timestep import BLOCK, BandFactor, MidpointStepper
 
 LINEAR = Laws()
@@ -80,7 +80,7 @@ class TestStep:
             assert total_energy(damped_system, *s1, LINEAR) <= e0 + 1e-12
 
     def test_tip_identification(self):
-        system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=0.5))
+        system = desk_system(ne=8, tip=TipParams(epsilon=0.5))
         s = initial_state(system, "mode", amplitude=0.2, mode=1)
         cfg = SchemeConfig(dt=1e-2)
         u1, w1 = last_state(simulate(system, s, LINEAR, cfg, cfg.dt))
@@ -91,13 +91,13 @@ class TestStep:
 class TestOrderOfAccuracy:
     def test_second_order_against_matrix_exponential(self):
         system = desk_system(ne=8, gamma1=0.7, gamma2=0.4,
-                             tip=TipParams(enabled=True, epsilon=0.3))
+                             tip=TipParams(epsilon=0.3))
         s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.4)
         u0, w0 = s0
         n = system.n_free
         m_inv = np.linalg.inv(system.M.toarray())
         a_std = np.block([[np.zeros((n, n)), np.eye(n)],
-                          [-m_inv @ system.K.toarray(), -m_inv @ system.D.toarray()]])
+                          [-m_inv @ system.K.toarray(), -m_inv @ np.diag(system.D)]])
         z_ref = sla.expm(a_std) @ np.concatenate([u0, w0])
         errs = []
         for dt in (0.05, 0.025, 0.0125, 0.00625):
@@ -166,7 +166,7 @@ class TestSimulate:
         assert all(b <= a + 1e-10 for a, b in zip(es, es[1:]))
 
     def test_divergence_reports_failing_time(self):
-        system = desk_system(ne=8, tip=TipParams(enabled=True, epsilon=1e-6))
+        system = desk_system(ne=8, tip=TipParams(epsilon=1e-6))
         laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-10, g_lo=-0.01,
                                                      g_hi=0.01))
         s0 = initial_state(system, "mode_velocity", amplitude=50.0)
@@ -179,7 +179,7 @@ class TestSimulate:
 class TestContactStepping:
     def test_penalty_kink_steps_converge(self):
         system = desk_system(ne=16, gamma1=1.0, gamma2=1.0,
-                             tip=TipParams(enabled=True, epsilon=1e-3))
+                             tip=TipParams(epsilon=1e-3))
         laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-3, g_lo=-0.05,
                                                      g_hi=0.05))
         s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)
@@ -260,7 +260,7 @@ def dense_midpoint_residual(system, laws, u, w, up, dt):
     R(u+) = 2/dt^2 M (u+ - u) - 2/dt M w + K um + D (u+ - u)/dt - load
             + body(um) - traction(v_m) e_tip,  um = (u + u+)/2
     """
-    M, K, D = (A.toarray() for A in (system.M, system.K, system.D))
+    M, K, D = system.M.toarray(), system.K.toarray(), np.diag(system.D)
     h = system.mesh.widths
     nodal_load = (np.append(h, 0.0) + np.insert(h, 0, 0.0)) / 2.0
     load = system.reduce(np.concatenate([laws.force_f.f0 * nodal_load,
@@ -270,10 +270,16 @@ def dense_midpoint_residual(system, laws, u, w, up, dt):
     body, body_tangent = dense_body_terms(system, laws, um)
     R = (2.0 / dt**2) * M @ (up - u) - (2.0 / dt) * M @ w + K @ um \
         + D @ (up - u) / dt - load + body
-    R[tip] -= contact_traction(um[tip], laws.contact)
+    traction, slope = stop_terms(um[tip], laws.contact)
+    R[tip] -= traction
     T = 2.0 / dt**2 * M + D / dt + 0.5 * K + 0.5 * body_tangent
-    T[tip, tip] -= 0.5 * contact_stiffness(um[tip], laws.contact)
+    T[tip, tip] -= 0.5 * slope
     return R, T
+
+
+def stop_terms(v, law):
+    """contact_traction's (traction, slope) of a stop law; (0, 0) at a free end."""
+    return (0.0, 0.0) if isinstance(law, NoContact) else contact_traction(v, law)
 
 
 def dense_midpoint_step(system, laws, u, w, dt):
@@ -295,7 +301,7 @@ class TestSparseStepAgainstDense:
     @pytest.mark.parametrize("mu", [0.0, 2.0], ids=["contact", "body+contact"])
     def test_one_step_matches_dense_newton(self, mu):
         system = desk_system(ne=12, gamma1=1.0, gamma2=0.5,
-                             tip=TipParams(enabled=True, epsilon=0.3))
+                             tip=TipParams(epsilon=0.3))
         laws = Laws(contact=self.COMPLIANCE,
                     force_f=ForceLaw(mu=mu, alpha=1.0, f0=0.25),
                     force_g=ForceLaw(mu=mu, alpha=1.0, f0=-0.1))
@@ -312,7 +318,7 @@ class TestSparseStepAgainstDense:
         u1, w1 = last_state(simulate(system, (u0, w0), laws, agree, dt))
         u_ref, w_ref = dense_midpoint_step(system, laws, u0, w0, dt)
         v_mid = 0.5 * (u0 + u_ref)[system.tip_slot]
-        assert contact_stiffness(v_mid, self.COMPLIANCE) != 0.0
+        assert contact_traction(v_mid, self.COMPLIANCE)[1] != 0.0
         np.testing.assert_allclose(u1, u_ref, rtol=0,
                                    atol=1e-12 * np.abs(u_ref).max())
         np.testing.assert_allclose(w1, w_ref, rtol=0,
@@ -359,7 +365,7 @@ class TestBandFactor:
     # n = 2 ne dofs: below BLOCK, equal to it, above it, many times it
     @pytest.mark.parametrize("ne", [4, BLOCK // 2, BLOCK // 2 + 1, 6 * BLOCK])
     @pytest.mark.parametrize("tip", [TipParams(),
-                                     TipParams(enabled=True, epsilon=0.3)],
+                                     TipParams(epsilon=0.3)],
                              ids=["free_end", "damped_tip"])
     def test_step_matrix_solve_matches_dense_solve(self, ne, tip):
         system = desk_system(ne=ne, gamma1=1.0, gamma2=0.5, xi=Fraction(2, 5),
@@ -370,7 +376,7 @@ class TestBandFactor:
             dense = J.toarray()
             np.testing.assert_allclose(
                 dense, 2.0 / dt**2 * system.M.toarray()
-                + system.D.toarray() / dt + 0.5 * system.K.toarray(),
+                + np.diag(system.D) / dt + 0.5 * system.K.toarray(),
                 rtol=1e-15, atol=0.0)
             assert_solves(factor, dense, seed=ne)
             e_tip = np.eye(system.n_free)[system.tip_slot]
@@ -428,16 +434,16 @@ class TestStepContract:
                                             seed, dt):
         # the corrector only promises a small step residual; check it against
         # the dense midpoint equations, not the stepper's own residual
-        tip = TipParams() if tip_eps is None else TipParams(enabled=True,
-                                                            epsilon=tip_eps)
+        tip = TipParams() if tip_eps is None else TipParams(epsilon=tip_eps)
         system = desk_system(ne=8, gamma1=gamma1, gamma2=gamma2, tip=tip)
         laws = Laws(contact=contact, force_f=force_f, force_g=force_g)
         cfg = SchemeConfig(dt=dt)
         u, w = initial_state(system, "random_ball", radius=radius, seed=seed)
         up, wp, _, _ = MidpointStepper(system, laws, cfg)._solve_step(u, w, dt, dt)
         R, _ = dense_midpoint_residual(system, laws, u, w, up, dt)
-        m, d, k = (np.abs(A.toarray()).sum(axis=1).max()
-                   for A in (system.M, system.D, system.K))
+        m, k = (np.abs(A.toarray()).sum(axis=1).max()
+                for A in (system.M, system.K))
+        d = np.abs(system.D).max()
         fscale = 2.0 / dt**2 * m + d / dt + 0.5 * k
         res = np.linalg.norm(R) / (fscale * max(1.0, np.linalg.norm(up)))
         assert res <= cfg.newton_tol
@@ -461,14 +467,13 @@ class TestEnergyIdentity:
         # force, plus the contact traction at um; the accepted step leaves a
         # residual R of at most newton_tol * fscale * max(1, |u+|), so the
         # defect delta.R stays within that scale times |delta|
-        tip = TipParams() if tip_eps is None else TipParams(enabled=True,
-                                                            epsilon=tip_eps)
+        tip = TipParams() if tip_eps is None else TipParams(epsilon=tip_eps)
         system = desk_system(ne=8, gamma1=gamma1, gamma2=gamma2, tip=tip)
         laws = Laws(contact=contact, force_f=force_f, force_g=force_g)
         cfg = SchemeConfig(dt=dt)
         u, w = initial_state(system, "random_ball", radius=radius, seed=seed)
         up, wp, _, _ = MidpointStepper(system, laws, cfg)._solve_step(u, w, dt, dt)
-        M, K, D = (A.toarray() for A in (system.M, system.K, system.D))
+        M, K, D = system.M.toarray(), system.K.toarray(), np.diag(system.D)
         delta, um = up - u, 0.5 * (u + up)
         wm = delta / dt
         h = system.mesh.widths
@@ -477,7 +482,7 @@ class TestEnergyIdentity:
                                              force_g.f0 * nodal_load]))
         body, _ = dense_body_terms(system, laws, um)
         F = load - body
-        F[system.tip_slot] += contact_traction(um[system.tip_slot], contact)
+        F[system.tip_slot] += stop_terms(um[system.tip_slot], contact)[0]
 
         def quadratic_energy(u, w):
             return 0.5 * w @ M @ w + 0.5 * u @ K @ u

@@ -8,17 +8,20 @@ line per run: its name, its exit code and the digest of every file it wrote
 (bench/workloads.artifact_digest).  The configs are the two benchmark
 workloads at seed 0, the configs of acceptance checks C07 and C11, and
 observability, spectrum, tip-body, body-force, penalty (the tip reaches a stop)
-and Newton-failure (exit 3) runs built on the base config of the CLI tests.  Five more runs record exit codes:
-spectrum-stall, a spectrum whose Aberth sweeps once stalled (exit 3 before the
-stop rule froze roots cycling at rounding level); observability-non-finite, whose
-figures are nan with beam.ell = 1e300 (exit 3 since non-finite figures fail);
-gamma2-1e8, a damper that swamps the Newton scale, so that the first step
-takes no correction (exit 0 with a balance defect of 5.2e-4);
-observability-stride-11, samples too far apart for the observability
-integrals (exit 2, once a traceback); and penalty-unread-d1, the penalty run
-with two keys of the compliance law, which the penalty law does not read
-(exit 2, once exit 0 with the penalty run's artifacts).  Every config
-runs once with sweep.workers = 1 and once with 2, which only the sweeps read.
+and Newton-failure (exit 3) runs built on the base config of the CLI tests.
+Six more runs record exit codes: spectrum-stall, a spectrum whose Aberth
+sweeps once stalled (exit 3 before the stop rule froze roots cycling at
+rounding level); observability-non-finite, whose figures are nan with
+beam.ell = 1e300 (exit 3 since non-finite figures fail); gamma2-1e8, a damper
+that swamps the Newton scale, so that the first step takes no correction
+(exit 0 with a balance defect of 5.2e-4); observability-stride-11, samples too
+far apart for the observability integrals (exit 2, once a traceback);
+penalty-unread-d1, the penalty run with two keys of the compliance law, which
+the penalty law does not read (exit 2, once exit 0 with the penalty run's
+artifacts); and energy-overflow, mode-velocity data of amplitude 1e160, whose
+energy is inf from the first sample (exit 3, once exit 0 with fit_status =
+ok).  Every config runs once with sweep.workers = 1 and once with 2, which
+only the sweeps read.
 
 The output opens with the Python, numpy and BLAS versions that made it.
 tools/artifact_digests.expected holds it as of the last change that moved an
@@ -45,8 +48,9 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 from gapbeam.cli import main  # noqa: E402
 from gapbeam.config import parse_mapping  # noqa: E402
 from test_acceptance import DETERMINISM_CFG, SWEEP_CFG  # noqa: E402
-from test_cli import (BASE_MAP, NON_FINITE_OBSERVABILITY,  # noqa: E402
-                      OBSERVABILITY_STRIDE_11, STIFF_DAMPERS_TIP)
+from test_cli import (BASE_MAP, ENERGY_OVERFLOW,  # noqa: E402
+                      NON_FINITE_OBSERVABILITY, OBSERVABILITY_STRIDE_11,
+                      STIFF_DAMPERS_TIP)
 from workloads import WORKLOADS, artifact_digest, write_config  # noqa: E402
 
 MODE = {"init.kind": "mode", "init.amplitude": "1.0", "run.stride": "5",
@@ -56,7 +60,7 @@ COMPLIANCE = {
     "contact.p": "2", "contact.g_lo": "-0.01", "contact.g_hi": "0.01",
     "init.kind": "mode_velocity", "init.amplitude": "0.5", "run.stride": "5",
     "run.t_final": "0.2"}
-TIP = {"tip.enabled": "true", "tip.epsilon": "0.1",
+TIP = {"tip.epsilon": "0.1",
        "init.kind": "mode_velocity", "init.amplitude": "0.5"}
 BODY = {"force_f.mu": "1.0", "force_f.alpha": "1.0",
         "init.kind": "mode_velocity", "init.amplitude": "0.5", "run.stride": "5",
@@ -65,7 +69,7 @@ CUTOFF = {"force_f.cutoff_r": "0.02", "force_g.mu": "0.5", "force_g.alpha": "2.0
           "force_g.cutoff_r": "0.02", "init.amplitude_psi": "0.5"}
 # the config of test_cli's exit-3 test: the first half of a bisected step fails
 DIVERGENCE = {"scheme.dt": "0.05", "scheme.newton_max": "2", "run.t_final": "0.5",
-              "tip.enabled": "true", "tip.epsilon": "1e-6",
+              "tip.epsilon": "1e-6",
               "contact.kind": "signorini_penalty", "contact.eps_pen": "1e-10",
               "contact.g_lo": "-0.01", "contact.g_hi": "0.01",
               "init.kind": "mode_velocity", "init.amplitude": "50.0"}
@@ -108,6 +112,7 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
         ("observability-stride-11", "observability", OBSERVABILITY_STRIDE_11),
         ("penalty-unread-d1", "simulate",
          {**PENALTY_RUN, "contact.d1": "5", "contact.p": "3"}),
+        ("energy-overflow", "simulate", dotted(ENERGY_OVERFLOW)),
     ]:
         runs.append((name, command, {**BASE_MAP, **overrides}))
     return [(f"{name}-w{workers}", command,
