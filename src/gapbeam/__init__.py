@@ -8,7 +8,6 @@ from .model import (
     NoContact,
     NormalCompliance,
     SchemeConfig,
-    TipParams,
     body_force,
     body_force_primitive,
     contact_potential,

@@ -42,7 +42,7 @@ from .artifacts import (
     write_table_csv,
     write_trajectory_csv,
 )
-from .config import ConfigError, ExperimentConfig, eps_row_dir, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import (
     MAX_STRIDE,
     complementarity_report,
@@ -53,7 +53,7 @@ from .diagnostics import (
 )
 from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
                          recover_stress)
-from .model import NoContact, NormalCompliance, TipParams
+from .model import NoContact, NormalCompliance
 from .rows import map_rows
 from .spectral import (DimensionCapExceeded, SpectrumCertificateError,
                        mesh_spectrum, trend_toward_zero, xi_study)
@@ -85,12 +85,8 @@ def _run(cfg: ExperimentConfig):
     mesh = build_mesh(cfg.beam.ell, cfg.beam.xi, cfg.ne)
     system = assemble(mesh, cfg.beam, cfg.tip)
     laws = cfg.laws()
-    try:
-        initial = make_initial(cfg, system)
-    except ValueError as exc:
-        raise ConfigError(f"init.kind: {exc}") from exc
-    traj = simulate(system, initial, laws, cfg.scheme, cfg.t_final,
-                    sample_stride=cfg.stride)
+    traj = simulate(system, make_initial(cfg, system), laws, cfg.scheme,
+                    cfg.t_final, sample_stride=cfg.stride)
     return system, laws, traj
 
 
@@ -136,11 +132,9 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
     keyed by SWEEP_HEADER but for its last column."""
     base = cfg.contact
     contact = NormalCompliance.penalty(eps_pen, base.g_lo, base.g_hi)
-    tip = cfg.tip
-    if cfg.sweep.tie_tip:
-        # the penalized end model uses one coefficient for the tip body and the
-        # penalty; tie them so the limit drives both to zero together
-        tip = TipParams(epsilon=eps_pen)
+    # the penalized end model uses one coefficient for the tip body and the
+    # penalty; tie them so the limit drives both to zero together
+    tip = eps_pen if cfg.sweep.tie_tip else cfg.tip
     row_cfg = dataclasses.replace(cfg, contact=contact, tip=tip)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +175,8 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> dict:
     if not (isinstance(law, NormalCompliance) and law.p == 1 and law.d1 == law.d2):
         raise ConfigError("contact.kind: sweep-eps needs a penalty law, "
                           "signorini_penalty or p = 1 with d1 = d2")
-    jobs = [(cfg, eps, str(out / eps_row_dir(eps))) for eps in cfg.sweep.eps_pen]
+    # repr is exact, so no two rows share a directory
+    jobs = [(cfg, eps, str(out / f"eps_{eps!r}")) for eps in cfg.sweep.eps_pen]
     rows = map_rows(_sweep_eps_row, jobs, workers=cfg.sweep.workers)
     prev = None
     for row in rows:
@@ -225,8 +220,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     if cfg.sweep.epsilon:
         # tip-coefficient study: compare against the plain traction-free model,
         # the row epsilon = 0
-        tips += [dataclasses.replace(cfg.tip, epsilon=e)
-                 for e in (0.0, *cfg.sweep.epsilon)]
+        tips += [0.0, *cfg.sweep.epsilon]
     try:
         spectra = map_rows(
             mesh_spectrum, [(cfg.beam, tip, cfg.ne) for tip in tips],
@@ -237,10 +231,9 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     (abscissa, gap), *study = [(float(lam[0].real), float(abs(lam.real).min()))
                                for lam in spectra]
     write_spectrum_csv(out / "spectrum.csv", spectra[0])
-    tip = cfg.tip
     entries = {
-        "model": "hybrid" if tip.epsilon else "non-hybrid", "ne": cfg.ne,
-        "epsilon": fmt(tip.epsilon) if tip.epsilon else "",
+        "model": "hybrid" if cfg.tip else "non-hybrid", "ne": cfg.ne,
+        "epsilon": fmt(cfg.tip) if cfg.tip else "",
         "abscissa": abscissa, "min_damping_gap": gap,
         "n_eigenvalues": len(spectra[0]),
     }

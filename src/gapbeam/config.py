@@ -2,14 +2,15 @@
 
 The format is line oriented: one `dotted.path=value` per line, `#` comments,
 blank lines ignored.  Lists are comma separated; the damper location of a
-run is given as an exact fraction (`beam.xi_num`, `beam.xi_den`) or as a real
-override (`beam.xi`); sweep-xi takes its locations from `sweep.xi` instead.
+run is the exact fraction `beam.xi_num` / `beam.xi_den` of the length, and
+sweep-xi takes its locations from `sweep.xi` instead.
 
 The parameter records are the schema: key `section.field` sets that field,
 parsed by its annotation, and an absent key keeps the record's default.  A
 record's __post_init__ checks its fields; its ParamError names the key.
-`tip.epsilon` is the coefficient of the tip body; its default 0 is no body,
-the traction-free end.  `contact.kind` picks the stop law: none,
+`tip.epsilon` is the number epsilon >= 0 that the tip body adds to the mass,
+damping and stiffness of the end deflection; its default 0 is no body, the
+traction-free end.  `contact.kind` picks the stop law: none,
 normal_compliance (contact.d1, d2, p, g_lo, g_hi), or signorini_penalty,
 which is the p = 1 compliance law with d1 = d2 = 1/contact.eps_pen.
 
@@ -35,18 +36,13 @@ from .model import (
     NormalCompliance,
     ParamError,
     SchemeConfig,
-    TipParams,
     step_count,
 )
+from .timestep import INITIAL_KINDS
 
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending field path."""
-
-
-def eps_row_dir(eps_pen: float) -> str:
-    """Directory of one sweep-eps row; SweepSpec keeps these distinct."""
-    return f"eps_{eps_pen:g}"
 
 
 @dataclass(frozen=True)
@@ -60,6 +56,8 @@ class InitSpec:
     radius: float = 1.0
 
     def __post_init__(self):
+        if self.kind not in INITIAL_KINDS:
+            raise ParamError("kind", f"unknown initial-data kind {self.kind!r}")
         if self.mode < 1:
             raise ParamError("mode", "must be >= 1")
         if self.mode > 2**53:
@@ -88,7 +86,7 @@ class SweepSpec:
             raise ParamError("ne", "need at least 2 elements")
         if not all(0 < x < 1 for x in self.xi):
             raise ParamError("xi", "must lie strictly inside (0, 1)")
-        for name in ("xi", "ne"):
+        for name in ("xi", "ne", "eps_pen"):
             values = getattr(self, name)
             for i, j in enumerate(map(values.index, values)):
                 if i != j:
@@ -99,12 +97,6 @@ class SweepSpec:
         # the stiffness of a row's penalty law is 1/eps_pen
         if not all(math.isfinite(1.0 / v) for v in self.eps_pen):
             raise ParamError("eps_pen", "an entry puts 1/eps_pen out of float range")
-        dirs = [eps_row_dir(v) for v in self.eps_pen]
-        for i, j in enumerate(map(dirs.index, dirs)):
-            if i != j:
-                raise ParamError("eps_pen", f"{self.eps_pen[j]!r} and "
-                                 f"{self.eps_pen[i]!r} share the row directory "
-                                 f"{dirs[i]}")
         if self.workers < 1:
             raise ParamError("workers", "must be >= 1")
 
@@ -112,13 +104,14 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     beam: BeamParams
-    tip: TipParams
     contact: object
     force_f: ForceLaw
     force_g: ForceLaw
     ne: int
     scheme: SchemeConfig
     t_final: float
+    # the tip body's epsilon: its mass, damping and stiffness; 0 is no body
+    tip: float = 0.0
     stride: int = 1
     seed: int = 0
     init: InitSpec = field(default_factory=InitSpec)
@@ -127,6 +120,8 @@ class ExperimentConfig:
     snapshot: bool = False
 
     def __post_init__(self):
+        if self.tip < 0.0:
+            raise ParamError("tip", "epsilon must be nonnegative")
         if (self.multiplier_n or 0) < 0:
             raise ParamError("multiplier_n", "must be >= 0 (0: default)")
         # the multiplier exp(n x) must stay finite up to x = ell
@@ -141,11 +136,6 @@ class ExperimentConfig:
 
     def laws(self) -> Laws:
         return Laws(contact=self.contact, force_f=self.force_f, force_g=self.force_g)
-
-
-def _key(section: str, name: str) -> str:
-    # force_f.cutoff_R is read from force_f.cutoff_r
-    return f"{section}.{name.lower()}"
 
 
 def parse_mapping(text: str) -> dict[str, str]:
@@ -241,7 +231,7 @@ def _record(cls, section: str, mapping: dict[str, str], keys=None, **given):
     """A cls whose fields not given are read from their keys: keys[field], else
     section.field.  A ParamError of cls becomes a ConfigError naming the key."""
     def key(name):
-        return (keys or {}).get(name, _key(section, name))
+        return (keys or {}).get(name, f"{section}.{name}")
 
     for f in fields(cls):
         if f.name not in given and (
@@ -257,34 +247,21 @@ def _record(cls, section: str, mapping: dict[str, str], keys=None, **given):
 def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     mapping = dict(mapping)  # each read takes its key out of this copy
 
-    xi_real = _get(mapping, "beam.xi", _optional_float, None)
-    xi_num = _get(mapping, "beam.xi_num", _int, None)
-    xi_den = _get(mapping, "beam.xi_den", _int, None)
-    if (xi_num is None) != (xi_den is None):
-        raise ConfigError("beam.xi_num and beam.xi_den must be given together")
-    xi_fraction = None
-    if xi_num is not None:
-        try:
-            xi_fraction = Fraction(xi_num, xi_den)
-        except ZeroDivisionError as exc:
-            raise ConfigError(f"beam.xi_num/beam.xi_den: {exc}") from exc
-    xi_key = "beam.xi" if xi_fraction is None else "beam.xi_num/beam.xi_den"
-    beam = _record(BeamParams, "beam", mapping, {"xi": xi_key},
-                   xi_fraction=xi_fraction, xi_real=xi_real)
+    beam = _record(BeamParams, "beam", mapping)
 
     kind = _get(mapping, "contact.kind", str.lower, "none")
-    if kind in ("none", "no_contact"):
+    if kind == "none":
         contact = NoContact()
-    elif kind in ("normal_compliance", "nc"):
+    elif kind == "normal_compliance":
         contact = _record(NormalCompliance, "contact", mapping,
                           p=_get(mapping, "contact.p", _int, 1))
-    elif kind in ("signorini_penalty", "penalty"):
-        args = [_get(mapping, _key("contact", name), _finite_float)
+    elif kind == "signorini_penalty":
+        args = [_get(mapping, f"contact.{name}", _finite_float)
                 for name in ("eps_pen", "g_lo", "g_hi")]
         try:
             contact = NormalCompliance.penalty(*args)
         except ParamError as exc:
-            raise ConfigError(f"{_key('contact', exc.name)}: {exc}") from exc
+            raise ConfigError(f"contact.{exc.name}: {exc}") from exc
     else:
         raise ConfigError(f"contact.kind: unknown kind {kind!r}")
 
@@ -299,8 +276,8 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"run.t_final: {exc}") from exc
     config = _record(
         ExperimentConfig, "run", mapping,
-        {"ne": "mesh.ne", "multiplier_n": "multiplier.n"}, t_final=t_final,
-        beam=beam, tip=_record(TipParams, "tip", mapping), contact=contact,
+        {"ne": "mesh.ne", "multiplier_n": "multiplier.n", "tip": "tip.epsilon"},
+        t_final=t_final, beam=beam, contact=contact,
         force_f=_record(ForceLaw, "force_f", mapping),
         force_g=_record(ForceLaw, "force_g", mapping),
         scheme=_record(SchemeConfig, "scheme", mapping, dt=dt),

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import BeamParams, TipParams
+from .model import BeamParams
 
 # linear shape functions at the two Gauss nodes of the reference element
 _GAUSS_REF = np.array([-1.0, 1.0]) / math.sqrt(3.0)
@@ -182,7 +182,7 @@ class SemiDiscreteSystem:
 
     mesh: Mesh
     beam: BeamParams
-    tip: TipParams
+    tip: float                  # the tip body's epsilon
     tip_slot: int               # position of phi(ell) in the reduced numbering
     M: CooMatrix = field(repr=False)
     K: CooMatrix = field(repr=False)
@@ -211,12 +211,12 @@ class SemiDiscreteSystem:
         return full[..., :nn], full[..., nn:]
 
 
-def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem:
+def assemble(mesh: Mesh, beam: BeamParams, tip: float) -> SemiDiscreteSystem:
     """Galerkin assembly of the reduced mass/stiffness/damping operators.
 
     Shear uses the one-point midpoint rule, bending and mass are exact.
-    Dampers are lumped diagonal entries at the xi node.  The tip body adds
-    epsilon to M, K and, with damping_on, D at the phi(ell) slot; with
+    Dampers are lumped diagonal entries at the xi node.  tip is the tip
+    body's epsilon >= 0, which it adds to M, D and K at the phi(ell) slot; with
     epsilon = 0 the end is traction free by the natural boundary condition.
     The element blocks go into one coordinate list each for M and K.  M must
     be positive definite; it is tridiagonal and is checked by the Cholesky
@@ -255,12 +255,12 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: TipParams) -> SemiDiscreteSystem
     # element blocks first, then the point entries, as a sequential assembly
     # would add them
     M = coo(np.append(rows, tip_slot), np.append(cols, tip_slot),
-            np.append(m_e.ravel(), tip.epsilon))
+            np.append(m_e.ravel(), tip))
     K = coo(np.append(rows, tip_slot), np.append(cols, tip_slot),
-            np.append(k_e.ravel(), tip.epsilon))
+            np.append(k_e.ravel(), tip))
     D = np.zeros(n)
     D[[mesh.xi_index - 1, nn + mesh.xi_index - 1, tip_slot]] = (
-        beam.gamma1, beam.gamma2, tip.epsilon if tip.damping_on else 0.0)
+        beam.gamma1, beam.gamma2, tip)
     # M couples no phi with a psi dof, so in this numbering it is tridiagonal
     try:
         tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))

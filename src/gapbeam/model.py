@@ -46,9 +46,9 @@ class BeamParams:
 
     rho1, rho2 are the translational and rotational inertia densities, k the
     shear stiffness, b the bending stiffness, ell the length.  The damper sits
-    at xi, which is stored as an exact fraction of ell when available (the
-    location verdicts need exact rationals) with a real-valued fallback.
-    gamma1 damps the transverse velocity at xi, gamma2 the rotation rate.
+    at xi = (xi_num / xi_den) * ell, an exact fraction of ell because the
+    location verdicts need exact rationals.  gamma1 damps the transverse
+    velocity at xi, gamma2 the rotation rate.
     """
 
     rho1: float
@@ -58,8 +58,8 @@ class BeamParams:
     ell: float
     gamma1: float
     gamma2: float
-    xi_fraction: Fraction | None = None
-    xi_real: float | None = None
+    xi_num: int
+    xi_den: int
 
     def __post_init__(self):
         require_finite(self)
@@ -69,37 +69,21 @@ class BeamParams:
         for name in ("gamma1", "gamma2"):
             if getattr(self, name) < 0.0:
                 raise ParamError(name, f"{name} must be nonnegative")
-        if (self.xi_fraction is None) == (self.xi_real is None):
-            raise ParamError("xi", "the damper location must be given exactly once")
-        if not 0.0 < self.xi < self.ell:
-            raise ParamError(
-                "xi", f"xi={self.xi} must lie strictly inside (0, {self.ell})")
+        if self.xi_den < 1:
+            raise ParamError("xi_den", "xi_den must be >= 1")
+        # the mesh takes the float position: a fraction just below 1 can
+        # round to ell
+        if not (0 < self.xi_fraction < 1 and 0.0 < self.xi < self.ell):
+            raise ParamError("xi_num", f"xi={self.xi_fraction} * ell must lie "
+                             f"strictly inside (0, {self.ell})")
+
+    @property
+    def xi_fraction(self) -> Fraction:
+        return Fraction(self.xi_num, self.xi_den)
 
     @property
     def xi(self) -> float:
-        if self.xi_fraction is not None:
-            return float(self.xi_fraction) * self.ell
-        return float(self.xi_real)
-
-
-@dataclass(frozen=True)
-class TipParams:
-    """Tip body at the free end, of coefficient epsilon >= 0.
-
-    The body adds epsilon to the mass, damping and stiffness seen by the end
-    deflection, which makes the model the hybrid PDE-ODE system.  epsilon = 0
-    is no body: the end is traction free and the model is the plain
-    transmission beam.  damping_on=False zeroes only the damping contribution,
-    which is useful for conservative verification runs.
-    """
-
-    epsilon: float = 0.0
-    damping_on: bool = True
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.epsilon < 0.0:
-            raise ParamError("epsilon", "epsilon must be nonnegative")
+        return float(self.xi_fraction) * self.ell
 
 
 @dataclass(frozen=True)
@@ -156,15 +140,15 @@ ContactLaw = NoContact | NormalCompliance
 class ForceLaw:
     """Semilinear restoring force mu*s*|s|**alpha with optional truncation.
 
-    With cutoff_R set, the slope saturates beyond |s| = R, which makes the law
-    globally Lipschitz with constant at most mu*(alpha+1)*R**alpha.  f0 is a
-    constant distributed load applied to the same field equation (it is not
+    With cutoff_r = R set, the slope saturates beyond |s| = R, which makes the
+    law globally Lipschitz with constant at most mu*(alpha+1)*R**alpha.  f0 is
+    a constant distributed load applied to the same field equation (it is not
     part of the pointwise law: body_force(0) == 0 always).
     """
 
     mu: float = 0.0
     alpha: float = 0.0
-    cutoff_R: float | None = None
+    cutoff_r: float | None = None
     f0: float = 0.0
 
     def __post_init__(self):
@@ -172,8 +156,8 @@ class ForceLaw:
         for name in ("mu", "alpha"):
             if getattr(self, name) < 0.0:
                 raise ParamError(name, f"{name} must be nonnegative")
-        if self.cutoff_R is not None and self.cutoff_R <= 0.0:
-            raise ParamError("cutoff_R", "cutoff_R must be positive when given")
+        if self.cutoff_r is not None and self.cutoff_r <= 0.0:
+            raise ParamError("cutoff_r", "cutoff_r must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -263,14 +247,14 @@ def contact_potential(v: float, law: ContactLaw) -> float:
 
 
 def body_force(s, law: ForceLaw):
-    """Pointwise semilinear force mu*s*|s|**alpha, slope-saturated past cutoff_R.
+    """Pointwise semilinear force mu*s*|s|**alpha, slope-saturated past cutoff_r.
 
     Accepts scalars or arrays.
     """
     s = np.asarray(s, dtype=float)
     a = np.abs(s)
-    if law.cutoff_R is not None:
-        a = np.minimum(a, law.cutoff_R)
+    if law.cutoff_r is not None:
+        a = np.minimum(a, law.cutoff_r)
     out = law.mu * s * a**law.alpha
     return float(out) if out.ndim == 0 else out
 
@@ -279,10 +263,10 @@ def body_force_primitive(s, law: ForceLaw):
     """Antiderivative of body_force vanishing at 0 (an even, nonnegative function)."""
     s = np.asarray(s, dtype=float)
     a = np.abs(s)
-    if law.cutoff_R is None:
+    if law.cutoff_r is None:
         out = law.mu * a ** (law.alpha + 2.0) / (law.alpha + 2.0)
     else:
-        R = np.float64(law.cutoff_R)  # R**alpha overflows to inf, not an error
+        R = np.float64(law.cutoff_r)  # R**alpha overflows to inf, not an error
         core = law.mu * np.minimum(a, R) ** (law.alpha + 2.0) / (law.alpha + 2.0)
         tail = np.where(a > R, law.mu * R**law.alpha * (a**2 - R**2) / 2.0, 0.0)
         out = core + tail

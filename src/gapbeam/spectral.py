@@ -30,7 +30,7 @@ import numpy as np
 
 from .discretize import (AssemblyError, CooMatrix, SemiDiscreteSystem, assemble,
                          build_mesh, tridiagonal_cholesky)
-from .model import BeamParams, TipParams, is_stabilizing_xi
+from .model import BeamParams, is_stabilizing_xi
 from .rows import map_rows
 
 
@@ -271,19 +271,19 @@ def spectrum(pencil: GeneratorPencil) -> np.ndarray:
     return lam[np.lexsort((lam.imag, -lam.real))]
 
 
-def mesh_spectrum(beam: BeamParams, tip: TipParams, ne: int) -> np.ndarray:
+def mesh_spectrum(beam: BeamParams, tip: float, ne: int) -> np.ndarray:
     """One study row: the spectrum of the beam on a mesh of ne elements."""
     try:
         return spectrum(generator(assemble(build_mesh(beam.ell, beam.xi, ne),
                                            beam, tip)))
     except SpectrumCertificateError as exc:
-        eps = f", epsilon={tip.epsilon:g}" if tip.epsilon else ""
+        eps = f", epsilon={tip:g}" if tip else ""
         raise SpectrumCertificateError(
-            f"spectrum at ne={ne}, xi={beam.xi_fraction or beam.xi_real}{eps} "
+            f"spectrum at ne={ne}, xi={beam.xi_fraction}{eps} "
             f"failed its certificate: {exc}")
 
 
-def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
+def xi_study(beam: BeamParams, tip: float, xi_fractions, ne_values,
              workers: int = 1) -> list[tuple[Fraction, int, float, str]]:
     """Abscissa table over damper locations and mesh refinements.
 
@@ -297,7 +297,8 @@ def xi_study(beam: BeamParams, tip: TipParams, xi_fractions, ne_values,
     if 4 * ne_max > DENSE_CAP:
         raise DimensionCapExceeded(4 * ne_max)
     keys = [(Fraction(frac), ne) for frac in xi_fractions for ne in ne_values]
-    jobs = [(dataclasses.replace(beam, xi_fraction=frac, xi_real=None), tip, ne)
+    jobs = [(dataclasses.replace(beam, xi_num=frac.numerator,
+                                 xi_den=frac.denominator), tip, ne)
             for frac, ne in keys]
     spectra = map_rows(mesh_spectrum, jobs, [ne ** 3 for _, ne in keys],
                        workers)

@@ -156,9 +156,9 @@ def energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
     # numpy scalars: a square past the float range is inf, not OverflowError
     v, v_t = u[system.tip_slot], w[system.tip_slot]
     tip_e = 0.0
-    if tip.epsilon:  # with no body, an overflowing v must not give 0 * inf
-        tip_e = 0.5 * tip.epsilon * (v**2 + v_t**2)
-        kinetic -= 0.5 * tip.epsilon * v_t**2
+    if tip:  # with no body, an overflowing v must not give 0 * inf
+        tip_e = 0.5 * tip * (v**2 + v_t**2)
+        kinetic -= 0.5 * tip * v_t**2
     n_p = contact_potential(v, laws.contact)
     fhat = integrate_primitive(mesh, phi, laws.force_f)
     ghat = integrate_primitive(mesh, psi, laws.force_g)
@@ -369,6 +369,9 @@ def simulate(system: SemiDiscreteSystem, initial: tuple[np.ndarray, np.ndarray],
         energy_prev = energy_now
     return Trajectory(times=sampled * cfg.dt, U=U, W=W, balance=balance,
                       dt=cfg.dt)
+
+
+INITIAL_KINDS = ("zero", "mode", "mode_velocity", "gaussian", "random_ball")
 
 
 def initial_state(system: SemiDiscreteSystem, kind: str, *, amplitude: float = 1.0,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from gapbeam import BeamParams, ForceLaw, TipParams, assemble, build_mesh
+from gapbeam import BeamParams, ForceLaw, assemble, build_mesh
 
 # property tests draw the same examples on every run and stay within seconds
 settings.register_profile("gapbeam", derandomize=True, deadline=None,
@@ -15,11 +15,11 @@ settings.load_profile("gapbeam")
 def desk_beam(gamma1=0.0, gamma2=0.0, xi=Fraction(1, 2)):
     """Unit-coefficient beam used throughout the desk-scale tests."""
     return BeamParams(rho1=1.0, rho2=1.0, k=1.0, b=1.0, ell=1.0,
-                      gamma1=gamma1, gamma2=gamma2, xi_fraction=xi)
+                      gamma1=gamma1, gamma2=gamma2, xi_num=xi.numerator,
+                      xi_den=xi.denominator)
 
 
-def desk_system(ne=16, gamma1=0.0, gamma2=0.0, xi=Fraction(1, 2),
-                tip=TipParams()):
+def desk_system(ne=16, gamma1=0.0, gamma2=0.0, xi=Fraction(1, 2), tip=0.0):
     beam = desk_beam(gamma1, gamma2, xi)
     mesh = build_mesh(beam.ell, beam.xi, ne)
     return assemble(mesh, beam, tip)
@@ -34,7 +34,7 @@ def force_laws(mu_max=10.0, alpha_max=3.0):
     """Hypothesis strategy: a body-force law, with or without a cutoff."""
     return st.builds(ForceLaw, mu=st.floats(0.0, mu_max),
                      alpha=st.floats(0.0, alpha_max),
-                     cutoff_R=st.none() | st.floats(0.1, 2.0),
+                     cutoff_r=st.none() | st.floats(0.1, 2.0),
                      f0=st.floats(-1.0, 1.0))
 
 

@@ -16,7 +16,6 @@ from gapbeam import (
     ForceLaw,
     Laws,
     SchemeConfig,
-    TipParams,
     absorbing_probe,
     complementarity_report,
     energy_series,
@@ -53,7 +52,7 @@ def test_c01_conservation():
 
 def test_c02_dissipation_identity():
     system = desk_system(ne=32, gamma1=1.0, gamma2=1.0,
-                         tip=TipParams(epsilon=0.5))
+                         tip=0.5)
     laws = Laws()
     cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12)
     s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.5, mode=2)
@@ -103,7 +102,7 @@ def test_c05_damping_location_obstruction():
     # transverse damper only: the obstructed locations are the interior zeros
     # of the half-wave traces, which is what the location verdict encodes
     beam = desk_beam(gamma1=1.0, gamma2=0.0)
-    rows = xi_study(beam, TipParams(), [Fraction(1, 2), Fraction(2, 3)], [32, 128])
+    rows = xi_study(beam, 0.0, [Fraction(1, 2), Fraction(2, 3)], [32, 128])
     a_half = {ne: a for xi, ne, a, _ in rows if xi == Fraction(1, 2)}
     a_23 = {ne: a for xi, ne, a, _ in rows if xi == Fraction(2, 3)}
     factor = abs(a_half[128]) / max(abs(a_23[128]), 1e-15)
@@ -122,7 +121,7 @@ def test_c06_hybrid_non_hybrid_equivalence():
     abscissae = {}
     for eps in (1e-1, 1e-2, 1e-3):
         system = desk_system(ne=64, gamma1=1.0, gamma2=1.0,
-                             tip=TipParams(epsilon=eps))
+                             tip=eps)
         abscissae[eps] = spectrum(generator(system))[0].real
     all_negative = all(a < 0.0 for a in abscissae.values())
     rel = abs(abscissae[1e-3] - non_hybrid) / abs(non_hybrid)

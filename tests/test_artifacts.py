@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import desk_system
-from gapbeam import (ForceLaw, Laws, NormalCompliance, TipParams, energy,
+from gapbeam import (ForceLaw, Laws, NormalCompliance, energy,
                      initial_state)
 from gapbeam.artifacts import TRAJECTORY_COLUMNS, load_snapshot, save_snapshot
 
@@ -68,7 +68,7 @@ def test_cut_or_padded_file_names_its_path(tmp_path, nn):
 def test_energy_items_are_the_trajectory_columns():
     # tip body, both stops (the tip starts past g_hi) and a body law on each field
     system = desk_system(ne=8, gamma1=1.0, gamma2=1.0,
-                         tip=TipParams(epsilon=0.4))
+                         tip=0.4)
     laws = Laws(contact=NormalCompliance(d1=1.0, d2=2.0, p=2, g_lo=-0.05,
                                          g_hi=0.05),
                 force_f=ForceLaw(mu=0.5, alpha=1.0),

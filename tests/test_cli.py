@@ -18,7 +18,7 @@ from gapbeam.cli import main
 from gapbeam.config import (_PARSERS, ConfigError, ExperimentConfig, InitSpec,
                             SweepSpec, build_config, load_config, parse_mapping)
 from gapbeam.model import (BeamParams, ForceLaw, NoContact, NormalCompliance,
-                           SchemeConfig, TipParams)
+                           SchemeConfig)
 from gapbeam.spectral import SpectrumCertificateError
 
 BASE_MAP = {
@@ -34,8 +34,7 @@ BASE = "".join(f"{k} = {v}\n" for k, v in BASE_MAP.items())
 # a key
 KEYS = {
     "beam.rho1", "beam.rho2", "beam.k", "beam.b", "beam.ell",
-    "beam.gamma1", "beam.gamma2", "beam.xi_num", "beam.xi_den",
-    "beam.xi", "tip.epsilon", "tip.damping_on",
+    "beam.gamma1", "beam.gamma2", "beam.xi_num", "beam.xi_den", "tip.epsilon",
     "contact.kind", "contact.d1", "contact.d2", "contact.p",
     "contact.g_lo", "contact.g_hi", "contact.eps_pen",
     "force_f.mu", "force_f.alpha", "force_f.cutoff_r", "force_f.f0",
@@ -56,11 +55,9 @@ STOP_LAW_KEYS = {
     "signorini_penalty": {"contact.eps_pen": "1e-2", "contact.g_lo": "-0.05",
                           "contact.g_hi": "0.05"},
 }
-# a valid value of every key outside the stop laws but beam.xi, the
-# alternative to beam.xi_num/beam.xi_den
+# a valid value of every key outside the stop laws
 EVERY_OTHER_KEY = {
     **BASE_MAP, "tip.epsilon": "0.1",
-    "tip.damping_on": "false",
     **{f"{side}.{name}": value for side in ("force_f", "force_g")
        for name, value in (("mu", "1"), ("alpha", "1"), ("cutoff_r", "2"),
                            ("f0", "0.5"))},
@@ -74,7 +71,7 @@ EVERY_OTHER_KEY = {
 }
 # the record whose fields a section's keys may name
 SECTIONS = {
-    "beam": BeamParams, "tip": TipParams, "contact": NormalCompliance,
+    "beam": BeamParams, "contact": NormalCompliance,
     "force_f": ForceLaw, "force_g": ForceLaw, "scheme": SchemeConfig,
     "init": InitSpec, "sweep": SweepSpec,
 }
@@ -181,19 +178,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="scheme.dt"):
             build_config(mapping)
 
-    def test_xi_real_override(self):
-        text = BASE.replace("beam.xi_num = 1\n", "").replace("beam.xi_den = 2\n", "")
-        cfg = build_config(parse_mapping(text + "beam.xi = 0.4142135\n"))
-        assert cfg.beam.xi_fraction is None
-        assert cfg.beam.xi == pytest.approx(0.4142135)
-
-    def test_xi_requires_exactly_one_form(self):
-        with pytest.raises(ConfigError, match="beam.xi"):
-            build_config(parse_mapping(BASE + "beam.xi = 0.3\n"))
-        text = BASE.replace("beam.xi_num = 1\n", "").replace("beam.xi_den = 2\n", "")
-        with pytest.raises(ConfigError, match="beam.xi"):
-            build_config(parse_mapping(text))
-
     def test_contact_laws(self):
         cfg = build_config(parse_mapping(
             BASE + "contact.kind = signorini_penalty\ncontact.eps_pen = 1e-2\n"
@@ -226,7 +210,7 @@ class TestConfigParsing:
 
     def test_absent_keys_take_the_record_defaults(self):
         cfg = build_config(BASE_MAP)
-        assert cfg.tip == TipParams()
+        assert cfg.tip == 0.0
         assert cfg.force_f == cfg.force_g == ForceLaw()
         assert cfg.init == InitSpec()
         assert cfg.sweep == SweepSpec()
@@ -249,30 +233,26 @@ class TestConfigParsing:
                         build_config({**mapping, other: "1"})
                     assert str(exc.value) == \
                         f"{other}: not read by contact.kind = {kind}"
-        xi_real = {k: v for k, v in EVERY_OTHER_KEY.items()
-                   if k not in ("beam.xi_num", "beam.xi_den")}
-        assert build_config({**xi_real, "beam.xi": "0.25"}).beam.xi == 0.25
-        assert read | {"beam.xi"} == KEYS
+        assert read == KEYS
         # keys outside the set: every record field under a name that sets
         # none, and a few near misses
-        outside = {f"{section}.{f.name.lower()}"
+        outside = {f"{section}.{f.name}"
                    for section, record in {**SECTIONS, "run": ExperimentConfig,
                                            "mesh": ExperimentConfig}.items()
                    for f in fields(record)} - KEYS
         outside |= {"beam.rho3", "force_f.cutoff_R", "multiplier.m", "mesh",
                     "contact.eps"}
-        assert {"beam.xi_fraction", "run.ne", "run.multiplier_n",
+        assert {"run.tip", "run.ne", "run.multiplier_n",
                 "mesh.t_final"} <= outside
         for key in outside:
             with pytest.raises(ConfigError, match=re.escape(key)):
                 build_config({**BASE_MAP, key: "1"})
 
     def test_every_field_a_key_sets_has_a_parser(self):
-        settable = [f for record in SECTIONS.values() for f in fields(record)
-                    if f.name not in ("xi_fraction", "xi_real")]
+        settable = [f for record in SECTIONS.values() for f in fields(record)]
         settable += [f for f in fields(ExperimentConfig) if f.name in (
-            "ne", "t_final", "stride", "seed", "multiplier_n", "snapshot")]
-        assert len(settable) == 44  # contact.eps_pen is read outside them
+            "ne", "t_final", "tip", "stride", "seed", "multiplier_n", "snapshot")]
+        assert len(settable) == 45  # contact.eps_pen is read outside them
         assert [f.name for f in settable if f.type not in _PARSERS] == []
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -318,13 +298,12 @@ class TestSimulateCommand:
         ({"multiplier.n": "-1"}, "multiplier.n"),
         ({"run.t_final": "0.0205"}, "run.t_final"),
         ({"init.kind": "random_ball", "init.radius": "-1"}, "init.radius"),
-        ({"sweep.eps_pen": "1e-2, 1.0000000001e-2"},
-         "sweep.eps_pen: 0.01 and 0.010000000001 share"),
+        ({"sweep.eps_pen": "1e-2, 1e-2"}, "sweep.eps_pen: 0.01 is repeated"),
         ({"sweep.xi": "1/2, 2/4"}, "sweep.xi: 1/2 is repeated"),
         ({"sweep.ne": "8, 16, 8"}, "sweep.ne: 8 is repeated"),
         ({"run.t_final": "1e300", "scheme.dt": "1e-300"}, "run.t_final"),
         ({"beam.xi_num": "3"},
-         "beam.xi_num/beam.xi_den: xi=1.5 must lie strictly inside"),
+         "beam.xi_num: xi=3/2 * ell must lie strictly inside"),
         ({"contact.kind": "normal_compliance", "contact.d1": "1",
           "contact.d2": "1", "contact.p": "0", "contact.g_lo": "-0.1",
           "contact.g_hi": "0.1"}, "contact.p"),
@@ -332,7 +311,7 @@ class TestSimulateCommand:
         ({"scheme.newton_max": "0"}, "scheme.newton_max"),
         ({"beam.gamma2": "-1"}, "beam.gamma2"),
         ({"tip.epsilon": "-1"}, "tip.epsilon"),
-        ({"contact.kind": "penalty", "contact.eps_pen": "1e-2",
+        ({"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
           "contact.g_lo": "-0.1", "contact.g_hi": "-0.05"}, "contact.g_hi"),
         ({"force_f.mu": "1", "force_f.cutoff_r": "-1"}, "force_f.cutoff_r"),
         # 2/dt**2 underflows to a division by zero, or dt**2 overflows
@@ -353,6 +332,7 @@ class TestSimulateCommand:
           "contact.d2": "100", "contact.p": "2", "contact.g_lo": "-0.05",
           "contact.g_hi": "0.05", "contact.eps_pen": "7"}, "contact.eps_pen"),
         ({"contact.d1": "5", "contact.g_hi": "0.05"}, "contact.d1"),
+        ({"beam.xi_den": "0"}, "beam.xi_den"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -367,11 +347,30 @@ class TestSimulateCommand:
         assert msg.count(named.split(":")[0] + ":") == 1
 
     def test_tip_body_is_its_epsilon(self, tmp_path, capsys):
-        # the tip body has no on/off key: epsilon = 0 is no body
-        cfg = write_cfg(tmp_path, cfg_text(tip__enabled="true",
-                                           tip__epsilon="0.1"))
+        # the tip body has no on/off key, for itself or its damping: epsilon
+        # = 0 is no body
+        for key in ("tip.enabled", "tip.damping_on"):
+            cfg = write_cfg(tmp_path, cfg_text(**{key: "true"}, tip__epsilon="0.1"))
+            assert main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"config error: unknown field {key}\n"
+
+    def test_damper_location_is_its_fraction(self, tmp_path, capsys):
+        # xi_num = 2, xi_den = 4 writes the bytes of 1/2, and no real
+        # position overrides the fraction
+        outs = []
+        for name, num, den in (("half", "1", "2"), ("two-quarters", "2", "4")):
+            text = cfg_text(beam__xi_num=num, beam__xi_den=den,
+                            init__kind="mode_velocity")
+            outs.append(tmp_path / name)
+            assert main(["simulate", "--config",
+                         write_cfg(tmp_path, text, f"{name}.cfg"),
+                         "--out", str(outs[-1])]) == 0
+        for path in outs[0].iterdir():
+            assert (outs[1] / path.name).read_bytes() == path.read_bytes()
+        cfg = write_cfg(tmp_path, cfg_text(beam__xi="0.5"))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "config error: unknown field tip.enabled\n"
+        assert capsys.readouterr().err == "config error: unknown field beam.xi\n"
 
     def test_missing_config_file_exit_io(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
@@ -490,11 +489,10 @@ class TestSpectrumCommand:
             tags.append((summary["model"], summary["ne"], summary["epsilon"]))
         assert tags == [("hybrid", "8", "0.01"), ("non-hybrid", "8", "")]
 
-    @pytest.mark.parametrize("damping_on", ["true", "false"])
-    def test_stiff_dampers_with_tip_certify(self, tmp_path, damping_on):
+    def test_stiff_dampers_with_tip_certify(self, tmp_path):
         # two roots of this spectrum cycle at rounding level instead of meeting
         # the offset tolerance; they stop once their steps no longer shrink
-        text = cfg_text(**STIFF_DAMPERS_TIP, tip__damping_on=damping_on)
+        text = cfg_text(**STIFF_DAMPERS_TIP)
         out = tmp_path / "out"
         assert main(["spectrum", "--config", write_cfg(tmp_path, text),
                      "--out", str(out)]) == 0
@@ -517,6 +515,18 @@ def test_eigensolver_cap_exit_two_names_field(tmp_path, capsys, command, extra, 
     assert msg.startswith(named + ": pencil dimension")
     assert "ne = 1000" in msg
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep-xi"])
+def test_unknown_initial_kind_exit_two_without_initial_data(tmp_path, capsys,
+                                                            command):
+    # the spectral commands build no initial data, yet init.kind is checked
+    # at load with the other init.* keys
+    text = cfg_text(init__kind="bogus", sweep__xi="1/2")
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: init.kind: unknown initial-data kind 'bogus'\n"
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -946,8 +956,7 @@ def test_artifact_digests_check_names_each_difference(tmp_path, monkeypatch,
 def test_tip_epsilon_zero_is_the_traction_free_end(tmp_path, command):
     # epsilon = 0 writes the bytes of a config with no tip.* key
     outs = []
-    for name, overrides in (("zero", dict(tip__epsilon="0", tip__damping_on="false")),
-                            ("none", {})):
+    for name, overrides in (("zero", dict(tip__epsilon="0")), ("none", {})):
         text = cfg_text(init__kind="mode_velocity", **overrides)
         outs.append(tmp_path / name)
         assert main([command, "--config", write_cfg(tmp_path, text, f"{name}.cfg"),
@@ -1026,7 +1035,7 @@ _KEY_VALUES = {
         "beam.xi_num", "beam.xi_den", "contact.p", "run.stride", "run.seed",
         "init.mode", "multiplier.n")},
     **{key: st.sampled_from(["true", "false"]) for key in (
-        "tip.damping_on", "run.snapshot", "sweep.tie_tip")},
+        "run.snapshot", "sweep.tie_tip")},
     "contact.kind": st.sampled_from(
         ["none", "normal_compliance", "signorini_penalty"]),
     "init.kind": st.sampled_from(
@@ -1064,10 +1073,6 @@ def _cli_configs(draw):
         dt = draw(_DOUBLE)
         mapping.update({"scheme.dt": repr(dt),
                         "run.t_final": repr(draw(st.integers(0, 4)) * dt)})
-    if draw(st.booleans()):
-        # a real damper location in place of the fraction
-        del mapping["beam.xi_num"], mapping["beam.xi_den"]
-        mapping["beam.xi"] = repr(draw(_DOUBLE))
     return command, mapping
 
 

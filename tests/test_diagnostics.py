@@ -9,7 +9,6 @@ from gapbeam import (
     Laws,
     NormalCompliance,
     SchemeConfig,
-    TipParams,
     absorbing_probe,
     complementarity_report,
     constraint_violation,
@@ -57,7 +56,7 @@ class TestEnergy:
 
     def test_total_is_sum_of_parts(self):
         system = desk_system(ne=12, gamma1=1.0,
-                             tip=TipParams(epsilon=0.4))
+                             tip=0.4)
         laws = Laws(contact=NC, force_f=ForceLaw(mu=0.5, alpha=1.0))
         u, w = initial_state(system, "mode", amplitude=0.3, amplitude_psi=0.2)
         w[:system.mesh.nn - 1] = 0.1  # phi_t on the free nodes
@@ -154,7 +153,7 @@ class TestConstraintViolation:
         viols = []
         for eps in (1e-1, 1e-2, 1e-3):
             system = desk_system(ne=16, gamma1=1.0, gamma2=1.0,
-                                 tip=TipParams(epsilon=eps))
+                                 tip=eps)
             laws = Laws(contact=NormalCompliance.penalty(eps_pen=eps, g_lo=-0.05,
                                                          g_hi=0.05))
             s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)

@@ -10,7 +10,6 @@ from conftest import desk_beam, desk_system
 from gapbeam import (
     Laws,
     SchemeConfig,
-    TipParams,
     assemble,
     build_mesh,
     energy,
@@ -54,8 +53,7 @@ class TestAssemble:
 
     def test_damping_rank_at_most_three(self):
         # D, the diagonal, is nonzero exactly at phi(xi), psi(xi), phi(ell)
-        system = desk_system(ne=12, gamma1=1.0, gamma2=2.0,
-                             tip=TipParams(epsilon=0.5))
+        system = desk_system(ne=12, gamma1=1.0, gamma2=2.0, tip=0.5)
         assert system.D.shape == (system.n_free,)
         phi, psi = system.expand(system.D)
         xi, end = system.mesh.xi_index, system.mesh.nn - 1
@@ -64,12 +62,6 @@ class TestAssemble:
         assert (phi[xi], psi[xi], phi[end]) == (1.0, 2.0, 0.5)
         assert system.D[system.tip_slot] == 0.5
 
-    def test_tip_damping_can_be_zeroed(self):
-        system = desk_system(ne=8, tip=TipParams(epsilon=0.5,
-                                                 damping_on=False))
-        assert np.count_nonzero(system.D) == 0
-        assert system.M.toarray()[system.tip_slot, system.tip_slot] > 0.5
-
     def test_mass_of_uniform_velocity(self):
         # the eliminated phi(0) and psi(ell) each take 2h/3 of their field's
         # mass rho*l out of the reduced sum (row h/2 twice, diagonal h/3 back)
@@ -77,10 +69,10 @@ class TestAssemble:
         mesh = build_mesh(1.0, 0.5, 10)
         h = 0.1
         reduced = beam.rho1 * (beam.ell - 2 * h / 3) + beam.rho2 * (beam.ell - 2 * h / 3)
-        system = assemble(mesh, beam, TipParams())
+        system = assemble(mesh, beam, 0.0)
         ones = np.ones(system.n_free)
         assert ones @ (system.M @ ones) == pytest.approx(reduced)
-        system_tip = assemble(mesh, beam, TipParams(epsilon=0.25))
+        system_tip = assemble(mesh, beam, 0.25)
         assert ones @ (system_tip.M @ ones) == pytest.approx(reduced + 0.25)
 
     def test_shear_kernel_contains_pure_bending_state(self):
@@ -105,7 +97,7 @@ class TestAssemble:
         errs = []
         for ne in (32, 64):
             mesh = build_mesh(1.0, 0.5, ne)
-            system = assemble(mesh, desk_beam(), TipParams())
+            system = assemble(mesh, desk_beam(), 0.0)
             u = system.reduce(np.concatenate([amp_phi * np.sin(a * mesh.nodes),
                                               amp_psi * np.cos(a * mesh.nodes)]))
             errs.append(abs(0.5 * u @ (system.K @ u) - closed) / closed)
@@ -115,8 +107,7 @@ class TestAssemble:
     def test_stiffness_form_is_sum_of_element_energies(self):
         # u.K.u against the strain helper, on a nonuniform mesh with the tip
         eps = 0.4
-        system = desk_system(ne=12, xi=Fraction(2, 5),
-                             tip=TipParams(epsilon=eps))
+        system = desk_system(ne=12, xi=Fraction(2, 5), tip=eps)
         rng = np.random.default_rng(3)
         for _ in range(5):
             u = rng.standard_normal(system.n_free)
@@ -128,7 +119,7 @@ class TestAssemble:
     def test_matches_dense_element_loop(self):
         # nonuniform mesh (xi = 2/5 splits 12 elements 5 + 7), tip and both
         # dampers on, tip damping included
-        tip = TipParams(epsilon=0.4)
+        tip = 0.4
         system = desk_system(ne=12, gamma1=1.0, gamma2=2.0, xi=Fraction(2, 5),
                              tip=tip)
         assert len(set(np.round(system.mesh.widths, 12))) == 2
@@ -165,7 +156,7 @@ class TestProducts:
     @pytest.mark.parametrize("name", ["M", "K"])
     def test_operators(self, name):
         system = desk_system(ne=12, gamma1=1.0, gamma2=2.0, xi=Fraction(2, 5),
-                             tip=TipParams(epsilon=0.4))
+                             tip=0.4)
         self.assert_products(getattr(system, name), seed=len(name))
 
     def test_unsymmetric_list_with_repeats_and_empty_rows(self):
@@ -182,7 +173,7 @@ class TestProducts:
         # the step's force scale reads these sums; they equal scipy's CSR
         # row sums bit for bit
         system = desk_system(ne=64, gamma1=1.0, gamma2=1.0,
-                             tip=TipParams(epsilon=1e-2))
+                             tip=1e-2)
         for A in (system.M, system.K):
             csr = sp.csr_array((A.vals, (A.rows, A.cols)), shape=(A.n, A.n))
             assert np.array_equal(A.abs_row_sums(), abs(csr).sum(axis=1))
@@ -211,11 +202,9 @@ def dense_reference_operators(mesh, beam, tip):
     tip_slot = nn - 2
     D[mesh.xi_index - 1, mesh.xi_index - 1] = beam.gamma1
     D[nn + mesh.xi_index - 1, nn + mesh.xi_index - 1] = beam.gamma2
-    if tip.epsilon:
-        M[tip_slot, tip_slot] += tip.epsilon
-        K[tip_slot, tip_slot] += tip.epsilon
-        if tip.damping_on:
-            D[tip_slot, tip_slot] += tip.epsilon
+    M[tip_slot, tip_slot] += tip
+    K[tip_slot, tip_slot] += tip
+    D[tip_slot, tip_slot] += tip
     return M, K, D
 
 
@@ -282,7 +271,7 @@ class TestRecoverStress:
 class TestGuards:
     def test_mass_positive_definite_guard(self):
         mesh = build_mesh(1.0, 0.5, 6)
-        system = assemble(mesh, desk_beam(), TipParams())
+        system = assemble(mesh, desk_beam(), 0.0)
         np.linalg.cholesky(system.M.toarray())  # does not raise
 
     def test_indefinite_mass_is_an_assembly_error(self):
@@ -290,10 +279,10 @@ class TestGuards:
         beam = desk_beam()
         object.__setattr__(beam, "rho1", -1.0)
         with pytest.raises(AssemblyError, match="mass operator is not positive"):
-            assemble(build_mesh(1.0, 0.5, 6), beam, TipParams())
+            assemble(build_mesh(1.0, 0.5, 6), beam, 0.0)
 
     def test_degenerate_mesh_rejected(self):
         from gapbeam.discretize import Mesh
         bad = Mesh(nodes=np.array([0.0, 0.5, 0.5, 1.0]), xi_index=1)
         with pytest.raises(AssemblyError):
-            assemble(bad, desk_beam(), TipParams())
+            assemble(bad, desk_beam(), 0.0)

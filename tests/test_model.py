@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import inspect
 from fractions import Fraction
@@ -8,17 +9,18 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import force_laws
+from conftest import desk_beam, force_laws
+from gapbeam.config import ExperimentConfig
 from gapbeam.diagnostics import _multipliers
 from gapbeam.model import (
     EXCLUDED,
     STABILIZING,
     BeamParams,
     ForceLaw,
+    NoContact,
     NormalCompliance,
     ParamError,
     SchemeConfig,
-    TipParams,
     body_force,
     body_force_primitive,
     contact_potential,
@@ -154,7 +156,7 @@ class TestBodyForce:
         assert body_force(-1.5, ForceLaw(mu=2.0, alpha=2.0)) == pytest.approx(-6.75)
 
     def test_cutoff_branch(self):
-        law = ForceLaw(mu=1.0, alpha=2.0, cutoff_R=1.0)
+        law = ForceLaw(mu=1.0, alpha=2.0, cutoff_r=1.0)
         assert body_force(3.0, law) == pytest.approx(3.0)
         assert body_force(-3.0, law) == pytest.approx(-3.0)
 
@@ -164,7 +166,7 @@ class TestBodyForce:
         np.testing.assert_allclose(body_force(s, law), [-4.0, 0.0, 0.25])
 
     @pytest.mark.parametrize("law", [
-        ForceLaw(mu=2.0, alpha=1.0, cutoff_R=1.5),
+        ForceLaw(mu=2.0, alpha=1.0, cutoff_r=1.5),
         ForceLaw(mu=0.5, alpha=2.0),
     ])
     def test_primitive_matches_quadrature(self, law):
@@ -174,14 +176,14 @@ class TestBodyForce:
 
     def test_primitive_below_an_overflowing_cutoff(self):
         # R**alpha leaves the floats, but only the tail past R reads it
-        law = ForceLaw(mu=1.0, alpha=3e209, cutoff_R=3e209)
+        law = ForceLaw(mu=1.0, alpha=3e209, cutoff_r=3e209)
         with np.errstate(over="ignore"):
             assert body_force_primitive(np.array([0.0, 0.5]), law).tolist() == \
                 [0.0, 0.0]
 
     def test_global_lipschitz_with_cutoff(self):
-        law = ForceLaw(mu=2.0, alpha=2.0, cutoff_R=1.0)
-        bound = law.mu * (law.alpha + 1.0) * law.cutoff_R**law.alpha
+        law = ForceLaw(mu=2.0, alpha=2.0, cutoff_r=1.0)
+        bound = law.mu * (law.alpha + 1.0) * law.cutoff_r**law.alpha
         s = np.linspace(-5, 5, 400)
         quot = np.abs(np.diff(body_force(s, law))) / np.diff(s)
         assert quot.max() <= bound + 1e-12
@@ -190,13 +192,13 @@ class TestBodyForce:
            sign=st.sampled_from([-1.0, 1.0]))
     def test_primitive_derivative_is_body_force(self, law, k, sign):
         # s = sign k R: draws of k near 1 straddle the cutoff
-        s = sign * k * (law.cutoff_R or 1.0)
+        s = sign * k * (law.cutoff_r or 1.0)
         h = 1e-5 * max(1.0, abs(s))
         lo = body_force_primitive(s - h, law)
         hi = body_force_primitive(s + h, law)
         # body_force is Lipschitz on [s-h, s+h] with the slope bound lip, so
         # the central quotient of its primitive is within lip h/2 of it
-        a = abs(s) + h if law.cutoff_R is None else min(abs(s) + h, law.cutoff_R)
+        a = abs(s) + h if law.cutoff_r is None else min(abs(s) + h, law.cutoff_r)
         lip = law.mu * (law.alpha + 1.0) * a**law.alpha
         tol = lip * h / 2.0 + 1e-14 * (abs(lo) + abs(hi)) / h
         assert abs((hi - lo) / (2.0 * h) - body_force(s, law)) <= tol
@@ -255,30 +257,39 @@ class TestValidation:
     def test_beam_positivity(self):
         with pytest.raises(ValueError):
             BeamParams(rho1=0.0, rho2=1, k=1, b=1, ell=1, gamma1=0, gamma2=0,
-                       xi_real=0.5)
+                       xi_num=1, xi_den=2)
         with pytest.raises(ValueError):
             BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, gamma1=-0.1, gamma2=0,
-                       xi_real=0.5)
+                       xi_num=1, xi_den=2)
 
     def test_xi_inside_domain(self):
-        with pytest.raises(ValueError):
-            BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, gamma1=0, gamma2=0,
-                       xi_real=1.2)
-        with pytest.raises(ValueError):
-            BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, gamma1=0, gamma2=0,
-                       xi_fraction=Fraction(1, 2), xi_real=0.5)
+        for num, den, name in [
+                (6, 5, "xi_num"), (0, 1, "xi_num"), (-1, 2, "xi_num"),
+                (1, 0, "xi_den"), (1, -2, "xi_den"),
+                # below 1 as a fraction, but xi rounds to ell
+                (10**17 - 1, 10**17, "xi_num"),
+                # the float of this fraction would overflow
+                (2**1024, 1, "xi_num")]:
+            with pytest.raises(ParamError) as exc:
+                BeamParams(rho1=1, rho2=1, k=1, b=1, ell=1, gamma1=0, gamma2=0,
+                           xi_num=num, xi_den=den)
+            assert exc.value.name == name
 
     def test_xi_fraction_times_ell(self):
         beam = BeamParams(rho1=1, rho2=1, k=1, b=1, ell=3.0, gamma1=0, gamma2=0,
-                          xi_fraction=Fraction(2, 3))
+                          xi_num=4, xi_den=6)
+        assert beam.xi_fraction == Fraction(2, 3)
         assert beam.xi == pytest.approx(2.0)
 
     def test_tip_epsilon_must_be_nonnegative(self):
         # epsilon = 0 is no tip body, the traction-free end
+        cfg = ExperimentConfig(beam=desk_beam(), contact=NoContact(),
+                               force_f=ForceLaw(), force_g=ForceLaw(), ne=8,
+                               scheme=SchemeConfig(dt=1e-3), t_final=0.0)
+        assert cfg.tip == 0.0
         with pytest.raises(ParamError, match="epsilon must be nonnegative") as exc:
-            TipParams(epsilon=-1e-300)
-        assert exc.value.name == "epsilon"
-        assert TipParams(epsilon=0.0) == TipParams()
+            dataclasses.replace(cfg, tip=-1e-300)
+        assert exc.value.name == "tip"
 
     def test_contact_law_invariants(self):
         with pytest.raises(ValueError):
@@ -303,20 +314,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             ForceLaw(mu=-1.0)
         with pytest.raises(ValueError):
-            ForceLaw(mu=1.0, cutoff_R=0.0)
+            ForceLaw(mu=1.0, cutoff_r=0.0)
 
 
 # one valid instance of every parameter record, each float field set, keyed
 # by its label; the Signorini penalty checks its arguments like a record
 VALID_RECORDS = {
     "BeamParams": (BeamParams, dict(rho1=1.0, rho2=1.0, k=1.0, b=1.0, ell=1.0,
-                                    gamma1=0.5, gamma2=0.5, xi_real=0.5)),
-    "TipParams": (TipParams, dict(epsilon=0.1)),
+                                    gamma1=0.5, gamma2=0.5, xi_num=1, xi_den=2)),
     "NormalCompliance": (NormalCompliance,
                          dict(d1=1.0, d2=1.0, p=2, g_lo=-0.1, g_hi=0.1)),
     "SignoriniPenalty": (NormalCompliance.penalty,
                          dict(eps_pen=1e-2, g_lo=-0.1, g_hi=0.1)),
-    "ForceLaw": (ForceLaw, dict(mu=1.0, alpha=1.0, cutoff_R=2.0, f0=0.5)),
+    "ForceLaw": (ForceLaw, dict(mu=1.0, alpha=1.0, cutoff_r=2.0, f0=0.5)),
     "SchemeConfig": (SchemeConfig, dict(dt=1e-3, newton_tol=1e-10)),
 }
 FLOAT_FIELDS = [(label, name) for label, (_, kw) in VALID_RECORDS.items()

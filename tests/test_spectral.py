@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import desk_beam, desk_system
-from gapbeam import (TipParams, assemble, build_mesh, generator, spectrum,
+from gapbeam import (assemble, build_mesh, generator, spectrum,
                      trend_toward_zero, xi_study)
 from gapbeam.discretize import AssemblyError, tridiagonal_cholesky
 from gapbeam.model import EXCLUDED, STABILIZING
@@ -126,14 +126,14 @@ class TestSpectrum:
         assert "shift_invert" not in msg
 
     @pytest.mark.parametrize("ne, gamma1, gamma2, xi, tip", [
-        (16, 1.0, 1.0, Fraction(1, 2), TipParams()),
-        (16, 1.0, 1.0, Fraction(1, 2), TipParams(epsilon=1e-1)),
-        (16, 1.0, 1.0, Fraction(1, 2), TipParams(epsilon=1e-4)),
-        (16, 1.0, 0.0, Fraction(2, 3), TipParams()),
-        (64, 10.0, 10.0, Fraction(1, 2), TipParams()),
-        (16, 100.0, 100.0, Fraction(1, 2), TipParams(epsilon=1e-2)),
+        (16, 1.0, 1.0, Fraction(1, 2), 0.0),
+        (16, 1.0, 1.0, Fraction(1, 2), 1e-1),
+        (16, 1.0, 1.0, Fraction(1, 2), 1e-4),
+        (16, 1.0, 0.0, Fraction(2, 3), 0.0),
+        (64, 10.0, 10.0, Fraction(1, 2), 0.0),
+        (16, 100.0, 100.0, Fraction(1, 2), 1e-2),
         # two roots near 206.6i and -199.9i once cycled at rounding level
-        (64, 1e3, 1e3, Fraction(1, 2), TipParams(epsilon=1.0)),
+        (64, 1e3, 1e3, Fraction(1, 2), 1.0),
     ], ids=["damped", "hybrid-1e-1", "hybrid-1e-4", "xi-2/3-gamma2-0",
             "overdamped-real-pairs", "overdamped-hybrid-1e-2",
             "stiff-dampers-hybrid-1"])
@@ -156,7 +156,7 @@ class TestSpectrum:
            eps=st.none() | st.floats(1e-4, 1.0),
            xi=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]))
     def test_small_systems_match_qz(self, ne, gammas, eps, xi):
-        tip = TipParams() if eps is None else TipParams(epsilon=eps)
+        tip = 0.0 if eps is None else eps
         system = desk_system(ne=ne, gamma1=gammas[0], gamma2=gammas[1], xi=xi,
                              tip=tip)
         lam = spectrum(generator(system))
@@ -189,13 +189,9 @@ class TestSpectrum:
     def test_undamped_energy_form_is_skew(self, conservative_system):
         A = energy_form(conservative_system)
         assert np.array_equal(A.T, -A)
-        # a conservative tip body keeps it skew; its damping makes the
-        # symmetric part -G, negative semidefinite with one nonzero direction
-        tip = TipParams(epsilon=1e-2, damping_on=False)
-        A = energy_form(desk_system(ne=16, tip=tip))
-        assert np.array_equal(A.T, -A)
-        tip = dataclasses.replace(tip, damping_on=True)
-        A = energy_form(desk_system(ne=16, tip=tip))
+        # the tip body's damping makes the symmetric part -G, negative
+        # semidefinite with one nonzero direction
+        A = energy_form(desk_system(ne=16, tip=1e-2))
         sym = np.linalg.eigvalsh(A + A.T)
         assert sym.min() < -1e-3 and sym.max() <= 1e-14
         assert np.sum(np.abs(sym) > 1e-12) == 1
@@ -237,7 +233,7 @@ class TestSpectrum:
         # frequencies pair up within rounding; with the transverse damper
         # alone, one mode of each pair stays undamped
         beam = dataclasses.replace(desk_beam(gamma1=1.0), ell=1e-30)
-        system = assemble(build_mesh(beam.ell, beam.xi, 8), beam, TipParams())
+        system = assemble(build_mesh(beam.ell, beam.xi, 8), beam, 0.0)
         omega, Q = modal_form(generator(system))
         assert np.sum(np.diff(omega) == 0.0) >= 4
         lam = spectrum(generator(system))
@@ -271,7 +267,7 @@ class TestSpectrum:
         # the tip coordinate is identified with the end-deflection dof, so the
         # hybrid pencil has the same size as the traction-free one
         plain = desk_system(ne=8)
-        hybrid = desk_system(ne=8, tip=TipParams(epsilon=1e-2))
+        hybrid = desk_system(ne=8, tip=1e-2)
         assert generator(plain).n == generator(hybrid).n
 
 
@@ -294,7 +290,7 @@ class TestMassFactor:
         np.testing.assert_allclose(below, ref[1, :-1], rtol=1e-14, atol=0.0)
 
     def test_mass_factor_reproduces_mass(self):
-        system = desk_system(ne=16, tip=TipParams(epsilon=1e-4))
+        system = desk_system(ne=16, tip=1e-4)
         M = system.M
         lower, below = tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
         L = np.diag(lower) + np.diag(below, -1)
@@ -335,7 +331,7 @@ class TestStopHeldTip:
     @pytest.mark.parametrize("ne", [32, 64])
     def test_held_abscissa_hundredfold_closer_to_zero(self, ne):
         system = desk_system(ne=ne, gamma1=1.0, gamma2=1.0,
-                             tip=TipParams(epsilon=1e-4))
+                             tip=1e-4)
         K, tip = system.K, system.tip_slot
         held_K = dataclasses.replace(K, rows=np.append(K.rows, tip),
                                      cols=np.append(K.cols, tip),
@@ -354,7 +350,7 @@ class TestEpsilonSweep:
         gaps = []
         for eps in (1e-2, 1e-3, 1e-4):
             system = desk_system(ne=32, gamma1=1.0, gamma2=1.0,
-                                 tip=TipParams(epsilon=eps))
+                                 tip=eps)
             abscissa = spectrum(generator(system))[0].real
             assert abscissa < 0.0
             gaps.append(abs(abscissa - non_hybrid))
@@ -365,7 +361,7 @@ class TestEpsilonSweep:
 class TestXiStudy:
     def test_verdicts_and_dissipativity(self):
         beam = desk_beam(gamma1=1.0, gamma2=0.0)
-        rows = xi_study(beam, TipParams(), [Fraction(1, 2), Fraction(2, 3)], [16, 32])
+        rows = xi_study(beam, 0.0, [Fraction(1, 2), Fraction(2, 3)], [16, 32])
         assert len(rows) == 4
         by_xi = {}
         for xi, _, abscissa, verdict in rows:
@@ -378,11 +374,11 @@ class TestXiStudy:
         # a too fine last mesh fails before the coarse rows are solved
         monkeypatch.setattr("gapbeam.spectral.assemble", None)
         with pytest.raises(DimensionCapExceeded, match="4004"):
-            xi_study(desk_beam(), TipParams(), [Fraction(1, 2)], [8, 1001])
+            xi_study(desk_beam(), 0.0, [Fraction(1, 2)], [8, 1001])
 
     def test_undamped_rows_sit_on_axis(self):
         beam = desk_beam(gamma1=0.0, gamma2=0.0)
-        rows = xi_study(beam, TipParams(),
+        rows = xi_study(beam, 0.0,
                         [Fraction(1, 2), Fraction(2, 3), Fraction(1, 3)], [16])
         for _, _, abscissa, _ in rows:
             assert abs(abscissa) <= 1e-10

@@ -14,7 +14,6 @@ from gapbeam import (
     NoContact,
     NormalCompliance,
     SchemeConfig,
-    TipParams,
     initial_state,
     simulate,
     state_norm,
@@ -80,7 +79,7 @@ class TestStep:
             assert total_energy(damped_system, *s1, LINEAR) <= e0 + 1e-12
 
     def test_tip_identification(self):
-        system = desk_system(ne=8, tip=TipParams(epsilon=0.5))
+        system = desk_system(ne=8, tip=0.5)
         s = initial_state(system, "mode", amplitude=0.2, mode=1)
         cfg = SchemeConfig(dt=1e-2)
         u1, w1 = last_state(simulate(system, s, LINEAR, cfg, cfg.dt))
@@ -91,7 +90,7 @@ class TestStep:
 class TestOrderOfAccuracy:
     def test_second_order_against_matrix_exponential(self):
         system = desk_system(ne=8, gamma1=0.7, gamma2=0.4,
-                             tip=TipParams(epsilon=0.3))
+                             tip=0.3)
         s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.4)
         u0, w0 = s0
         n = system.n_free
@@ -166,7 +165,7 @@ class TestSimulate:
         assert all(b <= a + 1e-10 for a, b in zip(es, es[1:]))
 
     def test_divergence_reports_failing_time(self):
-        system = desk_system(ne=8, tip=TipParams(epsilon=1e-6))
+        system = desk_system(ne=8, tip=1e-6)
         laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-10, g_lo=-0.01,
                                                      g_hi=0.01))
         s0 = initial_state(system, "mode_velocity", amplitude=50.0)
@@ -179,7 +178,7 @@ class TestSimulate:
 class TestContactStepping:
     def test_penalty_kink_steps_converge(self):
         system = desk_system(ne=16, gamma1=1.0, gamma2=1.0,
-                             tip=TipParams(epsilon=1e-3))
+                             tip=1e-3)
         laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-3, g_lo=-0.05,
                                                      g_hi=0.05))
         s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)
@@ -224,12 +223,12 @@ class TestContactStepping:
 
 
 def body_slope(s, law):
-    """Exact d(body_force)/ds: mu (alpha+1)|s|^alpha, mu R^alpha past cutoff_R."""
+    """Exact d(body_force)/ds: mu (alpha+1)|s|^alpha, mu R^alpha past cutoff_r."""
     a = np.abs(s)
     inner = law.mu * (law.alpha + 1.0) * a**law.alpha
-    if law.cutoff_R is None:
+    if law.cutoff_r is None:
         return inner
-    return np.where(a <= law.cutoff_R, inner, law.mu * law.cutoff_R**law.alpha)
+    return np.where(a <= law.cutoff_r, inner, law.mu * law.cutoff_r**law.alpha)
 
 
 def dense_body_terms(system, laws, um):
@@ -301,7 +300,7 @@ class TestSparseStepAgainstDense:
     @pytest.mark.parametrize("mu", [0.0, 2.0], ids=["contact", "body+contact"])
     def test_one_step_matches_dense_newton(self, mu):
         system = desk_system(ne=12, gamma1=1.0, gamma2=0.5,
-                             tip=TipParams(epsilon=0.3))
+                             tip=0.3)
         laws = Laws(contact=self.COMPLIANCE,
                     force_f=ForceLaw(mu=mu, alpha=1.0, f0=0.25),
                     force_g=ForceLaw(mu=mu, alpha=1.0, f0=-0.1))
@@ -364,8 +363,8 @@ class TestBandFactor:
 
     # n = 2 ne dofs: below BLOCK, equal to it, above it, many times it
     @pytest.mark.parametrize("ne", [4, BLOCK // 2, BLOCK // 2 + 1, 6 * BLOCK])
-    @pytest.mark.parametrize("tip", [TipParams(),
-                                     TipParams(epsilon=0.3)],
+    @pytest.mark.parametrize("tip", [0.0,
+                                     0.3],
                              ids=["free_end", "damped_tip"])
     def test_step_matrix_solve_matches_dense_solve(self, ne, tip):
         system = desk_system(ne=ne, gamma1=1.0, gamma2=0.5, xi=Fraction(2, 5),
@@ -434,7 +433,7 @@ class TestStepContract:
                                             seed, dt):
         # the corrector only promises a small step residual; check it against
         # the dense midpoint equations, not the stepper's own residual
-        tip = TipParams() if tip_eps is None else TipParams(epsilon=tip_eps)
+        tip = 0.0 if tip_eps is None else tip_eps
         system = desk_system(ne=8, gamma1=gamma1, gamma2=gamma2, tip=tip)
         laws = Laws(contact=contact, force_f=force_f, force_g=force_g)
         cfg = SchemeConfig(dt=dt)
@@ -467,7 +466,7 @@ class TestEnergyIdentity:
         # force, plus the contact traction at um; the accepted step leaves a
         # residual R of at most newton_tol * fscale * max(1, |u+|), so the
         # defect delta.R stays within that scale times |delta|
-        tip = TipParams() if tip_eps is None else TipParams(epsilon=tip_eps)
+        tip = 0.0 if tip_eps is None else tip_eps
         system = desk_system(ne=8, gamma1=gamma1, gamma2=gamma2, tip=tip)
         laws = Laws(contact=contact, force_f=force_f, force_g=force_g)
         cfg = SchemeConfig(dt=dt)
