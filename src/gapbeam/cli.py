@@ -221,21 +221,22 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
         # tip-coefficient study: compare against the plain traction-free model,
         # the row epsilon = 0
         tips += [0.0, *cfg.sweep.epsilon]
+    distinct = list(dict.fromkeys(tips))  # each epsilon is solved once
     try:
-        spectra = map_rows(
-            mesh_spectrum, [(cfg.beam, tip, cfg.ne) for tip in tips],
-            workers=cfg.sweep.workers)
+        spectra = dict(zip(distinct, map_rows(
+            mesh_spectrum, [(cfg.beam, tip, cfg.ne) for tip in distinct],
+            workers=cfg.sweep.workers)))
     except DimensionCapExceeded as exc:
         raise ConfigError(f"mesh.ne: {exc}") from exc
     # a spectrum is sorted by real part, descending: lam[0].real is its abscissa
     (abscissa, gap), *study = [(float(lam[0].real), float(abs(lam.real).min()))
-                               for lam in spectra]
-    write_spectrum_csv(out / "spectrum.csv", spectra[0])
+                               for lam in map(spectra.get, tips)]
+    write_spectrum_csv(out / "spectrum.csv", spectra[cfg.tip])
     entries = {
         "model": "hybrid" if cfg.tip else "non-hybrid", "ne": cfg.ne,
         "epsilon": fmt(cfg.tip) if cfg.tip else "",
         "abscissa": abscissa, "min_damping_gap": gap,
-        "n_eigenvalues": len(spectra[0]),
+        "n_eigenvalues": len(spectra[cfg.tip]),
     }
     if study:
         labels = ["non-hybrid"] + [fmt(eps) for eps in cfg.sweep.epsilon]
@@ -251,6 +252,7 @@ def cmd_observability(cfg: ExperimentConfig, out: Path) -> dict:
         raise ConfigError(f"run.stride: observability needs samples at most "
                           f"{MAX_STRIDE} steps apart, got {cfg.stride}")
     system, laws, traj = _run(cfg)
+    # multiplier.n = 0, the default, takes the sharpness n = ceil(8/ell)
     series, figures = observability(system, traj, cfg.multiplier_n, laws)
     write_table_csv(out / "observability.csv", OBSERVABILITY_SCHEMA,
                     ("t", *series), zip(traj.times, *series.values()))

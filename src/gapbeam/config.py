@@ -86,7 +86,7 @@ class SweepSpec:
             raise ParamError("ne", "need at least 2 elements")
         if not all(0 < x < 1 for x in self.xi):
             raise ParamError("xi", "must lie strictly inside (0, 1)")
-        for name in ("xi", "ne", "eps_pen"):
+        for name in ("xi", "ne", "eps_pen", "epsilon"):
             values = getattr(self, name)
             for i, j in enumerate(map(values.index, values)):
                 if i != j:
@@ -115,18 +115,18 @@ class ExperimentConfig:
     stride: int = 1
     seed: int = 0
     init: InitSpec = field(default_factory=InitSpec)
-    multiplier_n: int | None = None
+    multiplier_n: int = 0
     sweep: SweepSpec = field(default_factory=SweepSpec)
     snapshot: bool = False
 
     def __post_init__(self):
         if self.tip < 0.0:
             raise ParamError("tip", "epsilon must be nonnegative")
-        if (self.multiplier_n or 0) < 0:
+        if self.multiplier_n < 0:
             raise ParamError("multiplier_n", "must be >= 0 (0: default)")
         # the multiplier exp(n x) must stay finite up to x = ell
         n_max = math.log(sys.float_info.max) / self.beam.ell
-        if (self.multiplier_n or 0) > n_max:
+        if self.multiplier_n > n_max:
             raise ParamError("multiplier_n", f"must be at most {n_max:.6g} "
                              "(n * beam.ell <= log of the largest float)")
         if self.ne < 2:
@@ -206,8 +206,6 @@ def _list(conv):
 _PARSERS = {
     "float": _finite_float, "int": _int, "bool": _bool, "str": str,
     "float | None": _optional_float,
-    # multiplier.n = 0 asks for the default multiplier, which is None
-    "int | None": lambda text: _int(text) or None,
     "tuple[float, ...]": _list(_finite_float), "tuple[int, ...]": _list(int),
     "tuple[Fraction, ...]": _list(_parse_fraction),
 }

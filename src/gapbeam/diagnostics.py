@@ -91,7 +91,7 @@ def _multipliers(x, n: int, ell: float):
     return ((e - 1.0) / n, e), ((e0 - math.exp(-n * ell)) / n, -e0)
 
 
-def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = None,
+def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int = 0,
                   laws: Laws | None = None) -> tuple[dict, dict]:
     """Evaluate the boundary/interior observability functionals along a run.
 
@@ -99,11 +99,11 @@ def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = 
     interior functional; their size relative to the initial energy is
     reported, not asserted (the comparison constant is not quantified).
     Samples may lie at most MAX_STRIDE steps apart.  n is the sharpness of
-    the exponential multipliers (see _multipliers); None takes ceil(8/ell),
-    large enough that the slope of the weight dominates its value.  Each
-    sample's element strains give both the interior functionals at the Gauss
-    points and the one-sided end traces: the stresses of the last element at
-    ell and of the first at 0.
+    the exponential multipliers (see _multipliers); 0 takes ceil(8/ell),
+    large enough that the slope of the weight dominates its value.  The
+    element strains of every sample give both the interior functionals at
+    the Gauss points and the one-sided end traces: the stresses of the last
+    element at ell and of the first at 0.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -115,30 +115,25 @@ def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int | None = 
     laws = laws or Laws()
     mesh, beam = system.mesh, system.beam
     ell = mesh.ell
-    n = math.ceil(8.0 / ell) if n is None else n
+    n = n or math.ceil(8.0 / ell)
     if n < 1:
         raise ValueError("multiplier parameter n must be a positive integer")
     weights = mesh.gauss_weights
     (q, qx), (q0, q0x) = _multipliers(mesh.gauss_points, n, ell)
     times = traj.times
-    I_ell, I_0, L_q, L_q0, I_int = np.empty((5, len(traj)))
-    for i, (u, w) in enumerate(zip(traj.U, traj.W)):
-        gamma, kappa = element_strains(mesh, *system.expand(u))
-        phi_t, psi_t = system.expand(w)
-        S_el, M_el = beam.k * gamma, beam.b * kappa
-        for series, end in ((I_ell, -1), (I_0, 0)):
-            # numpy scalar pow, not an array's x * x; inf past the float range
-            series[i] = (beam.rho2 * beam.b * psi_t[end] ** 2
-                         + M_el[end] ** 2
-                         + beam.rho1 * beam.k * phi_t[end] ** 2
-                         + S_el[end] ** 2)
-        phit_g, psit_g = mesh.at_gauss(phi_t), mesh.at_gauss(psi_t)
-        intensity = (beam.rho2 * beam.b * psit_g**2 + M_el[:, None] ** 2
-                     + beam.rho1 * beam.k * phit_g**2 + S_el[:, None] ** 2)
-        cross = beam.rho1 * beam.k * phit_g * psit_g - (S_el * M_el)[:, None]
-        L_q[i] = np.sum(weights * (qx * intensity - q * cross))
-        L_q0[i] = np.sum(weights * (q0x * intensity - q0 * cross))
-        I_int[i] = np.sum(weights * intensity)
+    # (samples, ne) strains and (samples, nn) velocities
+    gamma, kappa = element_strains(mesh, *system.expand(traj.U))
+    phi_t, psi_t = system.expand(traj.W)
+    S_el, M_el = beam.k * gamma, beam.b * kappa
+    I_ell, I_0 = (beam.rho2 * beam.b * psi_t[:, end] ** 2 + M_el[:, end] ** 2
+                  + beam.rho1 * beam.k * phi_t[:, end] ** 2 + S_el[:, end] ** 2
+                  for end in (-1, 0))
+    phit_g, psit_g = mesh.at_gauss(phi_t), mesh.at_gauss(psi_t)
+    intensity = (beam.rho2 * beam.b * psit_g**2 + M_el[..., None] ** 2
+                 + beam.rho1 * beam.k * phit_g**2 + S_el[..., None] ** 2)
+    cross = beam.rho1 * beam.k * phit_g * psit_g - (S_el * M_el)[..., None]
+    L_q, L_q0, I_int = (np.sum(weights * f, axis=(-2, -1)) for f in (
+        qx * intensity - q * cross, q0x * intensity - q0 * cross, intensity))
 
     (q_ell, _), _ = _multipliers(ell, n, ell)
     _, (q0_0, _) = _multipliers(0.0, n, ell)

@@ -129,8 +129,9 @@ class Mesh:
         return np.diff(self.nodes)
 
     def at_gauss(self, nodal: np.ndarray) -> np.ndarray:
-        """Values of a nodal field at the 2-point Gauss nodes, shape (ne, 2)."""
-        return nodal[:-1, None] * N_LEFT + nodal[1:, None] * N_RIGHT
+        """Values of a nodal field at the 2-point Gauss nodes, shape (..., ne, 2):
+        the nodes run along the last axis of nodal, other axes carry over."""
+        return nodal[..., :-1, None] * N_LEFT + nodal[..., 1:, None] * N_RIGHT
 
     @cached_property
     def gauss_points(self) -> np.ndarray:
@@ -159,9 +160,6 @@ def build_mesh(ell: float, xi: float, ne: int) -> Mesh:
     nodes = np.concatenate(
         [np.linspace(0.0, xi, n_left + 1), np.linspace(xi, ell, n_right + 1)[1:]]
     )
-    nodes[0] = 0.0
-    nodes[n_left] = xi
-    nodes[-1] = ell
     if np.any(np.diff(nodes) <= 0.0):
         raise AssemblyError("mesh nodes not strictly increasing")
     return Mesh(nodes=nodes, xi_index=n_left)

@@ -217,7 +217,7 @@ class TestConfigParsing:
         assert cfg.scheme == SchemeConfig(dt=1e-3)
         assert cfg.contact == NoContact()
         assert (cfg.stride, cfg.seed, cfg.multiplier_n, cfg.snapshot) == \
-            (1, 0, None, False)
+            (1, 0, 0, False)
 
     def test_known_keys_are_pinned(self):
         # each kind builds with every key it reads, so every pinned key is read
@@ -333,6 +333,7 @@ class TestSimulateCommand:
           "contact.g_hi": "0.05", "contact.eps_pen": "7"}, "contact.eps_pen"),
         ({"contact.d1": "5", "contact.g_hi": "0.05"}, "contact.d1"),
         ({"beam.xi_den": "0"}, "beam.xi_den"),
+        ({"sweep.epsilon": "0.1, 0.1"}, "sweep.epsilon: 0.1 is repeated"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -468,15 +469,25 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         assert float(read_summary(out)["abscissa"]) < 0.0
 
-    def test_epsilon_study_table(self, tmp_path):
-        cfg = write_cfg(tmp_path, cfg_text(sweep__epsilon="1e-1, 1e-2, 1e-3"))
+    def test_epsilon_study_table(self, tmp_path, monkeypatch):
+        # the model (tip.epsilon = 0) and the non-hybrid row are one spectrum:
+        # each distinct epsilon is solved once
+        calls = []
+        solve = gapbeam.spectral.spectrum
+        monkeypatch.setattr("gapbeam.spectral.spectrum",
+                            lambda *args: calls.append(1) or solve(*args))
+        cfg = write_cfg(tmp_path, cfg_text(sweep__epsilon="1e-1, 1e-2, 1e-3",
+                                           sweep__workers="1"))
         out = tmp_path / "out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 4
         lines = (out / "eps_study.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines[2:]]
         assert rows[0][0] == "non-hybrid"
         assert len(rows) == 4
         assert all(float(r[1]) < 0.0 for r in rows)
+        summary = read_summary(out)
+        assert summary["non_hybrid_abscissa"] == summary["abscissa"]
 
     def test_model_and_epsilon_tags(self, tmp_path):
         tags = []

@@ -19,7 +19,8 @@ from gapbeam import (
     observability,
     simulate,
 )
-from gapbeam.discretize import recover_stress
+from gapbeam.diagnostics import _multipliers
+from gapbeam.discretize import element_strains, recover_stress
 from gapbeam.model import NoContact
 from gapbeam.timestep import Trajectory
 
@@ -290,8 +291,8 @@ class TestObservability:
 
     def test_end_traces_and_default_n(self, damped_system):
         # on a moving beam each end intensity is built from the one-sided
-        # stress trace that recover_stress takes there, and n=None is the
-        # default sharpness ceil(8/ell)
+        # stress trace that recover_stress takes there, and n = 0, the
+        # default, is the sharpness ceil(8/ell), bit for bit
         s0 = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.05,
                         sample_stride=5)
@@ -307,15 +308,30 @@ class TestObservability:
                                 + beam.rho1 * beam.k * phi_t[node] ** 2 + S**2)
             assert np.all(series[name] > 0.0)
             assert np.array_equal(series[name], expected)
-        again = observability(damped_system, traj, math.ceil(8.0 / ell))
-        for got, want in zip(again, (series, figures)):
-            assert list(got) == list(want)
-            for name in want:
-                assert np.array_equal(got[name], want[name]), name
+        # the interior functionals of one sample at a time, the same arithmetic
+        mesh = damped_system.mesh
+        (q, qx), (q0, q0x) = _multipliers(mesh.gauss_points, math.ceil(8.0 / ell),
+                                          ell)
+        for i, (u, w) in enumerate(zip(traj.U, traj.W)):
+            gamma, kappa = element_strains(mesh, *damped_system.expand(u))
+            S, Mb = beam.k * gamma[:, None], beam.b * kappa[:, None]
+            phi_g, psi_g = map(mesh.at_gauss, damped_system.expand(w))
+            intensity = (beam.rho2 * beam.b * psi_g**2 + Mb**2
+                         + beam.rho1 * beam.k * phi_g**2 + S**2)
+            cross = beam.rho1 * beam.k * phi_g * psi_g - S * Mb
+            for name, a, ax in (("L", q, qx), ("L0", q0, q0x)):
+                assert series[name][i] == np.sum(
+                    mesh.gauss_weights * (ax * intensity - a * cross)), (name, i)
+        for n in (0, math.ceil(8.0 / ell)):
+            again = observability(damped_system, traj, n)
+            for got, want in zip(again, (series, figures)):
+                assert list(got) == list(want)
+                for name in want:
+                    assert np.array_equal(got[name], want[name]), name
 
     def test_nonpositive_n_rejected(self, damped_system):
         with pytest.raises(ValueError, match="multiplier parameter n"):
-            observability(damped_system, _traj(_tip_at(damped_system, 0.0)), 0)
+            observability(damped_system, _traj(_tip_at(damped_system, 0.0)), -1)
 
 
 class TestAbsorbingProbe:

@@ -32,9 +32,12 @@ class TestBuildMesh:
         assert mesh.xi_index == 2
 
     def test_xi_exactly_a_node(self):
-        for xi in (1.0 / 3.0, 2.0 / 3.0, 0.123456):
-            mesh = build_mesh(1.0, xi, 37)
-            assert mesh.nodes[mesh.xi_index] == xi
+        # the ends too, exactly, on short and long beams
+        for ell in (1.0, 3.7, 1e-3):
+            for xi in (ell / 3.0, 2.0 * ell / 3.0, 0.123456 * ell):
+                mesh = build_mesh(ell, xi, 37)
+                assert mesh.nodes[mesh.xi_index] == xi
+                assert (mesh.nodes[0], mesh.nodes[-1]) == (0.0, ell)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,12 @@ energy is inf from the first sample (exit 3, once exit 0 with fit_status =
 ok).  Every config runs once with sweep.workers = 1 and once with 2, which
 only the sweeps read.
 
-The output opens with the Python, numpy and BLAS versions that made it.
+Run as a script, the tool pins BLAS to one thread, as bench/run.py does
+(its BLAS_ENV, set before numpy loads): from the dense Cholesky factor of K in
+spectral.modal_form on, the spectra round differently on one thread and on
+two.  Imported, it leaves the environment as it finds it.  The output opens
+with the Python, numpy and BLAS versions and the BLAS thread variables that
+made it.
 tools/artifact_digests.expected holds it as of the last change that moved an
 artifact byte; such a change regenerates the file (first command above).
 --check shows that a change leaves every artifact byte-identical: it prints
@@ -34,16 +39,22 @@ there is one.  Other versions may move digests with no defect, so under them
 
 from __future__ import annotations
 
+import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = Path(__file__).with_suffix(".expected")
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
+
+from run import BLAS_ENV  # noqa: E402
+
+if __name__ == "__main__":
+    os.environ.update(BLAS_ENV)
+
+import numpy as np  # noqa: E402
 
 from gapbeam.cli import main  # noqa: E402
 from gapbeam.config import parse_mapping  # noqa: E402
@@ -137,10 +148,11 @@ def digest_lines():
 
 
 def environment() -> list[str]:
-    """The header lines: the versions the digests depend on."""
+    """The header lines: the versions and BLAS threads the digests depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{key}={os.environ.get(key, '')}" for key in BLAS_ENV)
     return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
-            f"# blas {blas['name']} {blas['version']}"]
+            f"# blas {blas['name']} {blas['version']}", f"# blas threads {threads}"]
 
 
 def check() -> int:
