@@ -2,10 +2,8 @@
 
 from .model import (
     BeamParams,
-    ContactLaw,
     ForceLaw,
     Laws,
-    NoContact,
     NormalCompliance,
     SchemeConfig,
     body_force,

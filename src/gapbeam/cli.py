@@ -53,7 +53,7 @@ from .diagnostics import (
 )
 from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
                          recover_stress)
-from .model import NoContact, NormalCompliance
+from .model import NormalCompliance
 from .rows import map_rows
 from .spectral import (DimensionCapExceeded, SpectrumCertificateError,
                        mesh_spectrum, trend_toward_zero, xi_study)
@@ -107,7 +107,7 @@ def _report(cfg: ExperimentConfig, out: Path, **tolerances):
     entries = {"samples": len(traj), "E_initial": energies[0],
                "E_final": energies[-1], **fit_decay(traj.times, energies)}
     law = laws.contact
-    if not isinstance(law, NoContact):
+    if law is not None:
         entries["constraint_violation"] = constraint_violation(
             system, traj, law.g_lo, law.g_hi)
         entries.update(complementarity_report(system, traj, law, **tolerances))
@@ -172,7 +172,7 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> dict:
     if not cfg.sweep.eps_pen:
         raise ConfigError("sweep.eps_pen: empty axis for sweep-eps")
     law = cfg.contact
-    if not (isinstance(law, NormalCompliance) and law.p == 1 and law.d1 == law.d2):
+    if law is None or law.p != 1 or law.d1 != law.d2:
         raise ConfigError("contact.kind: sweep-eps needs a penalty law, "
                           "signorini_penalty or p = 1 with d1 = d2")
     # repr is exact, so no two rows share a directory

@@ -10,7 +10,7 @@ parsed by its annotation, and an absent key keeps the record's default.  A
 record's __post_init__ checks its fields; its ParamError names the key.
 `tip.epsilon` is the number epsilon >= 0 that the tip body adds to the mass,
 damping and stiffness of the end deflection; its default 0 is no body, the
-traction-free end.  `contact.kind` picks the stop law: none,
+traction-free end.  `contact.kind` picks the stop law: none for no law,
 normal_compliance (contact.d1, d2, p, g_lo, g_hi), or signorini_penalty,
 which is the p = 1 compliance law with d1 = d2 = 1/contact.eps_pen.
 
@@ -32,7 +32,6 @@ from .model import (
     BeamParams,
     ForceLaw,
     Laws,
-    NoContact,
     NormalCompliance,
     ParamError,
     SchemeConfig,
@@ -104,7 +103,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     beam: BeamParams
-    contact: object
+    contact: NormalCompliance | None
     force_f: ForceLaw
     force_g: ForceLaw
     ne: int
@@ -249,7 +248,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
 
     kind = _get(mapping, "contact.kind", str.lower, "none")
     if kind == "none":
-        contact = NoContact()
+        contact = None
     elif kind == "normal_compliance":
         contact = _record(NormalCompliance, "contact", mapping,
                           p=_get(mapping, "contact.p", _int, 1))

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .discretize import SemiDiscreteSystem, element_strains, recover_stress
-from .model import Laws, NoContact, SchemeConfig
+from .model import Laws, SchemeConfig
 from .timestep import (
     Trajectory,
     energy,
@@ -92,7 +92,7 @@ def _multipliers(x, n: int, ell: float):
 
 
 def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int = 0,
-                  laws: Laws | None = None) -> tuple[dict, dict]:
+                  laws: Laws = Laws()) -> tuple[dict, dict]:
     """Evaluate the boundary/interior observability functionals along a run.
 
     The defects compare the weighted boundary time-integrals against the
@@ -112,7 +112,6 @@ def observability(system: SemiDiscreteSystem, traj: Trajectory, n: int = 0,
         if stride > MAX_STRIDE:
             raise ValueError(f"trajectory sampled every {stride} steps, more "
                              f"than {MAX_STRIDE}")
-    laws = laws or Laws()
     mesh, beam = system.mesh, system.beam
     ell = mesh.ell
     n = n or math.ceil(8.0 / ell)
@@ -181,8 +180,6 @@ def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
     O(h) recovery error during fast transients).  t_start restricts the
     classification to the settled part of the run.
     """
-    if isinstance(law, NoContact):
-        raise ValueError("complementarity needs an active contact law")
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     beam = system.beam

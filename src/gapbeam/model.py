@@ -87,11 +87,6 @@ class BeamParams:
 
 
 @dataclass(frozen=True)
-class NoContact:
-    """Free end: no obstacle."""
-
-
-@dataclass(frozen=True)
 class NormalCompliance:
     """Power-law compliant stops: traction grows as penetration**p.
 
@@ -133,9 +128,6 @@ class NormalCompliance:
         return cls(d1=d, d2=d, p=1, g_lo=g_lo, g_hi=g_hi)
 
 
-ContactLaw = NoContact | NormalCompliance
-
-
 @dataclass(frozen=True)
 class ForceLaw:
     """Semilinear restoring force mu*s*|s|**alpha with optional truncation.
@@ -162,9 +154,9 @@ class ForceLaw:
 
 @dataclass(frozen=True)
 class Laws:
-    """Bundle of the nonlinear laws entering the force balance."""
+    """The nonlinear laws of the force balance; contact None: a traction-free end."""
 
-    contact: ContactLaw = NoContact()
+    contact: NormalCompliance | None = None
     force_f: ForceLaw = ForceLaw()
     force_g: ForceLaw = ForceLaw()
 
@@ -233,13 +225,11 @@ def contact_traction(v: float, law: NormalCompliance) -> tuple[float, float]:
     return -law.d2 * up**law.p + law.d1 * lo**law.p, slope
 
 
-def contact_potential(v: float, law: ContactLaw) -> float:
+def contact_potential(v: float, law: NormalCompliance) -> float:
     """Stored contact energy; nonnegative, zero on the gap.
 
     Its negative derivative with respect to v is contact_traction's traction.
     """
-    if isinstance(law, NoContact):
-        return 0.0
     up = max(v - law.g_hi, 0.0)
     lo = max(law.g_lo - v, 0.0)
     q = law.p + 1
@@ -247,30 +237,20 @@ def contact_potential(v: float, law: ContactLaw) -> float:
 
 
 def body_force(s, law: ForceLaw):
-    """Pointwise semilinear force mu*s*|s|**alpha, slope-saturated past cutoff_r.
-
-    Accepts scalars or arrays.
-    """
-    s = np.asarray(s, dtype=float)
-    a = np.abs(s)
-    if law.cutoff_r is not None:
-        a = np.minimum(a, law.cutoff_r)
-    out = law.mu * s * a**law.alpha
-    return float(out) if out.ndim == 0 else out
+    """Pointwise semilinear force mu*s*|s|**alpha, slope-saturated past cutoff_r."""
+    a = np.abs(s) if law.cutoff_r is None else np.minimum(np.abs(s), law.cutoff_r)
+    return law.mu * s * a**law.alpha
 
 
 def body_force_primitive(s, law: ForceLaw):
     """Antiderivative of body_force vanishing at 0 (an even, nonnegative function)."""
-    s = np.asarray(s, dtype=float)
     a = np.abs(s)
     if law.cutoff_r is None:
-        out = law.mu * a ** (law.alpha + 2.0) / (law.alpha + 2.0)
-    else:
-        R = np.float64(law.cutoff_r)  # R**alpha overflows to inf, not an error
-        core = law.mu * np.minimum(a, R) ** (law.alpha + 2.0) / (law.alpha + 2.0)
-        tail = np.where(a > R, law.mu * R**law.alpha * (a**2 - R**2) / 2.0, 0.0)
-        out = core + tail
-    return float(out) if out.ndim == 0 else out
+        return law.mu * a ** (law.alpha + 2.0) / (law.alpha + 2.0)
+    R = np.float64(law.cutoff_r)  # R**alpha overflows to inf, not an error
+    core = law.mu * np.minimum(a, R) ** (law.alpha + 2.0) / (law.alpha + 2.0)
+    tail = np.where(a > R, law.mu * R**law.alpha * (a**2 - R**2) / 2.0, 0.0)
+    return core + tail
 
 
 def is_stabilizing_xi(xi_fraction: Fraction) -> str:

@@ -24,7 +24,6 @@ from .discretize import (N_LEFT, N_RIGHT, AssemblyError, CooMatrix, Mesh,
 from .model import (
     ForceLaw,
     Laws,
-    NoContact,
     SchemeConfig,
     body_force,
     body_force_primitive,
@@ -159,7 +158,7 @@ def energy(system: SemiDiscreteSystem, u: np.ndarray, w: np.ndarray,
     if tip:  # with no body, an overflowing v must not give 0 * inf
         tip_e = 0.5 * tip * (v**2 + v_t**2)
         kinetic -= 0.5 * tip * v_t**2
-    n_p = contact_potential(v, laws.contact)
+    n_p = contact_potential(v, laws.contact) if laws.contact else 0.0
     fhat = integrate_primitive(mesh, phi, laws.force_f)
     ghat = integrate_primitive(mesh, psi, laws.force_g)
     return {
@@ -230,7 +229,7 @@ class MidpointStepper:
             for offset, f0 in ((0, laws.force_f.f0), (nn, laws.force_g.f0))
             if f0 != 0.0)
         self._nl_body = laws.force_f.mu > 0.0 or laws.force_g.mu > 0.0
-        self._nl_contact = not isinstance(laws.contact, NoContact)
+        self._nl_contact = laws.contact is not None
         self._cache: dict[float, tuple] = {}
 
     # -- assembly helpers -------------------------------------------------

@@ -17,8 +17,7 @@ from gapbeam.artifacts import load_snapshot, save_snapshot
 from gapbeam.cli import main
 from gapbeam.config import (_PARSERS, ConfigError, ExperimentConfig, InitSpec,
                             SweepSpec, build_config, load_config, parse_mapping)
-from gapbeam.model import (BeamParams, ForceLaw, NoContact, NormalCompliance,
-                           SchemeConfig)
+from gapbeam.model import BeamParams, ForceLaw, NormalCompliance, SchemeConfig
 from gapbeam.spectral import SpectrumCertificateError
 
 BASE_MAP = {
@@ -215,7 +214,7 @@ class TestConfigParsing:
         assert cfg.init == InitSpec()
         assert cfg.sweep == SweepSpec()
         assert cfg.scheme == SchemeConfig(dt=1e-3)
-        assert cfg.contact == NoContact()
+        assert cfg.contact is None
         assert (cfg.stride, cfg.seed, cfg.multiplier_n, cfg.snapshot) == \
             (1, 0, 0, False)
 
@@ -334,6 +333,14 @@ class TestSimulateCommand:
         ({"contact.d1": "5", "contact.g_hi": "0.05"}, "contact.d1"),
         ({"beam.xi_den": "0"}, "beam.xi_den"),
         ({"sweep.epsilon": "0.1, 0.1"}, "sweep.epsilon: 0.1 is repeated"),
+        ({"mesh.ne": "1"}, "mesh.ne: need at least 2 elements"),
+        ({"run.stride": "0"}, "run.stride: must be >= 1"),
+        ({"contact.kind": "normal_compliance", "contact.d1": "0",
+          "contact.d2": "1", "contact.g_lo": "-0.1", "contact.g_hi": "0.1"},
+         "contact.d1: contact stiffness d1 must be positive"),
+        ({"scheme.newton_tol": "0"}, "scheme.newton_tol: newton_tol must be positive"),
+        ({"sweep.tie_tip": "maybe"}, "sweep.tie_tip: not a boolean: 'maybe'"),
+        ({"contact.kind": "bogus"}, "contact.kind: unknown kind 'bogus'"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -346,6 +353,17 @@ class TestSimulateCommand:
         assert msg.startswith(named)
         # the field key is the only prefix: no section name in front of it
         assert msg.count(named.split(":")[0] + ":") == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("beam.rho1 1.0", "expected key=value, got 'beam.rho1 1.0'"),
+        (" = 3", "empty key"),
+    ], ids=["no-equals", "empty-key"])
+    def test_malformed_line_exit_two_names_line(self, tmp_path, capsys, line,
+                                                message):
+        cfg = write_cfg(tmp_path, f"{BASE}{line}\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        lineno = len(BASE_MAP) + 1
+        assert capsys.readouterr().err == f"config error: line {lineno}: {message}\n"
 
     def test_tip_body_is_its_epsilon(self, tmp_path, capsys):
         # the tip body has no on/off key, for itself or its damping: epsilon
@@ -712,6 +730,13 @@ class TestSweepEpsCommand:
         cfg = write_cfg(tmp_path, BASE + "sweep.eps_pen = 1e-1\n")
         assert main(["sweep-eps", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2
+
+    def test_empty_axis_exit_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, cfg_text(**PENALTY_STOPS))
+        assert main(["sweep-eps", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: sweep.eps_pen: empty axis for sweep-eps\n"
 
     @pytest.mark.parametrize("overrides, code", [
         (COMPLIANCE_P1, 0),

@@ -21,7 +21,6 @@ from gapbeam import (
 )
 from gapbeam.diagnostics import _multipliers
 from gapbeam.discretize import element_strains, recover_stress
-from gapbeam.model import NoContact
 from gapbeam.timestep import Trajectory
 
 LINEAR = Laws()
@@ -195,11 +194,6 @@ class TestComplementarity:
         assert rep == {"complementarity_interior": 1, "complementarity_upper": 0,
                        "complementarity_lower": 0,
                        "complementarity_violation": 0}
-
-    def test_requires_active_law(self, conservative_system):
-        traj = _traj(_tip_at(conservative_system, 0.0))
-        with pytest.raises(ValueError):
-            complementarity_report(conservative_system, traj, NoContact())
 
     def test_violation_detected(self, conservative_system):
         # tip beyond the upper stop with a pulling (positive) traction

@@ -17,7 +17,6 @@ from gapbeam.model import (
     STABILIZING,
     BeamParams,
     ForceLaw,
-    NoContact,
     NormalCompliance,
     ParamError,
     SchemeConfig,
@@ -283,7 +282,7 @@ class TestValidation:
 
     def test_tip_epsilon_must_be_nonnegative(self):
         # epsilon = 0 is no tip body, the traction-free end
-        cfg = ExperimentConfig(beam=desk_beam(), contact=NoContact(),
+        cfg = ExperimentConfig(beam=desk_beam(), contact=None,
                                force_f=ForceLaw(), force_g=ForceLaw(), ne=8,
                                scheme=SchemeConfig(dt=1e-3), t_final=0.0)
         assert cfg.tip == 0.0
