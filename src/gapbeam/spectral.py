@@ -10,7 +10,11 @@ roots of det(I_r + sum_j lam / (lam^2 + omega_j^2) q_j.q_j^T) = 0, q_j the
 rows of Q: the poles +-i.omega_j moved by a rank-r perturbation.  An
 Ehrlich-Aberth iteration (Bini & Robol, J. Comput. Appl. Math. 272 (2014))
 finds them all at once, each held as its pole plus an offset so that a root
-1e-13 from its pole keeps its digits, and certifies the set.  numpy only.
+1e-13 from its pole keeps its digits, and certifies the set.  Each root
+starts at the root of its pole's two-pole local equation, the far field held
+constant, so that near-paired poles start near their roots; a sweep is a few
+passes over the root-pole pairs, with det F and its derivative in closed
+form.  numpy only.
 
 spectrum and mesh_spectrum return the 2n eigenvalues ordered by real part,
 descending (ties by imaginary part): the abscissa, the largest real part, is
@@ -45,6 +49,7 @@ _EPS = float(np.finfo(float).eps)
 # shrinks: such a root cycles at rounding level and meets no offset tolerance
 _STEP_TOL, _MAX_SWEEPS = 2.0 ** -40, 80
 _MAX_STAGES = 12  # x10 each; beyond, slow roots ~omega/10^12 drown in rounding
+_START_PASSES = 3  # far-field evaluations of the two-pole start
 _CERT_ULPS = 64            # certificate tolerance, rounding units per root
 _SET_ASIDE = 2.0 ** -500   # |q_j|^2 up to this keeps its first-order root
 
@@ -107,18 +112,18 @@ def modal_form(pencil: GeneratorPencil) -> tuple[np.ndarray, np.ndarray]:
     """
     M, D, n = pencil.M, pencil.D, pencil.n // 2
     L = tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
+    S = np.flatnonzero(D)
+    X = np.zeros((n, n + S.size))   # [R^T, the columns S of I]
     try:
-        Rt = np.linalg.cholesky(pencil.K.toarray())  # K = R^T.R, R^T lower
+        X[:, :n] = np.linalg.cholesky(pencil.K.toarray())  # K = R^T.R
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(
             "reduced stiffness operator is not positive definite") from exc
-    Bt = lower_solve(L, Rt)     # B^T = L^-1.R^T, in place of R^T
     if np.any(D < 0.0):
         raise AssemblyError("damping operator is not nonnegative")
-    S = np.flatnonzero(D)
-    unit = np.zeros((n, S.size))
-    unit[S, np.arange(S.size)] = 1.0
-    C = lower_solve(L, unit) * np.sqrt(D[S])
+    X[S, n + np.arange(S.size)] = 1.0
+    lower_solve(L, X)   # one sweep: B^T = L^-1.R^T, then the columns S of L^-1
+    Bt, C = X[:, :n], X[:, n:] * np.sqrt(D[S])
     if not (np.isfinite(Bt).all() and np.isfinite(C).all()):
         raise AssemblyError("modal form of the generator has a non-finite entry")
     V, omega, _ = np.linalg.svd(Bt)
@@ -150,10 +155,12 @@ def lower_solve(L: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray
 def secular_roots(omega: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Offsets of the 2n roots of the modal form from its poles i[omega, -omega].
 
-    Roots start at their first-order guesses +-i.omega_j - |q_j|^2 / 2 (apart
-    on a multiple pole), and stay there if |q_j|^2 <= _SET_ASIDE.  Continuation
-    takes Q.sqrt(s), s = 10^-k, ..., 0.1, 1, 10^-k |q_j|^2 <= omega_j.  The
-    upper half-plane is mirrored until a root reaches the real axis or a stage
+    A root stays at its first-order offset -|q_j|^2 / 2 if |q_j|^2 <=
+    _SET_ASIDE.  Continuation takes Q.sqrt(s), s = 10^-k, ..., 0.1, 1,
+    10^-k |q_j|^2 <= omega_j.  The roots start at the two-pole local roots of
+    the first scale (_local_roots), turned by 0.01 rad per place on a
+    multiple pole, the lower half-plane as the conjugates.  The upper
+    half-plane is mirrored until a root reaches the real axis or a stage
     stalls, then all roots iterate, from starts off conjugate symmetry.
     """
     weight = np.einsum("ja,ja->j", Q, Q)
@@ -170,7 +177,8 @@ def secular_roots(omega: np.ndarray, Q: np.ndarray) -> np.ndarray:
     R = np.einsum("ja,jb->jab", q, q).reshape(m, -1)
     first = np.flatnonzero(np.diff(om, prepend=-1.0))  # runs of equal poles
     rank = np.arange(m) - np.repeat(first, np.diff(first, append=m))
-    d = np.tile(-0.5 * weight[live] * np.exp(0.01j * rank), 2) * 10.0 ** -stages
+    up = _local_roots(om, q, R, 10.0 ** -stages) * np.exp(0.01j * rank)
+    d = np.concatenate([up, up.conj()])
     rows = m  # the upper half-plane, mirrored
     for s in 10.0 ** np.arange(-stages, 1):
         start = d.copy()
@@ -185,6 +193,90 @@ def secular_roots(omega: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return delta
 
 
+def _local_roots(om: np.ndarray, q: np.ndarray, R: np.ndarray,
+                 s: float) -> np.ndarray:
+    """Offset of each upper pole's root in its two-pole model at scale s.
+
+    Near i.om_j, with p the nearest other pole, Delta = om_p - om_j and x =
+    lam - i.om_j, F = A + s.R_j / (2x) + s.R_p / (2(x - i.Delta)): the pair's
+    upper terms exact, all the rest, the far field A, held constant.  With
+    u, v = sqrt(s).q_j, sqrt(s).q_p (v = 0 for a lone pole) and alpha, beta,
+    gamma = u^T.A^-1.u, v^T.A^-1.v, u^T.A^-1.v, det F = 0 reads
+    (2x + alpha)(2x - 2i.Delta + beta) = gamma^2.  Of its two roots j takes
+    the one that, with the other for p, lies nearer the first-order pair
+    -alpha/2, i.Delta - beta/2.  A is evaluated at the first-order offsets
+    -s|q_j|^2 / 2, then at each pass's roots, _START_PASSES times in all.
+    """
+    m, r = q.shape
+    gap = np.diff(om)
+    higher = np.append(gap, np.inf) < np.insert(gap, 0, np.inf)
+    near = np.maximum(np.arange(m) + np.where(higher, 1, -1), 0)  # p
+    u = math.sqrt(s) * q
+    v = math.sqrt(s) * q[near] * (near != np.arange(m))[:, None]
+    shift = om[near] - om                       # Delta
+    x = -0.5 * np.einsum("ja,ja->j", u, u)
+    chunk = max(1, 2 ** 15 // m)
+    for _ in range(_START_PASSES):
+        A = np.empty((m, r * r), complex)
+        for a in range(0, m, chunk):
+            j = np.arange(a, min(a + chunk, m))
+            below = _offsets(om[j], -om, x[j])       # z_j + i.om_l
+            above = _offsets(om[j], om, x[j])        # z_j - i.om_l
+            above *= below
+            np.divide((1j * om[j] + x[j])[:, None], above, out=above)
+            # the pair's upper terms are the local model's: their mirror
+            # halves 1/(2(z + i.om_l)) stay in A
+            for col in (j, near[j]):
+                cell = (np.arange(j.size), col)
+                above[cell] = 0.5 / below[cell]
+            A[j] = above @ R
+        A = s * A.reshape(m, r, r) + np.eye(r)
+        Ai = np.linalg.solve(A, np.stack([u, v], axis=-1))
+        alpha, beta, gamma = (np.einsum("ja,ja->j", f, Ai[..., c])
+                              for f, c in ((u, 0), (v, 1), (u, 1)))
+        own, other = -0.5 * alpha, 1j * shift - 0.5 * beta
+        # the quadratic 4x^2 + b.x + c, by the rule that loses no digits
+        b, c = 2.0 * (alpha + beta) - 4j * shift, 4.0 * (own * other) - gamma ** 2
+        root = 4.0 * np.sqrt((own - other) ** 2 + gamma ** 2)
+        root *= np.where((b.conj() * root).real >= 0.0, 1.0, -1.0)
+        lead = -0.5 * (b + root)
+        x1, x2 = 0.25 * lead, c / lead
+        mine = (np.abs(x1 - own) + np.abs(x2 - other)
+                <= np.abs(x2 - own) + np.abs(x1 - other))
+        x = np.where(mine, x1, x2)
+    return x
+
+
+def _offsets(top: np.ndarray, poles: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """i(top_k - poles_l) + x_k, built from its real and imaginary parts."""
+    out = np.empty((top.size, poles.size), complex)
+    np.subtract(top[:, None], poles, out=out.imag)
+    out.imag += x[:, None].imag
+    out.real = x[:, None].real
+    return out
+
+
+def det_and_derivative(F: np.ndarray, dF: np.ndarray) -> tuple[np.ndarray,
+                                                               np.ndarray]:
+    """det F and its Jacobi derivative tr(adj F.dF) for stacks of r x r, r <= 3.
+
+    Both in closed form from the cofactors C of F: det F = sum_j F_0j.C_0j
+    and tr(adj F.dF) = sum_ij C_ij.dF_ij, the sum over j of det F with
+    column j replaced by that of dF.
+    """
+    r = F.shape[-1]
+    if r == 1:
+        return F[..., 0, 0], dF[..., 0, 0]
+    if r == 2:
+        C = F[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    else:
+        a, b = [1, 2, 0], [2, 0, 1]
+        Fa, Fb = F[..., a, :], F[..., b, :]
+        C = Fa[..., a] * Fb[..., b] - Fa[..., b] * Fb[..., a]
+    return (np.einsum("...j,...j->...", F[..., 0, :], C[..., 0, :]),
+            np.einsum("...ij,...ij->...", C, dF))
+
+
 def _aberth(om: np.ndarray, R: np.ndarray, d: np.ndarray, rows: int) -> bool:
     """Ehrlich-Aberth sweeps on the first `rows` offsets d from i[om, -om].
 
@@ -192,8 +284,10 @@ def _aberth(om: np.ndarray, R: np.ndarray, d: np.ndarray, rows: int) -> bool:
     sum_j R_j lam / (lam^2 + om_j^2), steps by 1 / (det'/det + 1/d_k - sum_{l != k}
     d_l / ((z_k - mu_l)(z_k - z_l))): the poles' log-derivative less the
     Aberth sum, paired term by term so that no nearby large numbers cancel.
-    With rows = len(om) the lower half mirrors the upper, and a root reaching
-    the real axis ends the sweeps.  True once every root has stopped.
+    A chunk of roots holds two arrays of its root-pole pairs; det F and det'
+    come in closed form (det_and_derivative).  With rows = len(om) the lower
+    half mirrors the upper, and a root reaching the real axis ends the
+    sweeps.  True once every root has stopped.
     """
     m, r = om.size, math.isqrt(R.shape[1])
     pole = np.concatenate([om, -om])     # imaginary parts of the poles
@@ -205,21 +299,27 @@ def _aberth(om: np.ndarray, R: np.ndarray, d: np.ndarray, rows: int) -> bool:
         step = np.empty(live.size, complex)
         for a in range(0, live.size, chunk):
             k = live[a:a + chunk]
-            gap = 1j * (pole[k, None] - pole) + d[k, None]  # z_k - mu_p
-            E = 1.0 / gap
-            to_root = gap - d                               # z_k - z_l
-            to_root[np.arange(k.size), k] = np.inf
-            # 1 / (z^2 + omega^2) as one product: a mode's pole terms cannot cancel
-            z, EE = 1j * pole[k, None] + d[k, None], E[:, :m] * E[:, m:]
-            F = ((z * EE) @ R).reshape(-1, r, r) + np.eye(r)
-            dF = (((om * om - z * z) * EE * EE) @ R).reshape(-1, r, r)
-            det = np.linalg.det(F)
-            # Jacobi: det' sums det F with one column replaced by that of F'
-            ddet = sum(np.linalg.det(np.concatenate(
-                [F[..., :j], dF[..., j:j + 1], F[..., j + 1:]], axis=-1))
-                for j in range(r))
-            pairs = (E / to_root) @ d   # sum_l d_l / ((z_k - mu_l)(z_k - z_l))
-            step[a:a + k.size] = det / (ddet + (1.0 / d[k] - pairs) * det)
+            gap = _offsets(pole[k], pole, d[k])            # z_k - mu_p
+            pair = gap - d                                  # z_k - z_l
+            own = (np.arange(k.size), k)
+            pair[own] = 1.0
+            pair *= gap
+            np.reciprocal(pair, out=pair)   # 1 / ((z_k - mu_l)(z_k - z_l))
+            pair[own] = 0.0
+            aberth = pair @ d
+            # 1 / (z^2 + omega^2) as one product: a mode's pole terms cannot
+            # cancel; F's and F''s terms take the quotients' place
+            z = 1j * pole[k, None] + d[k, None]
+            terms = pair.reshape(2, k.size, m)
+            EE = np.multiply(gap[:, :m], gap[:, m:], out=terms[0])
+            np.reciprocal(EE, out=EE)
+            np.subtract(om * om, z * z, out=terms[1])
+            terms[1] *= EE
+            terms[1] *= EE
+            EE *= z
+            F, dF = (terms.reshape(2 * k.size, m) @ R).reshape(2, -1, r, r)
+            det, ddet = det_and_derivative(F + np.eye(r), dF)
+            step[a:a + k.size] = det / (ddet + (1.0 / d[k] - aberth) * det)
         d[live] -= step
         if rows == m:
             d[m + live] = d[live].conj()
@@ -291,7 +391,8 @@ def xi_study(beam: BeamParams, tip: float, xi_fractions, ne_values,
     is_stabilizing_xi applies and the mesh places the damper on a node.
     Every ne is checked against DENSE_CAP before the first solve.  The rows
     run on up to `workers` processes (rows.map_rows), weighted by ne**3, the
-    cost of the dense SVD of the modal form (a root sweep is ne**2).
+    cost of the dense SVD of the modal form; the root stage, a few sweeps of
+    ne**2 root-pole pairs each, costs less from ne = 128 on.
     """
     ne_max = max(ne_values, default=0)
     if 4 * ne_max > DENSE_CAP:

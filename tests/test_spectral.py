@@ -17,7 +17,8 @@ from gapbeam import (assemble, build_mesh, generator, spectrum,
 from gapbeam.discretize import AssemblyError, tridiagonal_cholesky
 from gapbeam.model import EXCLUDED, STABILIZING
 from gapbeam.spectral import (DimensionCapExceeded, SpectrumCertificateError,
-                              certify, lower_solve, modal_form, secular_roots)
+                              certify, det_and_derivative, lower_solve,
+                              modal_form, secular_roots)
 
 
 def energy_form(system):
@@ -55,13 +56,16 @@ def backward_errors(system, lam):
     M, K = (op.toarray() for op in (system.M, system.K))
     D = np.diag(system.D)
     norm_M, norm_D, norm_K = (np.linalg.norm(A, 2) for A in (M, D, K))
+    # P(conj z) = conj P(z) has the same singular values: a root and its
+    # exact conjugate share one eta
+    upper, back = np.unique(lam.real + 1j * np.abs(lam.imag), return_inverse=True)
     eta = []
-    for z in np.array_split(lam, -(-lam.size // 64)):
+    for z in np.array_split(upper, -(-upper.size // 64)):
         P = z[:, None, None] ** 2 * M + z[:, None, None] * D + K
         a = np.abs(z)
         eta.append(np.linalg.svd(P, compute_uv=False)[:, -1]
                    / (a * a * norm_M + a * norm_D + norm_K))
-    return np.concatenate(eta)
+    return np.concatenate(eta)[back]
 
 
 # bound on eta in units of n_free * eps: every certified root measured came
@@ -134,9 +138,12 @@ class TestSpectrum:
         (16, 100.0, 100.0, Fraction(1, 2), 1e-2),
         # two roots near 206.6i and -199.9i once cycled at rounding level
         (64, 1e3, 1e3, Fraction(1, 2), 1.0),
+        # xi-study's beam: near-paired poles above omega = 100
+        (64, 1.0, 0.0, Fraction(1, 2), 0.0),
+        (64, 1.0, 0.0, Fraction(2, 3), 0.0),
     ], ids=["damped", "hybrid-1e-1", "hybrid-1e-4", "xi-2/3-gamma2-0",
             "overdamped-real-pairs", "overdamped-hybrid-1e-2",
-            "stiff-dampers-hybrid-1"])
+            "stiff-dampers-hybrid-1", "xi-study-1/2", "xi-study-2/3"])
     def test_matches_generalized_qz(self, ne, gamma1, gamma2, xi, tip):
         system = desk_system(ne=ne, gamma1=gamma1, gamma2=gamma2, xi=xi, tip=tip)
         lam = spectrum(generator(system))
@@ -163,6 +170,18 @@ class TestSpectrum:
         assert backward_errors(system, lam).max() <= \
             ETA_BOUND * system.n_free * np.finfo(float).eps
         assert paired_rel(lam, generalized_qz_eigenvalues(system)) <= 1e-8
+
+    def test_paired_high_modes_backward_error(self):
+        # xi-study's finest xi = 1/2 row: above omega = 300 the poles come in
+        # pairs about 0.8 apart and the roots sit about 0.55 from their poles
+        system = desk_system(ne=160, gamma1=1.0, xi=Fraction(1, 2))
+        lam = spectrum(generator(system))
+        high = lam[lam.imag > 300.0]
+        high = high[np.argsort(high.imag)]
+        assert high.size >= 100
+        sample = high[np.linspace(0, high.size - 1, 8).astype(int)]
+        assert backward_errors(system, sample).max() <= \
+            ETA_BOUND * system.n_free * np.finfo(float).eps
 
     @pytest.mark.parametrize("xi, rel", [(Fraction(1, 2), 1e-9),
                                          (Fraction(2, 3), 1e-4)],
@@ -269,6 +288,40 @@ class TestSpectrum:
         plain = desk_system(ne=8)
         hybrid = desk_system(ne=8, tip=1e-2)
         assert generator(plain).n == generator(hybrid).n
+
+
+class TestClosedFormDeterminant:
+    """det_and_derivative against LAPACK's det and the Jacobi column sum."""
+
+    @given(r=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           tau=st.sampled_from([1.0, 1e-6, 1e-12, 0.0]))
+    def test_matches_det_and_jacobi_sum(self, r, seed, tau):
+        # tau scales the last column's part off the span of the others:
+        # small tau is the nearly singular F of a converged root
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        F, dF = draw(16, r, r), draw(16, r, r)
+        F[..., -1] = (F[..., :-1] @ draw(16, r - 1, 1))[..., 0] \
+            + tau * F[..., -1]
+        det, ddet = det_and_derivative(F, dF)
+        if r == 1:
+            assert np.array_equal(det, F[:, 0, 0])
+            assert np.array_equal(ddet, dF[:, 0, 0])
+            return
+        replaced = [np.concatenate([F[..., :j], dF[..., j:j + 1],
+                                    F[..., j + 1:]], axis=-1) for j in range(r)]
+
+        def hadamard(A):  # |det A| <= the product of its column norms
+            return np.prod(np.linalg.norm(A, axis=-2), axis=-1)
+
+        tol = 8 * r * np.finfo(float).eps
+        assert np.all(np.abs(det - np.linalg.det(F)) <= tol * hadamard(F))
+        jacobi = sum(np.linalg.det(A) for A in replaced)
+        assert np.all(np.abs(ddet - jacobi)
+                      <= tol * sum(hadamard(A) for A in replaced))
 
 
 class TestMassFactor:
