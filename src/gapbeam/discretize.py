@@ -9,7 +9,8 @@ adding epsilon to mass, damping and stiffness at that slot.  Only the reduced
 operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept:
 M and K as the coordinate lists assembly builds, their products run on
 fixed-width row arrays built from those lists on first use, and D as its
-diagonal.  Everything here is numpy.
+diagonal.  Their Cholesky factors are banded, in Python floats, and their
+triangular solves elementwise numpy: no BLAS call.
 """
 
 from __future__ import annotations
@@ -77,32 +78,56 @@ class CooMatrix:
                            minlength=self.n * self.n)
         return flat.reshape(self.n, self.n)
 
-    def diagonal(self, k: int = 0) -> np.ndarray:
-        """The entries (i, i + k), as np.diagonal(A, k) returns them."""
-        on = self.cols - self.rows == k
-        return np.bincount(np.minimum(self.rows, self.cols)[on],
-                           weights=self.vals[on], minlength=self.n - abs(k))
+    def lower_band(self, rank: np.ndarray) -> np.ndarray:
+        """LAPACK's lower band storage of the operator with slot i moved to
+        position rank[i]: row k holds the entries (j + k, j), zero past n."""
+        cols = rank[self.cols]
+        offset = rank[self.rows] - cols
+        low = offset >= 0
+        flat = np.bincount((offset * self.n + cols)[low], weights=self.vals[low],
+                           minlength=(offset.max() + 1) * self.n)
+        return flat.reshape(-1, self.n)
 
 
-def tridiagonal_cholesky(diag: np.ndarray,
-                         sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bidiagonal factor L of a symmetric tridiagonal T = L.L^T.
+def band_cholesky(band: np.ndarray) -> np.ndarray:
+    """The factor L of A = L.L^T, both in lower band storage.
 
-    Returns L's diagonal and subdiagonal, computed by the recurrence of
-    LAPACK's band Cholesky dpbtf2; np.linalg.LinAlgError when T is not
-    positive definite.
+    Column by column in Python floats, the recurrence of LAPACK's dpbtf2, so
+    that L rounds alike on every BLAS.  A pivot not above the rounding of its
+    diagonal entry, eps.A_jj, cannot tell A from a singular matrix:
+    np.linalg.LinAlgError then reports A as not positive definite.
     """
-    d, e = diag.tolist(), sub.tolist()
-    lower, below = [0.0] * len(d), [0.0] * len(e)
-    for i, pivot in enumerate(d):
-        if i:
-            below[i - 1] = e[i - 1] * (1.0 / lower[i - 1])
-            pivot -= below[i - 1] * below[i - 1]
-        if not pivot > 0.0:
+    p = len(band) - 1
+    # cols[j][k] = A[j + k, j], then p zero columns past the end
+    cols = band.T.tolist() + [[0.0] * (p + 1) for _ in range(p)]
+    steps = [(b, range(b, p + 1)) for b in range(p, 0, -1)]
+    for j, diag in enumerate(band[0].tolist()):
+        col = cols[j]
+        if not col[0] > 2.0 ** -52 * diag:
             raise np.linalg.LinAlgError(
-                f"leading minor of order {i + 1} is not positive definite")
-        lower[i] = math.sqrt(pivot)
-    return np.array(lower), np.array(below)
+                f"leading minor of order {j + 1} is not positive definite")
+        pivot = col[0] = math.sqrt(col[0])
+        for b, reach in steps:   # A[j + a, j + b] -= L[j + a, j].L[j + b, j]
+            lb = col[b] = col[b] / pivot
+            for a in reach:
+                cols[j + b][a - b] -= col[a] * lb
+    return np.array(cols[:band.shape[1]]).T
+
+
+def band_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1.rhs in place, L from band_cholesky and rhs of shape (n, m).
+
+    Row i is (rhs_i - sum_k L[i, i - k].x_{i-k}) / L[i, i], k from the widest
+    in, as in LAPACK's dtbtrs, each step elementwise over the columns.
+    """
+    p, rows = len(L) - 1, list(rhs)
+    cols = L.T.tolist()             # cols[i][k] = L[i + k, i]
+    term = np.empty(rhs.shape[1])
+    for i, (row, col) in enumerate(zip(rows, cols)):
+        for k in range(min(p, i), 0, -1):
+            row -= np.multiply(cols[i - k][k], rows[i - k], out=term)
+        row /= col[0]
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -217,8 +242,7 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: float) -> SemiDiscreteSystem:
     body's epsilon >= 0, which it adds to M, D and K at the phi(ell) slot; with
     epsilon = 0 the end is traction free by the natural boundary condition.
     The element blocks go into one coordinate list each for M and K.  M must
-    be positive definite; it is tridiagonal and is checked by the Cholesky
-    factor the spectrum uses.
+    be positive definite, as band_cholesky checks it.
     """
     if np.any(mesh.widths <= 0.0):
         raise AssemblyError("mesh has empty or inverted elements")
@@ -261,7 +285,7 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: float) -> SemiDiscreteSystem:
         beam.gamma1, beam.gamma2, tip)
     # M couples no phi with a psi dof, so in this numbering it is tridiagonal
     try:
-        tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
+        band_cholesky(M.lower_band(np.arange(n)))
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("reduced mass operator is not positive definite") from exc
     return SemiDiscreteSystem(mesh=mesh, beam=beam, tip=tip, tip_slot=tip_slot,

@@ -14,7 +14,7 @@ finds them all at once, each held as its pole plus an offset so that a root
 starts at the root of its pole's two-pole local equation, the far field held
 constant, so that near-paired poles start near their roots; a sweep is a few
 passes over the root-pole pairs, with det F and its derivative in closed
-form.  numpy only.
+form.  numpy only, and no BLAS call before the SVD of the modal form.
 
 spectrum and mesh_spectrum return the 2n eigenvalues ordered by real part,
 descending (ties by imaginary part): the abscissa, the largest real part, is
@@ -33,20 +33,22 @@ from fractions import Fraction
 import numpy as np
 
 from .discretize import (AssemblyError, CooMatrix, SemiDiscreteSystem, assemble,
-                         build_mesh, tridiagonal_cholesky)
+                         band_cholesky, band_solve, build_mesh)
 from .model import BeamParams, is_stabilizing_xi
 from .rows import map_rows
 
 
-# largest pencil dimension admitted (ne elements give 4 * ne); the dense
-# Cholesky factor and SVD of the modal form are of half that order
+# largest pencil dimension admitted (ne elements give 4 * ne); the dense SVD
+# of the modal form is of half that order
 DENSE_CAP = 4000
 
 _EPS = float(np.finfo(float).eps)
 # a root stops after a step below _STEP_TOL times its offset: convergence is
 # cubic, so that step left it at rounding (within the step in a cluster).  It
-# also stops once its step, below the rounding of the root itself, no longer
-# shrinks: such a root cycles at rounding level and meets no offset tolerance
+# also stops once its step no longer shrinks inside the certificate's rounding
+# of the root itself, _CERT_ULPS rounding units of |z|: such a root cycles at
+# rounding level, a few units above eps.|z| at the stiffest dampers, and
+# meets no offset tolerance
 _STEP_TOL, _MAX_SWEEPS = 2.0 ** -40, 80
 _MAX_STAGES = 12  # x10 each; beyond, slow roots ~omega/10^12 drown in rounding
 _START_PASSES = 3  # far-field evaluations of the two-pole start
@@ -77,14 +79,15 @@ class SpectrumCertificateError(RuntimeError):
 class GeneratorPencil:
     """Pencil lam * blockdiag(I, M) x = [[0, I], [-K, -D]] x of the system.
 
-    Holds the system's reduced operators, K and M as coordinate lists and D
-    as its diagonal, and nothing of the config they came from; n is the pencil
-    dimension, twice the number of free dofs.
+    Holds the system's reduced operators, K and M as coordinate lists banded
+    in the node order rank, and D as its diagonal, and nothing of the config
+    they came from; n is the pencil dimension, twice the number of free dofs.
     """
 
     K: CooMatrix = field(repr=False)
     D: np.ndarray = field(repr=False)
     M: CooMatrix = field(repr=False)
+    rank: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -92,39 +95,41 @@ class GeneratorPencil:
 
 
 def generator(system: SemiDiscreteSystem) -> GeneratorPencil:
-    """The generator pencil of an assembled system; no dense work is done here.
-
-    The hybrid variant carries the tip-body entries inside M, D, K at the end
-    deflection slot (the tip coordinate is identified with that dof); with
-    epsilon = 0 the traction-free end condition holds naturally.
-    """
-    return GeneratorPencil(K=system.K, D=system.D, M=system.M)
+    """The generator pencil of an assembled system, tip body included (its
+    entries sit in M, D and K at the end deflection slot); nothing is factored."""
+    return GeneratorPencil(K=system.K, D=system.D, M=system.M,
+                           rank=system.node_rank)
 
 
 def modal_form(pencil: GeneratorPencil) -> tuple[np.ndarray, np.ndarray]:
     """(omega, Q) of the module docstring, omega ascending, Q of shape (n, r).
 
-    L is bidiagonal (M is tridiagonal), so solves with it are recurrences.
-    With K = R^T.R, omega and V are the SVD of B^T = L^-1.R^T: exact to
-    rounding of omega_max, where eigh of B^T.B would square the range.  D is
-    diagonal, Z its square root on S.  Frequencies equal to 12 digits are one
-    multiple pole, whose rows of Q turn orthogonal, at most r of them nonzero.
+    In node order M = L.L^T and K = R.R^T are banded (half-bandwidths 2 and
+    3), and one forward solve gives B^T = L^-1.R and C.Z, Z = sqrt(D) on S.
+    None of it calls BLAS, so it rounds alike on any thread count.  omega and
+    V are the SVD of B^T: exact to rounding of omega_max, where eigh of B^T.B
+    would square the range.  Frequencies equal to 12 digits are one multiple
+    pole, whose rows of Q turn orthogonal, at most r of them nonzero.
     """
-    M, D, n = pencil.M, pencil.D, pencil.n // 2
-    L = tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
-    S = np.flatnonzero(D)
-    X = np.zeros((n, n + S.size))   # [R^T, the columns S of I]
+    D, n, rank = pencil.D, pencil.n // 2, pencil.rank
+    L = band_cholesky(pencil.M.lower_band(rank))
+    K = pencil.K.lower_band(rank)
+    if not np.isfinite(K).all():
+        raise AssemblyError("reduced stiffness operator has a non-finite entry")
     try:
-        X[:, :n] = np.linalg.cholesky(pencil.K.toarray())  # K = R^T.R
+        R = band_cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(
             "reduced stiffness operator is not positive definite") from exc
     if np.any(D < 0.0):
         raise AssemblyError("damping operator is not nonnegative")
-    X[S, n + np.arange(S.size)] = 1.0
-    lower_solve(L, X)   # one sweep: B^T = L^-1.R^T, then the columns S of L^-1
-    Bt, C = X[:, :n], X[:, n:] * np.sqrt(D[S])
-    if not (np.isfinite(Bt).all() and np.isfinite(C).all()):
+    S = np.flatnonzero(D)
+    X = np.zeros((n, n + S.size))   # [R, E_S.sqrt(D_S)]
+    k, j = np.nonzero(R)            # band entry (k, j) is R[j + k, j]
+    X[j + k, j] = R[k, j]
+    X[rank[S], n + np.arange(S.size)] = np.sqrt(D[S])
+    Bt, C = band_solve(L, X)[:, :n], X[:, n:]
+    if not np.isfinite(X).all():
         raise AssemblyError("modal form of the generator has a non-finite entry")
     V, omega, _ = np.linalg.svd(Bt)
     omega, Q = omega[::-1].copy(), V[:, ::-1].T @ C
@@ -136,20 +141,6 @@ def modal_form(pencil: GeneratorPencil) -> tuple[np.ndarray, np.ndarray]:
             Q[block] = 0.0
             Q[block[:sv.size]] = sv[:, None] * vt
     return omega, Q
-
-
-def lower_solve(L: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """L^-1.rhs for the bidiagonal factor of tridiagonal_cholesky, in place.
-
-    Row i of the result is (rhs_i - below_{i-1} * x_{i-1}) / lower_i, the
-    arithmetic of LAPACK's banded triangular solve dtbtrs.
-    """
-    lower, below = L
-    rhs[0] /= lower[0]
-    for i in range(1, len(lower)):
-        rhs[i] -= below[i - 1] * rhs[i - 1]
-        rhs[i] /= lower[i]
-    return rhs
 
 
 def secular_roots(omega: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -326,7 +317,8 @@ def _aberth(om: np.ndarray, R: np.ndarray, d: np.ndarray, rows: int) -> bool:
             if np.any(pole[live] + d[live].imag <= 0.0):
                 return False
         size, z = np.abs(step), 1j * pole[live] + d[live]
-        stalled = (size >= last[live]) & (size <= _EPS * np.abs(z))
+        stalled = ((size >= last[live])
+                   & (size <= _CERT_ULPS * _EPS * np.abs(z)))
         last[live] = size
         live = live[(size > _STEP_TOL * np.abs(d[live])) & ~stalled]
     return not live.size

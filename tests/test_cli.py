@@ -696,6 +696,27 @@ class TestSweepXiCommand:
         assert main(["sweep-xi", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2
 
+    def test_rows_do_not_depend_on_blas_threads(self, tmp_path):
+        # one process per BLAS thread count, both at once: the artifacts are
+        # a function of the config alone, not of the shell that ran it
+        cfg = write_cfg(tmp_path, cfg_text(sweep__xi="1/2, 2/3",
+                                           sweep__ne="64, 160",
+                                           sweep__workers="1"))
+        runs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(gapbeam.__file__).parents[1]))
+            out = tmp_path / f"threads{threads}"
+            runs[out] = subprocess.Popen(
+                [sys.executable, "-m", "gapbeam.cli", "sweep-xi", "--config",
+                 cfg, "--out", str(out)], env=env, stdout=subprocess.DEVNULL)
+        for out, run in runs.items():
+            assert run.wait(timeout=120) == 0
+        one, two = ([(out / name).read_bytes()
+                     for name in ("xi_study.csv", "summary")] for out in runs)
+        assert one == two
+
 
 class TestSweepEpsCommand:
     CONTACT = dict(
@@ -923,6 +944,22 @@ def test_c07_ulp_probe_imports(tmp_path):
     row = probe._sweep_eps_row(cfg, 1e-2, str(tmp_path / "row"))
     assert (row["status"], row["compl_violations"]) == ("ok", 0)
     assert "sweep.eps_pen" in probe.SWEEP_CFG
+
+
+def test_secular_probe_imports():
+    # tools/secular_probe.py draws its configs on xi-study's beam and runs
+    # mesh_spectrum on each
+    spec = importlib.util.spec_from_file_location(
+        "secular_probe", Path(__file__).parents[1] / "tools" / "secular_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    beam = load_config(probe.ROOT / "bench" / "configs" / "xi-study.cfg").beam
+    runs = list(probe.configs(beam))
+    assert len(runs) == probe.DRAWS == 400
+    assert {(b.rho1, b.rho2, b.k, b.b, b.ell) for b, _, _ in runs} == \
+        {(1.0, 1.0, 1.0, 1.0, 1.0)}
+    b, eps, ne = runs[0]
+    assert probe.mesh_spectrum(b, eps, ne).size == 4 * ne
 
 
 def digest_tool():

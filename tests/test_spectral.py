@@ -14,28 +14,36 @@ from scipy.optimize import linear_sum_assignment
 from conftest import desk_beam, desk_system
 from gapbeam import (assemble, build_mesh, generator, spectrum,
                      trend_toward_zero, xi_study)
-from gapbeam.discretize import AssemblyError, tridiagonal_cholesky
+from gapbeam.discretize import AssemblyError, band_cholesky, band_solve
 from gapbeam.model import EXCLUDED, STABILIZING
 from gapbeam.spectral import (DimensionCapExceeded, SpectrumCertificateError,
-                              certify, det_and_derivative, lower_solve,
-                              modal_form, secular_roots)
+                              certify, det_and_derivative, modal_form,
+                              secular_roots)
+
+
+def dense_lower(band):
+    """The dense lower triangle held in LAPACK's lower band storage."""
+    n = band.shape[1]
+    return sum(np.diag(band[k, :n - k], -k) for k in range(band.shape[0]))
 
 
 def energy_form(system):
     """The dense generator A = [[0, B], [-B^T, -G]] in energy coordinates.
 
-    x = (R.u, L^T.u') with M = L.L^T and K = R^T.R, so |x|^2 / 2 is the
-    energy, B = R.L^-T and G = L^-1.D.L^-T, built from the factors the
-    spectrum uses; similar to the pencil, skew without damping.
+    In the node order, x = (R^T.u, L^T.u') with M = L.L^T and K = R.R^T, so
+    |x|^2 / 2 is the energy, B = R^T.L^-T and G = L^-1.D.L^-T, built from the
+    factors the spectrum uses; similar to the pencil, skew without damping.
     """
-    n = system.n_free
-    L = tridiagonal_cholesky(system.M.diagonal(), system.M.diagonal(-1))
-    Bt = lower_solve(L, np.linalg.cholesky(system.K.toarray()))
-    Linv = lower_solve(L, np.eye(n))
+    n, rank = system.n_free, system.node_rank
+    L = band_cholesky(system.M.lower_band(rank))
+    Bt = band_solve(L, dense_lower(band_cholesky(system.K.lower_band(rank))))
+    Linv = band_solve(L, np.eye(n))
+    d = np.empty(n)
+    d[rank] = system.D
     A = np.zeros((2 * n, 2 * n))
     A[:n, n:] = Bt.T
     A[n:, :n] = -Bt
-    A[n:, n:] = -(Linv @ np.diag(system.D) @ Linv.T)
+    A[n:, n:] = -(Linv @ np.diag(d) @ Linv.T)
     return A
 
 
@@ -170,6 +178,39 @@ class TestSpectrum:
         assert backward_errors(system, lam).max() <= \
             ETA_BOUND * system.n_free * np.finfo(float).eps
         assert paired_rel(lam, generalized_qz_eigenvalues(system)) <= 1e-8
+
+    @pytest.mark.parametrize("ne, gamma1, gamma2, tip, xi", [
+        (24, 67.26772033689875, 68679.3957528006, 0.034039051574199834,
+         Fraction(3, 5)),
+        (39, 2652.687422882303, 55488466.4153976, 0.0, Fraction(3, 4)),
+        (20, 39.6, 4.81e3, 2.05, Fraction(1, 2)),
+        (27, 311100.60862094036, 16328709.165201643, 1.6137115485410702,
+         Fraction(3, 4)),
+        (17, 25725.880192059816, 100230479.95628545, 0.20191848220880068,
+         Fraction(1, 2)),
+        (19, 78609523.80147575, 2746998465.129879, 0.0040145831615323695,
+         Fraction(3, 4)),
+        (37, 476.6090452909833, 1474728309.9018736, 0.9415665181847255,
+         Fraction(1, 2)),
+        (39, 5143.5119125460105, 48654.06680046265, 0.01133974442754162,
+         Fraction(2, 3)),
+        (29, 18507.18878515957, 25989607391.111145, 0.004966675694475398,
+         Fraction(1, 4)),
+        (35, 273510.20188641665, 5125465600.439863, 0.0017216334919619304,
+         Fraction(3, 4)),
+        (26, 58.15386655103804, 3455909553.4124002, 2.2961666336540456,
+         Fraction(1, 2)),
+    ], ids=["ne24-xi3/5", "ne39-xi3/4", "ne20-xi1/2", "ne27-xi3/4",
+            "ne17-xi1/2", "ne19-xi3/4", "ne37-xi1/2", "ne39-xi2/3",
+            "ne29-xi1/4", "ne35-xi3/4", "ne26-xi1/2"])
+    def test_roots_cycling_above_rounding_stop(self, ne, gamma1, gamma2, tip,
+                                               xi):
+        # stiff dampers leave a root stepping a few rounding units of |z| to
+        # and fro; these ran out of sweeps under a stop bound of one rounding
+        # unit (the failures of tools/secular_probe.py, and a third config)
+        system = desk_system(ne=ne, gamma1=gamma1, gamma2=gamma2, xi=xi,
+                             tip=tip)
+        assert spectrum(generator(system)).size == 4 * system.mesh.ne
 
     def test_paired_high_modes_backward_error(self):
         # xi-study's finest xi = 1/2 row: above omega = 300 the poles come in
@@ -325,39 +366,45 @@ class TestClosedFormDeterminant:
 
 
 class TestMassFactor:
-    """The numpy bidiagonal factor of M and its solve against LAPACK's."""
+    """The Python-float banded factor and its solve against LAPACK's."""
 
-    def random_tridiagonal(self, n, seed):
+    def random_band(self, n, p, seed):
         rng = np.random.default_rng(seed)
-        sub = rng.uniform(-1.0, 1.0, n - 1)
-        diag = 2.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant: SPD
-        return diag, sub
+        band = np.zeros((p + 1, n))
+        for k in range(1, p + 1):
+            band[k, :n - k] = rng.uniform(-1.0, 1.0, n - k)
+        band[0] = 2.0 * p + rng.uniform(0.0, 1.0, n)  # diagonally dominant: SPD
+        return band
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_factor_matches_cholesky_banded(self, seed):
-        diag, sub = self.random_tridiagonal(50, seed)
-        lower, below = tridiagonal_cholesky(diag, sub)
-        ref = sla.cholesky_banded(np.stack([diag, np.append(sub, 0.0)]),
-                                  lower=True)
-        np.testing.assert_allclose(lower, ref[0], rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(below, ref[1, :-1], rtol=1e-14, atol=0.0)
+        for p in (1, 2, 3):
+            band = self.random_band(50, p, seed)
+            ref = sla.cholesky_banded(band, lower=True)
+            np.testing.assert_allclose(band_cholesky(band), ref, rtol=1e-14,
+                                       atol=0.0)
 
     def test_mass_factor_reproduces_mass(self):
+        # M has half-bandwidth 1 in the reduced numbering and 2 in the node
+        # order, K 3 in the node order
         system = desk_system(ne=16, tip=1e-4)
-        M = system.M
-        lower, below = tridiagonal_cholesky(M.diagonal(), M.diagonal(-1))
-        L = np.diag(lower) + np.diag(below, -1)
-        np.testing.assert_allclose(L @ L.T, system.M.toarray(), rtol=0.0,
-                                   atol=1e-15 * np.abs(M.vals).max())
+        n, node = system.n_free, system.node_rank
+        for A, rank, p in ((system.M, np.arange(n), 1), (system.M, node, 2),
+                           (system.K, node, 3)):
+            band = A.lower_band(rank)
+            assert band.shape == (p + 1, n)
+            L = dense_lower(band_cholesky(band))
+            slot = np.argsort(rank)   # the slot at each position
+            np.testing.assert_allclose(L @ L.T, A.toarray()[np.ix_(slot, slot)],
+                                       rtol=0.0,
+                                       atol=1e-15 * np.abs(A.vals).max())
 
     def test_solve_matches_dtbtrs(self):
-        diag, sub = self.random_tridiagonal(60, 2)
-        L = tridiagonal_cholesky(diag, sub)
+        L = band_cholesky(self.random_band(60, 2, 2))
         rhs = np.random.default_rng(3).standard_normal((60, 4))
-        ref, info = sla.lapack.dtbtrs(np.stack([L[0], np.append(L[1], 0.0)]),
-                                      rhs, uplo="L")
+        ref, info = sla.lapack.dtbtrs(L, rhs, uplo="L")
         assert info == 0
-        got = lower_solve(L, rhs.copy())
+        got = band_solve(L, rhs.copy())
         np.testing.assert_allclose(got, ref, rtol=1e-13,
                                    atol=1e-13 * np.abs(ref).max())
 
@@ -366,10 +413,12 @@ class TestMassFactor:
         ([1.0, -1.0], [0.0]),
         ([0.0, 1.0], [0.0]),
         ([1.0, np.nan], [0.0]),
+        # positive definite, but the second pivot rounds to eps.A_11
+        ([1.0, 1.0], [1.0 - 2.0 ** -53]),
     ])
     def test_indefinite_or_nan_is_a_linalg_error(self, diag, sub):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            tridiagonal_cholesky(np.array(diag), np.array(sub))
+            band_cholesky(np.stack([diag, np.append(sub, 0.0)]))
 
 
 class TestStopHeldTip:

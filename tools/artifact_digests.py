@@ -24,11 +24,13 @@ ok).  Every config runs once with sweep.workers = 1 and once with 2, which
 only the sweeps read.
 
 Run as a script, the tool pins BLAS to one thread, as bench/run.py does
-(its BLAS_ENV, set before numpy loads): from the dense Cholesky factor of K in
-spectral.modal_form on, the spectra round differently on one thread and on
-two.  Imported, it leaves the environment as it finds it.  The output opens
-with the Python, numpy and BLAS versions and the BLAS thread variables that
-made it.
+(its BLAS_ENV, set before numpy loads).  Nothing before the SVD of
+spectral.modal_form calls BLAS, and the reference spectra (ne <= 160) are
+byte-identical on one thread and on two, but that SVD itself rounds
+differently on two threads from ne = 161 on (pencil dimension 644); the pin
+keeps any reference run from depending on the shell.  Imported, it leaves the
+environment as it finds it.  The output opens with the Python, numpy and BLAS
+versions and the BLAS thread variables that made it.
 tools/artifact_digests.expected holds it as of the last change that moved an
 artifact byte; such a change regenerates the file (first command above).
 --check shows that a change leaves every artifact byte-identical: it prints
