@@ -55,7 +55,7 @@ def write_table_csv(path: str | Path, schema: str, header: tuple[str, ...],
 
 def write_trajectory_csv(path: str | Path, system: SemiDiscreteSystem,
                          traj: Trajectory, laws: Laws) -> None:
-    s_ell, _ = recover_stress(system, traj.U, system.mesh.ell, side="left")
+    s_ell = recover_stress(system, traj.U)
     tip = system.tip_slot
     samples = ({**items, "t": t, "v": v, "v_t": v_t, "S_ell": s,
                 "balance_residual": bal}

@@ -12,6 +12,7 @@ solver failure gets too.  Besides ok, the status of exit 0 can be
 and the statuses of exit 3 are
   newton_divergence    a step failed at t_fail (simulate, observability)
   certificate_failure  a root set failed its certificate (sweep-xi, spectrum)
+  row_worker_failure   a forked row worker ended without its rows (sweeps)
   non_finite_<figure>  a figure is nan or inf: the first observability one
                        for nonzero initial data (all figures are written), or
                        simulate's E_total at t_fail (trajectory.csv is written)
@@ -54,7 +55,7 @@ from .diagnostics import (
 from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
                          recover_stress)
 from .model import NormalCompliance
-from .rows import map_rows
+from .rows import RowWorkerError, map_rows
 from .spectral import (DimensionCapExceeded, SpectrumCertificateError,
                        mesh_spectrum, trend_toward_zero, xi_study)
 from .timestep import NewtonDivergence, initial_state, simulate
@@ -155,8 +156,7 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
         write_summary(out / "summary", {"status": "diverged", "t_fail": t_fail})
         return dict(zip(SWEEP_HEADER, (eps_pen, "diverged", math.nan,
                                        math.nan, math.nan, -1, -1, -1, -1)))
-    s_ell, _ = recover_stress(system, traj.U, system.mesh.ell, side="left")
-    sup_s = float(abs(s_ell).max())
+    sup_s = float(abs(recover_stress(system, traj.U)).max())
     counts = [entries[f"complementarity_{key}"]
               for key in ("interior", "upper", "lower", "violation")]
     row = dict(zip(SWEEP_HEADER, (eps_pen, "ok", entries["constraint_violation"],
@@ -312,6 +312,10 @@ def main(argv=None) -> int:
         except SpectrumCertificateError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             summary["status"] = "certificate_failure"
+            code = EXIT_SOLVER
+        except RowWorkerError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            summary["status"] = "row_worker_failure"
             code = EXIT_SOLVER
         except NonFiniteFigure as exc:
             name, entries = exc.args

@@ -290,5 +290,8 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     return build_config(parse_mapping(text))

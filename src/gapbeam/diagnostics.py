@@ -185,7 +185,7 @@ def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
     beam = system.beam
     tol_S = 1e-6 * beam.k if tol_S is None else tol_S
     tol_g = 1e-6 * beam.ell if tol_g is None else tol_g
-    S, _ = recover_stress(system, traj.U, beam.ell, side="left")
+    S = recover_stress(system, traj.U)
     v = traj.U[:, system.tip_slot]
     settled = traj.times >= (-math.inf if t_start is None else t_start)
     # the rest is lower, a nan v too; a nan S fails every sign condition

@@ -10,7 +10,9 @@ operators, with the essential dofs phi(0) and psi(ell) eliminated, are kept:
 M and K as the coordinate lists assembly builds, their products run on
 fixed-width row arrays built from those lists on first use, and D as its
 diagonal.  Their Cholesky factors are banded, in Python floats, and their
-triangular solves elementwise numpy: no BLAS call.
+triangular solves elementwise numpy: no BLAS call.  The element strains are
+constant per element; recover_stress gives the stress the contact checks
+read, the shear force of the last element at the free end.
 """
 
 from __future__ import annotations
@@ -292,24 +294,6 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: float) -> SemiDiscreteSystem:
                               M=M, K=K, D=D)
 
 
-def _element_for(mesh: Mesh, x: float, side: str) -> int:
-    nodes = mesh.nodes
-    tol = 1e-12 * mesh.ell
-    if x < -tol or x > mesh.ell + tol:
-        raise ValueError(f"position {x} outside [0, {mesh.ell}]")
-    hits = np.nonzero(np.abs(nodes - x) <= tol)[0]
-    if hits.size:
-        i = int(hits[0])
-        if side == "left" and i > 0:
-            return i - 1
-        if side == "right" and i < mesh.ne:
-            return i
-        if side == "auto":
-            return i - 1 if i > 0 else 0
-        raise ValueError(f"no element on side {side!r} of x={x}")
-    return int(np.searchsorted(nodes, x) - 1)
-
-
 def element_strains(mesh: Mesh, phi: np.ndarray,
                     psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shear strain phi_x + psi_mid and curvature psi_x of every element.
@@ -324,17 +308,13 @@ def element_strains(mesh: Mesh, phi: np.ndarray,
     return gamma, kappa
 
 
-def recover_stress(system: SemiDiscreteSystem, u: np.ndarray, x: float,
-                   side: str = "auto") -> tuple[np.ndarray, np.ndarray]:
-    """Element-wise shear force and bending moment at x of the displacement u.
+def recover_stress(system: SemiDiscreteSystem, u: np.ndarray) -> np.ndarray:
+    """The shear force S(ell-) = k*(phi_x + psi_mid) of the last element.
 
-    Shear is k*(phi_x + psi_mid), the constant conjugate to the reduced strain;
-    bending is b*psi_x, also constant per element.  At nodes the value is
-    one-sided; pass side='left'/'right' to pick the element, e.g. to measure
-    the force jump across the damper node.  u is a reduced displacement
-    vector, or a block of them with the dofs along its last axis (such as
-    Trajectory.U); the two results take the shape of the block's other axes.
+    It is the end's one-sided stress trace, the traction the Signorini
+    condition signs.  u is a reduced displacement vector, or a block of them
+    with the dofs along its last axis (such as Trajectory.U); the result takes
+    the shape of the block's other axes.
     """
-    e = _element_for(system.mesh, x, side)
-    gamma, kappa = element_strains(system.mesh, *system.expand(u))
-    return system.beam.k * gamma[..., e], system.beam.b * kappa[..., e]
+    gamma, _ = element_strains(system.mesh, *system.expand(u))
+    return system.beam.k * gamma[..., -1]

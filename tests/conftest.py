@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -23,6 +26,30 @@ def desk_system(ne=16, gamma1=0.0, gamma2=0.0, xi=Fraction(1, 2), tip=0.0):
     beam = desk_beam(gamma1, gamma2, xi)
     mesh = build_mesh(beam.ell, beam.xi, ne)
     return assemble(mesh, beam, tip)
+
+
+@functools.cache
+def digest_tool():
+    """tools/artifact_digests.py as a module, loaded on first use: it imports
+    the test modules whose configs it runs."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests",
+        Path(__file__).parents[1] / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def assert_digest_line(line):
+    """line, a reference run's 'name exit digest' from digest_tool, is the
+    run's line in tools/artifact_digests.expected.  It skips under python,
+    numpy or BLAS versions other than the file's; the BLAS thread count moves
+    no reference artifact, so the file's thread line is not compared."""
+    tool = digest_tool()
+    header, want = tool.expected()
+    if header[:3] != tool.environment()[:3]:
+        pytest.skip("environment differs")
+    assert line == want[line.split()[0]]
 
 
 def last_state(traj):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import desk_beam, desk_system
+from conftest import assert_digest_line, desk_beam, desk_system, digest_tool
 from gapbeam import (
     ForceLaw,
     Laws,
@@ -174,6 +174,7 @@ def test_c07_penalty_limit(tmp_path):
            f"violations {[f'{v:.2e}' for v in viols]} strictly decreasing="
            f"{strictly_decreasing}, final <= 1e-3: {final_ok}, "
            f"settled sign-pattern violations {rows[-1][8]} == 0")
+    assert_digest_line(f"c07-w1 {code} {digest_tool().artifact_digest(out)}")
 
 
 def test_c08_compliance_sign_conditions():
@@ -270,3 +271,4 @@ def test_c11_determinism(tmp_path):
     ok = outs[0] == outs[1]
     report("C11", "identical configs give bitwise-identical trajectories", ok,
            f"{len(outs[0])} bytes compared equal: {ok}")
+    assert_digest_line(f"c11-w1 0 {digest_tool().artifact_digest(out)}")

@@ -1,5 +1,6 @@
 """Snapshot files: bit-exact round trip and named errors for damaged files;
-the energy items that trajectory.csv writes as its columns."""
+the energy items that trajectory.csv writes as its columns; the artifact
+bytes of the reference runs of tools/artifact_digests.py."""
 
 import functools
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import desk_system
+from conftest import assert_digest_line, desk_system, digest_tool
 from gapbeam import (ForceLaw, Laws, NormalCompliance, energy,
                      initial_state)
 from gapbeam.artifacts import TRAJECTORY_COLUMNS, load_snapshot, save_snapshot
@@ -81,3 +82,16 @@ def test_energy_items_are_the_trajectory_columns():
         assert isinstance(value, float) and math.isfinite(value), name
     assert items["N_p"] > 0.0 and items["tip_energy"] > 0.0
     assert items["dissipation_rate"] > 0.0
+
+
+# C07 and C11 digest the output of their own acceptance runs
+DIGEST_RUNS = [run for run in digest_tool().reference_runs()
+               if run[0].endswith("-w1") and run[0] not in ("c07-w1", "c11-w1")]
+
+
+@pytest.mark.parametrize("name, command, mapping", DIGEST_RUNS,
+                         ids=[name for name, _, _ in DIGEST_RUNS])
+def test_reference_run_artifacts_are_byte_identical(tmp_path, name, command,
+                                                    mapping):
+    assert_digest_line(digest_tool().digest_line(name, command, mapping,
+                                                 tmp_path))

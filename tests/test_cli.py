@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gapbeam
-from conftest import desk_system
+from conftest import desk_system, digest_tool
 from gapbeam.artifacts import load_snapshot, save_snapshot
 from gapbeam.cli import main
 from gapbeam.config import (_PARSERS, ConfigError, ExperimentConfig, InitSpec,
@@ -396,6 +396,15 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_non_utf8_config_exit_two_names_file_and_byte(self, tmp_path, capsys):
+        # once a UnicodeDecodeError traceback (exit 1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(BASE.encode() + b"beam.rho1 = 1\xff\n")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"config error: {cfg}: not UTF-8 at byte {len(BASE) + 13}\n"
+
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, cfg_text(
             init__kind="random_ball", init__radius="1.0", run__seed="11",
@@ -627,6 +636,38 @@ def test_certificate_failure_exit_three_names_row(tmp_path, capsys, monkeypatch,
     assert read_summary(out)["status"] == "certificate_failure"
     assert not (out / "spectrum.csv").exists()
     assert not (out / "xi_study.csv").exists()
+
+
+@pytest.mark.parametrize("command, extra, row_fn", [
+    ("sweep-eps", dict(PENALTY_STOPS, sweep__eps_pen="1e-1, 1e-2"),
+     "gapbeam.cli._sweep_eps_row"),
+    ("sweep-xi", dict(sweep__xi="1/2, 2/3"), "gapbeam.spectral.mesh_spectrum"),
+    ("spectrum", dict(sweep__epsilon="1e-1, 1e-2"), "gapbeam.cli.mesh_spectrum"),
+])
+def test_dead_row_worker_exit_three(tmp_path, capsys, monkeypatch, command,
+                                    extra, row_fn):
+    # a forked row worker that dies hands back no rows: once a RowWorkerError
+    # traceback (exit 1) and no summary
+    caller = os.getpid()
+    module, name = row_fn.rsplit(".", 1)
+    fn = getattr(importlib.import_module(module), name)
+
+    def die_in_child(*job):
+        if os.getpid() != caller:
+            os._exit(9)
+        return fn(*job)
+
+    monkeypatch.setattr(row_fn, die_in_child)
+    text = cfg_text(**extra, sweep__workers="2")
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"solver failure: row worker \d+ ended with exit status "
+                        r"9 and no result\n", err)
+    assert read_summary(out) == {"schema": "gapbeam-summary-v1",
+                                 "command": command,
+                                 "status": "row_worker_failure"}
 
 
 @pytest.mark.parametrize("command, extra, artifacts", [
@@ -960,16 +1001,6 @@ def test_secular_probe_imports():
         {(1.0, 1.0, 1.0, 1.0, 1.0)}
     b, eps, ne = runs[0]
     assert probe.mesh_spectrum(b, eps, ne).size == 4 * ne
-
-
-def digest_tool():
-    """tools/artifact_digests.py as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "artifact_digests",
-        Path(__file__).parents[1] / "tools" / "artifact_digests.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 
 
 def test_artifact_digests_imports(tmp_path):

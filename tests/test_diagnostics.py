@@ -167,7 +167,7 @@ def _complementarity_loop(system, traj, law, tol_S, tol_g, t_start):
     """complementarity_report sample by sample: the reference of its masks."""
     counts = {"interior": 0, "upper": 0, "lower": 0, "violation": 0}
     worst, worst_mag = {}, -1.0
-    S_ell, _ = recover_stress(system, traj.U, system.mesh.ell, side="left")
+    S_ell = recover_stress(system, traj.U)
     for t, v, S in zip(traj.times, traj.U[:, system.tip_slot], S_ell):
         if t < t_start:
             continue
@@ -225,7 +225,7 @@ class TestComplementarity:
                       state(-0.08, 0.2), state(0.0, math.nan),
                       state(-0.08, -0.22), state(0.0, 0.1)])
         traj = _traj(U, times=np.arange(len(U)) / 10.0)
-        S, _ = recover_stress(system, U, 1.0, side="left")
+        S = recover_stress(system, U)
         assert abs(S[2]) == abs(S[5]) and math.isnan(S[4])
         rep = complementarity_report(system, traj, NC, tol_S=1e-3, t_start=0.1)
         assert rep == _complementarity_loop(system, traj, NC, 1e-3, 1e-6, 0.1)
@@ -284,26 +284,26 @@ class TestObservability:
         assert math.isfinite(figures["ratio_0_to_E0"])
 
     def test_end_traces_and_default_n(self, damped_system):
-        # on a moving beam each end intensity is built from the one-sided
-        # stress trace that recover_stress takes there, and n = 0, the
-        # default, is the sharpness ceil(8/ell), bit for bit
+        # on a moving beam each end intensity is built from the stresses of
+        # the element at that end, and n = 0, the default, is the sharpness
+        # ceil(8/ell), bit for bit
         s0 = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.05,
                         sample_stride=5)
         series, figures = observability(damped_system, traj)
-        beam, ell = damped_system.beam, damped_system.mesh.ell
-        for name, x, side, node in (("I_ell", ell, "left", -1),
-                                    ("I_0", 0.0, "right", 0)):
+        beam, mesh = damped_system.beam, damped_system.mesh
+        ell = mesh.ell
+        for name, end in (("I_ell", -1), ("I_0", 0)):
             expected = []
             for u, w in zip(traj.U, traj.W):
-                S, Mb = recover_stress(damped_system, u, x, side=side)
+                gamma, kappa = element_strains(mesh, *damped_system.expand(u))
+                S, Mb = beam.k * gamma[end], beam.b * kappa[end]
                 phi_t, psi_t = damped_system.expand(w)
-                expected.append(beam.rho2 * beam.b * psi_t[node] ** 2 + Mb**2
-                                + beam.rho1 * beam.k * phi_t[node] ** 2 + S**2)
+                expected.append(beam.rho2 * beam.b * psi_t[end] ** 2 + Mb**2
+                                + beam.rho1 * beam.k * phi_t[end] ** 2 + S**2)
             assert np.all(series[name] > 0.0)
             assert np.array_equal(series[name], expected)
         # the interior functionals of one sample at a time, the same arithmetic
-        mesh = damped_system.mesh
         (q, qx), (q0, q0x) = _multipliers(mesh.gauss_points, math.ceil(8.0 / ell),
                                           ell)
         for i, (u, w) in enumerate(zip(traj.U, traj.W)):

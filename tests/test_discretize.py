@@ -227,46 +227,38 @@ def _displacement(system, phi):
 class TestRecoverStress:
     def test_zero_state(self, conservative_system):
         u = np.zeros(conservative_system.n_free)
-        S, Mb = recover_stress(conservative_system, u, 0.3)
-        assert S == 0.0 and Mb == 0.0
+        assert recover_stress(conservative_system, u) == 0.0
+        gamma, kappa = element_strains(conservative_system.mesh,
+                                       *conservative_system.expand(u))
+        assert not gamma.any() and not kappa.any()
 
     def test_linear_field_gives_constant_shear(self, conservative_system):
-        mesh = conservative_system.mesh
+        # k*gamma is 1 and b*kappa is 0 on every element, the end's included;
+        # a block of states gives one end stress per state
+        mesh, beam = conservative_system.mesh, conservative_system.beam
         u = _displacement(conservative_system, mesh.nodes)
-        for x in (0.0, 0.25, 0.5, 0.77, 1.0):
-            S, Mb = recover_stress(conservative_system, u, x)
-            assert S == pytest.approx(1.0)
-            assert Mb == pytest.approx(0.0)
-
-    def test_rejects_outside_domain(self, conservative_system):
-        u = np.zeros(conservative_system.n_free)
-        with pytest.raises(ValueError):
-            recover_stress(conservative_system, u, 1.5)
-
-    def test_one_sided_values_differ_across_damper(self):
-        system = desk_system(ne=8, gamma1=1.0)
-        mesh = system.mesh
-        phi = np.where(mesh.nodes <= 0.5, mesh.nodes, 0.5 + 2.0 * (mesh.nodes - 0.5))
-        u = _displacement(system, phi)
-        S_left, _ = recover_stress(system, u, 0.5, side="left")
-        S_right, _ = recover_stress(system, u, 0.5, side="right")
-        assert S_left == pytest.approx(1.0)
-        assert S_right == pytest.approx(2.0)
+        gamma, kappa = element_strains(mesh, *conservative_system.expand(u))
+        np.testing.assert_allclose(beam.k * gamma, 1.0)
+        np.testing.assert_allclose(beam.b * kappa, 0.0, atol=1e-12)
+        S = recover_stress(conservative_system, np.stack([u, 2.0 * u]))
+        assert S.shape == (2,)
+        assert S == pytest.approx([1.0, 2.0])
 
     def test_interface_jump_matches_damper_under_refinement(self):
         # the transmission defect |[[S]](xi) - gamma1*phi_t(xi)| of the
-        # computed solution shrinks ~O(h) on smooth data
+        # computed solution, the shear forces of the elements on either side
+        # of the damper node, shrinks ~O(h) on smooth data
         defects = []
         for ne in (16, 64):
             system = desk_system(ne=ne, gamma1=1.0, gamma2=1.0)
             s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.5)
             traj = simulate(system, s0, Laws(), SchemeConfig(dt=2.5e-4), 1.0,
                             sample_stride=40)
-            xi = system.mesh.nodes[system.mesh.xi_index]
-            S_r, _ = recover_stress(system, traj.U, xi, side="right")
-            S_l, _ = recover_stress(system, traj.U, xi, side="left")
+            i = system.mesh.xi_index
+            gamma, _ = element_strains(system.mesh, *system.expand(traj.U))
+            S_l, S_r = system.beam.k * gamma[:, i - 1], system.beam.k * gamma[:, i]
             phi_t, _ = system.expand(traj.W)
-            defect = abs((S_r - S_l) - 1.0 * phi_t[:, system.mesh.xi_index])
+            defect = abs((S_r - S_l) - 1.0 * phi_t[:, i])
             defects.append(defect.max())
         assert defects[1] < 0.4 * defects[0]
 

@@ -20,8 +20,10 @@ penalty-unread-d1, the penalty run with two keys of the compliance law, which
 the penalty law does not read (exit 2, once exit 0 with the penalty run's
 artifacts); and energy-overflow, mode-velocity data of amplitude 1e160, whose
 energy is inf from the first sample (exit 3, once exit 0 with fit_status =
-ok).  Every config runs once with sweep.workers = 1 and once with 2, which
-only the sweeps read.
+ok).  Three runs write what no other run does: snapshot (final_state.snap),
+gaussian (init.kind = gaussian) and sweep-eps-diverged, the energy-overflow
+data in a penalty sweep whose rows diverge.  Every config runs once with
+sweep.workers = 1 and once with 2, which only the sweeps read.
 
 Run as a script, the tool pins BLAS to one thread, as bench/run.py does
 (its BLAS_ENV, set before numpy loads).  Nothing before the SVD of
@@ -36,7 +38,10 @@ artifact byte; such a change regenerates the file (first command above).
 --check shows that a change leaves every artifact byte-identical: it prints
 each line that moved, is missing or is extra against that file and exits 1 if
 there is one.  Other versions may move digests with no defect, so under them
---check prints "environment differs" and exits 1 without running.
+--check prints "environment differs" and exits 1 without running.  The tests
+compare every workers = 1 line with that file too, whatever the BLAS thread
+variables: tests/test_artifacts.py runs each config here but C07's and C11's,
+whose acceptance tests digest their own output.
 """
 
 from __future__ import annotations
@@ -126,6 +131,9 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
         ("penalty-unread-d1", "simulate",
          {**PENALTY_RUN, "contact.d1": "5", "contact.p": "3"}),
         ("energy-overflow", "simulate", dotted(ENERGY_OVERFLOW)),
+        ("snapshot", "simulate", {**MODE, "run.snapshot": "true"}),
+        ("gaussian", "simulate", {**MODE, "init.kind": "gaussian"}),
+        ("sweep-eps-diverged", "sweep-eps", {**dotted(ENERGY_OVERFLOW), **PENALTY}),
     ]:
         runs.append((name, command, {**BASE_MAP, **overrides}))
     return [(f"{name}-w{workers}", command,
@@ -157,15 +165,20 @@ def environment() -> list[str]:
             f"# blas {blas['name']} {blas['version']}", f"# blas threads {threads}"]
 
 
+def expected() -> tuple[list[str], dict[str, str]]:
+    """EXPECTED's header lines, and its digest lines by run name."""
+    lines = EXPECTED.read_text(encoding="utf-8").splitlines()
+    return ([line for line in lines if line.startswith("#")],
+            {line.split()[0]: line for line in lines if not line.startswith("#")})
+
+
 def check() -> int:
     """Compare a fresh run with EXPECTED; print each difference, 1 if any."""
-    expected = EXPECTED.read_text(encoding="utf-8").splitlines()
-    header = [line for line in expected if line.startswith("#")]
+    header, want = expected()
     if header != environment():
         print("environment differs; the expected file was made under",
               *header, "and this run has", *environment(), sep="\n")
         return 1
-    want = {line.split()[0]: line for line in expected if not line.startswith("#")}
     got = {line.split()[0]: line for line in digest_lines()}
     diffs = [f"moved: {want[name]}\n    -> {got[name]}"
              for name in want.keys() & got.keys() if want[name] != got[name]]
