@@ -9,17 +9,19 @@ them to <out>/summary after the envelope (schema, command, status), which a
 solver failure gets too.  Besides ok, the status of exit 0 can be
   zero_data            observability of zero initial data: E0 = 0 and no
                        intensity, so the ratios are inf and c0, c1 nan
+  partial              sweep-eps: some rows diverged, rows_ok did not
+  diverged             sweep-eps: every row diverged (rows_ok = 0)
 and the statuses of exit 3 are
   newton_divergence    a step failed at t_fail (simulate, observability)
   certificate_failure  a root set failed its certificate (sweep-xi, spectrum)
-  row_worker_failure   a forked row worker ended without its rows (sweeps)
   non_finite_<figure>  a figure is nan or inf: the first observability one
                        for nonzero initial data (all figures are written), or
                        simulate's E_total at t_fail (trajectory.csv is written)
 
-The rows of a sweep (sweep-eps, sweep-xi and the epsilon study of spectrum)
-run here and in forked children that pipe their rows back, up to sweep.workers
-processes (default: the usable CPUs); artifacts do not depend on their number.
+A run that overflows says so through these statuses, not through numpy's
+floating-point warnings, which are off while a command runs.  The rows of a
+sweep (sweep-eps, sweep-xi and the epsilon study of spectrum) run in this
+process, in input order.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import gc
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .artifacts import (
     EPS_SCHEMA,
@@ -55,13 +59,12 @@ from .diagnostics import (
 from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
                          recover_stress)
 from .model import NormalCompliance
-from .rows import RowWorkerError, map_rows
 from .spectral import (DimensionCapExceeded, SpectrumCertificateError,
                        mesh_spectrum, trend_toward_zero, xi_study)
 from .timestep import NewtonDivergence, initial_state, simulate
 
 # everything imported so far lives as long as the process: keep it out of the
-# collector's scans and off the pages that forked sweep workers would copy
+# collector's scans
 gc.freeze()
 
 EXIT_OK = 0
@@ -129,8 +132,8 @@ SWEEP_HEADER = ("eps_pen", "status", "violation", "sup_S_ell", "gamma_state",
 
 
 def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
-    """One penalty-sweep row of plain scalars, so that rows cross processes,
-    keyed by SWEEP_HEADER but for its last column."""
+    """One penalty-sweep row of plain scalars, keyed by SWEEP_HEADER but for
+    its last column."""
     base = cfg.contact
     contact = NormalCompliance.penalty(eps_pen, base.g_lo, base.g_hi)
     # the penalized end model uses one coefficient for the tip body and the
@@ -176,8 +179,8 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> dict:
         raise ConfigError("contact.kind: sweep-eps needs a penalty law, "
                           "signorini_penalty or p = 1 with d1 = d2")
     # repr is exact, so no two rows share a directory
-    jobs = [(cfg, eps, str(out / f"eps_{eps!r}")) for eps in cfg.sweep.eps_pen]
-    rows = map_rows(_sweep_eps_row, jobs, workers=cfg.sweep.workers)
+    rows = [_sweep_eps_row(cfg, eps, str(out / f"eps_{eps!r}"))
+            for eps in cfg.sweep.eps_pen]
     prev = None
     for row in rows:
         row["violation_decreasing"] = ""
@@ -189,8 +192,9 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> dict:
     write_table_csv(out / "sweep.csv", SWEEP_SCHEMA, SWEEP_HEADER,
                     [[row[key] for key in SWEEP_HEADER] for row in rows])
     rows_ok = sum(r["status"] == "ok" for r in rows)
-    return {"status": "ok" if rows_ok == len(rows) else "partial",
-            "rows": len(rows), "rows_ok": rows_ok}
+    status = ("ok" if rows_ok == len(rows) else "partial" if rows_ok
+              else "diverged")
+    return {"status": status, "rows": len(rows), "rows_ok": rows_ok}
 
 
 def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> dict:
@@ -199,8 +203,7 @@ def cmd_sweep_xi(cfg: ExperimentConfig, out: Path) -> dict:
     key, ne_values = (("sweep.ne", cfg.sweep.ne) if cfg.sweep.ne
                       else ("mesh.ne", (cfg.ne,)))
     try:
-        rows = xi_study(cfg.beam, cfg.tip, cfg.sweep.xi, ne_values,
-                        cfg.sweep.workers)
+        rows = xi_study(cfg.beam, cfg.tip, cfg.sweep.xi, ne_values)
     except DimensionCapExceeded as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     header = ("xi_num", "xi_den", "ne", "abscissa", "verdict")
@@ -221,11 +224,10 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
         # tip-coefficient study: compare against the plain traction-free model,
         # the row epsilon = 0
         tips += [0.0, *cfg.sweep.epsilon]
-    distinct = list(dict.fromkeys(tips))  # each epsilon is solved once
     try:
-        spectra = dict(zip(distinct, map_rows(
-            mesh_spectrum, [(cfg.beam, tip, cfg.ne) for tip in distinct],
-            workers=cfg.sweep.workers)))
+        # each epsilon is solved once
+        spectra = {tip: mesh_spectrum(cfg.beam, tip, cfg.ne)
+                   for tip in dict.fromkeys(tips)}
     except DimensionCapExceeded as exc:
         raise ConfigError(f"mesh.ne: {exc}") from exc
     # a spectrum is sorted by real part, descending: lam[0].real is its abscissa
@@ -303,7 +305,8 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         try:
-            summary.update(_COMMANDS[args.command](cfg, out))
+            with np.errstate(all="ignore"):
+                summary.update(_COMMANDS[args.command](cfg, out))
         except NewtonDivergence as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             summary.update(status="newton_divergence", t_fail=exc.t,
@@ -312,10 +315,6 @@ def main(argv=None) -> int:
         except SpectrumCertificateError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             summary["status"] = "certificate_failure"
-            code = EXIT_SOLVER
-        except RowWorkerError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            summary["status"] = "row_worker_failure"
             code = EXIT_SOLVER
         except NonFiniteFigure as exc:
             name, entries = exc.args

@@ -22,7 +22,6 @@ is a ConfigError, reported after any bad value.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -75,10 +74,6 @@ class SweepSpec:
     xi: tuple[Fraction, ...] = ()
     ne: tuple[int, ...] = ()
     tie_tip: bool = True
-    # the rows of a sweep run on up to this many processes (never more than
-    # there are rows), by default the usable CPUs; the artifacts do not
-    # depend on it
-    workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
 
     def __post_init__(self):
         if not all(n >= 2 for n in self.ne):
@@ -96,8 +91,6 @@ class SweepSpec:
         # the stiffness of a row's penalty law is 1/eps_pen
         if not all(math.isfinite(1.0 / v) for v in self.eps_pen):
             raise ParamError("eps_pen", "an entry puts 1/eps_pen out of float range")
-        if self.workers < 1:
-            raise ParamError("workers", "must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Parameters, constitutive laws and step controls of the damped beam with stops.
 
 Everything in this module is a pure function of its inputs or an immutable
-parameter record; instances can be shared freely across workers.
+parameter record.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ import numpy as np
 from .discretize import (AssemblyError, CooMatrix, SemiDiscreteSystem, assemble,
                          band_cholesky, band_solve, build_mesh)
 from .model import BeamParams, is_stabilizing_xi
-from .rows import map_rows
 
 
 # largest pencil dimension admitted (ne elements give 4 * ne); the dense SVD
@@ -66,9 +65,6 @@ class DimensionCapExceeded(RuntimeError):
             f"modal eigensolver; the largest admissible mesh has ne = "
             f"{DENSE_CAP // 4}"
         )
-
-    def __reduce__(self):
-        return type(self), (self.n,)
 
 
 class SpectrumCertificateError(RuntimeError):
@@ -375,28 +371,26 @@ def mesh_spectrum(beam: BeamParams, tip: float, ne: int) -> np.ndarray:
             f"failed its certificate: {exc}")
 
 
-def xi_study(beam: BeamParams, tip: float, xi_fractions, ne_values,
-             workers: int = 1) -> list[tuple[Fraction, int, float, str]]:
+def xi_study(beam: BeamParams, tip: float, xi_fractions,
+             ne_values) -> list[tuple[Fraction, int, float, str]]:
     """Abscissa table over damper locations and mesh refinements.
 
     Locations are exact fractions of the length so the verdict of
     is_stabilizing_xi applies and the mesh places the damper on a node.
-    Every ne is checked against DENSE_CAP before the first solve.  The rows
-    run on up to `workers` processes (rows.map_rows), weighted by ne**3, the
-    cost of the dense SVD of the modal form; the root stage, a few sweeps of
-    ne**2 root-pole pairs each, costs less from ne = 128 on.
+    Every ne is checked against DENSE_CAP before the first solve; the rows
+    are solved in order, every ne of the first location first.
     """
     ne_max = max(ne_values, default=0)
     if 4 * ne_max > DENSE_CAP:
         raise DimensionCapExceeded(4 * ne_max)
-    keys = [(Fraction(frac), ne) for frac in xi_fractions for ne in ne_values]
-    jobs = [(dataclasses.replace(beam, xi_num=frac.numerator,
-                                 xi_den=frac.denominator), tip, ne)
-            for frac, ne in keys]
-    spectra = map_rows(mesh_spectrum, jobs, [ne ** 3 for _, ne in keys],
-                       workers)
-    return [(frac, ne, float(lam[0].real), is_stabilizing_xi(frac))
-            for (frac, ne), lam in zip(keys, spectra)]
+    rows = []
+    for frac in map(Fraction, xi_fractions):
+        row_beam = dataclasses.replace(beam, xi_num=frac.numerator,
+                                       xi_den=frac.denominator)
+        for ne in ne_values:
+            lam = mesh_spectrum(row_beam, tip, ne)
+            rows.append((frac, ne, float(lam[0].real), is_stabilizing_xi(frac)))
+    return rows
 
 
 def trend_toward_zero(rows, tol_bad: float = 1e-6) -> bool:

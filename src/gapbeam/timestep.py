@@ -45,9 +45,6 @@ class NewtonDivergence(RuntimeError):
             f"after {iterations} iterations (reduce dt or soften the contact)"
         )
 
-    def __reduce__(self):
-        return type(self), (self.t, self.residual, self.iterations)
-
 
 def _quadratic_form(A: CooMatrix, x: np.ndarray) -> float:
     """x.A.x with the product taken as A @ x."""

@@ -152,7 +152,6 @@ contact.g_lo = -0.05
 contact.g_hi = 0.05
 force_f.f0 = 0.25
 sweep.eps_pen = 1e-1, 1e-2, 1e-3, 1e-4
-sweep.workers = 2
 """
 
 

@@ -86,7 +86,7 @@ def test_energy_items_are_the_trajectory_columns():
 
 # C07 and C11 digest the output of their own acceptance runs
 DIGEST_RUNS = [run for run in digest_tool().reference_runs()
-               if run[0].endswith("-w1") and run[0] not in ("c07-w1", "c11-w1")]
+               if run[0] not in ("c07-w1", "c11-w1")]
 
 
 @pytest.mark.parametrize("name, command, mapping", DIGEST_RUNS,

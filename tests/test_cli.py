@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -43,7 +44,7 @@ KEYS = {
     "run.snapshot", "init.kind", "init.amplitude",
     "init.amplitude_psi", "init.mode", "init.center", "init.width",
     "init.radius", "multiplier.n", "sweep.eps_pen", "sweep.epsilon",
-    "sweep.xi", "sweep.ne", "sweep.tie_tip", "sweep.workers",
+    "sweep.xi", "sweep.ne", "sweep.tie_tip",
 }
 # the stop-law keys each contact.kind reads, with a valid value each
 STOP_LAW_KEYS = {
@@ -66,7 +67,7 @@ EVERY_OTHER_KEY = {
     "init.mode": "2", "init.center": "0.5", "init.width": "0.1",
     "init.radius": "1", "multiplier.n": "3", "sweep.eps_pen": "1e-2",
     "sweep.epsilon": "1e-2", "sweep.xi": "1/2", "sweep.ne": "8",
-    "sweep.tie_tip": "false", "sweep.workers": "1",
+    "sweep.tie_tip": "false",
 }
 # the record whose fields a section's keys may name
 SECTIONS = {
@@ -251,7 +252,7 @@ class TestConfigParsing:
         settable = [f for record in SECTIONS.values() for f in fields(record)]
         settable += [f for f in fields(ExperimentConfig) if f.name in (
             "ne", "t_final", "tip", "stride", "seed", "multiplier_n", "snapshot")]
-        assert len(settable) == 45  # contact.eps_pen is read outside them
+        assert len(settable) == 44  # contact.eps_pen is read outside them
         assert [f.name for f in settable if f.type not in _PARSERS] == []
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -293,7 +294,7 @@ class TestSimulateCommand:
         ({"sweep.xi": "1/2, 1/1"}, "sweep.xi"),
         ({"sweep.eps_pen": "1e-2, 0"}, "sweep.eps_pen"),
         ({"sweep.epsilon": "-1e-2"}, "sweep.epsilon"),
-        ({"sweep.workers": "-3"}, "sweep.workers"),
+        ({"sweep.xi": "1/2, 1/0"}, "sweep.xi: bad list entry"),
         ({"multiplier.n": "-1"}, "multiplier.n"),
         ({"run.t_final": "0.0205"}, "run.t_final"),
         ({"init.kind": "random_ball", "init.radius": "-1"}, "init.radius"),
@@ -373,6 +374,14 @@ class TestSimulateCommand:
             assert main(["simulate", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
             assert capsys.readouterr().err == f"config error: unknown field {key}\n"
+
+    def test_sweep_rows_have_no_worker_count(self, tmp_path, capsys):
+        # the rows of a sweep run in one process: sweep.workers is gone
+        cfg = write_cfg(tmp_path, cfg_text(sweep__xi="1/2", sweep__workers="2"))
+        assert main(["sweep-xi", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: unknown field sweep.workers\n"
 
     def test_damper_location_is_its_fraction(self, tmp_path, capsys):
         # xi_num = 2, xi_den = 4 writes the bytes of 1/2, and no real
@@ -503,8 +512,7 @@ class TestSpectrumCommand:
         solve = gapbeam.spectral.spectrum
         monkeypatch.setattr("gapbeam.spectral.spectrum",
                             lambda *args: calls.append(1) or solve(*args))
-        cfg = write_cfg(tmp_path, cfg_text(sweep__epsilon="1e-1, 1e-2, 1e-3",
-                                           sweep__workers="1"))
+        cfg = write_cfg(tmp_path, cfg_text(sweep__epsilon="1e-1, 1e-2, 1e-3"))
         out = tmp_path / "out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         assert len(calls) == 4
@@ -573,12 +581,12 @@ def test_unknown_initial_kind_exit_two_without_initial_data(tmp_path, capsys,
     ("spectrum", {}),
     ("spectrum", {"beam.k": "1.0", "beam.ell": "1e-300"}),
     ("sweep-xi", {"beam.k": "1.0", "beam.ell": "1e-300",
-                  "sweep.xi": "1/2, 2/3", "sweep.workers": "2"}),
+                  "sweep.xi": "1/2, 2/3"}),
 ])
 def test_unusable_operator_exit_two(tmp_path, capsys, command, extra):
     # a finite but huge shear stiffness leaves no positive definite operator;
     # a finite but tiny length overflows the operators' entries, also in the
-    # rows of a forked worker
+    # rows of a sweep
     text = "".join(f"{k} = {v}\n" for k, v in
                    {**BASE_MAP, "beam.k": "1e300", **extra}.items())
     assert main([command, "--config", write_cfg(tmp_path, text),
@@ -610,18 +618,19 @@ def test_overflowing_secular_weights_exit_two(tmp_path, capsys, command, extra):
 @pytest.mark.parametrize("command, extra, row", [
     ("spectrum", {"tip.epsilon": "0.01"},
      "ne=8, xi=1/2, epsilon=0.01"),
-    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16",
-                  "sweep.workers": "2"}, "ne=16, xi=2/3"),
+    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16"},
+     "ne=16, xi=2/3"),
 ])
 def test_certificate_failure_exit_three_names_row(tmp_path, capsys, monkeypatch,
                                                   command, extra, row):
     # a root set that fails its certificate is a solver failure; the message
-    # names the row and the check, also from a forked row worker (whose
-    # first row is the xi = 2/3 one at ne = 16)
-    caller = os.getpid()
+    # names the row and the check, also when it is a sweep's last row (the
+    # fourth, xi = 2/3 at ne = 16) and three rows certified before it
+    calls = []
 
     def fail(omega, Q, delta):
-        if command == "spectrum" or os.getpid() != caller:
+        calls.append(1)
+        if command == "spectrum" or len(calls) == 4:
             raise SpectrumCertificateError("trace: the roots give 1, the "
                                            "modal form 2")
 
@@ -638,73 +647,18 @@ def test_certificate_failure_exit_three_names_row(tmp_path, capsys, monkeypatch,
     assert not (out / "xi_study.csv").exists()
 
 
-@pytest.mark.parametrize("command, extra, row_fn", [
-    ("sweep-eps", dict(PENALTY_STOPS, sweep__eps_pen="1e-1, 1e-2"),
-     "gapbeam.cli._sweep_eps_row"),
-    ("sweep-xi", dict(sweep__xi="1/2, 2/3"), "gapbeam.spectral.mesh_spectrum"),
-    ("spectrum", dict(sweep__epsilon="1e-1, 1e-2"), "gapbeam.cli.mesh_spectrum"),
-])
-def test_dead_row_worker_exit_three(tmp_path, capsys, monkeypatch, command,
-                                    extra, row_fn):
-    # a forked row worker that dies hands back no rows: once a RowWorkerError
-    # traceback (exit 1) and no summary
-    caller = os.getpid()
-    module, name = row_fn.rsplit(".", 1)
-    fn = getattr(importlib.import_module(module), name)
-
-    def die_in_child(*job):
-        if os.getpid() != caller:
-            os._exit(9)
-        return fn(*job)
-
-    monkeypatch.setattr(row_fn, die_in_child)
-    text = cfg_text(**extra, sweep__workers="2")
-    out = tmp_path / "o"
-    assert main([command, "--config", write_cfg(tmp_path, text),
-                 "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"solver failure: row worker \d+ ended with exit status "
-                        r"9 and no result\n", err)
-    assert read_summary(out) == {"schema": "gapbeam-summary-v1",
-                                 "command": command,
-                                 "status": "row_worker_failure"}
-
-
-@pytest.mark.parametrize("command, extra, artifacts", [
-    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16, 24"},
-     ("xi_study.csv", "summary")),
-    ("spectrum", {"sweep.epsilon": "1e-1, 1e-2, 1e-3"},
-     ("spectrum.csv", "eps_study.csv", "summary")),
-])
-def test_sweep_rows_do_not_depend_on_workers(tmp_path, command, extra,
-                                             artifacts):
-    outputs = []
-    for workers in ("1", "2", "3", None):
-        entries = {**BASE_MAP, **extra}
-        if workers is not None:
-            entries["sweep.workers"] = workers
-        text = "".join(f"{k} = {v}\n" for k, v in entries.items())
-        out = tmp_path / f"out{workers}"
-        assert main([command, "--config",
-                     write_cfg(tmp_path, text, name=f"{workers}.cfg"),
-                     "--out", str(out)]) == 0
-        outputs.append([(out / name).read_bytes() for name in artifacts])
-    assert all(o == outputs[0] for o in outputs[1:])
-
-
 @pytest.mark.parametrize("command, extra", [
     ("simulate", {}),
     ("sweep-eps", {"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
                    "contact.g_lo": "-0.05", "contact.g_hi": "0.05",
-                   "sweep.eps_pen": "1e-1, 1e-2", "sweep.workers": "2"}),
-    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16",
-                  "sweep.workers": "2"}),
-    ("spectrum", {"sweep.epsilon": "1e-1, 1e-2", "sweep.workers": "2"}),
+                   "sweep.eps_pen": "1e-1, 1e-2"}),
+    ("sweep-xi", {"sweep.xi": "1/2, 2/3", "sweep.ne": "8, 16"}),
+    ("spectrum", {"sweep.epsilon": "1e-1, 1e-2"}),
     ("observability", {"run.stride": "5"}),
 ], ids=["simulate", "sweep-eps", "sweep-xi", "spectrum", "observability"])
 def test_commands_run_with_scipy_blocked(tmp_path, command, extra):
-    # every command runs, sweeps on two processes included, in an interpreter
-    # where importing scipy, numpy.ma or a process-pool module fails
+    # every command runs, sweeps included, in an interpreter where importing
+    # scipy, numpy.ma or a process-pool module fails
     text = "".join(f"{k} = {v}\n" for k, v in {**BASE_MAP, **extra}.items())
     argv = [command, "--config", write_cfg(tmp_path, text), "--out",
             str(tmp_path / "o")]
@@ -741,8 +695,7 @@ class TestSweepXiCommand:
         # one process per BLAS thread count, both at once: the artifacts are
         # a function of the config alone, not of the shell that ran it
         cfg = write_cfg(tmp_path, cfg_text(sweep__xi="1/2, 2/3",
-                                           sweep__ne="64, 160",
-                                           sweep__workers="1"))
+                                           sweep__ne="64, 160"))
         runs = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -778,15 +731,6 @@ class TestSweepEpsCommand:
         assert rows[1][-1] == "yes"
         assert (out / "eps_0.1" / "trajectory.csv").exists()
         assert (out / "eps_0.01" / "trajectory.csv").exists()
-
-    def test_worker_pool_matches_serial(self, tmp_path):
-        cfg = write_cfg(tmp_path, cfg_text(sweep__workers="1", **self.CONTACT))
-        out1, out2 = tmp_path / "serial", tmp_path / "pool"
-        pool = write_cfg(tmp_path, cfg_text(sweep__workers="2", **self.CONTACT),
-                         name="pool.cfg")
-        assert main(["sweep-eps", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["sweep-eps", "--config", pool, "--out", str(out2)]) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
     def test_needs_penalty_law(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "sweep.eps_pen = 1e-1\n")
@@ -1005,13 +949,12 @@ def test_secular_probe_imports():
 
 def test_artifact_digests_imports(tmp_path):
     # tools/artifact_digests.py: every reference config but penalty-unread-d1
-    # is valid, once per worker count, and a run's line is the same on a
-    # second run
+    # is valid, each runs once, and a run's line is the same on a second run
     tool = digest_tool()
     runs = tool.reference_runs()
     names = [name for name, _, _ in runs]
-    assert len(set(names)) == len(names)
-    assert {"c07-w1", "c07-w2", "xi-study-w2", "observability-n3-w1",
+    assert len(set(names)) == len(names) == 25
+    assert {"c07-w1", "xi-study-w1", "observability-n3-w1",
             "penalty-w1"} <= set(names)
     for name, _, mapping in runs:
         if name.startswith("penalty-unread-d1-"):
@@ -1089,7 +1032,7 @@ def test_overflowing_energy_is_a_solver_failure(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep-eps", "--config", write_cfg(tmp_path, text, "sweep.cfg"),
                  "--out", str(out)]) == 0
-    assert read_summary(out)["status"] == "partial"
+    assert read_summary(out)["status"] == "diverged"
     assert read_summary(out / "eps_0.1") == {"status": "diverged", "t_fail": "0"}
 
 
@@ -1108,14 +1051,32 @@ def test_overflowing_tip_energy_is_a_solver_failure(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep-eps", "--config", write_cfg(tmp_path, text, "sweep.cfg"),
                  "--out", str(out)]) == 0
-    assert read_summary(out)["status"] == "partial"
+    assert read_summary(out)["status"] == "diverged"
     assert (out / "sweep.csv").read_text().splitlines()[2].split(",")[1] == \
         "diverged"
 
 
+@pytest.mark.parametrize("command, overrides, code, err", [
+    ("simulate", ENERGY_OVERFLOW, 3,
+     "solver failure: E_total = inf is not finite\n"),
+    ("sweep-eps", dict(ENERGY_OVERFLOW, **PENALTY_STOPS,
+                       sweep__eps_pen="1e-1, 1e-2"), 0, ""),
+], ids=["simulate", "sweep-eps"])
+def test_overflow_writes_only_the_contract_message(tmp_path, capsys, command,
+                                                   overrides, code, err):
+    # the status reports the overflow; numpy's RuntimeWarnings once went to
+    # stderr beside it, seven from simulate alone
+    cfg = write_cfg(tmp_path, cfg_text(**overrides))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == err
+
+
 # the exit-code property: any key of a config, numbers over the whole double
 # range, but a run stays small: ne <= 8, a few steps, at most 50 Newton
-# corrections, at most 3 entries in a sweep list and 3 processes
+# corrections and at most 3 entries in a sweep list
 _DOUBLE = st.floats(allow_nan=False, allow_infinity=False)
 _WHOLE = st.integers(-2**1024, 2**1024)     # the integers of the double range
 _FRACTION = st.builds("{}/{}".format, _WHOLE, _WHOLE)
@@ -1150,7 +1111,6 @@ _KEY_VALUES = {
     "sweep.epsilon": _listed(_DOUBLE.map(repr)),
     "sweep.xi": _listed(_FRACTION),
     "sweep.ne": _listed(st.integers(-1, 8)),
-    "sweep.workers": st.integers(0, 3).map(str),
 }
 # what each command needs to get past its own checks
 _COMMAND_BASES = {

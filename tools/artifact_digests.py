@@ -22,8 +22,9 @@ artifacts); and energy-overflow, mode-velocity data of amplitude 1e160, whose
 energy is inf from the first sample (exit 3, once exit 0 with fit_status =
 ok).  Three runs write what no other run does: snapshot (final_state.snap),
 gaussian (init.kind = gaussian) and sweep-eps-diverged, the energy-overflow
-data in a penalty sweep whose rows diverge.  Every config runs once with
-sweep.workers = 1 and once with 2, which only the sweeps read.
+data in a penalty sweep whose rows all diverge.  Every run name ends in -w1
+(one sweep worker), a suffix kept from when each config also ran with two:
+tests/test_artifacts.py takes its test ids from these names.
 
 Run as a script, the tool pins BLAS to one thread, as bench/run.py does
 (its BLAS_ENV, set before numpy loads).  Nothing before the SVD of
@@ -39,9 +40,9 @@ artifact byte; such a change regenerates the file (first command above).
 each line that moved, is missing or is extra against that file and exits 1 if
 there is one.  Other versions may move digests with no defect, so under them
 --check prints "environment differs" and exits 1 without running.  The tests
-compare every workers = 1 line with that file too, whatever the BLAS thread
-variables: tests/test_artifacts.py runs each config here but C07's and C11's,
-whose acceptance tests digest their own output.
+compare every line with that file too, whatever the BLAS thread variables:
+tests/test_artifacts.py runs each config here but C07's and C11's, whose
+acceptance tests digest their own output.
 """
 
 from __future__ import annotations
@@ -136,9 +137,7 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
         ("sweep-eps-diverged", "sweep-eps", {**dotted(ENERGY_OVERFLOW), **PENALTY}),
     ]:
         runs.append((name, command, {**BASE_MAP, **overrides}))
-    return [(f"{name}-w{workers}", command,
-             {**mapping, "sweep.workers": str(workers)})
-            for name, command, mapping in runs for workers in (1, 2)]
+    return [(f"{name}-w1", command, mapping) for name, command, mapping in runs]
 
 
 def digest_line(name: str, command: str, mapping: dict[str, str],

@@ -7,13 +7,11 @@ the last row, eps_pen = 1e-4 with the tip body tied to it, count no settled
 sign-pattern violation.  This script runs that row on the C07 configuration
 with force_f.f0 moved by 0, +-1 ... +-5 and +7 ulps, prints the violations of
 each run and then how many of the 12 runs pass.  A count well below 12 means
-the verdict at the pinned f0 rests on rounding, not on the physics.  The rows
-run on as many processes as this one may use.
+the verdict at the pinned f0 rests on rounding, not on the physics.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -25,7 +23,6 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from gapbeam.cli import _sweep_eps_row  # noqa: E402
 from gapbeam.config import build_config, parse_mapping  # noqa: E402
-from gapbeam.rows import map_rows  # noqa: E402
 from test_acceptance import SWEEP_CFG  # noqa: E402
 
 EPS_PEN = 1e-4
@@ -43,19 +40,16 @@ def nudged(x: float, ulps: int) -> float:
 def main() -> int:
     mapping = parse_mapping(SWEEP_CFG)
     f0 = float(mapping["force_f.f0"])
+    passes = 0
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = []
         for k in ULPS:
             cfg = build_config({**mapping, "force_f.f0": repr(nudged(f0, k))})
-            jobs.append((cfg, EPS_PEN, str(Path(tmp) / f"ulps_{k}")))
-        rows = map_rows(_sweep_eps_row, jobs,
-                        workers=len(os.sched_getaffinity(0)))
-    passes = 0
-    for k, row in zip(ULPS, rows):
-        ok = row["status"] == "ok" and row["compl_violations"] == 0
-        passes += ok
-        print(f"f0 {k:+d} ulps: status {row['status']}, settled violations "
-              f"{row['compl_violations']}  {'pass' if ok else 'FAIL'}")
+            row = _sweep_eps_row(cfg, EPS_PEN, str(Path(tmp) / f"ulps_{k}"))
+            ok = row["status"] == "ok" and row["compl_violations"] == 0
+            passes += ok
+            print(f"f0 {k:+d} ulps: status {row['status']}, settled violations "
+                  f"{row['compl_violations']}  {'pass' if ok else 'FAIL'}",
+                  flush=True)
     print(f"{passes}/{len(ULPS)} runs pass")
     return 0
 
