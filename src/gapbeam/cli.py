@@ -136,10 +136,8 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
     its last column."""
     base = cfg.contact
     contact = NormalCompliance.penalty(eps_pen, base.g_lo, base.g_hi)
-    # the penalized end model uses one coefficient for the tip body and the
-    # penalty; tie them so the limit drives both to zero together
-    tip = eps_pen if cfg.sweep.tie_tip else cfg.tip
-    row_cfg = dataclasses.replace(cfg, contact=contact, tip=tip)
+    # the tip body's epsilon is the penalty's, so the limit drives both to 0
+    row_cfg = dataclasses.replace(cfg, contact=contact, tip=eps_pen)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # scale-aware tolerances: penetration depth scales like sqrt(eps) on

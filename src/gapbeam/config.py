@@ -6,8 +6,9 @@ run is the exact fraction `beam.xi_num` / `beam.xi_den` of the length, and
 sweep-xi takes its locations from `sweep.xi` instead.
 
 The parameter records are the schema: key `section.field` sets that field,
-parsed by its annotation, and an absent key keeps the record's default.  A
-record's __post_init__ checks its fields; its ParamError names the key.
+parsed by its annotation (numbers finite, booleans true or false), and an
+absent key keeps the record's default, the only way to a None.  A record's
+__post_init__ checks its fields; its ParamError names the key.
 `tip.epsilon` is the number epsilon >= 0 that the tip body adds to the mass,
 damping and stiffness of the end deflection; its default 0 is no body, the
 traction-free end.  `contact.kind` picks the stop law: none for no law,
@@ -73,7 +74,6 @@ class SweepSpec:
     epsilon: tuple[float, ...] = ()
     xi: tuple[Fraction, ...] = ()
     ne: tuple[int, ...] = ()
-    tie_tip: bool = True
 
     def __post_init__(self):
         if not all(n >= 2 for n in self.ne):
@@ -164,16 +164,9 @@ def _int(text: str) -> int:
 
 
 def _bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _optional_float(text: str) -> float | None:
-    return None if text.lower() in ("", "none", "off") else _finite_float(text)
+    if text not in ("true", "false"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return text == "true"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -196,8 +189,8 @@ def _list(conv):
 
 # the parser of a value, by the annotation of the field it sets
 _PARSERS = {
-    "float": _finite_float, "int": _int, "bool": _bool, "str": str,
-    "float | None": _optional_float,
+    "float": _finite_float, "float | None": _finite_float, "int": _int,
+    "bool": _bool, "str": str,
     "tuple[float, ...]": _list(_finite_float), "tuple[int, ...]": _list(int),
     "tuple[Fraction, ...]": _list(_parse_fraction),
 }

@@ -16,8 +16,8 @@ Each diagnostic returns what its reader writes:
                           figures defect_ell, defect_0, ratio_ell_to_E0,
                           ratio_0_to_E0, c0_measured, c1_measured, keyed as
                           the summary entries
-  absorbing_probe         (t0, plateau, converged); t0 is None when the
-                          ensemble never stays inside the ball
+  absorbing_probe         (t0, plateau, converged) over ENSEMBLE runs; t0 is
+                          None when the ensemble never stays inside the ball
 """
 
 from __future__ import annotations
@@ -208,11 +208,13 @@ def complementarity_report(system: SemiDiscreteSystem, traj: Trajectory,
     return report
 
 
+ENSEMBLE = 8
+
+
 def absorbing_probe(system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig,
-                    *, radius: float, t_final: float, n_ensemble: int = 8,
-                    sample_stride: int = 10, seed: int = 0
-                    ) -> tuple[float | None, float, bool]:
-    """Drive an ensemble from a ball of initial data and watch it contract.
+                    *, radius: float, t_final: float, sample_stride: int = 10,
+                    seed: int = 0) -> tuple[float | None, float, bool]:
+    """Drive ENSEMBLE runs from a ball of initial data and watch them contract.
 
     Reports the plateau radius, the largest norm over the last fifth of the
     samples, and the first time all trajectories enter (and stay in) a ball
@@ -220,10 +222,8 @@ def absorbing_probe(system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig,
     fifth of the run.  Evidence, not proof: a missing plateau is flagged, not
     raised.
     """
-    if n_ensemble < 8:
-        raise ValueError("ensemble must hold at least 8 trajectories")
     norm_rows = []
-    for j in range(n_ensemble):
+    for j in range(ENSEMBLE):
         initial = initial_state(system, "random_ball", radius=radius,
                                 seed=seed + j)
         traj = simulate(system, initial, laws, cfg, t_final,

@@ -289,7 +289,8 @@ def assemble(mesh: Mesh, beam: BeamParams, tip: float) -> SemiDiscreteSystem:
     try:
         band_cholesky(M.lower_band(np.arange(n)))
     except np.linalg.LinAlgError as exc:
-        raise AssemblyError("reduced mass operator is not positive definite") from exc
+        raise AssemblyError("reduced mass operator is not positive definite "
+                            "(beam.rho1, beam.rho2, beam.ell, tip.epsilon)") from exc
     return SemiDiscreteSystem(mesh=mesh, beam=beam, tip=tip, tip_slot=tip_slot,
                               M=M, K=K, D=D)
 

@@ -110,13 +110,15 @@ def modal_form(pencil: GeneratorPencil) -> tuple[np.ndarray, np.ndarray]:
     D, n, rank = pencil.D, pencil.n // 2, pencil.rank
     L = band_cholesky(pencil.M.lower_band(rank))
     K = pencil.K.lower_band(rank)
+    keys = "beam.k, beam.b, beam.ell, tip.epsilon"
     if not np.isfinite(K).all():
-        raise AssemblyError("reduced stiffness operator has a non-finite entry")
+        raise AssemblyError(
+            f"reduced stiffness operator has a non-finite entry ({keys})")
     try:
         R = band_cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(
-            "reduced stiffness operator is not positive definite") from exc
+            f"reduced stiffness operator is not positive definite ({keys})") from exc
     if np.any(D < 0.0):
         raise AssemblyError("damping operator is not nonnegative")
     S = np.flatnonzero(D)
@@ -159,7 +161,9 @@ def secular_roots(omega: np.ndarray, Q: np.ndarray) -> np.ndarray:
     ratio = float(np.max(weight[live] / om))
     if not (ratio <= 10.0 ** _MAX_STAGES and np.isfinite(np.sum((q.T @ q) ** 2))):
         raise AssemblyError(f"secular weights of the modal form out of range: "
-                            f"max |q_j|^2 / omega_j = {ratio:.3g} > 1e{_MAX_STAGES}")
+                            f"max |q_j|^2 / omega_j = {ratio:.3g} > 1e{_MAX_STAGES} "
+                            "(beam.gamma1, beam.gamma2, tip.epsilon over "
+                            "beam.rho1, beam.rho2)")
     stages = max(0, math.ceil(math.log10(ratio)))
     R = np.einsum("ja,jb->jab", q, q).reshape(m, -1)
     first = np.flatnonzero(np.diff(om, prepend=-1.0))  # runs of equal poles
@@ -393,13 +397,13 @@ def xi_study(beam: BeamParams, tip: float, xi_fractions,
     return rows
 
 
-def trend_toward_zero(rows, tol_bad: float = 1e-6) -> bool:
+def trend_toward_zero(rows) -> bool:
     """Operational reading of 'abscissa approaches 0 under refinement'.
 
     rows are xi_study rows of one damper location.  True when the finest
     abscissa at least halves its distance to zero relative to the coarsest
-    and ends within tol_bad of the axis.
+    and ends within 1e-6 of the axis.
     """
     rows = sorted(rows, key=lambda r: r[1])
     a_min, a_max = rows[0][2], rows[-1][2]
-    return a_max >= 0.5 * a_min and a_max >= -tol_bad
+    return a_max >= 0.5 * a_min and a_max >= -1e-6

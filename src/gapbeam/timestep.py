@@ -69,9 +69,11 @@ class BandFactor:
     """
 
     def __init__(self, A: CooMatrix, rank: np.ndarray):
+        keys = ("scheme.dt, beam.rho1, beam.rho2, beam.k, beam.b, beam.ell, "
+                "beam.gamma1, beam.gamma2, tip.epsilon")
         rows, cols, vals = A.merged()
         if not np.all(np.isfinite(vals)):
-            raise AssemblyError("step matrix holds a non-finite entry")
+            raise AssemblyError(f"step matrix holds a non-finite entry ({keys})")
         if np.any(np.abs(rank[rows] - rank[cols]) > 3):
             raise AssemblyError("step matrix is not banded in node order")
         g = -(-A.n // (BLOCK + 3))
@@ -101,7 +103,8 @@ class BandFactor:
             S = C[3:, 3:] - BW[3:, 3:]
             np.linalg.cholesky(S)
         except np.linalg.LinAlgError as exc:
-            raise AssemblyError("step matrix is not positive definite") from exc
+            raise AssemblyError(
+                f"step matrix is not positive definite ({keys})") from exc
         self._inv_S = np.linalg.inv(S)
         # one product gives A_I^-1.f_I and the coupling's share W^T.f_I
         self._forward = np.concatenate([inv, W.transpose(0, 2, 1)], axis=1)

@@ -43,11 +43,10 @@ def digest_tool():
 def assert_digest_line(line):
     """line, a reference run's 'name exit digest' from digest_tool, is the
     run's line in tools/artifact_digests.expected.  It skips under python,
-    numpy or BLAS versions other than the file's; the BLAS thread count moves
-    no reference artifact, so the file's thread line is not compared."""
+    numpy or BLAS versions or BLAS thread variables other than the file's."""
     tool = digest_tool()
     header, want = tool.expected()
-    if header[:3] != tool.environment()[:3]:
+    if header != tool.environment():
         pytest.skip("environment differs")
     assert line == want[line.split()[0]]
 

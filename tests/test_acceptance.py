@@ -106,8 +106,7 @@ def test_c05_damping_location_obstruction():
     a_half = {ne: a for xi, ne, a, _ in rows if xi == Fraction(1, 2)}
     a_23 = {ne: a for xi, ne, a, _ in rows if xi == Fraction(2, 3)}
     factor = abs(a_half[128]) / max(abs(a_23[128]), 1e-15)
-    toward_zero = trend_toward_zero(
-        [r for r in rows if r[0] == Fraction(2, 3)], tol_bad=1e-6)
+    toward_zero = trend_toward_zero([r for r in rows if r[0] == Fraction(2, 3)])
     ok = factor >= 5.0 and toward_zero
     report("C05", "excluded damper location stalls the spectral gap", ok,
            f"abscissa(2l/3)/abscissa(l/2) factor {factor:.3g}x at ne=128 "
@@ -173,7 +172,7 @@ def test_c07_penalty_limit(tmp_path):
            f"violations {[f'{v:.2e}' for v in viols]} strictly decreasing="
            f"{strictly_decreasing}, final <= 1e-3: {final_ok}, "
            f"settled sign-pattern violations {rows[-1][8]} == 0")
-    assert_digest_line(f"c07-w1 {code} {digest_tool().artifact_digest(out)}")
+    assert_digest_line(f"c07 {code} {digest_tool().artifact_digest(out)}")
 
 
 def test_c08_compliance_sign_conditions():
@@ -222,8 +221,8 @@ def test_c10_absorbing_set():
     probes = {}
     for radius in (2.0, 4.0):
         probes[radius] = absorbing_probe(system, laws, cfg, radius=radius,
-                                         t_final=45.0, n_ensemble=8,
-                                         sample_stride=10, seed=7)
+                                         t_final=45.0, sample_stride=10,
+                                         seed=7)
     (t2, plateau2, converged2), (t4, plateau4, converged4) = \
         probes[2.0], probes[4.0]
     plateau_match = (abs(plateau2 - plateau4) / max(plateau2, plateau4) <= 0.25)
@@ -270,4 +269,4 @@ def test_c11_determinism(tmp_path):
     ok = outs[0] == outs[1]
     report("C11", "identical configs give bitwise-identical trajectories", ok,
            f"{len(outs[0])} bytes compared equal: {ok}")
-    assert_digest_line(f"c11-w1 0 {digest_tool().artifact_digest(out)}")
+    assert_digest_line(f"c11 0 {digest_tool().artifact_digest(out)}")

@@ -333,16 +333,11 @@ class TestAbsorbingProbe:
         laws = Laws(force_f=ForceLaw(f0=0.0))
         t0, _, converged = absorbing_probe(
             damped_system, laws, SchemeConfig(dt=1e-2), radius=0.0,
-            t_final=0.5, n_ensemble=8, sample_stride=5)
+            t_final=0.5, sample_stride=5)
         assert t0 == 0.0 and converged is True
 
     def test_unforced_decay_plateaus_near_zero(self, damped_system):
         _, plateau, _ = absorbing_probe(
             damped_system, LINEAR, SchemeConfig(dt=1e-2), radius=1.0,
-            t_final=30.0, n_ensemble=8, sample_stride=20, seed=5)
+            t_final=30.0, sample_stride=20, seed=5)
         assert plateau < 0.2  # pure decay: well inside the unit ball
-
-    def test_ensemble_size_floor(self, damped_system):
-        with pytest.raises(ValueError):
-            absorbing_probe(damped_system, LINEAR, SchemeConfig(dt=1e-2),
-                            radius=1.0, t_final=1.0, n_ensemble=4)

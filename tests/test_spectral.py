@@ -124,8 +124,8 @@ class TestSpectrum:
         lam = spectrum(generator(damped_system))
         assert np.all(np.diff(lam.real) <= 1e-14)
 
-    def test_dense_cap_error_mentions_shift_invert(self, damped_system,
-                                                   monkeypatch):
+    def test_dense_cap_error_names_the_largest_mesh(self, damped_system,
+                                                    monkeypatch):
         # the way out the cap error names is the largest admissible mesh;
         # the shift_invert option it once pointed to is gone
         monkeypatch.setattr("gapbeam.spectral.DENSE_CAP", 10)
@@ -487,8 +487,7 @@ class TestXiStudy:
 
     def test_trend_helper(self):
         mk = lambda ne, a: (Fraction(2, 3), ne, a, EXCLUDED)
-        assert trend_toward_zero([mk(32, -1e-3), mk(128, -1e-5)], tol_bad=1e-4)
-        assert not trend_toward_zero([mk(32, -1e-3), mk(128, -9e-4)],
-                                     tol_bad=1e-3)
-        assert not trend_toward_zero([mk(32, -1e-3), mk(128, -1e-4)],
-                                     tol_bad=1e-6)
+        # the finest row halves the coarsest's distance and ends within 1e-6
+        assert trend_toward_zero([mk(128, -1e-7), mk(32, -1e-3)])
+        assert not trend_toward_zero([mk(32, -1e-3), mk(128, -9e-4)])
+        assert not trend_toward_zero([mk(32, -1e-3), mk(128, -2e-6)])

@@ -1,7 +1,6 @@
 """Digests of the artifacts of a fixed list of reference runs.
 
     PYTHONPATH=src python tools/artifact_digests.py > tools/artifact_digests.expected
-    PYTHONPATH=src python tools/artifact_digests.py --check
 
 Runs gapbeam.cli.main in this process on each reference config and prints one
 line per run: its name, its exit code and the digest of every file it wrote
@@ -22,9 +21,8 @@ artifacts); and energy-overflow, mode-velocity data of amplitude 1e160, whose
 energy is inf from the first sample (exit 3, once exit 0 with fit_status =
 ok).  Three runs write what no other run does: snapshot (final_state.snap),
 gaussian (init.kind = gaussian) and sweep-eps-diverged, the energy-overflow
-data in a penalty sweep whose rows all diverge.  Every run name ends in -w1
-(one sweep worker), a suffix kept from when each config also ran with two:
-tests/test_artifacts.py takes its test ids from these names.
+data in a penalty sweep whose rows all diverge.  tests/test_artifacts.py
+takes its test ids from the run names.
 
 Run as a script, the tool pins BLAS to one thread, as bench/run.py does
 (its BLAS_ENV, set before numpy loads).  Nothing before the SVD of
@@ -35,14 +33,11 @@ keeps any reference run from depending on the shell.  Imported, it leaves the
 environment as it finds it.  The output opens with the Python, numpy and BLAS
 versions and the BLAS thread variables that made it.
 tools/artifact_digests.expected holds it as of the last change that moved an
-artifact byte; such a change regenerates the file (first command above).
---check shows that a change leaves every artifact byte-identical: it prints
-each line that moved, is missing or is extra against that file and exits 1 if
-there is one.  Other versions may move digests with no defect, so under them
---check prints "environment differs" and exits 1 without running.  The tests
-compare every line with that file too, whatever the BLAS thread variables:
-tests/test_artifacts.py runs each config here but C07's and C11's, whose
-acceptance tests digest their own output.
+artifact byte; such a change regenerates the file (the command above), and
+`git diff` of the file shows the lines it moved.  The tests compare every
+line with that file, and skip under other versions, which may move digests
+with no defect: tests/test_artifacts.py runs each config here but C07's and
+C11's, whose acceptance tests digest their own output.
 """
 
 from __future__ import annotations
@@ -137,7 +132,7 @@ def reference_runs() -> list[tuple[str, str, dict[str, str]]]:
         ("sweep-eps-diverged", "sweep-eps", {**dotted(ENERGY_OVERFLOW), **PENALTY}),
     ]:
         runs.append((name, command, {**BASE_MAP, **overrides}))
-    return [(f"{name}-w1", command, mapping) for name, command, mapping in runs]
+    return runs
 
 
 def digest_line(name: str, command: str, mapping: dict[str, str],
@@ -171,32 +166,7 @@ def expected() -> tuple[list[str], dict[str, str]]:
             {line.split()[0]: line for line in lines if not line.startswith("#")})
 
 
-def check() -> int:
-    """Compare a fresh run with EXPECTED; print each difference, 1 if any."""
-    header, want = expected()
-    if header != environment():
-        print("environment differs; the expected file was made under",
-              *header, "and this run has", *environment(), sep="\n")
-        return 1
-    got = {line.split()[0]: line for line in digest_lines()}
-    diffs = [f"moved: {want[name]}\n    -> {got[name]}"
-             for name in want.keys() & got.keys() if want[name] != got[name]]
-    diffs += [f"missing: {want[name]}" for name in want.keys() - got.keys()]
-    diffs += [f"extra: {got[name]}" for name in got.keys() - want.keys()]
-    for line in sorted(diffs):
-        print(line)
-    print(f"{len(diffs)} of {len(want.keys() | got.keys())} lines differ")
-    return 1 if diffs else 0
-
-
-def main_digests() -> int:
+if __name__ == "__main__":
     print(*environment(), sep="\n")
     for line in digest_lines():
         print(line, flush=True)
-    return 0
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--check"]):
-        sys.exit("usage: artifact_digests.py [--check]")
-    sys.exit(check() if sys.argv[1:] else main_digests())
