@@ -277,109 +277,76 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "beam.rho1" in capsys.readouterr().err
 
+    # a new case takes an explicit id: the key plus the fault
     @pytest.mark.parametrize("overrides, named", [
-        pytest.param({"beam.k": "nan"}, "beam.k", id="beam.k-nan"),
-        pytest.param({"contact.kind": "normal_compliance", "contact.d1": "nan",
-                      "contact.d2": "1", "contact.g_lo": "-0.1",
-                      "contact.g_hi": "0.1"}, "contact.d1", id="contact.d1-nan"),
-        pytest.param({"scheme.dt": "nan"}, "scheme.dt", id="scheme.dt-nan"),
-        pytest.param({"scheme.dt": "inf"}, "scheme.dt", id="scheme.dt-inf"),
-        pytest.param({"run.t_final": "nan"}, "run.t_final", id="run.t_final-nan"),
-        pytest.param({"sweep.eps_pen": "1e-2, nan"}, "sweep.eps_pen",
-                     id="sweep.eps_pen-nan"),
-        pytest.param({"init.kind": "bogus"},
-                     "init.kind: unknown initial-data kind 'bogus'",
-                     id="init.kind-unknown"),
-        pytest.param({"init.kind": "mode", "init.mode": "0"}, "init.mode",
-                     id="init.mode-zero"),
-        pytest.param({"init.kind": "gaussian", "init.width": "0"}, "init.width",
-                     id="init.width-zero"),
-        # None is the absent key, not a spelling
-        pytest.param({"init.kind": "gaussian", "init.width": "none"},
-                     "init.width", id="init.width-none"),
-        pytest.param({"sweep.ne": "8, 1"}, "sweep.ne", id="sweep.ne-one-element"),
-        pytest.param({"sweep.xi": "1/2, 1/1"}, "sweep.xi", id="sweep.xi-at-the-end"),
-        pytest.param({"sweep.eps_pen": "1e-2, 0"}, "sweep.eps_pen",
-                     id="sweep.eps_pen-zero"),
-        pytest.param({"sweep.epsilon": "-1e-2"}, "sweep.epsilon",
-                     id="sweep.epsilon-negative"),
-        pytest.param({"sweep.xi": "1/2, 1/0"}, "sweep.xi: bad list entry",
-                     id="sweep.xi-zero-denominator"),
-        pytest.param({"multiplier.n": "-1"}, "multiplier.n",
-                     id="multiplier.n-negative"),
-        pytest.param({"run.t_final": "0.0205"}, "run.t_final",
-                     id="run.t_final-between-steps"),
-        pytest.param({"init.kind": "random_ball", "init.radius": "-1"},
-                     "init.radius", id="init.radius-negative"),
-        pytest.param({"sweep.eps_pen": "1e-2, 1e-2"},
-                     "sweep.eps_pen: 0.01 is repeated", id="sweep.eps_pen-repeated"),
-        pytest.param({"sweep.xi": "1/2, 2/4"}, "sweep.xi: 1/2 is repeated",
-                     id="sweep.xi-repeated"),
-        pytest.param({"sweep.ne": "8, 16, 8"}, "sweep.ne: 8 is repeated",
-                     id="sweep.ne-repeated"),
-        pytest.param({"run.t_final": "1e300", "scheme.dt": "1e-300"},
-                     "run.t_final", id="run.t_final-too-many-steps"),
-        pytest.param({"beam.xi_num": "3"},
-                     "beam.xi_num: xi=3/2 * ell must lie strictly inside",
-                     id="beam.xi_num-outside"),
-        pytest.param({"contact.kind": "normal_compliance", "contact.d1": "1",
-                      "contact.d2": "1", "contact.p": "0", "contact.g_lo": "-0.1",
-                      "contact.g_hi": "0.1"}, "contact.p", id="contact.p-zero"),
-        pytest.param({"beam.rho1": "-1"}, "beam.rho1", id="beam.rho1-negative"),
-        pytest.param({"scheme.newton_max": "0"}, "scheme.newton_max",
-                     id="scheme.newton_max-zero"),
-        pytest.param({"beam.gamma2": "-1"}, "beam.gamma2", id="beam.gamma2-negative"),
-        pytest.param({"tip.epsilon": "-1"}, "tip.epsilon", id="tip.epsilon-negative"),
-        pytest.param({"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
-                      "contact.g_lo": "-0.1", "contact.g_hi": "-0.05"},
-                     "contact.g_hi", id="contact.g_hi-negative"),
-        pytest.param({"force_f.mu": "1", "force_f.cutoff_r": "-1"},
-                     "force_f.cutoff_r", id="force_f.cutoff_r-negative"),
+        ({"beam.k": "nan"}, "beam.k"),
+        ({"contact.kind": "normal_compliance", "contact.d1": "nan",
+          "contact.d2": "1", "contact.g_lo": "-0.1", "contact.g_hi": "0.1"},
+         "contact.d1"),
+        ({"scheme.dt": "nan"}, "scheme.dt"),
+        ({"scheme.dt": "inf"}, "scheme.dt"),
+        ({"run.t_final": "nan"}, "run.t_final"),
+        ({"sweep.eps_pen": "1e-2, nan"}, "sweep.eps_pen"),
+        ({"init.kind": "bogus"}, "init.kind: unknown initial-data kind 'bogus'"),
+        ({"init.kind": "mode", "init.mode": "0"}, "init.mode"),
+        ({"init.kind": "gaussian", "init.width": "0"}, "init.width"),
+        ({"sweep.ne": "8, 1"}, "sweep.ne"),
+        ({"sweep.xi": "1/2, 1/1"}, "sweep.xi"),
+        ({"sweep.eps_pen": "1e-2, 0"}, "sweep.eps_pen"),
+        ({"sweep.epsilon": "-1e-2"}, "sweep.epsilon"),
+        ({"sweep.xi": "1/2, 1/0"}, "sweep.xi: bad list entry"),
+        ({"multiplier.n": "-1"}, "multiplier.n"),
+        ({"run.t_final": "0.0205"}, "run.t_final"),
+        ({"init.kind": "random_ball", "init.radius": "-1"}, "init.radius"),
+        ({"sweep.eps_pen": "1e-2, 1e-2"}, "sweep.eps_pen: 0.01 is repeated"),
+        ({"sweep.xi": "1/2, 2/4"}, "sweep.xi: 1/2 is repeated"),
+        ({"sweep.ne": "8, 16, 8"}, "sweep.ne: 8 is repeated"),
+        ({"run.t_final": "1e300", "scheme.dt": "1e-300"}, "run.t_final"),
+        ({"beam.xi_num": "3"},
+         "beam.xi_num: xi=3/2 * ell must lie strictly inside"),
+        ({"contact.kind": "normal_compliance", "contact.d1": "1",
+          "contact.d2": "1", "contact.p": "0", "contact.g_lo": "-0.1",
+          "contact.g_hi": "0.1"}, "contact.p"),
+        ({"beam.rho1": "-1"}, "beam.rho1"),
+        ({"scheme.newton_max": "0"}, "scheme.newton_max"),
+        ({"beam.gamma2": "-1"}, "beam.gamma2"),
+        ({"tip.epsilon": "-1"}, "tip.epsilon"),
+        ({"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
+          "contact.g_lo": "-0.1", "contact.g_hi": "-0.05"}, "contact.g_hi"),
+        ({"force_f.mu": "1", "force_f.cutoff_r": "-1"}, "force_f.cutoff_r"),
         # 2/dt**2 underflows to a division by zero, or dt**2 overflows
-        pytest.param({"scheme.dt": "1e-200", "run.t_final": "2e-200",
-                      "run.stride": "1"}, "scheme.dt", id="scheme.dt-underflow"),
-        pytest.param({"scheme.dt": "1e200", "run.t_final": "1e200"}, "scheme.dt",
-                     id="scheme.dt-overflow"),
+        ({"scheme.dt": "1e-200", "run.t_final": "2e-200", "run.stride": "1"},
+         "scheme.dt"),
+        ({"scheme.dt": "1e200", "run.t_final": "1e200"}, "scheme.dt"),
         # exp(n x) overflows at x = ell = 1 past n = 709.78
-        pytest.param({"multiplier.n": "710"}, "multiplier.n",
-                     id="multiplier.n-overflow"),
+        ({"multiplier.n": "710"}, "multiplier.n"),
         # (2k - 1) pi overflows a float past k = 2**1023
-        pytest.param({"init.kind": "mode", "init.mode": str(2**1024)}, "init.mode",
-                     id="init.mode-overflow"),
+        ({"init.kind": "mode", "init.mode": str(2**1024)}, "init.mode"),
         # the observability integrals take at most 10 steps per sample
-        pytest.param(OBSERVABILITY_STRIDE_11, "run.stride",
-                     id="run.stride-past-max-stride"),
+        (OBSERVABILITY_STRIDE_11, "run.stride"),
         # a stop-law key the chosen contact.kind never reads
-        pytest.param({"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
-                      "contact.g_lo": "-0.05", "contact.g_hi": "0.05",
-                      "contact.d1": "5", "contact.p": "3"}, "contact.d1",
-                     id="contact.d1-unread-penalty"),
-        pytest.param({"contact.kind": "normal_compliance", "contact.d1": "100",
-                      "contact.d2": "100", "contact.p": "2", "contact.g_lo": "-0.05",
-                      "contact.g_hi": "0.05", "contact.eps_pen": "7"},
-                     "contact.eps_pen", id="contact.eps_pen-unread"),
-        pytest.param({"contact.d1": "5", "contact.g_hi": "0.05"}, "contact.d1",
-                     id="contact.d1-unread-none"),
-        pytest.param({"beam.xi_den": "0"}, "beam.xi_den", id="beam.xi_den-zero"),
-        pytest.param({"sweep.epsilon": "0.1, 0.1"}, "sweep.epsilon: 0.1 is repeated",
-                     id="sweep.epsilon-repeated"),
-        pytest.param({"mesh.ne": "1"}, "mesh.ne: need at least 2 elements",
-                     id="mesh.ne-one"),
-        pytest.param({"run.stride": "0"}, "run.stride: must be >= 1",
-                     id="run.stride-zero"),
-        pytest.param({"contact.kind": "normal_compliance", "contact.d1": "0",
-                      "contact.d2": "1", "contact.g_lo": "-0.1",
-                      "contact.g_hi": "0.1"},
-                     "contact.d1: contact stiffness d1 must be positive",
-                     id="contact.d1-zero"),
-        pytest.param({"scheme.newton_tol": "0"},
-                     "scheme.newton_tol: newton_tol must be positive",
-                     id="scheme.newton_tol-zero"),
+        ({"contact.kind": "signorini_penalty", "contact.eps_pen": "1e-2",
+          "contact.g_lo": "-0.05", "contact.g_hi": "0.05", "contact.d1": "5",
+          "contact.p": "3"}, "contact.d1"),
+        ({"contact.kind": "normal_compliance", "contact.d1": "100",
+          "contact.d2": "100", "contact.p": "2", "contact.g_lo": "-0.05",
+          "contact.g_hi": "0.05", "contact.eps_pen": "7"}, "contact.eps_pen"),
+        ({"contact.d1": "5", "contact.g_hi": "0.05"}, "contact.d1"),
+        ({"beam.xi_den": "0"}, "beam.xi_den"),
+        ({"sweep.epsilon": "0.1, 0.1"}, "sweep.epsilon: 0.1 is repeated"),
+        ({"mesh.ne": "1"}, "mesh.ne: need at least 2 elements"),
+        ({"run.stride": "0"}, "run.stride: must be >= 1"),
+        ({"contact.kind": "normal_compliance", "contact.d1": "0",
+          "contact.d2": "1", "contact.g_lo": "-0.1", "contact.g_hi": "0.1"},
+         "contact.d1: contact stiffness d1 must be positive"),
+        ({"scheme.newton_tol": "0"}, "scheme.newton_tol: newton_tol must be positive"),
         # a boolean is true or false
         pytest.param({"run.snapshot": "yes"}, "run.snapshot: not a boolean: 'yes'",
                      id="run.snapshot-yes"),
-        pytest.param({"contact.kind": "bogus"}, "contact.kind: unknown kind 'bogus'",
-                     id="contact.kind-unknown"),
+        ({"contact.kind": "bogus"}, "contact.kind: unknown kind 'bogus'"),
+        # None is the absent key, not a spelling
+        pytest.param({"init.kind": "gaussian", "init.width": "none"},
+                     "init.width", id="init.width-none"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
