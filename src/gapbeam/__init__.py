@@ -3,6 +3,7 @@
 from .model import (
     BeamParams,
     ForceLaw,
+    InitSpec,
     Laws,
     NormalCompliance,
     SchemeConfig,

@@ -78,7 +78,7 @@ class NonFiniteFigure(RuntimeError):
 
 
 def make_initial(cfg: ExperimentConfig, system: SemiDiscreteSystem):
-    return initial_state(system, **vars(cfg.init), seed=cfg.seed)
+    return initial_state(system, cfg.init)
 
 
 def _run(cfg: ExperimentConfig):
@@ -331,9 +331,5 @@ def main(argv=None) -> int:
     return code
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -31,41 +31,17 @@ from pathlib import Path
 from .model import (
     BeamParams,
     ForceLaw,
+    InitSpec,
     Laws,
     NormalCompliance,
     ParamError,
     SchemeConfig,
     step_count,
 )
-from .timestep import INITIAL_KINDS
 
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending field path."""
-
-
-@dataclass(frozen=True)
-class InitSpec:
-    kind: str = "zero"
-    amplitude: float = 1.0
-    amplitude_psi: float = 0.0
-    mode: int = 1
-    center: float | None = None
-    width: float | None = None
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in INITIAL_KINDS:
-            raise ParamError("kind", f"unknown initial-data kind {self.kind!r}")
-        if self.mode < 1:
-            raise ParamError("mode", "must be >= 1")
-        if self.mode > 2**53:
-            raise ParamError("mode", "must be at most 2**53: past it a float "
-                             "frequency tells no two modes apart")
-        if self.width is not None and self.width <= 0.0:
-            raise ParamError("width", "must be positive")
-        if self.radius <= 0.0:
-            raise ParamError("radius", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,7 +81,6 @@ class ExperimentConfig:
     # the tip body's epsilon: its mass, damping and stiffness; 0 is no body
     tip: float = 0.0
     stride: int = 1
-    seed: int = 0
     init: InitSpec = field(default_factory=InitSpec)
     multiplier_n: int = 0
     sweep: SweepSpec = field(default_factory=SweepSpec)
@@ -232,12 +207,11 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
 
     beam = _record(BeamParams, "beam", mapping)
 
-    kind = _get(mapping, "contact.kind", str.lower, "none")
+    kind = _get(mapping, "contact.kind", str, "none")
     if kind == "none":
         contact = None
     elif kind == "normal_compliance":
-        contact = _record(NormalCompliance, "contact", mapping,
-                          p=_get(mapping, "contact.p", _int, 1))
+        contact = _record(NormalCompliance, "contact", mapping)
     elif kind == "signorini_penalty":
         args = [_get(mapping, f"contact.{name}", _finite_float)
                 for name in ("eps_pen", "g_lo", "g_hi")]
@@ -264,7 +238,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         force_f=_record(ForceLaw, "force_f", mapping),
         force_g=_record(ForceLaw, "force_g", mapping),
         scheme=_record(SchemeConfig, "scheme", mapping, dt=dt),
-        init=_record(InitSpec, "init", mapping),
+        init=_record(InitSpec, "init", mapping, {"seed": "run.seed"}),
         sweep=_record(SweepSpec, "sweep", mapping),
     )
     if mapping:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .discretize import SemiDiscreteSystem, element_strains, recover_stress
-from .model import Laws, SchemeConfig
+from .model import InitSpec, Laws, SchemeConfig
 from .timestep import (
     Trajectory,
     energy,
@@ -224,10 +224,11 @@ def absorbing_probe(system: SemiDiscreteSystem, laws: Laws, cfg: SchemeConfig,
     """
     norm_rows = []
     for j in range(ENSEMBLE):
-        initial = initial_state(system, "random_ball", radius=radius,
-                                seed=seed + j)
-        traj = simulate(system, initial, laws, cfg, t_final,
-                        sample_stride=sample_stride)
+        # a ball of radius 0 holds the zero state alone
+        init = (InitSpec() if radius == 0.0
+                else InitSpec("random_ball", radius=radius, seed=seed + j))
+        traj = simulate(system, initial_state(system, init), laws, cfg,
+                        t_final, sample_stride=sample_stride)
         norm_rows.append([state_norm(system, u, w) for u, w in zip(traj.U, traj.W)])
     times, norms = traj.times, np.asarray(norm_rows)
 

@@ -140,10 +140,6 @@ class Mesh:
     xi_index: int
 
     @property
-    def ne(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
     def nn(self) -> int:
         return len(self.nodes)
 

@@ -7,7 +7,7 @@ parameter record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -91,12 +91,12 @@ class NormalCompliance:
     """Power-law compliant stops: traction grows as penetration**p.
 
     g_lo < 0 < g_hi are the lower/upper stop positions; d1/d2 the lower/upper
-    stiffness coefficients; p in {1, 2, 3}.
+    stiffness coefficients; p in {1, 2, 3}, 1 by default.
     """
 
     d1: float
     d2: float
-    p: int
+    p: int = field(default=1, kw_only=True)
     g_lo: float
     g_hi: float
 
@@ -168,6 +168,7 @@ class SchemeConfig:
     newton_tol applies to the step residual normalized by the implicit-system
     force scale (2/dt^2 * ||M|| + ...) so it is meaningful uniformly in dt.
     It bounds that residual, not the error of the accepted iterate.
+    newton_max caps the corrections of a step.
     """
 
     dt: float
@@ -188,6 +189,41 @@ class SchemeConfig:
             raise ParamError("newton_tol", "newton_tol must be positive")
         if self.newton_max < 1:
             raise ParamError("newton_max", "newton_max must be at least 1")
+
+
+@dataclass(frozen=True)
+class InitSpec:
+    """Initial data of a run, read by timestep.initial_state.
+
+    center and width None put the gaussian pulse at ell/2, of width ell/10.
+    """
+
+    kind: str = "zero"
+    amplitude: float = 1.0
+    amplitude_psi: float = 0.0
+    mode: int = 1
+    center: float | None = None
+    width: float | None = None
+    radius: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.kind not in ("zero", "mode", "mode_velocity", "gaussian",
+                             "random_ball"):
+            raise ParamError("kind", f"unknown initial-data kind {self.kind!r}")
+        if self.mode < 1:
+            raise ParamError("mode", "must be >= 1")
+        if self.mode > 2**53:
+            raise ParamError("mode", "must be at most 2**53: past it a float "
+                             "frequency tells no two modes apart")
+        if self.width is not None and self.width <= 0.0:
+            raise ParamError("width", "must be positive")
+        if self.radius <= 0.0:
+            raise ParamError("radius", "must be positive")
+        # the generator of the random ball takes no negative seed
+        if self.seed < 0:
+            raise ParamError("seed", "must be >= 0")
 
 
 def step_count(t_final: float, dt: float) -> int:

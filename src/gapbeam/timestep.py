@@ -23,6 +23,7 @@ from .discretize import (N_LEFT, N_RIGHT, AssemblyError, CooMatrix, Mesh,
                          SemiDiscreteSystem, element_strains)
 from .model import (
     ForceLaw,
+    InitSpec,
     Laws,
     SchemeConfig,
     body_force,
@@ -34,7 +35,7 @@ from .model import (
 
 
 class NewtonDivergence(RuntimeError):
-    """Newton failed to reach the residual tolerance within the iteration cap."""
+    """Newton's residual after its last allowed correction is above tolerance."""
 
     def __init__(self, t: float, residual: float, iterations: int):
         self.t = t
@@ -303,21 +304,21 @@ class MidpointStepper:
         tip = sysm.tip_slot
         r0 = sysm.K @ u - (2.0 / dt) * (sysm.M @ w) - self._load
         delta = dt * w
-        res = math.inf
-        for it in range(self.cfg.newton_max):
+        for it in range(self.cfg.newton_max + 1):
             R, slope = self._residual(J, r0, u, delta)
             up = u + delta
             res = np.linalg.norm(R) / (fscale * max(1.0, np.linalg.norm(up)))
             if res <= self.cfg.newton_tol:
                 wp = 2.0 * delta / dt - w
                 return up, wp, it, res
+            if it == self.cfg.newton_max:  # the last correction is checked too
+                raise NewtonDivergence(t_next, res, it)
             # chord step: body slope left out, contact slope by Sherman-Morrison
             step = factor.solve(-R)
             c = -0.5 * slope
             if c != 0.0:
                 step -= (c * step[tip] / (1.0 + c * z_tip[tip])) * z_tip
             delta = delta + step
-        raise NewtonDivergence(t_next, res, self.cfg.newton_max)
 
     def step_reduced(self, u, w, t):
         """Advance (u, w) by one dt; bisects the step once on Newton failure.
@@ -370,14 +371,9 @@ def simulate(system: SemiDiscreteSystem, initial: tuple[np.ndarray, np.ndarray],
                       dt=cfg.dt)
 
 
-INITIAL_KINDS = ("zero", "mode", "mode_velocity", "gaussian", "random_ball")
-
-
-def initial_state(system: SemiDiscreteSystem, kind: str, *, amplitude: float = 1.0,
-                  amplitude_psi: float = 0.0, mode: int = 1,
-                  center: float | None = None, width: float | None = None,
-                  radius: float = 1.0, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Initial-data library: the reduced state (u, w) at t = 0.
+def initial_state(system: SemiDiscreteSystem,
+                  init: InitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Initial-data library: the reduced state (u, w) at t = 0 of init.
 
     kinds: 'zero'; 'mode' / 'mode_velocity' (half-wave pair sin/cos compatible
     with the clamped/free end conditions, as displacement or velocity data);
@@ -386,27 +382,25 @@ def initial_state(system: SemiDiscreteSystem, kind: str, *, amplitude: float = 1
     lose their essential dofs in system.reduce.
     """
     mesh = system.mesh
-    x = mesh.nodes
-    ell = mesh.ell
+    x, ell = mesh.nodes, mesh.ell
     u, w = np.zeros((2, system.n_free))
-    if kind == "zero":
+    if init.kind == "zero":
         return u, w
-    if kind in ("mode", "mode_velocity"):
-        a = (2 * mode - 1) * math.pi / (2.0 * ell)
-        data = system.reduce(np.concatenate([amplitude * np.sin(a * x),
-                                             amplitude_psi * np.cos(a * x)]))
-        return (data, w) if kind == "mode" else (u, data)
-    if kind == "gaussian":
-        c = ell / 2.0 if center is None else center
-        s = ell / 10.0 if width is None else width
-        fphi = amplitude * np.exp(-((x - c) ** 2) / (2.0 * s**2))
+    if init.kind in ("mode", "mode_velocity"):
+        a = (2 * init.mode - 1) * math.pi / (2.0 * ell)
+        data = system.reduce(np.concatenate([init.amplitude * np.sin(a * x),
+                                             init.amplitude_psi * np.cos(a * x)]))
+        return (data, w) if init.kind == "mode" else (u, data)
+    if init.kind == "gaussian":
+        c = ell / 2.0 if init.center is None else init.center
+        s = ell / 10.0 if init.width is None else init.width
+        fphi = init.amplitude * np.exp(-((x - c) ** 2) / (2.0 * s**2))
         return system.reduce(np.concatenate([fphi, np.zeros(mesh.nn)])), w
-    if kind == "random_ball":
-        rng = np.random.default_rng(seed)
-        n = system.n_free
-        z = rng.standard_normal(2 * n)
-        u, w = z[:n], z[n:]
-        target = radius * rng.uniform() ** (1.0 / (2 * n))
-        scal = target / state_norm(system, u, w)
-        return scal * u, scal * w
-    raise ValueError(f"unknown initial-data kind {kind!r}")
+    # random_ball
+    rng = np.random.default_rng(init.seed)
+    n = system.n_free
+    z = rng.standard_normal(2 * n)
+    u, w = z[:n], z[n:]
+    target = init.radius * rng.uniform() ** (1.0 / (2 * n))
+    scal = target / state_norm(system, u, w)
+    return scal * u, scal * w

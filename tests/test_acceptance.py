@@ -14,6 +14,7 @@ import scipy.linalg as sla
 from conftest import assert_digest_line, desk_beam, desk_system, digest_tool
 from gapbeam import (
     ForceLaw,
+    InitSpec,
     Laws,
     SchemeConfig,
     absorbing_probe,
@@ -41,7 +42,7 @@ def test_c01_conservation():
     system = desk_system(ne=64)
     laws = Laws()
     cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12)
-    s0 = initial_state(system, "mode", amplitude=1.0, mode=2)
+    s0 = initial_state(system, InitSpec("mode", amplitude=1.0, mode=2))
     traj = simulate(system, s0, laws, cfg, 10.0, sample_stride=1000)
     e0 = total_energy(system, traj.U[0], traj.W[0], laws)
     ef = total_energy(system, traj.U[-1], traj.W[-1], laws)
@@ -55,7 +56,8 @@ def test_c02_dissipation_identity():
                          tip=0.5)
     laws = Laws()
     cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12)
-    s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.5, mode=2)
+    s0 = initial_state(system,
+                       InitSpec("mode", amplitude=1.0, amplitude_psi=0.5, mode=2))
     traj = simulate(system, s0, laws, cfg, 1.0, sample_stride=1)
     worst = max(abs(r) for r in traj.balance)
     energies = [total_energy(system, u, w, laws) for u, w in zip(traj.U, traj.W)]
@@ -179,7 +181,7 @@ def test_c08_compliance_sign_conditions():
     system = desk_system(ne=128, gamma1=1.0, gamma2=1.0)
     law = NormalCompliance(d1=100.0, d2=100.0, p=2, g_lo=-0.05, g_hi=0.05)
     laws = Laws(contact=law, force_f=ForceLaw(f0=0.25))
-    s0 = initial_state(system, "zero")
+    s0 = initial_state(system, InitSpec("zero"))
     traj = simulate(system, s0, laws, SchemeConfig(dt=2e-4), 6.0,
                     sample_stride=25)
     # the one-sided stress trace carries O(h) recovery error, so the sign
@@ -198,8 +200,8 @@ def test_c09_observability_mesh_stability():
     for ne in (64, 128):
         system = desk_system(ne=ne, gamma1=1.0, gamma2=1.0)
         laws = Laws()
-        s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.5,
-                           mode=2)
+        s0 = initial_state(system, InitSpec("mode", amplitude=1.0, amplitude_psi=0.5,
+                                            mode=2))
         traj = simulate(system, s0, laws, SchemeConfig(dt=5e-4), 8.0,
                         sample_stride=5)
         from gapbeam import observability

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_digest_line, desk_system, digest_tool
-from gapbeam import (ForceLaw, Laws, NormalCompliance, energy,
+from gapbeam import (ForceLaw, InitSpec, Laws, NormalCompliance, energy,
                      initial_state)
 from gapbeam.artifacts import TRAJECTORY_COLUMNS, load_snapshot, save_snapshot
 
@@ -74,7 +74,7 @@ def test_energy_items_are_the_trajectory_columns():
                                          g_hi=0.05),
                 force_f=ForceLaw(mu=0.5, alpha=1.0),
                 force_g=ForceLaw(mu=0.5, alpha=2.0))
-    u, w = initial_state(system, "mode", amplitude=0.3, amplitude_psi=0.2)
+    u, w = initial_state(system, InitSpec("mode", amplitude=0.3, amplitude_psi=0.2))
     w += 0.1
     items = energy(system, u, w, laws)
     assert list(items) == list(TRAJECTORY_COLUMNS[1:9] + ("dissipation_rate",))

@@ -215,7 +215,7 @@ class TestConfigParsing:
         assert cfg.sweep == SweepSpec()
         assert cfg.scheme == SchemeConfig(dt=1e-3)
         assert cfg.contact is None
-        assert (cfg.stride, cfg.seed, cfg.multiplier_n, cfg.snapshot) == \
+        assert (cfg.stride, cfg.init.seed, cfg.multiplier_n, cfg.snapshot) == \
             (1, 0, 0, False)
 
     def test_known_keys_are_pinned(self):
@@ -250,7 +250,7 @@ class TestConfigParsing:
     def test_every_field_a_key_sets_has_a_parser(self):
         settable = [f for record in SECTIONS.values() for f in fields(record)]
         settable += [f for f in fields(ExperimentConfig) if f.name in (
-            "ne", "t_final", "tip", "stride", "seed", "multiplier_n", "snapshot")]
+            "ne", "t_final", "tip", "stride", "multiplier_n", "snapshot")]
         assert len(settable) == 43  # contact.eps_pen is read outside them
         assert [f.name for f in settable if f.type not in _PARSERS] == []
 
@@ -347,6 +347,12 @@ class TestSimulateCommand:
         # None is the absent key, not a spelling
         pytest.param({"init.kind": "gaussian", "init.width": "none"},
                      "init.width", id="init.width-none"),
+        # a kind is spelled as written, like init.kind
+        pytest.param({"contact.kind": "None"}, "contact.kind: unknown kind 'None'",
+                     id="contact.kind-case"),
+        # once a ValueError traceback of the random generator
+        pytest.param({"init.kind": "random_ball", "run.seed": "-1"},
+                     "run.seed: must be >= 0", id="run.seed-negative"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -451,6 +457,14 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert re.search(r"at t=(\S+):", err)[1] == \
                 f"{float(summary['t_fail']):.6g}", err
+
+    def test_one_correction_solves_a_linear_step(self, tmp_path):
+        # the residual of the last correction is checked: newton_max = 1
+        # once failed the first step with a residual of 1.3e-6
+        cfg = write_cfg(tmp_path, cfg_text(scheme__newton_max="1",
+                                           init__kind="mode"))
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_snapshot_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "run.snapshot = true\n"
@@ -692,6 +706,22 @@ def test_commands_run_with_scipy_blocked(tmp_path, command, extra):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "0"
+
+
+def test_console_script_returns_the_exit_code(tmp_path, monkeypatch):
+    # the installed wrapper calls the [project.scripts] target with no
+    # arguments and passes what it returns to sys.exit
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["gapbeam"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", [
+        "gapbeam", "spectrum", "--config", write_cfg(tmp_path, BASE),
+        "--out", str(tmp_path / "o")])
+    assert entry() == 0
+    assert read_summary(tmp_path / "o")["status"] == "ok"
 
 
 class TestSweepXiCommand:

@@ -6,6 +6,7 @@ import pytest
 from conftest import desk_system
 from gapbeam import (
     ForceLaw,
+    InitSpec,
     Laws,
     NormalCompliance,
     SchemeConfig,
@@ -43,7 +44,8 @@ def _tip_at(system, v):
 
 class TestEnergy:
     def test_zero_state_all_zero(self, damped_system):
-        rep = energy(damped_system, *initial_state(damped_system, "zero"), LINEAR)
+        zero = initial_state(damped_system, InitSpec("zero"))
+        rep = energy(damped_system, *zero, LINEAR)
         for name in ("E_total", "kinetic", "potential_shear", "potential_bend",
                      "N_p", "tip_energy", "Fhat_int", "Ghat_int",
                      "dissipation_rate"):
@@ -58,7 +60,7 @@ class TestEnergy:
         system = desk_system(ne=12, gamma1=1.0,
                              tip=0.4)
         laws = Laws(contact=NC, force_f=ForceLaw(mu=0.5, alpha=1.0))
-        u, w = initial_state(system, "mode", amplitude=0.3, amplitude_psi=0.2)
+        u, w = initial_state(system, InitSpec("mode", amplitude=0.3, amplitude_psi=0.2))
         w[:system.mesh.nn - 1] = 0.1  # phi_t on the free nodes
         rep = energy(system, u, w, laws)
         parts = (rep["kinetic"] + rep["potential_shear"] + rep["potential_bend"]
@@ -74,7 +76,7 @@ class TestEnergy:
         errs = []
         for ne in (32, 64):
             system = desk_system(ne=ne)
-            s = initial_state(system, "mode", amplitude=amp, mode=2)
+            s = initial_state(system, InitSpec("mode", amplitude=amp, mode=2))
             rep = energy(system, *s, LINEAR)
             errs.append(abs(rep["E_total"] - closed) / closed)
         assert errs[0] < 1e-2
@@ -82,7 +84,8 @@ class TestEnergy:
 
     def test_series_accumulates_dissipation(self, damped_system):
         cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12)
-        s0 = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
+        s0 = initial_state(damped_system,
+                           InitSpec("mode", amplitude=1.0, amplitude_psi=0.5))
         traj = simulate(damped_system, s0, LINEAR, cfg, 1.0, sample_stride=100)
         reps = energy_series(damped_system, traj, LINEAR)
         assert len(reps) == len(traj)
@@ -156,7 +159,7 @@ class TestConstraintViolation:
                                  tip=eps)
             laws = Laws(contact=NormalCompliance.penalty(eps_pen=eps, g_lo=-0.05,
                                                          g_hi=0.05))
-            s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)
+            s0 = initial_state(system, InitSpec("mode_velocity", amplitude=0.5, mode=2))
             traj = simulate(system, s0, laws, SchemeConfig(dt=2e-4), 1.0,
                             sample_stride=10)
             viols.append(constraint_violation(system, traj, -0.05, 0.05))
@@ -259,15 +262,15 @@ class TestObservability:
                           _traj(np.zeros((0, damped_system.n_free)), times=()))
 
     def test_coarse_sampling_rejected(self, damped_system):
-        s0 = initial_state(damped_system, "mode", amplitude=1.0)
+        s0 = initial_state(damped_system, InitSpec("mode", amplitude=1.0))
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.1,
                         sample_stride=20)
         with pytest.raises(ValueError, match="every 20 steps, more than 10"):
             observability(damped_system, traj)
 
     def test_equivalence_constants_positive(self, damped_system):
-        s0 = initial_state(damped_system, "mode", amplitude=1.0,
-                           amplitude_psi=0.5, mode=2)
+        s0 = initial_state(damped_system, InitSpec("mode", amplitude=1.0,
+                                                   amplitude_psi=0.5, mode=2))
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 1.0,
                         sample_stride=5)
         series, figures = observability(damped_system, traj, laws=LINEAR)
@@ -276,7 +279,8 @@ class TestObservability:
         assert np.all(series["L"] >= 0.0)
 
     def test_defect_ratio_finite_and_reported(self, damped_system):
-        s0 = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
+        s0 = initial_state(damped_system,
+                           InitSpec("mode", amplitude=1.0, amplitude_psi=0.5))
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.5,
                         sample_stride=5)
         _, figures = observability(damped_system, traj, laws=LINEAR)
@@ -287,7 +291,8 @@ class TestObservability:
         # on a moving beam each end intensity is built from the stresses of
         # the element at that end, and n = 0, the default, is the sharpness
         # ceil(8/ell), bit for bit
-        s0 = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
+        s0 = initial_state(damped_system,
+                           InitSpec("mode", amplitude=1.0, amplitude_psi=0.5))
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.05,
                         sample_stride=5)
         series, figures = observability(damped_system, traj)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from conftest import desk_beam, desk_system
 from gapbeam import (
+    InitSpec,
     Laws,
     SchemeConfig,
     assemble,
@@ -47,7 +48,7 @@ class TestBuildMesh:
 
     def test_each_side_keeps_an_element(self):
         mesh = build_mesh(1.0, 0.01, 4)
-        assert 1 <= mesh.xi_index <= mesh.ne - 1
+        assert 1 <= mesh.xi_index <= mesh.nn - 2
 
 
 class TestAssemble:
@@ -251,7 +252,8 @@ class TestRecoverStress:
         defects = []
         for ne in (16, 64):
             system = desk_system(ne=ne, gamma1=1.0, gamma2=1.0)
-            s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.5)
+            s0 = initial_state(system,
+                               InitSpec("mode", amplitude=1.0, amplitude_psi=0.5))
             traj = simulate(system, s0, Laws(), SchemeConfig(dt=2.5e-4), 1.0,
                             sample_stride=40)
             i = system.mesh.xi_index

@@ -17,6 +17,7 @@ from gapbeam.model import (
     STABILIZING,
     BeamParams,
     ForceLaw,
+    InitSpec,
     NormalCompliance,
     ParamError,
     SchemeConfig,
@@ -315,6 +316,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ForceLaw(mu=1.0, cutoff_r=0.0)
 
+    @pytest.mark.parametrize("kw, name", [
+        (dict(kind="mode", mode=0), "mode"),
+        (dict(kind="gaussian", width=0.0), "width"),
+        (dict(kind="random_ball", radius=0.0), "radius"),
+        (dict(kind="random_ball", radius=-1.0), "radius"),
+        (dict(kind="sawtooth"), "kind"),
+        (dict(kind="mode", amplitude=math.nan), "amplitude"),
+        (dict(kind="random_ball", seed=-1), "seed"),
+    ], ids=["mode-0", "width-0", "radius-0", "radius-negative", "kind-unknown",
+            "amplitude-nan", "seed-negative"])
+    def test_initial_data_checks_name_the_field(self, kw, name):
+        # initial_state once drew data from the mode, width, radius and nan
+        # cases without complaint; the kind and the seed gave bare ValueErrors
+        with pytest.raises(ParamError) as exc:
+            InitSpec(**kw)
+        assert exc.value.name == name
+
 
 # one valid instance of every parameter record, each float field set, keyed
 # by its label; the Signorini penalty checks its arguments like a record
@@ -327,6 +345,8 @@ VALID_RECORDS = {
                          dict(eps_pen=1e-2, g_lo=-0.1, g_hi=0.1)),
     "ForceLaw": (ForceLaw, dict(mu=1.0, alpha=1.0, cutoff_r=2.0, f0=0.5)),
     "SchemeConfig": (SchemeConfig, dict(dt=1e-3, newton_tol=1e-10)),
+    "InitSpec": (InitSpec, dict(kind="gaussian", amplitude=1.0, amplitude_psi=0.5,
+                                center=0.5, width=0.1, radius=1.0)),
 }
 FLOAT_FIELDS = [(label, name) for label, (_, kw) in VALID_RECORDS.items()
                 for name, value in kw.items() if isinstance(value, float)]

@@ -210,7 +210,7 @@ class TestSpectrum:
         # unit (the failures of tools/secular_probe.py, and a third config)
         system = desk_system(ne=ne, gamma1=gamma1, gamma2=gamma2, xi=xi,
                              tip=tip)
-        assert spectrum(generator(system)).size == 4 * system.mesh.ne
+        assert spectrum(generator(system)).size == 4 * (system.mesh.nn - 1)
 
     def test_paired_high_modes_backward_error(self):
         # xi-study's finest xi = 1/2 row: above omega = 300 the poles come in

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import desk_system, force_laws, last_state
 from gapbeam import (
     ForceLaw,
+    InitSpec,
     Laws,
     NewtonDivergence,
     NormalCompliance,
@@ -27,7 +28,7 @@ LINEAR = Laws()
 
 class TestStep:
     def test_zero_state_is_fixed_point(self, damped_system):
-        s0 = initial_state(damped_system, "zero")
+        s0 = initial_state(damped_system, InitSpec("zero"))
         cfg = SchemeConfig(dt=1e-2)
         traj = simulate(damped_system, s0, LINEAR, cfg, cfg.dt)
         for arr in last_state(traj):
@@ -36,8 +37,8 @@ class TestStep:
 
     def test_midpoint_conserves_linear_energy(self, conservative_system):
         cfg = SchemeConfig(dt=1e-2, newton_tol=1e-12)
-        s0 = initial_state(conservative_system, "mode", amplitude=1.0,
-                           amplitude_psi=0.3, mode=2)
+        s0 = initial_state(conservative_system, InitSpec("mode", amplitude=1.0,
+                                                         amplitude_psi=0.3, mode=2))
         e0 = total_energy(conservative_system, *s0, LINEAR)
         s1 = last_state(simulate(conservative_system, s0, LINEAR, cfg, cfg.dt))
         e1 = total_energy(conservative_system, *s1, LINEAR)
@@ -45,7 +46,8 @@ class TestStep:
 
     def test_damped_energy_decreases(self, damped_system):
         cfg = SchemeConfig(dt=1e-2)
-        s = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
+        s = initial_state(damped_system,
+                          InitSpec("mode", amplitude=1.0, amplitude_psi=0.5))
         e_prev = total_energy(damped_system, *s, LINEAR)
         for _ in range(20):
             s = last_state(simulate(damped_system, s, LINEAR, cfg, cfg.dt))
@@ -55,7 +57,8 @@ class TestStep:
 
     def test_balance_residual_tracks_dissipation(self, damped_system):
         cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12)
-        s = initial_state(damped_system, "mode", amplitude=1.0, amplitude_psi=0.5)
+        s = initial_state(damped_system,
+                          InitSpec("mode", amplitude=1.0, amplitude_psi=0.5))
         traj = simulate(damped_system, s, LINEAR, cfg, 1000 * cfg.dt,
                         sample_stride=1)
         assert len(traj.balance) == 1001
@@ -64,13 +67,13 @@ class TestStep:
 
     def test_balance_residual_zero_states(self, damped_system):
         cfg = SchemeConfig(dt=1e-3)
-        z = initial_state(damped_system, "zero")
+        z = initial_state(damped_system, InitSpec("zero"))
         traj = simulate(damped_system, z, LINEAR, cfg, 1000 * cfg.dt,
                         sample_stride=1)
         assert all(res == 0.0 for res in traj.balance)
 
     def test_unconditional_stability_large_dt(self, damped_system):
-        s = initial_state(damped_system, "mode", amplitude=1.0)
+        s = initial_state(damped_system, InitSpec("mode", amplitude=1.0))
         e0 = total_energy(damped_system, *s, LINEAR)
         for dt in (0.1, 1.0, 10.0):
             cfg = SchemeConfig(dt=dt)
@@ -79,7 +82,7 @@ class TestStep:
 
     def test_tip_identification(self):
         system = desk_system(ne=8, tip=0.5)
-        s = initial_state(system, "mode", amplitude=0.2, mode=1)
+        s = initial_state(system, InitSpec("mode", amplitude=0.2, mode=1))
         cfg = SchemeConfig(dt=1e-2)
         u1, w1 = last_state(simulate(system, s, LINEAR, cfg, cfg.dt))
         assert system.expand(u1)[0][-1] == u1[system.tip_slot]
@@ -90,7 +93,7 @@ class TestOrderOfAccuracy:
     def test_second_order_against_matrix_exponential(self):
         system = desk_system(ne=8, gamma1=0.7, gamma2=0.4,
                              tip=0.3)
-        s0 = initial_state(system, "mode", amplitude=1.0, amplitude_psi=0.4)
+        s0 = initial_state(system, InitSpec("mode", amplitude=1.0, amplitude_psi=0.4))
         u0, w0 = s0
         n = system.n_free
         m_inv = np.linalg.inv(system.M.toarray())
@@ -109,14 +112,14 @@ class TestOrderOfAccuracy:
 
 class TestSimulate:
     def test_zero_horizon_returns_initial_only(self, conservative_system):
-        s0 = initial_state(conservative_system, "mode", amplitude=0.5)
+        s0 = initial_state(conservative_system, InitSpec("mode", amplitude=0.5))
         traj = simulate(conservative_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.0)
         assert len(traj) == 1
         assert list(traj.times) == [0.0]
 
     def test_horizon_must_be_whole_steps(self, conservative_system):
         # 0.0105 / 1e-3 = 10.5 steps: no silent stop at 0.010
-        s0 = initial_state(conservative_system, "mode", amplitude=0.5)
+        s0 = initial_state(conservative_system, InitSpec("mode", amplitude=0.5))
         cfg = SchemeConfig(dt=1e-3)
         with pytest.raises(ValueError, match="not a whole number of dt"):
             simulate(conservative_system, s0, LINEAR, cfg, 0.0105)
@@ -129,8 +132,8 @@ class TestSimulate:
         # 23 steps at stride 5: step 0, every fifth step and the trailing
         # partial stride at step 23, each row bitwise the stepper's own
         cfg = SchemeConfig(dt=1e-3)
-        u, w = initial_state(damped_system, "mode", amplitude=1.0,
-                             amplitude_psi=0.5)
+        u, w = initial_state(damped_system, InitSpec("mode", amplitude=1.0,
+                                                     amplitude_psi=0.5))
         traj = simulate(damped_system, (u, w), LINEAR, cfg, 23 * cfg.dt,
                         sample_stride=5)
         stepper = MidpointStepper(damped_system, LINEAR, cfg)
@@ -148,7 +151,7 @@ class TestSimulate:
 
     def test_deterministic(self, damped_system):
         cfg = SchemeConfig(dt=1e-3)
-        s0 = initial_state(damped_system, "random_ball", radius=1.0, seed=42)
+        s0 = initial_state(damped_system, InitSpec("random_ball", radius=1.0, seed=42))
         t1 = simulate(damped_system, s0, LINEAR, cfg, 0.05, sample_stride=10)
         t2 = simulate(damped_system, s0, LINEAR, cfg, 0.05, sample_stride=10)
         assert np.array_equal(t1.U, t2.U)
@@ -156,7 +159,7 @@ class TestSimulate:
         assert np.array_equal(t1.balance, t2.balance)
 
     def test_energy_series_nonincreasing(self, damped_system):
-        s0 = initial_state(damped_system, "gaussian", amplitude=0.7)
+        s0 = initial_state(damped_system, InitSpec("gaussian", amplitude=0.7))
         traj = simulate(damped_system, s0, LINEAR, SchemeConfig(dt=1e-3), 0.5,
                         sample_stride=20)
         es = [total_energy(damped_system, u, w, LINEAR)
@@ -167,7 +170,7 @@ class TestSimulate:
         system = desk_system(ne=8, tip=1e-6)
         laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-10, g_lo=-0.01,
                                                      g_hi=0.01))
-        s0 = initial_state(system, "mode_velocity", amplitude=50.0)
+        s0 = initial_state(system, InitSpec("mode_velocity", amplitude=50.0))
         with pytest.raises(NewtonDivergence) as err:
             simulate(system, s0, laws, SchemeConfig(dt=0.05, newton_max=2), 0.5)
         assert err.value.t > 0.0
@@ -180,7 +183,7 @@ class TestContactStepping:
                              tip=1e-3)
         laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-3, g_lo=-0.05,
                                                      g_hi=0.05))
-        s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)
+        s0 = initial_state(system, InitSpec("mode_velocity", amplitude=0.5, mode=2))
         traj = simulate(system, s0, laws, SchemeConfig(dt=2e-4), 0.5,
                         sample_stride=50)
         es = [total_energy(system, u, w, laws) for u, w in zip(traj.U, traj.W)]
@@ -191,7 +194,7 @@ class TestContactStepping:
         system = desk_system(ne=16, gamma1=1.0, gamma2=1.0)
         laws = Laws(contact=NormalCompliance(d1=200.0, d2=200.0, p=1,
                                              g_lo=-0.05, g_hi=0.05))
-        s0 = initial_state(system, "mode_velocity", amplitude=0.5, mode=2)
+        s0 = initial_state(system, InitSpec("mode_velocity", amplitude=0.5, mode=2))
         traj = simulate(system, s0, laws, SchemeConfig(dt=5e-4), 0.5,
                         sample_stride=50)
         es = [total_energy(system, u, w, laws) for u, w in zip(traj.U, traj.W)]
@@ -201,7 +204,7 @@ class TestContactStepping:
         system = desk_system(ne=8, gamma1=1.0)
         laws = Laws(force_f=ForceLaw(mu=2.0, alpha=1.0),
                     force_g=ForceLaw(mu=1.0, alpha=2.0))
-        s0 = initial_state(system, "mode", amplitude=0.8, amplitude_psi=0.4)
+        s0 = initial_state(system, InitSpec("mode", amplitude=0.8, amplitude_psi=0.4))
         cfg = SchemeConfig(dt=1e-3, newton_tol=1e-12, newton_max=8)
         traj = simulate(system, s0, laws, cfg, 0.05)
         assert len(traj) == 51
@@ -211,7 +214,7 @@ class TestContactStepping:
         # chord iteration diverges at dt and converges at dt/2
         system = desk_system(ne=8, gamma1=1.0)
         laws = Laws(force_f=ForceLaw(mu=3e3, alpha=1.0))
-        s0 = initial_state(system, "mode", amplitude=1.0)
+        s0 = initial_state(system, InitSpec("mode", amplitude=1.0))
         cfg = SchemeConfig(dt=2e-2)
         u0, w0 = s0
         with pytest.raises(NewtonDivergence):
@@ -303,7 +306,8 @@ class TestSparseStepAgainstDense:
         laws = Laws(contact=self.COMPLIANCE,
                     force_f=ForceLaw(mu=mu, alpha=1.0, f0=0.25),
                     force_g=ForceLaw(mu=mu, alpha=1.0, f0=-0.1))
-        u0, _ = initial_state(system, "mode", amplitude=0.1, amplitude_psi=0.05)
+        u0, _ = initial_state(system,
+                              InitSpec("mode", amplitude=0.1, amplitude_psi=0.05))
         phi0, _ = system.expand(u0)
         w0 = system.reduce(np.concatenate([0.3 * phi0, np.zeros(system.mesh.nn)]))
         assert u0[system.tip_slot] > self.COMPLIANCE.g_hi
@@ -436,7 +440,7 @@ class TestStepContract:
         system = desk_system(ne=8, gamma1=gamma1, gamma2=gamma2, tip=tip)
         laws = Laws(contact=contact, force_f=force_f, force_g=force_g)
         cfg = SchemeConfig(dt=dt)
-        u, w = initial_state(system, "random_ball", radius=radius, seed=seed)
+        u, w = initial_state(system, InitSpec("random_ball", radius=radius, seed=seed))
         up, wp, _, _ = MidpointStepper(system, laws, cfg)._solve_step(u, w, dt, dt)
         R, _ = dense_midpoint_residual(system, laws, u, w, up, dt)
         m, k = (np.abs(A.toarray()).sum(axis=1).max()
@@ -469,7 +473,7 @@ class TestEnergyIdentity:
         system = desk_system(ne=8, gamma1=gamma1, gamma2=gamma2, tip=tip)
         laws = Laws(contact=contact, force_f=force_f, force_g=force_g)
         cfg = SchemeConfig(dt=dt)
-        u, w = initial_state(system, "random_ball", radius=radius, seed=seed)
+        u, w = initial_state(system, InitSpec("random_ball", radius=radius, seed=seed))
         up, wp, _, _ = MidpointStepper(system, laws, cfg)._solve_step(u, w, dt, dt)
         M, K, D = system.M.toarray(), system.K.toarray(), np.diag(system.D)
         delta, um = up - u, 0.5 * (u + up)
@@ -495,7 +499,7 @@ class TestEnergyIdentity:
 
 class TestInitialData:
     def test_zero(self, conservative_system):
-        s = initial_state(conservative_system, "zero")
+        s = initial_state(conservative_system, InitSpec("zero"))
         assert state_norm(conservative_system, *s) == 0.0
 
     def test_modes_satisfy_essential_conditions(self, conservative_system):
@@ -503,8 +507,8 @@ class TestInitialData:
         x = conservative_system.mesh.nodes
         for kind in ("mode", "mode_velocity"):
             for m in (1, 2, 3):
-                u, w = initial_state(conservative_system, kind, amplitude=1.0,
-                                     amplitude_psi=1.0, mode=m)
+                init = InitSpec(kind, amplitude=1.0, amplitude_psi=1.0, mode=m)
+                u, w = initial_state(conservative_system, init)
                 data, rest = (u, w) if kind == "mode" else (w, u)
                 assert np.all(rest == 0.0)
                 phi, psi = conservative_system.expand(data)
@@ -514,7 +518,7 @@ class TestInitialData:
                 np.testing.assert_array_equal(psi[:-1], np.cos(a * x[:-1]))
 
     def test_gaussian_pulse(self, conservative_system):
-        u, w = initial_state(conservative_system, "gaussian", amplitude=2.0)
+        u, w = initial_state(conservative_system, InitSpec("gaussian", amplitude=2.0))
         phi, psi = conservative_system.expand(u)
         assert phi[0] == 0.0
         assert phi.max() == pytest.approx(2.0, rel=1e-2)
@@ -522,16 +526,14 @@ class TestInitialData:
 
     def test_random_ball_inside_radius_and_seeded(self, conservative_system):
         for seed in (0, 1, 7):
-            s = initial_state(conservative_system, "random_ball", radius=2.5,
-                              seed=seed)
+            s = initial_state(conservative_system,
+                              InitSpec("random_ball", radius=2.5, seed=seed))
             assert state_norm(conservative_system, *s) <= 2.5 + 1e-12
-        a = initial_state(conservative_system, "random_ball", radius=1.0, seed=3)
-        b = initial_state(conservative_system, "random_ball", radius=1.0, seed=3)
+        a = initial_state(conservative_system,
+                          InitSpec("random_ball", radius=1.0, seed=3))
+        b = initial_state(conservative_system,
+                          InitSpec("random_ball", radius=1.0, seed=3))
         assert np.array_equal(a, b)
-
-    def test_unknown_kind_rejected(self, conservative_system):
-        with pytest.raises(ValueError):
-            initial_state(conservative_system, "sawtooth")
 
 
 class TestSchemeConfig:

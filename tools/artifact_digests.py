@@ -81,7 +81,8 @@ BODY = {"force_f.mu": "1.0", "force_f.alpha": "1.0",
         "run.t_final": "0.2"}
 CUTOFF = {"force_f.cutoff_r": "0.02", "force_g.mu": "0.5", "force_g.alpha": "2.0",
           "force_g.cutoff_r": "0.02", "init.amplitude_psi": "0.5"}
-# the config of test_cli's exit-3 test: the first half of a bisected step fails
+# the config of test_cli's exit-3 test: the second half of the bisected third
+# step fails, t_fail = 0.15
 DIVERGENCE = {"scheme.dt": "0.05", "scheme.newton_max": "2", "run.t_final": "0.5",
               "tip.epsilon": "1e-6",
               "contact.kind": "signorini_penalty", "contact.eps_pen": "1e-10",
