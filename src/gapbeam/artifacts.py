@@ -6,7 +6,7 @@ bitwise-identical files and golden-file comparisons are meaningful.
 
 from __future__ import annotations
 
-from struct import pack, unpack_from
+from struct import pack
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +66,6 @@ def write_trajectory_csv(path: str | Path, system: SemiDiscreteSystem,
     write_table_csv(path, TRAJECTORY_SCHEMA, TRAJECTORY_COLUMNS, rows)
 
 
-def write_spectrum_csv(path: str | Path, eigenvalues: np.ndarray) -> None:
-    rows = [(lam.real, lam.imag) for lam in eigenvalues]
-    write_table_csv(path, SPECTRUM_SCHEMA, ("re", "im"), rows)
-
-
 def write_summary(path: str | Path, entries: dict) -> None:
     lines = []
     for key, value in entries.items():
@@ -87,25 +82,3 @@ def save_snapshot(path: str | Path, system: SemiDiscreteSystem, u: np.ndarray,
     fields = (*system.expand(u), *system.expand(w))
     head = _SNAP_MAGIC + pack("<IId", _SNAP_VERSION, system.mesh.nn, t)
     Path(path).write_bytes(head + np.asarray(fields, dtype="<f8").tobytes())
-
-
-def load_snapshot(path: str | Path,
-                  system: SemiDiscreteSystem) -> tuple[np.ndarray, np.ndarray, float]:
-    """(u, w, t) of a snapshot of system's mesh; the essential dofs drop out."""
-    blob = Path(path).read_bytes()
-    head = len(_SNAP_MAGIC) + 16
-    if not blob.startswith(_SNAP_MAGIC) or len(blob) < head:
-        raise ValueError(f"{path}: not a snapshot file, or its header is cut")
-    version, nn, t = unpack_from("<IId", blob, len(_SNAP_MAGIC))
-    if version != _SNAP_VERSION:
-        raise ValueError(f"{path}: unsupported snapshot version {version}")
-    if len(blob) != head + 32 * nn:
-        raise ValueError(f"{path}: {len(blob)} bytes, where a snapshot of {nn} "
-                         f"nodes takes {head + 32 * nn}")
-    if nn != system.mesh.nn:
-        raise ValueError(f"{path}: a snapshot of {nn} nodes, where the mesh "
-                         f"has {system.mesh.nn}")
-    phi, psi, phi_t, psi_t = np.frombuffer(blob, dtype="<f8",
-                                           offset=head).reshape(4, nn)
-    return (system.reduce(np.concatenate([phi, psi])),
-            system.reduce(np.concatenate([phi_t, psi_t])), t)

@@ -38,11 +38,11 @@ import numpy as np
 from .artifacts import (
     EPS_SCHEMA,
     OBSERVABILITY_SCHEMA,
+    SPECTRUM_SCHEMA,
     SWEEP_SCHEMA,
     XI_SCHEMA,
     fmt,
     save_snapshot,
-    write_spectrum_csv,
     write_summary,
     write_table_csv,
     write_trajectory_csv,
@@ -58,7 +58,7 @@ from .diagnostics import (
 )
 from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
                          recover_stress)
-from .model import NormalCompliance
+from .model import penalty_stiffness
 from .spectral import (DimensionCapExceeded, SpectrumCertificateError,
                        mesh_spectrum, trend_toward_zero, xi_study)
 from .timestep import NewtonDivergence, initial_state, simulate
@@ -131,14 +131,13 @@ SWEEP_HEADER = ("eps_pen", "status", "violation", "sup_S_ell", "gamma_state",
                 "compl_violations", "violation_decreasing")
 
 
-def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out_dir: str) -> dict:
-    """One penalty-sweep row of plain scalars, keyed by SWEEP_HEADER but for
-    its last column."""
-    base = cfg.contact
-    contact = NormalCompliance.penalty(eps_pen, base.g_lo, base.g_hi)
+def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out: Path) -> dict:
+    """One penalty-sweep row, keyed by SWEEP_HEADER but for its last column;
+    cfg.contact is a penalty law, p = 1 with d1 = d2."""
+    d = penalty_stiffness(eps_pen)
+    contact = dataclasses.replace(cfg.contact, d1=d, d2=d)
     # the tip body's epsilon is the penalty's, so the limit drives both to 0
     row_cfg = dataclasses.replace(cfg, contact=contact, tip=eps_pen)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # scale-aware tolerances: penetration depth scales like sqrt(eps) on
     # impact, and the recovered trace inherits the same transient scale;
@@ -176,8 +175,11 @@ def cmd_sweep_eps(cfg: ExperimentConfig, out: Path) -> dict:
     if law is None or law.p != 1 or law.d1 != law.d2:
         raise ConfigError("contact.kind: sweep-eps needs a penalty law, "
                           "signorini_penalty or p = 1 with d1 = d2")
+    if cfg.tip:
+        raise ConfigError("tip.epsilon: not read by sweep-eps, whose rows take "
+                          "each eps_pen as the tip body's epsilon")
     # repr is exact, so no two rows share a directory
-    rows = [_sweep_eps_row(cfg, eps, str(out / f"eps_{eps!r}"))
+    rows = [_sweep_eps_row(cfg, eps, out / f"eps_{eps!r}")
             for eps in cfg.sweep.eps_pen]
     prev = None
     for row in rows:
@@ -231,7 +233,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     # a spectrum is sorted by real part, descending: lam[0].real is its abscissa
     (abscissa, gap), *study = [(float(lam[0].real), float(abs(lam.real).min()))
                                for lam in map(spectra.get, tips)]
-    write_spectrum_csv(out / "spectrum.csv", spectra[cfg.tip])
+    write_table_csv(out / "spectrum.csv", SPECTRUM_SCHEMA, ("re", "im"),
+                    [(lam.real, lam.imag) for lam in spectra[cfg.tip]])
     entries = {
         "model": "hybrid" if cfg.tip else "non-hybrid", "ne": cfg.ne,
         "epsilon": fmt(cfg.tip) if cfg.tip else "",

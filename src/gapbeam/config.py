@@ -12,8 +12,9 @@ __post_init__ checks its fields; its ParamError names the key.
 `tip.epsilon` is the number epsilon >= 0 that the tip body adds to the mass,
 damping and stiffness of the end deflection; its default 0 is no body, the
 traction-free end.  `contact.kind` picks the stop law: none for no law,
-normal_compliance (contact.d1, d2, p, g_lo, g_hi), or signorini_penalty,
-which is the p = 1 compliance law with d1 = d2 = 1/contact.eps_pen.
+normal_compliance (contact.d1, d2, p, g_lo, g_hi), or signorini_penalty
+(contact.eps_pen, g_lo, g_hi), the same record read with p = 1 and
+d1 = d2 = 1/contact.eps_pen given.
 
 Every key is read once, and the reads are the only list of keys: a key that
 nothing reads, such as a stop-law key the chosen contact.kind does not take,
@@ -36,6 +37,7 @@ from .model import (
     NormalCompliance,
     ParamError,
     SchemeConfig,
+    penalty_stiffness,
     step_count,
 )
 
@@ -61,12 +63,10 @@ class SweepSpec:
             for i, j in enumerate(map(values.index, values)):
                 if i != j:
                     raise ParamError(name, f"{values[i]} is repeated")
-        for name in ("eps_pen", "epsilon"):
-            if not all(v > 0.0 for v in getattr(self, name)):
-                raise ParamError(name, "must be positive")
-        # the stiffness of a row's penalty law is 1/eps_pen
-        if not all(math.isfinite(1.0 / v) for v in self.eps_pen):
-            raise ParamError("eps_pen", "an entry puts 1/eps_pen out of float range")
+        for eps_pen in self.eps_pen:  # each row's law has stiffness 1/eps_pen
+            penalty_stiffness(eps_pen)
+        if not all(v > 0.0 for v in self.epsilon):
+            raise ParamError("epsilon", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -213,12 +213,9 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     elif kind == "normal_compliance":
         contact = _record(NormalCompliance, "contact", mapping)
     elif kind == "signorini_penalty":
-        args = [_get(mapping, f"contact.{name}", _finite_float)
-                for name in ("eps_pen", "g_lo", "g_hi")]
-        try:
-            contact = NormalCompliance.penalty(*args)
-        except ParamError as exc:
-            raise ConfigError(f"contact.{exc.name}: {exc}") from exc
+        d = _get(mapping, "contact.eps_pen",
+                 lambda text: penalty_stiffness(_finite_float(text)))
+        contact = _record(NormalCompliance, "contact", mapping, d1=d, d2=d, p=1)
     else:
         raise ConfigError(f"contact.kind: unknown kind {kind!r}")
 

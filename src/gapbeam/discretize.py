@@ -75,11 +75,6 @@ class CooMatrix:
         """Sum of |a_ij| over each row's merged entries, in column order."""
         return np.abs(self._by_row[0]).cumsum(axis=0)[-1]
 
-    def toarray(self) -> np.ndarray:
-        flat = np.bincount(self.rows * self.n + self.cols, weights=self.vals,
-                           minlength=self.n * self.n)
-        return flat.reshape(self.n, self.n)
-
     def lower_band(self, rank: np.ndarray) -> np.ndarray:
         """LAPACK's lower band storage of the operator with slot i moved to
         position rank[i]: row k holds the entries (j + k, j), zero past n."""

@@ -113,19 +113,20 @@ class NormalCompliance:
                              "stops must satisfy g_lo < 0 < g_hi, got "
                              f"[{self.g_lo}, {self.g_hi}]")
 
-    @classmethod
-    def penalty(cls, eps_pen: float, g_lo: float, g_hi: float) -> NormalCompliance:
-        """The Signorini penalty with parameter eps_pen: the p=1 law with both
-        stiffnesses 1/eps_pen, which tends to the rigid stops as eps_pen -> 0."""
-        if not math.isfinite(eps_pen):
-            raise ParamError("eps_pen", f"eps_pen must be finite, got {eps_pen!r}")
-        if eps_pen <= 0.0:
-            raise ParamError("eps_pen", "eps_pen must be positive")
-        d = 1.0 / eps_pen
-        if not math.isfinite(d):
-            raise ParamError("eps_pen", f"eps_pen={eps_pen!r} puts 1/eps_pen "
-                             "out of float range")
-        return cls(d1=d, d2=d, p=1, g_lo=g_lo, g_hi=g_hi)
+
+def penalty_stiffness(eps_pen: float) -> float:
+    """1/eps_pen, the stiffness d1 = d2 of the Signorini penalty: the p=1 law
+    that tends to the rigid stops as eps_pen -> 0.  A ParamError unless
+    eps_pen is finite and positive and 1/eps_pen is a float."""
+    if not math.isfinite(eps_pen):
+        raise ParamError("eps_pen", f"eps_pen must be finite, got {eps_pen!r}")
+    if eps_pen <= 0.0:
+        raise ParamError("eps_pen", f"eps_pen must be positive, got {eps_pen!r}")
+    d = 1.0 / eps_pen
+    if not math.isfinite(d):
+        raise ParamError("eps_pen", f"eps_pen={eps_pen!r} puts 1/eps_pen out of "
+                         "float range")
+    return d
 
 
 @dataclass(frozen=True)

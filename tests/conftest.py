@@ -2,12 +2,15 @@ import functools
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
+from struct import unpack_from
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from gapbeam import BeamParams, ForceLaw, assemble, build_mesh
+from gapbeam import BeamParams, ForceLaw, NormalCompliance, assemble, build_mesh
+from gapbeam.artifacts import _SNAP_MAGIC, _SNAP_VERSION
 
 # property tests draw the same examples on every run and stay within seconds
 settings.register_profile("gapbeam", derandomize=True, deadline=None,
@@ -49,6 +52,41 @@ def assert_digest_line(line):
     if header != tool.environment():
         pytest.skip("environment differs")
     assert line == want[line.split()[0]]
+
+
+def p1_law(d, g_lo, g_hi):
+    """The p = 1 stop law of stiffness d on both sides: the Signorini penalty
+    law of eps_pen = 1/d."""
+    return NormalCompliance(d1=d, d2=d, p=1, g_lo=g_lo, g_hi=g_hi)
+
+
+def toarray(op):
+    """The dense matrix of a discretize.CooMatrix: entries at one (row, col) add."""
+    flat = np.bincount(op.rows * op.n + op.cols, weights=op.vals,
+                       minlength=op.n * op.n)
+    return flat.reshape(op.n, op.n)
+
+
+def load_snapshot(path, system):
+    """(u, w, t) of a snapshot of system's mesh, the file that
+    artifacts.save_snapshot writes; the essential dofs drop out."""
+    blob = Path(path).read_bytes()
+    head = len(_SNAP_MAGIC) + 16
+    if not blob.startswith(_SNAP_MAGIC) or len(blob) < head:
+        raise ValueError(f"{path}: not a snapshot file, or its header is cut")
+    version, nn, t = unpack_from("<IId", blob, len(_SNAP_MAGIC))
+    if version != _SNAP_VERSION:
+        raise ValueError(f"{path}: unsupported snapshot version {version}")
+    if len(blob) != head + 32 * nn:
+        raise ValueError(f"{path}: {len(blob)} bytes, where a snapshot of {nn} "
+                         f"nodes takes {head + 32 * nn}")
+    if nn != system.mesh.nn:
+        raise ValueError(f"{path}: a snapshot of {nn} nodes, where the mesh "
+                         f"has {system.mesh.nn}")
+    phi, psi, phi_t, psi_t = np.frombuffer(blob, dtype="<f8",
+                                           offset=head).reshape(4, nn)
+    return (system.reduce(np.concatenate([phi, psi])),
+            system.reduce(np.concatenate([phi_t, psi_t])), t)
 
 
 def last_state(traj):

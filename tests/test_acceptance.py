@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import assert_digest_line, desk_beam, desk_system, digest_tool
+from conftest import (assert_digest_line, desk_beam, desk_system, digest_tool,
+                      toarray)
 from gapbeam import (
     ForceLaw,
     InitSpec,
@@ -83,9 +84,9 @@ def test_c04_decay_matches_abscissa():
     # generator, so the eigenspace is invariant and the fit sees one rate
     n = system.n_free
     A = np.block([[np.zeros((n, n)), np.eye(n)],
-                  [-system.K.toarray(), -np.diag(system.D)]])
+                  [-toarray(system.K), -np.diag(system.D)]])
     B = np.block([[np.eye(n), np.zeros((n, n))],
-                  [np.zeros((n, n)), system.M.toarray()]])
+                  [np.zeros((n, n)), toarray(system.M)]])
     lam, vecs = sla.eig(A, B)
     vec = vecs[:, int(np.argmax(lam.real))]
     u, w = np.real(vec[:n]), np.real(vec[n:])

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_digest_line, desk_system, digest_tool
+from conftest import assert_digest_line, desk_system, digest_tool, load_snapshot
 from gapbeam import (ForceLaw, InitSpec, Laws, NormalCompliance, energy,
                      initial_state)
-from gapbeam.artifacts import TRAJECTORY_COLUMNS, load_snapshot, save_snapshot
+from gapbeam.artifacts import TRAJECTORY_COLUMNS, save_snapshot
 
 # signed zeros, the smallest subnormals, a normal-range boundary and the
 # largest magnitudes come often; any other double, nan and inf included, may

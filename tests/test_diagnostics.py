@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_system
+from conftest import desk_system, p1_law
 from gapbeam import (
     ForceLaw,
     InitSpec,
@@ -157,8 +157,7 @@ class TestConstraintViolation:
         for eps in (1e-1, 1e-2, 1e-3):
             system = desk_system(ne=16, gamma1=1.0, gamma2=1.0,
                                  tip=eps)
-            laws = Laws(contact=NormalCompliance.penalty(eps_pen=eps, g_lo=-0.05,
-                                                         g_hi=0.05))
+            laws = Laws(contact=p1_law(1.0 / eps, g_lo=-0.05, g_hi=0.05))
             s0 = initial_state(system, InitSpec("mode_velocity", amplitude=0.5, mode=2))
             traj = simulate(system, s0, laws, SchemeConfig(dt=2e-4), 1.0,
                             sample_stride=10)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from conftest import desk_beam, desk_system
+from conftest import desk_beam, desk_system, toarray
 from gapbeam import (
     InitSpec,
     Laws,
@@ -128,7 +128,7 @@ class TestAssemble:
                              tip=tip)
         assert len(set(np.round(system.mesh.widths, 12))) == 2
         M, K, D = dense_reference_operators(system.mesh, system.beam, tip)
-        for ours, dense in ((system.M.toarray(), M), (system.K.toarray(), K),
+        for ours, dense in ((toarray(system.M), M), (toarray(system.K), K),
                             (np.diag(system.D), D)):
             np.testing.assert_allclose(ours, dense, rtol=1e-14,
                                        atol=1e-14 * np.abs(dense).max())
@@ -137,9 +137,9 @@ class TestAssemble:
         system = conservative_system
         n = system.n_free
         A = np.block([[np.zeros((n, n)), np.eye(n)],
-                      [-system.K.toarray(), -np.diag(system.D)]])
+                      [-toarray(system.K), -np.diag(system.D)]])
         B = np.block([[np.eye(n), np.zeros((n, n))],
-                      [np.zeros((n, n)), system.M.toarray()]])
+                      [np.zeros((n, n)), toarray(system.M)]])
         lam = sla.eig(A, B, right=False)
         assert np.max(np.abs(lam.real)) < 1e-10
 
@@ -149,7 +149,7 @@ class TestProducts:
 
     @staticmethod
     def assert_products(A, seed):
-        dense = A.toarray()
+        dense = toarray(A)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(A.n)
         atol = 1e-14 * np.abs(dense).sum(axis=1).max() * np.abs(x).max()
@@ -170,7 +170,7 @@ class TestProducts:
         n, nnz = 9, 40
         A = CooMatrix(rng.integers(0, n - 2, nnz), rng.integers(0, n, nnz),
                       rng.standard_normal(nnz), n)
-        assert np.any(A.toarray() != A.toarray().T)
+        assert np.any(toarray(A) != toarray(A).T)
         self.assert_products(A, seed=5)
 
     def test_row_sums_add_in_column_order_as_csr(self):
@@ -269,7 +269,7 @@ class TestGuards:
     def test_mass_positive_definite_guard(self):
         mesh = build_mesh(1.0, 0.5, 6)
         system = assemble(mesh, desk_beam(), 0.0)
-        np.linalg.cholesky(system.M.toarray())  # does not raise
+        np.linalg.cholesky(toarray(system.M))  # does not raise
 
     def test_indefinite_mass_is_an_assembly_error(self):
         # the records reject rho1 <= 0; bypass them to reach the guard

@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import dataclasses
 import math
 import inspect
@@ -9,8 +11,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import desk_beam, force_laws
-from gapbeam.config import ExperimentConfig
+from conftest import desk_beam, force_laws, p1_law
+from gapbeam.config import ExperimentConfig, build_config
 from gapbeam.diagnostics import _multipliers
 from gapbeam.model import (
     EXCLUDED,
@@ -26,23 +28,25 @@ from gapbeam.model import (
     contact_potential,
     contact_traction,
     is_stabilizing_xi,
+    penalty_stiffness,
 )
+from test_cli import BASE_MAP
 
 NC = NormalCompliance(d1=1.0, d2=1.0, p=2, g_lo=-1.0, g_hi=1.0)
-PEN = NormalCompliance.penalty(eps_pen=0.5, g_lo=-1.0, g_hi=1.0)
+PEN = p1_law(2.0, g_lo=-1.0, g_hi=1.0)  # eps_pen = 0.5
 LAWS = [
     NC,
     NormalCompliance(d1=3.0, d2=0.7, p=1, g_lo=-0.5, g_hi=0.25),
     NormalCompliance(d1=1.5, d2=2.0, p=3, g_lo=-1.0, g_hi=0.5),
     PEN,
-    NormalCompliance.penalty(eps_pen=1e-2, g_lo=-0.3, g_hi=0.3),
+    p1_law(100.0, g_lo=-0.3, g_hi=0.3),
 ]
 
 _STOPS = dict(g_lo=st.floats(-1.0, -1e-3), g_hi=st.floats(1e-3, 1.0))
 STOP_LAWS = st.one_of(
     st.builds(NormalCompliance, d1=st.floats(1e-2, 1e3),
               d2=st.floats(1e-2, 1e3), p=st.sampled_from([1, 2, 3]), **_STOPS),
-    st.builds(NormalCompliance.penalty, eps_pen=st.floats(1e-4, 1.0), **_STOPS),
+    st.builds(p1_law, d=st.floats(1.0, 1e4), **_STOPS),
 )
 
 
@@ -296,18 +300,24 @@ class TestValidation:
             NormalCompliance(d1=1, d2=1, p=4, g_lo=-1, g_hi=1)
         with pytest.raises(ValueError):
             NormalCompliance(d1=1, d2=1, p=2, g_lo=0.1, g_hi=1)
-        with pytest.raises(ValueError):
-            NormalCompliance.penalty(eps_pen=0.0, g_lo=-1, g_hi=1)
+        for eps_pen in (0.0, -0.0, -1e-2):
+            with pytest.raises(ParamError) as exc:
+                penalty_stiffness(eps_pen)
+            assert exc.value.name == "eps_pen"
 
     def test_penalty_is_the_p1_law_with_stiffnesses_one_over_eps(self):
-        assert NormalCompliance.penalty(eps_pen=0.3, g_lo=-0.5, g_hi=0.25) == \
+        assert penalty_stiffness(0.3) == 1.0 / 0.3
+        cfg = build_config({**BASE_MAP, "contact.kind": "signorini_penalty",
+                            "contact.eps_pen": "0.3", "contact.g_lo": "-0.5",
+                            "contact.g_hi": "0.25"})
+        assert cfg.contact == \
             NormalCompliance(d1=1.0 / 0.3, d2=1.0 / 0.3, p=1, g_lo=-0.5, g_hi=0.25)
 
     @pytest.mark.parametrize("eps_pen", [5e-324, 5.5e-309])
     def test_penalty_stiffness_must_be_a_float(self, eps_pen):
         # 1/eps_pen overflows below about 5.6e-309
         with pytest.raises(ParamError, match="1/eps_pen out of float range") as exc:
-            NormalCompliance.penalty(eps_pen=eps_pen, g_lo=-1, g_hi=1)
+            penalty_stiffness(eps_pen)
         assert exc.value.name == "eps_pen"
 
     def test_force_law_invariants(self):
@@ -334,6 +344,11 @@ class TestValidation:
         assert exc.value.name == name
 
 
+def penalty_law(eps_pen: float, g_lo: float, g_hi: float) -> NormalCompliance:
+    """The law that build_config reads for contact.kind = signorini_penalty."""
+    return p1_law(penalty_stiffness(eps_pen), g_lo, g_hi)
+
+
 # one valid instance of every parameter record, each float field set, keyed
 # by its label; the Signorini penalty checks its arguments like a record
 VALID_RECORDS = {
@@ -341,7 +356,7 @@ VALID_RECORDS = {
                                     gamma1=0.5, gamma2=0.5, xi_num=1, xi_den=2)),
     "NormalCompliance": (NormalCompliance,
                          dict(d1=1.0, d2=1.0, p=2, g_lo=-0.1, g_hi=0.1)),
-    "SignoriniPenalty": (NormalCompliance.penalty,
+    "SignoriniPenalty": (penalty_law,
                          dict(eps_pen=1e-2, g_lo=-0.1, g_hi=0.1)),
     "ForceLaw": (ForceLaw, dict(mu=1.0, alpha=1.0, cutoff_r=2.0, f0=0.5)),
     "SchemeConfig": (SchemeConfig, dict(dt=1e-3, newton_tol=1e-10)),

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import desk_beam, desk_system
+from conftest import desk_beam, desk_system, toarray
 from gapbeam import (assemble, build_mesh, generator, spectrum,
                      trend_toward_zero, xi_study)
 from gapbeam.discretize import AssemblyError, band_cholesky, band_solve
@@ -61,7 +61,7 @@ def backward_errors(system, lam):
     Linear Algebra Appl. 309, 2000): an oracle as accurate as the roots, where
     QZ on the unbalanced first-order pencil is not.
     """
-    M, K = (op.toarray() for op in (system.M, system.K))
+    M, K = (toarray(op) for op in (system.M, system.K))
     D = np.diag(system.D)
     norm_M, norm_D, norm_K = (np.linalg.norm(A, 2) for A in (M, D, K))
     # P(conj z) = conj P(z) has the same singular values: a root and its
@@ -85,9 +85,9 @@ def generalized_qz_eigenvalues(system):
     """Eigenvalues of [[0, I], [-K, -D]] against blockdiag(I, M) by dense QZ."""
     n = system.n_free
     A = np.block([[np.zeros((n, n)), np.eye(n)],
-                  [-system.K.toarray(), -np.diag(system.D)]])
+                  [-toarray(system.K), -np.diag(system.D)]])
     B = np.block([[np.eye(n), np.zeros((n, n))],
-                  [np.zeros((n, n)), system.M.toarray()]])
+                  [np.zeros((n, n)), toarray(system.M)]])
     return sla.eig(A, B, right=False)
 
 
@@ -395,7 +395,7 @@ class TestMassFactor:
             assert band.shape == (p + 1, n)
             L = dense_lower(band_cholesky(band))
             slot = np.argsort(rank)   # the slot at each position
-            np.testing.assert_allclose(L @ L.T, A.toarray()[np.ix_(slot, slot)],
+            np.testing.assert_allclose(L @ L.T, toarray(A)[np.ix_(slot, slot)],
                                        rtol=0.0,
                                        atol=1e-15 * np.abs(A.vals).max())
 

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import desk_system, force_laws, last_state
+from conftest import desk_system, force_laws, last_state, p1_law, toarray
 from gapbeam import (
     ForceLaw,
     InitSpec,
@@ -96,9 +96,9 @@ class TestOrderOfAccuracy:
         s0 = initial_state(system, InitSpec("mode", amplitude=1.0, amplitude_psi=0.4))
         u0, w0 = s0
         n = system.n_free
-        m_inv = np.linalg.inv(system.M.toarray())
+        m_inv = np.linalg.inv(toarray(system.M))
         a_std = np.block([[np.zeros((n, n)), np.eye(n)],
-                          [-m_inv @ system.K.toarray(), -m_inv @ np.diag(system.D)]])
+                          [-m_inv @ toarray(system.K), -m_inv @ np.diag(system.D)]])
         z_ref = sla.expm(a_std) @ np.concatenate([u0, w0])
         errs = []
         for dt in (0.05, 0.025, 0.0125, 0.00625):
@@ -168,8 +168,7 @@ class TestSimulate:
 
     def test_divergence_reports_failing_time(self):
         system = desk_system(ne=8, tip=1e-6)
-        laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-10, g_lo=-0.01,
-                                                     g_hi=0.01))
+        laws = Laws(contact=p1_law(1e10, g_lo=-0.01, g_hi=0.01))
         s0 = initial_state(system, InitSpec("mode_velocity", amplitude=50.0))
         with pytest.raises(NewtonDivergence) as err:
             simulate(system, s0, laws, SchemeConfig(dt=0.05, newton_max=2), 0.5)
@@ -181,8 +180,7 @@ class TestContactStepping:
     def test_penalty_kink_steps_converge(self):
         system = desk_system(ne=16, gamma1=1.0, gamma2=1.0,
                              tip=1e-3)
-        laws = Laws(contact=NormalCompliance.penalty(eps_pen=1e-3, g_lo=-0.05,
-                                                     g_hi=0.05))
+        laws = Laws(contact=p1_law(1e3, g_lo=-0.05, g_hi=0.05))
         s0 = initial_state(system, InitSpec("mode_velocity", amplitude=0.5, mode=2))
         traj = simulate(system, s0, laws, SchemeConfig(dt=2e-4), 0.5,
                         sample_stride=50)
@@ -261,7 +259,7 @@ def dense_midpoint_residual(system, laws, u, w, up, dt):
     R(u+) = 2/dt^2 M (u+ - u) - 2/dt M w + K um + D (u+ - u)/dt - load
             + body(um) - traction(v_m) e_tip,  um = (u + u+)/2
     """
-    M, K, D = system.M.toarray(), system.K.toarray(), np.diag(system.D)
+    M, K, D = toarray(system.M), toarray(system.K), np.diag(system.D)
     h = system.mesh.widths
     nodal_load = (np.append(h, 0.0) + np.insert(h, 0, 0.0)) / 2.0
     load = system.reduce(np.concatenate([laws.force_f.f0 * nodal_load,
@@ -375,10 +373,10 @@ class TestBandFactor:
         for dt in (1e-3, 1e-2):
             stepper = MidpointStepper(system, LINEAR, SchemeConfig(dt=dt))
             J, factor, _, z_tip = stepper._base_operators(dt)
-            dense = J.toarray()
+            dense = toarray(J)
             np.testing.assert_allclose(
-                dense, 2.0 / dt**2 * system.M.toarray()
-                + np.diag(system.D) / dt + 0.5 * system.K.toarray(),
+                dense, 2.0 / dt**2 * toarray(system.M)
+                + np.diag(system.D) / dt + 0.5 * toarray(system.K),
                 rtol=1e-15, atol=0.0)
             assert_solves(factor, dense, seed=ne)
             e_tip = np.eye(system.n_free)[system.tip_slot]
@@ -421,7 +419,7 @@ def contact_laws():
         st.none(),
         st.builds(NormalCompliance, d1=st.floats(1.0, 200.0),
                   d2=st.floats(1.0, 200.0), p=st.sampled_from([1, 2, 3]), **gaps),
-        st.builds(NormalCompliance.penalty, eps_pen=st.floats(1e-3, 1e-1), **gaps),
+        st.builds(p1_law, d=st.floats(10.0, 1e3), **gaps),
     )
 
 
@@ -443,7 +441,7 @@ class TestStepContract:
         u, w = initial_state(system, InitSpec("random_ball", radius=radius, seed=seed))
         up, wp, _, _ = MidpointStepper(system, laws, cfg)._solve_step(u, w, dt, dt)
         R, _ = dense_midpoint_residual(system, laws, u, w, up, dt)
-        m, k = (np.abs(A.toarray()).sum(axis=1).max()
+        m, k = (np.abs(toarray(A)).sum(axis=1).max()
                 for A in (system.M, system.K))
         d = np.abs(system.D).max()
         fscale = 2.0 / dt**2 * m + d / dt + 0.5 * k
@@ -475,7 +473,7 @@ class TestEnergyIdentity:
         cfg = SchemeConfig(dt=dt)
         u, w = initial_state(system, InitSpec("random_ball", radius=radius, seed=seed))
         up, wp, _, _ = MidpointStepper(system, laws, cfg)._solve_step(u, w, dt, dt)
-        M, K, D = system.M.toarray(), system.K.toarray(), np.diag(system.D)
+        M, K, D = toarray(system.M), toarray(system.K), np.diag(system.D)
         delta, um = up - u, 0.5 * (u + up)
         wm = delta / dt
         h = system.mesh.widths

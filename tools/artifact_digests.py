@@ -8,7 +8,7 @@ line per run: its name, its exit code and the digest of every file it wrote
 workloads at seed 0, the configs of acceptance checks C07 and C11, and
 observability, spectrum, tip-body, body-force, penalty (the tip reaches a stop)
 and Newton-failure (exit 3) runs built on the base config of the CLI tests.
-Six more runs record exit codes: spectrum-stall, a spectrum whose Aberth
+Seven more runs record exit codes: spectrum-stall, a spectrum whose Aberth
 sweeps once stalled (exit 3 before the stop rule froze roots cycling at
 rounding level); observability-non-finite, whose figures are nan with
 beam.ell = 1e300 (exit 3 since non-finite figures fail); gamma2-1e8, a damper
@@ -17,9 +17,11 @@ that swamps the Newton scale, so that the first step takes no correction
 far apart for the observability integrals (exit 2, once a traceback);
 penalty-unread-d1, the penalty run with two keys of the compliance law, which
 the penalty law does not read (exit 2, once exit 0 with the penalty run's
-artifacts); and energy-overflow, mode-velocity data of amplitude 1e160, whose
-energy is inf from the first sample (exit 3, once exit 0 with fit_status =
-ok).  Three runs write what no other run does: snapshot (final_state.snap),
+artifacts); tip-sweep-eps, a penalty sweep with tip.epsilon = 0.1, which
+sweep-eps does not read because each row's tip body takes its eps_pen (exit
+2, once exit 0 with the bytes of the sweep without the key); and
+energy-overflow, mode-velocity data of amplitude 1e160, whose energy is inf
+from the first sample (exit 3, once exit 0 with fit_status = ok).  Three runs write what no other run does: snapshot (final_state.snap),
 gaussian (init.kind = gaussian) and sweep-eps-diverged, the energy-overflow
 data in a penalty sweep whose rows all diverge.  tests/test_artifacts.py
 takes its test ids from the run names.

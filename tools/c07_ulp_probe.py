@@ -44,7 +44,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for k in ULPS:
             cfg = build_config({**mapping, "force_f.f0": repr(nudged(f0, k))})
-            row = _sweep_eps_row(cfg, EPS_PEN, str(Path(tmp) / f"ulps_{k}"))
+            row = _sweep_eps_row(cfg, EPS_PEN, Path(tmp) / f"ulps_{k}")
             ok = row["status"] == "ok" and row["compl_violations"] == 0
             passes += ok
             print(f"f0 {k:+d} ulps: status {row['status']}, settled violations "
