@@ -1,7 +1,8 @@
 """Deterministic artifact writers: CSV tables, key=value summaries, snapshots.
 
 Floats are rendered with 17 significant digits so identical runs produce
-bitwise-identical files and golden-file comparisons are meaningful.
+bitwise-identical files and golden-file comparisons are meaningful.  The
+table and summary writers make their file's directory if it is missing.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def write_table_csv(path: str | Path, schema: str, header: tuple[str, ...],
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else fmt(cell)
                               for cell in row))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -72,6 +74,7 @@ def write_summary(path: str | Path, entries: dict) -> None:
         if isinstance(value, float):
             value = fmt(value)
         lines.append(f"{key}={value}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

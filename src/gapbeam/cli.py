@@ -5,13 +5,13 @@ takes --config <key=value file> and --out <directory>.  Exit codes: 0 success,
 2 configuration error, 3 solver failure, 4 I/O failure.
 
 A command writes its tables and returns its summary entries; main writes
-them to <out>/summary after the envelope (schema, command, status), which a
-solver failure gets too.  Besides ok, the status of exit 0 can be
+them to <out>/summary after the envelope (schema, command, status), and the
+first file written makes <out>.  Besides ok, the status of exit 0 can be
   zero_data            observability of zero initial data: E0 = 0 and no
                        intensity, so the ratios are inf and c0, c1 nan
   partial              sweep-eps: some rows diverged, rows_ok did not
   diverged             sweep-eps: every row diverged (rows_ok = 0)
-and the statuses of exit 3 are
+and the statuses of exit 3, each first in its SolverFailure.summary, are
   newton_divergence    a step failed at t_fail (simulate, observability)
   certificate_failure  a root set failed its certificate (sweep-xi, spectrum)
   non_finite_<figure>  a figure is nan or inf: the first observability one
@@ -58,10 +58,10 @@ from .diagnostics import (
 )
 from .discretize import (AssemblyError, SemiDiscreteSystem, assemble, build_mesh,
                          recover_stress)
-from .model import penalty_stiffness
-from .spectral import (DimensionCapExceeded, SpectrumCertificateError,
-                       mesh_spectrum, trend_toward_zero, xi_study)
-from .timestep import NewtonDivergence, initial_state, simulate
+from .model import SolverFailure, penalty_stiffness
+from .spectral import (DimensionCapExceeded, mesh_spectrum, trend_toward_zero,
+                       xi_study)
+from .timestep import initial_state, simulate
 
 # everything imported so far lives as long as the process: keep it out of the
 # collector's scans
@@ -73,8 +73,12 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-class NonFiniteFigure(RuntimeError):
-    """args: the name of a figure that is nan or inf, and the summary entries."""
+class NonFiniteFigure(SolverFailure):
+    """A figure that is nan or inf, among the summary entries that hold it."""
+
+    def __init__(self, name: str, entries: dict):
+        super().__init__(f"{name} = {entries[name]} is not finite",
+                         {"status": f"non_finite_{name}", **entries})
 
 
 def make_initial(cfg: ExperimentConfig, system: SemiDiscreteSystem):
@@ -138,22 +142,17 @@ def _sweep_eps_row(cfg: ExperimentConfig, eps_pen: float, out: Path) -> dict:
     contact = dataclasses.replace(cfg.contact, d1=d, d2=d)
     # the tip body's epsilon is the penalty's, so the limit drives both to 0
     row_cfg = dataclasses.replace(cfg, contact=contact, tip=eps_pen)
-    out.mkdir(parents=True, exist_ok=True)
     # scale-aware tolerances: penetration depth scales like sqrt(eps) on
     # impact, and the recovered trace inherits the same transient scale;
     # classification is taken over the settled second half of the run
     tol_g = math.sqrt(eps_pen) * (contact.g_hi - contact.g_lo)
     tol_s = math.sqrt(eps_pen) * row_cfg.beam.k
-    t_fail = None
     try:
         system, traj, entries = _report(row_cfg, out, tol_S=tol_s, tol_g=tol_g,
                                         t_start=0.5 * row_cfg.t_final)
-    except NewtonDivergence as exc:
-        t_fail = exc.t
-    except NonFiniteFigure as exc:  # an energy left the float range
-        t_fail = exc.args[1]["t_fail"]
-    if t_fail is not None:
-        write_summary(out / "summary", {"status": "diverged", "t_fail": t_fail})
+    except SolverFailure as exc:  # Newton failed or an energy left the range
+        write_summary(out / "summary",
+                      {"status": "diverged", "t_fail": exc.summary["t_fail"]})
         return dict(zip(SWEEP_HEADER, (eps_pen, "diverged", math.nan,
                                        math.nan, math.nan, -1, -1, -1, -1)))
     sup_s = float(abs(recover_stress(system, traj.U)).max())
@@ -290,38 +289,18 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-
     out = Path(args.out)
     summary = {"schema": "gapbeam-summary-v1", "command": args.command,
                "status": "ok"}
     code = EXIT_OK
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        cfg = load_config(args.config)
         try:
             with np.errstate(all="ignore"):
                 summary.update(_COMMANDS[args.command](cfg, out))
-        except NewtonDivergence as exc:
+        except SolverFailure as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
-            summary.update(status="newton_divergence", t_fail=exc.t,
-                           last_residual=exc.residual)
-            code = EXIT_SOLVER
-        except SpectrumCertificateError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            summary["status"] = "certificate_failure"
-            code = EXIT_SOLVER
-        except NonFiniteFigure as exc:
-            name, entries = exc.args
-            print(f"solver failure: {name} = {entries[name]} is not finite",
-                  file=sys.stderr)
-            summary.update(entries, status=f"non_finite_{name}")
+            summary.update(exc.summary)
             code = EXIT_SOLVER
         write_summary(out / "summary", summary)
     except (ConfigError, AssemblyError) as exc:

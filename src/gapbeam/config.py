@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,8 +56,6 @@ class SweepSpec:
     def __post_init__(self):
         if not all(n >= 2 for n in self.ne):
             raise ParamError("ne", "need at least 2 elements")
-        if not all(0 < x < 1 for x in self.xi):
-            raise ParamError("xi", "must lie strictly inside (0, 1)")
         for name in ("xi", "ne", "eps_pen", "epsilon"):
             values = getattr(self, name)
             for i, j in enumerate(map(values.index, values)):
@@ -238,6 +236,12 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         init=_record(InitSpec, "init", mapping, {"seed": "run.seed"}),
         sweep=_record(SweepSpec, "sweep", mapping),
     )
+    # each sweep-xi row's beam, whose float position must lie inside too
+    for frac in config.sweep.xi:
+        try:
+            replace(beam, xi_num=frac.numerator, xi_den=frac.denominator)
+        except ParamError as exc:
+            raise ConfigError(f"sweep.xi: {exc}") from exc
     if mapping:
         key = min(mapping)
         if key.startswith("contact."):

@@ -28,6 +28,15 @@ class ParamError(ValueError):
         super().__init__(message)
 
 
+class SolverFailure(RuntimeError):
+    """A run that failed in the solver (exit 3); `summary` holds the entries
+    the failure adds to the run's summary, status first."""
+
+    def __init__(self, message: str, summary: dict):
+        self.summary = summary
+        super().__init__(message)
+
+
 def require_finite(record) -> None:
     """Raise a ParamError naming the first nan or inf float field of a record.
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .discretize import (AssemblyError, CooMatrix, SemiDiscreteSystem, assemble,
                          band_cholesky, band_solve, build_mesh)
-from .model import BeamParams, is_stabilizing_xi
+from .model import BeamParams, SolverFailure, is_stabilizing_xi
 
 
 # largest pencil dimension admitted (ne elements give 4 * ne); the dense SVD
@@ -67,8 +67,11 @@ class DimensionCapExceeded(RuntimeError):
         )
 
 
-class SpectrumCertificateError(RuntimeError):
+class SpectrumCertificateError(SolverFailure):
     """A root set that failed its certificate; the message names the check."""
+
+    def __init__(self, message: str):
+        super().__init__(message, {"status": "certificate_failure"})
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .model import (
     InitSpec,
     Laws,
     SchemeConfig,
+    SolverFailure,
     body_force,
     body_force_primitive,
     contact_potential,
@@ -34,17 +35,15 @@ from .model import (
 )
 
 
-class NewtonDivergence(RuntimeError):
+class NewtonDivergence(SolverFailure):
     """Newton's residual after its last allowed correction is above tolerance."""
 
     def __init__(self, t: float, residual: float, iterations: int):
-        self.t = t
-        self.residual = residual
-        self.iterations = iterations
         super().__init__(
             f"Newton did not converge at t={t:.6g}: residual {residual:.3e} "
-            f"after {iterations} iterations (reduce dt or soften the contact)"
-        )
+            f"after {iterations} iterations (reduce dt or soften the contact)",
+            {"status": "newton_divergence", "t_fail": t,
+             "last_residual": residual})
 
 
 def _quadratic_form(A: CooMatrix, x: np.ndarray) -> float:

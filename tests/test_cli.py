@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import gapbeam
 from conftest import desk_system, digest_tool, load_snapshot
-from gapbeam.artifacts import save_snapshot
 from gapbeam.cli import main
 from gapbeam.config import (_PARSERS, ConfigError, ExperimentConfig, InitSpec,
                             SweepSpec, build_config, load_config, parse_mapping)
@@ -363,6 +362,14 @@ class TestSimulateCommand:
         # once a ValueError traceback of the random generator
         pytest.param({"init.kind": "random_ball", "run.seed": "-1"},
                      "run.seed: must be >= 0", id="run.seed-negative"),
+        # exact fractions inside (0, 1) whose float position is ell or 0: once
+        # a ParamError traceback of sweep-xi, while simulate exited 0
+        pytest.param({"sweep.xi": f"1/2, {2**54 - 1}/{2**54}"},
+                     f"sweep.xi: xi={2**54 - 1}/{2**54} * ell must lie strictly "
+                     "inside (0, 1.0)", id="sweep.xi-rounds-to-ell"),
+        pytest.param({"sweep.xi": f"1/{10**324}"},
+                     f"sweep.xi: xi=1/{10**324} * ell must lie strictly inside",
+                     id="sweep.xi-rounds-to-zero"),
     ])
     def test_bad_value_exit_two_names_field(self, tmp_path, capsys, overrides,
                                             named):
@@ -371,6 +378,7 @@ class TestSimulateCommand:
         command = ("observability" if overrides is OBSERVABILITY_STRIDE_11
                    else "simulate")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
         msg = capsys.readouterr().err.removeprefix("config error: ")
         assert msg.startswith(named)
         # the field key is the only prefix: no section name in front of it
@@ -421,10 +429,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "config error: unknown field beam.xi\n"
 
-    def test_missing_config_file_exit_io(self, tmp_path):
-        code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
-                     "--out", str(tmp_path / "o")])
-        assert code == 4
+    def test_missing_config_file_exit_io(self, tmp_path, capsys):
+        cfg = str(tmp_path / "nope.cfg")
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure:")
+        assert cfg in err
 
     def test_non_utf8_config_exit_two_names_file_and_byte(self, tmp_path, capsys):
         # once a UnicodeDecodeError traceback (exit 1)
@@ -496,23 +507,6 @@ class TestSimulateCommand:
         summary = read_summary(out)
         assert "constraint_violation" in summary
         assert "complementarity_interior" in summary
-
-
-class TestSnapshotFormat:
-    def test_bit_exact_round_trip(self, tmp_path):
-        system = desk_system(ne=8)
-        u, w = np.random.default_rng(0).standard_normal((2, system.n_free))
-        path = tmp_path / "s.snap"
-        save_snapshot(path, system, u, w, 1.25)
-        back_u, back_w, t = load_snapshot(path, system)
-        assert t == 1.25
-        assert (back_u.tobytes(), back_w.tobytes()) == (u.tobytes(), w.tobytes())
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bad.snap"
-        path.write_bytes(b"not a snapshot")
-        with pytest.raises(ValueError):
-            load_snapshot(path, desk_system(ne=8))
 
 
 class TestSpectrumCommand:
@@ -589,7 +583,7 @@ def test_eigensolver_cap_exit_two_names_field(tmp_path, capsys, command, extra, 
     msg = capsys.readouterr().err.removeprefix("config error: ")
     assert msg.startswith(named + ": pencil dimension")
     assert "ne = 1000" in msg
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep-xi"])
@@ -620,6 +614,7 @@ def test_unusable_operator_exit_two(tmp_path, capsys, command, extra):
                    {**BASE_MAP, "beam.k": "1e300", **extra}.items())
     assert main([command, "--config", write_cfg(tmp_path, text),
                  "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert ("non-finite entry" if "beam.ell" in extra
@@ -750,6 +745,7 @@ class TestSweepXiCommand:
         cfg = write_cfg(tmp_path, BASE)
         assert main(["sweep-xi", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_rows_do_not_depend_on_blas_threads(self, tmp_path):
         # one process per BLAS thread count, both at once: the artifacts are
@@ -803,6 +799,7 @@ class TestSweepEpsCommand:
                      str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == \
             "config error: sweep.eps_pen: empty axis for sweep-eps\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("overrides, code, named", [
         pytest.param(COMPLIANCE_P1, 0, None, id="p1-compliance"),
@@ -824,6 +821,7 @@ class TestSweepEpsCommand:
                      str(tmp_path / "o")]) == code
         if named:
             assert capsys.readouterr().err.startswith(f"config error: {named}: ")
+            assert not (tmp_path / "o").exists()
 
     def test_degenerate_fit_row_says_why(self, tmp_path):
         # zero data: every energy is 0, so no decay rate can be fitted
@@ -1157,7 +1155,10 @@ _KEY_VALUES = {
     "scheme.newton_max": st.integers(-1, 50).map(str),
     "sweep.eps_pen": _listed(_DOUBLE.map(repr)),
     "sweep.epsilon": _listed(_DOUBLE.map(repr)),
-    "sweep.xi": _listed(_FRACTION),
+    # k/(k+1) and 1/2**k for large k round onto the ends as floats
+    "sweep.xi": _listed(st.one_of(
+        _FRACTION, st.integers(2**50, 2**60).map(lambda k: f"{k}/{k + 1}"),
+        st.integers(1000, 1100).map(lambda k: f"1/{2**k}"))),
     "sweep.ne": _listed(st.integers(-1, 8)),
 }
 # what each command needs to get past its own checks

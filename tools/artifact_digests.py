@@ -21,9 +21,11 @@ artifacts); tip-sweep-eps, a penalty sweep with tip.epsilon = 0.1, which
 sweep-eps does not read because each row's tip body takes its eps_pen (exit
 2, once exit 0 with the bytes of the sweep without the key); and
 energy-overflow, mode-velocity data of amplitude 1e160, whose energy is inf
-from the first sample (exit 3, once exit 0 with fit_status = ok).  Three runs write what no other run does: snapshot (final_state.snap),
-gaussian (init.kind = gaussian) and sweep-eps-diverged, the energy-overflow
-data in a penalty sweep whose rows all diverge.  tests/test_artifacts.py
+from the first sample (exit 3, once exit 0 with fit_status = ok).  An exit-2
+run writes no file and no directory, so its digest is that of no files
+(e3b0c442...).  Three runs write what no other run does: snapshot
+(final_state.snap), gaussian (init.kind = gaussian) and sweep-eps-diverged,
+the energy-overflow data in a penalty sweep whose rows all diverge.  tests/test_artifacts.py
 takes its test ids from the run names.
 
 Run as a script, the tool pins BLAS to one thread, as bench/run.py does
